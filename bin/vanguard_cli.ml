@@ -1045,9 +1045,12 @@ let prove_cmd =
            match spec_of_name name with
            | Error e -> Error e
            | Ok spec ->
-             (* the harness transforms the TRAIN program; regenerate it as
-                the reference and validate the transform output against it *)
-             let original = Gen.generate ~input:0 spec in
+             (* the harness transforms the TRAIN program of the bench
+                record's (BV_SCALE-scaled) spec; regenerate it from that
+                spec as the reference and validate the transform output
+                against it *)
+             let b = Sim.bench (Sim.the ()) spec in
+             let original = Gen.generate ~input:0 (Runner.spec b) in
              let transformed =
                if interproc then
                  (* re-transform with summaries: newly eligible
@@ -1055,14 +1058,10 @@ let prove_cmd =
                  let summaries = Bv_analysis.Summary.compute original in
                  (Vanguard.Transform.apply ~summaries
                     ~exit_live:Gen.live_at_exit
-                    ~candidates:
-                      (Runner.selection (Sim.bench (Sim.the ()) spec))
-                        .Vanguard.Select.candidates
+                    ~candidates:(Runner.selection b).Vanguard.Select.candidates
                     original)
                    .Vanguard.Transform.program
-               else
-                 (Runner.transform (Sim.bench (Sim.the ()) spec))
-                   .Vanguard.Transform.program
+               else (Runner.transform b).Vanguard.Transform.program
              in
              Ok
                [ ( name ^ ":transform",

@@ -2,8 +2,10 @@
    node payload types, experiment row formulas: cached values from older
    formats then miss instead of lying. (Format 1 was the pre-DAG
    [.bench] artifact cache; format 3 added the block-compiled fast path
-   and the sample/compiled node kinds.) *)
-let code_format = 3
+   and the sample/compiled node kinds; format 4 changed [Stats.t]'s
+   per-site tables, which [sim] nodes marshal, from growable arrays
+   indexed by site id to sorted ids plus one fixed slot per id.) *)
+let code_format = 4
 
 type counters =
   { hits : int;

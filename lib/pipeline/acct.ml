@@ -129,43 +129,36 @@ type site_agg =
   }
 
 let by_site t =
-  (* site ids are small and dense (profiling-assigned); a growable array
-     keyed by id keeps the output sorted for free *)
-  let n = ref 8 in
-  let tbl = ref (Array.make !n None) in
-  for pc = 0 to length t - 1 do
-    if t.execs.(pc) > 0 then begin
-      let site = site_of t.code.(pc) in
-      if site >= 0 then begin
-        while site >= !n do
-          let b = Array.make (2 * !n) None in
-          Array.blit !tbl 0 b 0 !n;
-          tbl := b;
-          n := 2 * !n
-        done;
-        let prev =
-          match !tbl.(site) with
-          | Some a -> a
-          | None ->
-            { sa_site = site;
-              sa_execs = 0;
-              sa_mispredicts = 0;
-              sa_recovery = 0;
-              sa_lat_sum = 0
-            }
-        in
-        !tbl.(site) <-
-          Some
-            { prev with
-              sa_execs = prev.sa_execs + t.execs.(pc);
-              sa_mispredicts = prev.sa_mispredicts + t.mispredicts.(pc);
-              sa_recovery = prev.sa_recovery + t.recovery_cycles.(pc);
-              sa_lat_sum = prev.sa_lat_sum + t.lat_sum.(pc)
-            }
-      end
-    end
+  (* one row per executed sited pc, ordered by site id, then adjacent
+     rows of the same site summed — sized by the code, not by the ids *)
+  let rows = ref [] in
+  for pc = length t - 1 downto 0 do
+    let site = site_of t.code.(pc) in
+    if t.execs.(pc) > 0 && site >= 0 then
+      rows :=
+        { sa_site = site;
+          sa_execs = t.execs.(pc);
+          sa_mispredicts = t.mispredicts.(pc);
+          sa_recovery = t.recovery_cycles.(pc);
+          sa_lat_sum = t.lat_sum.(pc)
+        }
+        :: !rows
   done;
-  Array.to_list !tbl |> List.filter_map Fun.id
+  List.stable_sort (fun a b -> Int.compare a.sa_site b.sa_site) !rows
+  |> List.fold_left
+       (fun acc r ->
+         match acc with
+         | p :: rest when p.sa_site = r.sa_site ->
+           { p with
+             sa_execs = p.sa_execs + r.sa_execs;
+             sa_mispredicts = p.sa_mispredicts + r.sa_mispredicts;
+             sa_recovery = p.sa_recovery + r.sa_recovery;
+             sa_lat_sum = p.sa_lat_sum + r.sa_lat_sum
+           }
+           :: rest
+         | _ -> r :: acc)
+       []
+  |> List.rev
 
 (* ---- JSON ------------------------------------------------------------- *)
 

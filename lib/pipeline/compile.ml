@@ -349,11 +349,8 @@ let skip_stalls st ~limit =
         stats.Stats.head_stall_cycles <- stats.Stats.head_stall_cycles + k;
         stats.Stats.operand_stall_cycles <-
           stats.Stats.operand_stall_cycles + k;
-        let site = st.c_site.(h) in
-        if site >= 0 then
-          for _ = 1 to k do
-            Stats.add_site_stall stats ~site
-          done;
+        let slot = st.c_site.(h) in
+        if slot >= 0 then Stats.add_site_stalls stats ~slot ~n:k;
         stats.Stats.dbb_occupancy_sum <-
           stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
         stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;

@@ -178,7 +178,7 @@ let fetch_exec st pc =
       (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
       steer_taken st ~pc ~target:predicted;
       false)
-  | Instr.Branch { on; src; target = _; id } as i ->
+  | Instr.Branch { on; src; target = _; id = _ } as i ->
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
     let pred, meta =
       st.predictor.Predictor.predict ~pc ~outcome:actual_taken
@@ -192,7 +192,7 @@ let fetch_exec st pc =
     st.c_kind.(h) <- ck_branch;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     st.c_redirect.(h) <- (if actual_taken then target_pc else next);
-    st.c_site.(h) <- id;
+    st.c_site.(h) <- st.static.(pc).s_slot;
     st.c_meta.(h) <- meta;
     st.c_meta_pc.(h) <- pc;
     st.c_actual.(h) <- Bool.to_int actual_taken;
@@ -234,7 +234,7 @@ let fetch_exec st pc =
         true
       end
     end
-  | Instr.Resolve { on; src; target = _; predicted_taken; id } as i ->
+  | Instr.Resolve { on; src; target = _; predicted_taken; id = _ } as i ->
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
     let mispredict = actual_taken <> predicted_taken in
     let slot = Dbb.claim_newest st.dbb in
@@ -245,7 +245,7 @@ let fetch_exec st pc =
     st.c_kind.(h) <- ck_resolve;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     st.c_redirect.(h) <- (if mispredict then st.static.(pc).s_target else next);
-    st.c_site.(h) <- id;
+    st.c_site.(h) <- st.static.(pc).s_slot;
     if slot >= 0 then begin
       st.c_meta.(h) <- Dbb.slot_meta st.dbb slot;
       st.c_meta_pc.(h) <- Dbb.slot_pc st.dbb slot

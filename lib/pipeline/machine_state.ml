@@ -52,7 +52,8 @@ type static_info =
     s_latency : int;  (* base issue latency under the run's config *)
     s_mem_kind : int;  (* 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
-    s_target : int  (* resolved label target pc; -1 when none *)
+    s_target : int;  (* resolved label target pc; -1 when none *)
+    s_slot : int  (* branch/resolve: the site's Stats slot; -1 otherwise *)
   }
 
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
@@ -292,7 +293,7 @@ type t =
     mutable c_kind : int array;  (* ck_none / ck_branch / ck_resolve / ck_ret *)
     mutable c_mispredict : int array;  (* 0 / 1 *)
     mutable c_redirect : int array;  (* correct-path pc, used on mispredict *)
-    mutable c_site : int array;  (* branch/resolve site id, -1 otherwise *)
+    mutable c_site : int array;  (* branch/resolve stats slot, -1 otherwise *)
     mutable c_meta_pc : int array;  (* pc whose predictor entry to train *)
     mutable c_actual : int array;  (* actual direction, 0 / 1 *)
     mutable c_dbb_slot : int array;  (* -1 when none *)
@@ -344,7 +345,13 @@ type t =
     mutable fetch_frozen : bool
   }
 
-let static_of (cfg : Config.t) image instr =
+(* The site id a branch or resolve records its per-site stats under;
+   -1 (never recorded) for everything else. *)
+let site_of = function
+  | Instr.Branch { id; _ } | Instr.Resolve { id; _ } when id >= 0 -> id
+  | _ -> -1
+
+let static_of (cfg : Config.t) image stats instr =
   let dst =
     match Instr.defs instr with r :: _ -> Reg.index r | [] -> -1
   in
@@ -380,7 +387,8 @@ let static_of (cfg : Config.t) image instr =
     s_latency = latency;
     s_mem_kind = mem_kind;
     s_is_halt = instr = Instr.Halt;
-    s_target = target
+    s_target = target;
+    s_slot = Stats.slot stats (site_of instr)
   }
 
 let create ~config ?on_event ?acct image =
@@ -396,12 +404,20 @@ let create ~config ?on_event ?acct image =
     c.Hierarchy.l1_latency + c.Hierarchy.l2_latency + c.Hierarchy.l3_latency
     + c.Hierarchy.mem_latency
   in
+  let stats =
+    Stats.create
+      ~sites:
+        (Array.of_list
+           (Array.fold_left
+              (fun acc i -> match site_of i with -1 -> acc | s -> s :: acc)
+              [] code))
+  in
   { cfg;
     image;
     code;
     code_len = Array.length code;
-    static = Array.map (static_of cfg image) code;
-    stats = Stats.create ();
+    static = Array.map (static_of cfg image stats) code;
+    stats;
     hier = Hierarchy.create ~config:cfg.Config.cache ();
     predictor = Kind.create cfg.Config.predictor;
     btb = Btb.create ~entries:cfg.Config.btb_entries ();

@@ -92,10 +92,13 @@ type static_info =
     s_latency : int;  (** base issue latency under the run's config *)
     s_mem_kind : int;  (** 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
-    s_target : int
+    s_target : int;
         (** pre-resolved label target pc (jump/call/branch/predict/resolve);
             -1 when the instruction has no label. The fetch path never does
             a label-table lookup. *)
+    s_slot : int
+        (** branch/resolve: the site's {!Stats.slot} in this run's stats;
+            -1 for every other instruction (and for negative site ids) *)
   }
 
 val imax : int -> int -> int
@@ -247,8 +250,8 @@ type t =
     mutable c_redirect : int array;
         (** correct-path pc, used on mispredict *)
     mutable c_site : int array;
-        (** branch/resolve site id; -1 otherwise (read without a kind
-            guard on the issue path) *)
+        (** branch/resolve site's stats slot ([s_slot]); -1 otherwise
+            (read without a kind guard on the issue path) *)
     mutable c_meta_pc : int array;
         (** pc whose predictor entry to train *)
     mutable c_actual : int array;  (** actual direction, 0 / 1 *)

@@ -63,8 +63,8 @@ let issue st =
           st.stats.Stats.operand_stall_cycles <-
             st.stats.Stats.operand_stall_cycles + 1;
           st.cycle_stall <- stall_operand;
-          let site = st.c_site.(h) in
-          if site >= 0 then Stats.add_site_stall st.stats ~site
+          let slot = st.c_site.(h) in
+          if slot >= 0 then Stats.add_site_stall st.stats ~slot
         end;
         blocked := true
       end
@@ -94,13 +94,13 @@ let issue st =
         if operands_ready && fu_ok && mem_ok then begin
           ignore (Ring.pop st.fbuf);
           fu_left.(si.s_fu) <- fu_left.(si.s_fu) - 1;
-          let site = st.c_site.(h) in
-          if site >= 0 then begin
+          let slot = st.c_site.(h) in
+          if slot >= 0 then begin
             (* how long the condition kept this control instruction from
                resolving, past the front-end minimum: the measured
                per-site ASPCB (operand readiness, not queueing delay) *)
             let readiness = readiness st si.s_uses in
-            Stats.add_site_wait st.stats ~site
+            Stats.add_site_wait st.stats ~slot
               ~cycles:
                 (imax 0
                    (readiness
@@ -156,8 +156,8 @@ let issue st =
               st.stats.Stats.operand_stall_cycles <-
                 st.stats.Stats.operand_stall_cycles + 1;
               st.cycle_stall <- stall_operand;
-              let site = st.c_site.(h) in
-              if site >= 0 then Stats.add_site_stall st.stats ~site
+              let slot = st.c_site.(h) in
+              if slot >= 0 then Stats.add_site_stall st.stats ~slot
             end
             else if not fu_ok then begin
               st.stats.Stats.fu_stall_cycles <-

@@ -27,16 +27,22 @@ type t =
     mutable icache_misses : int;
     mutable runahead_prefetches : int;
     mutable icache_misses_in_shadow : int;
-    (* Per-site tables as growable arrays indexed by site id: the hot
-       recorders (called on every control-instruction issue) must not
-       hash or allocate. A site is "present" when its counter is > 0,
-       matching the old hash-table behaviour. *)
-    mutable site_stalls : int array;
-    mutable site_wait_execs : int array;
-    mutable site_wait_cycles : int array
+    (* Per-site tables: one dense slot per branch/resolve site id the
+       image contains, [sites] holding the ids in ascending order. The
+       hot recorders (called on every control-instruction issue) are
+       plain array increments — no hashing, no growth. A site is
+       "present" in the JSON when its counter is > 0. *)
+    sites : int array;
+    site_stalls : int array;
+    site_wait_execs : int array;
+    site_wait_cycles : int array
   }
 
-let create () =
+let create ~sites =
+  let sites =
+    Array.of_list (List.sort_uniq Int.compare (Array.to_list sites))
+  in
+  let n = Array.length sites in
   { cycles = 0;
     fetched = 0;
     issued = 0;
@@ -65,20 +71,11 @@ let create () =
     icache_misses = 0;
     runahead_prefetches = 0;
     icache_misses_in_shadow = 0;
-    site_stalls = Array.make 64 0;
-    site_wait_execs = Array.make 64 0;
-    site_wait_cycles = Array.make 64 0
+    sites;
+    site_stalls = Array.make n 0;
+    site_wait_execs = Array.make n 0;
+    site_wait_cycles = Array.make n 0
   }
-
-let grown a site =
-  let n = Array.length a in
-  if site < n then a
-  else begin
-    let rec cap c = if c > site then c else cap (2 * c) in
-    let b = Array.make (cap (2 * n)) 0 in
-    Array.blit a 0 b 0 n;
-    b
-  end
 
 let retired t = t.issued - t.squashed_issued
 
@@ -95,28 +92,42 @@ let dbb_avg_occupancy t =
   if t.dbb_samples = 0 then 0.0
   else Float.of_int t.dbb_occupancy_sum /. Float.of_int t.dbb_samples
 
+(* Binary search over the sorted ids; -1 when the image has no such
+   site. Off the hot path: the machine resolves each pc's slot once. *)
+let slot t site =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let id = t.sites.(mid) in
+      if id = site then mid
+      else if id < site then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 (Array.length t.sites)
+
+let[@inline] add_site_stalls t ~slot ~n =
+  t.site_stalls.(slot) <- t.site_stalls.(slot) + n
+
+let[@inline] add_site_stall t ~slot = add_site_stalls t ~slot ~n:1
+
+let[@inline] add_site_wait t ~slot ~cycles =
+  t.site_wait_execs.(slot) <- t.site_wait_execs.(slot) + 1;
+  t.site_wait_cycles.(slot) <- t.site_wait_cycles.(slot) + cycles
+
+let slot_wait_avg t slot =
+  if t.site_wait_execs.(slot) > 0 then
+    Float.of_int t.site_wait_cycles.(slot)
+    /. Float.of_int t.site_wait_execs.(slot)
+  else 0.0
+
 let site_stall_cycles t site =
-  if site >= 0 && site < Array.length t.site_stalls then t.site_stalls.(site)
-  else 0
-
-let add_site_stall t ~site =
-  t.site_stalls <- grown t.site_stalls site;
-  t.site_stalls.(site) <- t.site_stalls.(site) + 1
-
-let add_site_wait t ~site ~cycles =
-  t.site_wait_execs <- grown t.site_wait_execs site;
-  t.site_wait_cycles <- grown t.site_wait_cycles site;
-  t.site_wait_execs.(site) <- t.site_wait_execs.(site) + 1;
-  t.site_wait_cycles.(site) <- t.site_wait_cycles.(site) + cycles
+  let k = slot t site in
+  if k >= 0 then t.site_stalls.(k) else 0
 
 let site_wait_avg t site =
-  if site >= 0
-     && site < Array.length t.site_wait_execs
-     && t.site_wait_execs.(site) > 0
-  then
-    Float.of_int t.site_wait_cycles.(site)
-    /. Float.of_int t.site_wait_execs.(site)
-  else 0.0
+  let k = slot t site in
+  if k >= 0 then slot_wait_avg t k else 0.0
 
 (* ---- field descriptors ------------------------------------------------ *)
 
@@ -199,27 +210,27 @@ let to_json ?acct ?sampled t =
     | I (name, get) -> (name, Int (get t))
     | F (name, get) -> (name, float (get t))
   in
-  (* ascending array index = sorted by site id *)
+  (* ascending slot = sorted by site id *)
   let site_stalls =
     List.concat
-      (List.init (Array.length t.site_stalls) (fun site ->
-           if t.site_stalls.(site) > 0 then
+      (List.init (Array.length t.sites) (fun k ->
+           if t.site_stalls.(k) > 0 then
              [ Obj
-                 [ ("site", Int site);
-                   ("stall_cycles", Int t.site_stalls.(site))
+                 [ ("site", Int t.sites.(k));
+                   ("stall_cycles", Int t.site_stalls.(k))
                  ]
              ]
            else []))
   in
   let site_waits =
     List.concat
-      (List.init (Array.length t.site_wait_execs) (fun site ->
-           if t.site_wait_execs.(site) > 0 then
+      (List.init (Array.length t.sites) (fun k ->
+           if t.site_wait_execs.(k) > 0 then
              [ Obj
-                 [ ("site", Int site);
-                   ("execs", Int t.site_wait_execs.(site));
-                   ("backlog_cycles", Int t.site_wait_cycles.(site));
-                   ("avg_backlog", float (site_wait_avg t site))
+                 [ ("site", Int t.sites.(k));
+                   ("execs", Int t.site_wait_execs.(k));
+                   ("backlog_cycles", Int t.site_wait_cycles.(k));
+                   ("avg_backlog", float (slot_wait_avg t k))
                  ]
              ]
            else []))

@@ -30,20 +30,31 @@ type t =
     mutable runahead_prefetches : int;
     mutable icache_misses_in_shadow : int;
         (** I$ misses within the redirect shadow of a misprediction (§6.1) *)
-    mutable site_stalls : int array;
-        (** branch/resolve site id -> cycles the issue head stalled on it;
-            indexed by site, grown on demand, 0 = never stalled. Use the
-            accessors below — the arrays are replaced when they grow. *)
-    mutable site_wait_execs : int array;  (** site id -> executions *)
-    mutable site_wait_cycles : int array
-        (** site id -> summed backlog cycles: how far behind the front end
+    sites : int array;
+        (** the branch/resolve site ids the image contains, ascending and
+            distinct; position [k] is site [sites.(k)]'s {e slot} in the
+            three tables below. Sized once per image at {!create}, so a
+            run's stats weigh the same whatever the ids' magnitude. *)
+    site_stalls : int array;
+        (** slot -> cycles the issue head stalled on that site; 0 = never
+            stalled *)
+    site_wait_execs : int array;  (** slot -> executions *)
+    site_wait_cycles : int array
+        (** slot -> summed backlog cycles: how far behind the front end
             the machine was running when the site's condition finally
             became ready — an issue-backlog indicator, not a pure
             condition latency (queueing and the condition are confounded
             in an in-order backlog) *)
   }
 
-val create : unit -> t
+val create : sites:int array -> t
+(** Zeroed counters with one slot per distinct id of [sites] (any order,
+    duplicates allowed). {!Machine_state.create} passes the ids of every
+    branch and resolve in the image. *)
+
+val slot : t -> int -> int
+(** The slot of a site id, or -1 when [create] was not given it. A
+    binary search: resolve slots once, off the per-cycle path. *)
 
 val retired : t -> int
 (** Instructions that issued and were never squashed. *)
@@ -58,13 +69,21 @@ val mppki : t -> float
 val dbb_avg_occupancy : t -> float
 
 val site_stall_cycles : t -> int -> int
+(** Issue-head stall cycles charged to a site id (0 for an id the image
+    lacks). *)
 
-val add_site_stall : t -> site:int -> unit
+val add_site_stall : t -> slot:int -> unit
+(** Charge one stall cycle to a slot (not a site id; see {!slot}). *)
 
-val add_site_wait : t -> site:int -> cycles:int -> unit
+val add_site_stalls : t -> slot:int -> n:int -> unit
+(** Charge [n] stall cycles at once (a skipped stretch of parked cycles). *)
+
+val add_site_wait : t -> slot:int -> cycles:int -> unit
+(** Record one execution of a slot's site and its backlog [cycles]. *)
 
 val site_wait_avg : t -> int -> float
-(** Average backlog cycles for a site (0 if never executed). *)
+(** Average backlog cycles for a site id (0 if never executed or absent
+    from the image). *)
 
 val pp : Format.formatter -> t -> unit
 

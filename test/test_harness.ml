@@ -63,6 +63,16 @@ let test_simulate_cross_checked () =
   let pair2 = Runner.simulate b ~input:1 ~width:4 in
   Alcotest.(check bool) "memoised" true (pair == pair2)
 
+let test_summary_compact () =
+  (* the payload every cached sim node marshals: per-site tables sized
+     by the image, not by its largest site id (latches sit at 900_000) *)
+  let b = Lazy.force bench in
+  let summary = Runner.summarize (Runner.simulate b ~input:1 ~width:4) in
+  let bytes = String.length (Marshal.to_string summary []) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sim_summary %d bytes < 64 KiB" bytes)
+    true (bytes < 65536)
+
 let test_best_ge_avg () =
   let b = Lazy.force bench in
   Alcotest.(check bool) "best >= avg" true
@@ -121,6 +131,7 @@ let () =
         [ Alcotest.test_case "prepare/metrics" `Slow test_prepare_and_metrics;
           Alcotest.test_case "simulate + memo" `Slow
             test_simulate_cross_checked;
+          Alcotest.test_case "summary size" `Slow test_summary_compact;
           Alcotest.test_case "best >= avg" `Slow test_best_ge_avg
         ] );
       ( "metrics", [ Alcotest.test_case "alpbb" `Quick test_alpbb_known ] );

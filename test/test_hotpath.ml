@@ -157,7 +157,19 @@ let test_static_table_agrees () =
       Alcotest.(check bool)
         (Printf.sprintf "halt @%d" pc)
         (instr = Bv_isa.Instr.Halt)
-        si.s_is_halt)
+        si.s_is_halt;
+      (* a branch/resolve's slot names its own site id in the stats *)
+      let site =
+        match instr with
+        | Bv_isa.Instr.Branch { id; _ } | Bv_isa.Instr.Resolve { id; _ } ->
+          Some id
+        | _ -> None
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "site slot @%d" pc)
+        site
+        (if si.s_slot < 0 then None
+         else Some st.stats.Stats.sites.(si.s_slot)))
     st.code
 
 (* ----------------------------------------------------------- handle pool *)

@@ -92,7 +92,7 @@ let test_accessors () =
 (* --------------------------------------------------------- stats golden *)
 
 let test_stats_golden () =
-  let s = Stats.create () in
+  let s = Stats.create ~sites:[| 7 |] in
   s.Stats.cycles <- 100;
   s.Stats.fetched <- 60;
   s.Stats.issued <- 54;
@@ -120,10 +120,11 @@ let test_stats_golden () =
   s.Stats.dbb_occupancy_sum <- 30;
   s.Stats.dbb_samples <- 10;
   s.Stats.dbb_max_occupancy <- 4;
-  Stats.add_site_stall s ~site:7;
-  Stats.add_site_stall s ~site:7;
-  Stats.add_site_wait s ~site:7 ~cycles:3;
-  Stats.add_site_wait s ~site:7 ~cycles:5;
+  let slot = Stats.slot s 7 in
+  Stats.add_site_stall s ~slot;
+  Stats.add_site_stall s ~slot;
+  Stats.add_site_wait s ~slot ~cycles:3;
+  Stats.add_site_wait s ~slot ~cycles:5;
   (* The schema contract consumed by external tooling: field names, order
      and derived-value formatting must stay stable across refactors. *)
   let expected =
@@ -146,6 +147,50 @@ let test_stats_golden () =
       ]
   in
   Alcotest.(check string) "golden" expected (Json.to_string (Stats.to_json s))
+
+let test_stats_sites_canonical () =
+  (* [~sites] in any order, with repeats: one slot per distinct id, and
+     the tables come out in ascending id order exactly once each *)
+  let s = Stats.create ~sites:[| 42; 7; 900_001; 7; 42 |] in
+  Alcotest.(check (array int)) "sorted, distinct" [| 7; 42; 900_001 |]
+    s.Stats.sites;
+  Alcotest.(check int) "one slot per id" 3 (Array.length s.Stats.site_stalls);
+  List.iter
+    (fun site ->
+      let slot = Stats.slot s site in
+      Stats.add_site_stall s ~slot;
+      Stats.add_site_wait s ~slot ~cycles:site)
+    [ 900_001; 7; 42 ];
+  let ids key =
+    match Json.member key (Stats.to_json s) with
+    | Some l ->
+      List.map
+        (fun row ->
+          match Json.member "site" row with
+          | Some (Json.Int i) -> i
+          | _ -> Alcotest.fail "row without a site")
+        (Json.to_list l)
+    | None -> Alcotest.fail ("missing " ^ key)
+  in
+  Alcotest.(check (list int)) "site_stalls order" [ 7; 42; 900_001 ]
+    (ids "site_stalls");
+  Alcotest.(check (list int)) "site_waits order" [ 7; 42; 900_001 ]
+    (ids "site_waits");
+  Alcotest.(check int) "stall by id" 1 (Stats.site_stall_cycles s 900_001);
+  Alcotest.(check (float 0.0)) "wait by id" 42.0 (Stats.site_wait_avg s 42)
+
+let test_stats_absent_site () =
+  let s = Stats.create ~sites:[| 3; 900_000 |] in
+  Stats.add_site_stall s ~slot:(Stats.slot s 3);
+  Stats.add_site_wait s ~slot:(Stats.slot s 900_000) ~cycles:9;
+  List.iter
+    (fun site ->
+      let name = string_of_int site in
+      Alcotest.(check int) (name ^ ": no slot") (-1) (Stats.slot s site);
+      Alcotest.(check int) (name ^ ": stall") 0 (Stats.site_stall_cycles s site);
+      Alcotest.(check (float 0.0)) (name ^ ": wait") 0.0
+        (Stats.site_wait_avg s site))
+    [ -1; 0; 4; 899_999; 900_001; max_int ]
 
 (* ---------------------------------------------------- machine-level runs *)
 
@@ -406,7 +451,49 @@ let test_acct_conservation () =
     (fun (name, config, image) ->
       let acct, res = run_accounted config (Lazy.force image) in
       Alcotest.(check bool) (name ^ ": finished") true res.Machine.finished;
-      check_attribution name acct res.Machine.stats)
+      check_attribution name acct res.Machine.stats;
+      (* generated loop latches carry site ids from 900_000: the rows
+         must still come out ascending, and folding them must cost
+         memory in proportion to the code, not to the largest id *)
+      let before = Gc.allocated_bytes () in
+      let sites = Acct.by_site acct in
+      let bytes = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool)
+        (name ^ ": a latch site >= 900000")
+        true
+        (List.exists (fun sa -> sa.Acct.sa_site >= 900_000) sites);
+      let ids = List.map (fun sa -> sa.Acct.sa_site) sites in
+      Alcotest.(check (list int))
+        (name ^ ": one row per site, ascending")
+        (List.sort_uniq Int.compare ids)
+        ids;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: by_site allocated %.0f bytes < 1 MiB" name bytes)
+        true
+        (bytes < 1048576.0))
+    golden_cases
+
+let test_stats_size_bounded () =
+  (* a run's counters are sized by the sites in the image: generated
+     latch ids >= 900_000 must not inflate them *)
+  List.iter
+    (fun (name, config, image) ->
+      let image = Lazy.force image in
+      Alcotest.(check bool)
+        (name ^ ": image has a site >= 900000")
+        true
+        (Array.exists
+           (function
+             | Bv_isa.Instr.Branch { id; _ } | Bv_isa.Instr.Resolve { id; _ }
+               ->
+               id >= 900_000
+             | _ -> false)
+           image.Bv_ir.Layout.code);
+      let res = Machine.run ~config image in
+      let words = Obj.reachable_words (Obj.repr res.Machine.stats) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stats %d words < 2000" name words)
+        true (words < 2000))
     golden_cases
 
 let test_acct_fuzz () =
@@ -547,7 +634,14 @@ let () =
           Alcotest.test_case "accessors" `Quick test_accessors
         ] );
       ( "stats",
-        [ Alcotest.test_case "golden to_json" `Quick test_stats_golden ] );
+        [ Alcotest.test_case "golden to_json" `Quick test_stats_golden;
+          Alcotest.test_case "sites canonical" `Quick
+            test_stats_sites_canonical;
+          Alcotest.test_case "absent site reads 0" `Quick
+            test_stats_absent_site;
+          Alcotest.test_case "size bounded by image" `Quick
+            test_stats_size_bounded
+        ] );
       ( "trace",
         [ Alcotest.test_case "span nesting" `Quick test_trace_nesting;
           Alcotest.test_case "instruction cap" `Quick test_trace_cap
