@@ -69,7 +69,7 @@ let sample_interval_arg =
     & opt (some positive) None
     & info [ "sample-interval" ] ~doc ~docv:"CYCLES")
 
-(* -------------------------------------------- sampling & compilation *)
+(* ------------------------------------------------------------- sampling *)
 
 let sample_mode_arg =
   let doc =
@@ -101,25 +101,8 @@ let sample_warmup_arg =
     & opt positive Machine.default_sample_params.Machine.sp_warmup
     & info [ "sample-warmup" ] ~doc ~docv:"INSTRS")
 
-let no_compile_arg =
-  let doc =
-    "Disable the block-compiled fast path and simulate with interpreted \
-     dispatch (results are byte-identical either way; this is a \
-     performance switch). BV_NO_COMPILE=1 does the same globally."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let sample_params_of ~period ~detail ~warmup =
   { Machine.sp_period = period; sp_detail = detail; sp_warmup = warmup }
-
-let check_identity_arg =
-  let doc =
-    "Verify that the block-compiled fast path produces a byte-identical \
-     result to interpreted dispatch for this configuration (both sides of \
-     the transform), then exit. Non-zero exit on divergence. CI greps the \
-     identity ok:/error: line."
-  in
-  Arg.(value & flag & info [ "check-identity" ] ~doc)
 
 let write_json path json =
   if path = "-" then Bv_obs.Json.to_channel ~indent:true stdout json
@@ -200,23 +183,9 @@ let list_cmd =
 
 let run_cmd =
   let run name width input predictor json trace sample_interval sample_mode
-      sample_period sample_detail sample_warmup no_compile check_identity =
-    if no_compile then Machine.set_compile_default false;
+      sample_period sample_detail sample_warmup =
     match spec_of_name name with
     | Error e -> prerr_endline e; 1
-    | Ok spec when check_identity -> (
-      match
-        Sim.compiled_check ~predictor (Sim.the ()) spec ~input ~width
-      with
-      | idt ->
-        Printf.printf
-          "identity ok: %s w%d %s input %d (base %d cycles, exp %d cycles)\n"
-          name width (Kind.name predictor) input idt.Runner.idt_base_cycles
-          idt.Runner.idt_exp_cycles;
-        0
-      | exception Failure msg ->
-        Printf.printf "identity error: %s\n" msg;
-        1)
     | Ok spec when sample_mode ->
       let b = Sim.prepare ~predictor (Sim.the ()) spec in
       let params =
@@ -384,8 +353,7 @@ let run_cmd =
     Term.(
       const run $ bench_arg $ width_arg $ input_arg $ predictor_arg
       $ json_arg $ trace_arg $ sample_interval_arg $ sample_mode_arg
-      $ sample_period_arg $ sample_detail_arg $ sample_warmup_arg
-      $ no_compile_arg $ check_identity_arg)
+      $ sample_period_arg $ sample_detail_arg $ sample_warmup_arg)
 
 (* ------------------------------------------------------ sample-validate *)
 

@@ -165,6 +165,21 @@ let cache_tag (c : Hierarchy.config) =
   Printf.sprintf "%d.%d.%d.%d.%d" c.Hierarchy.l1d_bytes c.Hierarchy.l1i_bytes
     c.Hierarchy.l2_bytes c.Hierarchy.l3_bytes c.Hierarchy.mem_latency
 
+(* Percent speedup of a run taking [exp] cycles over one taking [base]. *)
+let speedup_pct ~base ~exp =
+  100.0 *. ((Float.of_int base /. Float.of_int (max 1 exp)) -. 1.0)
+
+(* A timing run must halt and agree with the interpreter's digest. *)
+let check_run b name want (got : Machine.result) =
+  if not got.Machine.finished then
+    failwith
+      (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
+         name);
+  if got.Machine.arch_digest <> want then
+    failwith
+      (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
+         b.spec.Spec.name name)
+
 let simulate ?(predictor = Kind.Tournament)
     ?(cache = Hierarchy.default_config) b ~input ~width =
   let key =
@@ -179,25 +194,16 @@ let simulate ?(predictor = Kind.Tournament)
     let config = Config.make ~predictor ~cache ~width () in
     let base = Machine.run ~config base_img in
     let exp = Machine.run ~config exp_img in
-    let check name want (got : Machine.result) =
-      if not got.Machine.finished then
-        failwith
-          (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
-             name);
-      if got.Machine.arch_digest <> want then
-        failwith
-          (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
-             b.spec.Spec.name name)
+    check_run b "baseline" dbase base;
+    check_run b "experimental" dexp exp;
+    let pair =
+      { base;
+        exp;
+        speedup_pct =
+          speedup_pct ~base:base.Machine.stats.Stats.cycles
+            ~exp:exp.Machine.stats.Stats.cycles
+      }
     in
-    check "baseline" dbase base;
-    check "experimental" dexp exp;
-    let speedup_pct =
-      100.0
-      *. (Float.of_int base.Machine.stats.Stats.cycles
-          /. Float.of_int (max 1 exp.Machine.stats.Stats.cycles)
-         -. 1.0)
-    in
-    let pair = { base; exp; speedup_pct } in
     Hashtbl.replace b.memo key pair;
     pair
 
@@ -274,25 +280,15 @@ let simulate_instrumented ?(predictor = Kind.Tournament)
   in
   Sampler.finish base_samples;
   Sampler.finish exp_samples;
-  let check name want (got : Machine.result) =
-    if not got.Machine.finished then
-      failwith
-        (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
-           name);
-    if got.Machine.arch_digest <> want then
-      failwith
-        (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
-           b.spec.Spec.name name)
-  in
-  check "baseline" dbase base;
-  check "experimental" dexp exp;
-  let speedup_pct =
-    100.0
-    *. (Float.of_int base.Machine.stats.Stats.cycles
-        /. Float.of_int (max 1 exp.Machine.stats.Stats.cycles)
-       -. 1.0)
-  in
-  { pair = { base; exp; speedup_pct };
+  check_run b "baseline" dbase base;
+  check_run b "experimental" dexp exp;
+  { pair =
+      { base;
+        exp;
+        speedup_pct =
+          speedup_pct ~base:base.Machine.stats.Stats.cycles
+            ~exp:exp.Machine.stats.Stats.cycles
+      };
     base_samples;
     exp_samples;
     base_acct;
@@ -319,42 +315,28 @@ let simulate_accounted ?(predictor = Kind.Tournament)
   let acc_exp = Acct.create exp_img.Layout.code in
   let base = Machine.run ~acct:acc_base ~config base_img in
   let exp = Machine.run ~acct:acc_exp ~config exp_img in
-  let check name want (got : Machine.result) =
-    if not got.Machine.finished then
-      failwith
-        (Printf.sprintf "%s/%s: simulation hit a run limit" b.spec.Spec.name
-           name);
-    if got.Machine.arch_digest <> want then
-      failwith
-        (Printf.sprintf "%s/%s: timing model diverged from the interpreter"
-           b.spec.Spec.name name)
-  in
-  check "baseline" dbase base;
-  check "experimental" dexp exp;
+  check_run b "baseline" dbase base;
+  check_run b "experimental" dexp exp;
   let base_cycles = base.Machine.stats.Stats.cycles in
   let exp_cycles = exp.Machine.stats.Stats.cycles in
   { acc_base_cycles = base_cycles;
     acc_exp_cycles = exp_cycles;
-    acc_speedup_pct =
-      100.0
-      *. (Float.of_int base_cycles /. Float.of_int (max 1 exp_cycles) -. 1.0);
+    acc_speedup_pct = speedup_pct ~base:base_cycles ~exp:exp_cycles;
     acc_base;
     acc_exp
   }
 
 let merge_accounted a b =
-  { acc_base_cycles = a.acc_base_cycles + b.acc_base_cycles;
-    acc_exp_cycles = a.acc_exp_cycles + b.acc_exp_cycles;
-    acc_speedup_pct =
-      100.0
-      *. (Float.of_int (a.acc_base_cycles + b.acc_base_cycles)
-          /. Float.of_int (max 1 (a.acc_exp_cycles + b.acc_exp_cycles))
-         -. 1.0);
+  let base = a.acc_base_cycles + b.acc_base_cycles in
+  let exp = a.acc_exp_cycles + b.acc_exp_cycles in
+  { acc_base_cycles = base;
+    acc_exp_cycles = exp;
+    acc_speedup_pct = speedup_pct ~base ~exp;
     acc_base = Acct.merge a.acc_base b.acc_base;
     acc_exp = Acct.merge a.acc_exp b.acc_exp
   }
 
-(* --------------------------------------------- sampled & compiled -- *)
+(* ------------------------------------------------------------ sampled -- *)
 
 type sampled_pair =
   { samp_base : Machine.sampled;
@@ -406,35 +388,6 @@ let summarize_sampled s =
   { ss_speedup_pct = s.samp_speedup_pct;
     ss_base = s.samp_base.Machine.sam_estimate;
     ss_exp = s.samp_exp.Machine.sam_estimate
-  }
-
-(* Marshal-safe witness that the block-compiled fast path reproduced the
-   interpreted run byte-for-byte on one paired config. *)
-type identity =
-  { idt_base_cycles : int;
-    idt_exp_cycles : int
-  }
-
-let compiled_identity ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) b ~input ~width =
-  let base_img, exp_img = images b ~input in
-  let config = Config.make ~predictor ~cache ~width () in
-  let side name img =
-    let compiled = Machine.run ~compile:true ~config img in
-    let interp = Machine.run ~compile:false ~config img in
-    let jc = Bv_obs.Json.to_string (Machine.result_to_json compiled) in
-    let ji = Bv_obs.Json.to_string (Machine.result_to_json interp) in
-    if not (String.equal jc ji) then
-      failwith
-        (Printf.sprintf
-           "%s/%s: compiled run is not byte-identical to interpreted"
-           b.spec.Spec.name name);
-    compiled
-  in
-  let base = side "baseline" base_img in
-  let exp = side "experimental" exp_img in
-  { idt_base_cycles = base.Machine.stats.Stats.cycles;
-    idt_exp_cycles = exp.Machine.stats.Stats.cycles
   }
 
 (* ------------------------------------------------- advise & validate -- *)

@@ -173,25 +173,6 @@ type sampled_summary =
 
 val summarize_sampled : sampled_pair -> sampled_summary
 
-type identity =
-  { idt_base_cycles : int;
-    idt_exp_cycles : int
-  }
-(** Marshal-safe witness of a passed compiled-vs-interpreted
-    byte-identity check (the cycle counts both paths agreed on). *)
-
-val compiled_identity :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  bench ->
-  input:int ->
-  width:int ->
-  identity
-(** Run both sides of one REF input twice — block-compiled and
-    interpreted — and fail unless the full result JSON (stats, cache
-    hierarchy, digests) is byte-identical. The CI smoke leg and the
-    ["compiled"] DAG node route here. Not memoised. *)
-
 val advise :
   ?config:Bv_analysis.Advisor.config ->
   ?interproc:bool ->

@@ -130,24 +130,6 @@ let sampled ?(predictor = Kind.Tournament)
   in
   Dag.eval t.dag n
 
-(* A passed byte-identity check is itself a cacheable fact: the node
-   only ever stores a witness, never a divergence (those raise). *)
-let compiled_check ?(predictor = Kind.Tournament)
-    ?(cache = Hierarchy.default_config) t spec ~input ~width =
-  let pn = prepare_node spec in
-  let n =
-    Dag.node ~kind:"compiled"
-      ~label:
-        (Printf.sprintf "%s.i%d.w%d.%s" spec.Spec.name input width
-           (Kind.name predictor))
-      ~deps:[ Dag.key t.dag pn ]
-      ~inputs:(input, width, Kind.name predictor, cache, Runner.scale ())
-      (fun () ->
-        Runner.compiled_identity ~predictor ~cache (bench t spec) ~input
-          ~width)
-  in
-  Dag.eval t.dag n
-
 (* Accounted runs profile-prepare with the same predictor they simulate
    with (the report pipeline's convention). *)
 let accounted_node ~predictor ~cache t spec ~input ~width =

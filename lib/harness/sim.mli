@@ -90,14 +90,6 @@ val sampled :
     keyed additionally by the sampling params): both whole-run
     estimates with confidence intervals, persisted. *)
 
-val compiled_check :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> input:int -> width:int -> Runner.identity
-(** One compiled-vs-interpreted byte-identity check as a DAG node (kind
-    ["compiled"]). Raises on divergence — the store only ever holds
-    passed witnesses, so a cache hit is itself a proof the check passed
-    for this code format. *)
-
 val accounted :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
   Spec.t -> input:int -> width:int -> Runner.accounted

@@ -288,7 +288,7 @@ let fetch_one st =
 
 (* Fetch up to [width] instructions this cycle; stops on taken steer,
    stall, halt, or a full fetch buffer. *)
-let fetch_group_interp st =
+let fetch_up_to_width st =
   let cfg = st.cfg in
   let fetched_now = ref 0 in
   let go = ref true in
@@ -302,69 +302,7 @@ let fetch_group_interp st =
     if fetch_one st then incr fetched_now else go := false
   done
 
-(* Block-compiled fetch group: when the stream sits on a straight-line
-   run ([run_len] > 0) with the line already resident, the width budget,
-   buffer space and line checks are hoisted out of the per-instruction
-   loop and the whole run dispatches through the fused per-pc closures —
-   one closure call per instruction, no decode match. Control
-   instructions, line fills and stalls bail to [fetch_exec]/the loop
-   conditions exactly as the interpreted path does, so the two paths are
-   byte-identical (the golden tests assert this). *)
-let fetch_group_compiled st =
-  let cfg = st.cfg in
-  let width = cfg.Config.width in
-  let fetched_now = ref 0 in
-  let go = ref true in
-  while
-    !go && !fetched_now < width
-    && (not st.spec_halted)
-    && st.fetch_stall_until <= st.now
-    && not (Ring.is_full st.fbuf)
-  do
-    let pc = st.fetch_pc in
-    if pc < 0 || pc >= st.code_len then go := false
-    else begin
-      let line = line_of st pc in
-      if line <> st.current_line then begin
-        (* line step: replicate [fetch_one]'s miss handling, then loop
-           (a hit re-enters with the line resident, as the interpreted
-           path falls through to [fetch_exec]) *)
-        let lat = Hierarchy.inst_access_latency st.hier ~addr:(pc * 4) in
-        st.current_line <- line;
-        if lat > 0 then begin
-          st.stats.Stats.icache_misses <- st.stats.Stats.icache_misses + 1;
-          if st.shadow_fetches > 0 then
-            st.stats.Stats.icache_misses_in_shadow <-
-              st.stats.Stats.icache_misses_in_shadow + 1;
-          st.stats.Stats.icache_stall_cycles <-
-            st.stats.Stats.icache_stall_cycles + lat;
-          st.fetch_stall_until <- st.now + lat;
-          st.fetch_stall_src <- fsrc_icache;
-          go := false
-        end
-      end
-      else begin
-        let rl = st.run_len.(pc) in
-        if rl > 0 then begin
-          let k =
-            imin rl
-              (imin (width - !fetched_now)
-                 (Ring.capacity st.fbuf - Ring.length st.fbuf))
-          in
-          let ops = st.fetch_ops in
-          for j = pc to pc + k - 1 do
-            ops.(j) st
-          done;
-          st.fetch_pc <- pc + k;
-          fetched_now := !fetched_now + k
-        end
-        else if fetch_exec st pc then incr fetched_now
-        else go := false
-      end
-    end
-  done
-
-let fetch_group st =
-  if st.fetch_frozen then ()
-  else if st.compiled then fetch_group_compiled st
-  else fetch_group_interp st
+(* The frozen check stays outside the loop's function: merged into it,
+   the same instructions measured 4-7% slower sim-* benchmark rounds
+   (dune dev profile, Sapphire Rapids VM) from code placement alone. *)
+let fetch_group st = if st.fetch_frozen then () else fetch_up_to_width st

@@ -19,20 +19,6 @@ type result =
 
 let fnv_fold acc v = (acc lxor v) * 0x100000001B3 land max_int
 
-(* Block-compiled dispatch is on by default; BV_NO_COMPILE=1 (or the CLI
-   --no-compile flag, via [set_compile_default]) reverts every run to
-   the interpreted front end. Byte-identity between the two is a hard
-   invariant, so this is an escape hatch for debugging and for the
-   compiled-vs-interpreted CI leg, not a semantics switch. *)
-let compile_default =
-  ref
-    (match Sys.getenv_opt "BV_NO_COMPILE" with
-    | None | Some "" | Some "0" -> true
-    | Some _ -> false)
-
-let set_compile_default enabled = compile_default := enabled
-let compile_enabled () = !compile_default
-
 (* One simulated cycle. Stage order within a cycle: complete (which may
    flush), issue, fetch — an instruction fetched this cycle cannot issue
    this cycle (the front-stage delay enforces that anyway). *)
@@ -55,16 +41,141 @@ let cycle st ~on_cycle =
     | None -> ()
   end
 
-let run_to st ~max_cycles ~max_retired ~on_cycle =
-  let stats = st.Machine_state.stats in
+(* ---- stall skipping ---------------------------------------------------- *)
+
+(* Fast-forward [st.now] through cycles in which the machine provably
+   does nothing but bookkeeping, applying each skipped cycle's counter
+   updates in closed form. Two such states exist:
+
+   1. Empty fetch buffer with a blocked front end (I-cache stall,
+      redirect bubble, spec-halt drain, fetch off the end): nothing can
+      issue, nothing can fetch, and nothing completes below
+      [next_complete].
+
+   2. A parked issue head (operand-blocked until [park_until]) with the
+      front end also blocked: in-order issue means nothing younger can
+      move either. Under runahead the skip is additionally bounded by
+      the earliest cycle at which the prefetch sweep could act.
+
+   Only unobserved runs skip (see [run_while]): the per-cycle effects of
+   a skipped cycle are exactly the counter increments replicated here,
+   so the result is byte-identical to stepping cycle by cycle. *)
+let skip_stalls st ~limit =
+  let open Machine_state in
+  let now = st.now in
+  if Ring.length st.fbuf = 0 then begin
+    let fetch_blocked_until =
+      if
+        st.spec_halted || st.fetch_frozen || st.fetch_pc < 0
+        || st.fetch_pc >= st.code_len
+      then max_int
+      else st.fetch_stall_until
+    in
+    let target = imin limit (imin fetch_blocked_until st.next_complete) in
+    let k = target - now in
+    if k > 0 then begin
+      let stats = st.stats in
+      stats.Stats.frontend_empty_cycles <-
+        stats.Stats.frontend_empty_cycles + k;
+      stats.Stats.dbb_occupancy_sum <-
+        stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
+      stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
+      Spec_state.log_trim st;
+      st.now <- now + k;
+      stats.Stats.cycles <- st.now
+    end
+  end
+  else begin
+    let h = Ring.front st.fbuf in
+    if h = st.park_h && now < st.park_until && st.i_seq.(h) = st.park_seq
+    then begin
+      (* Under runahead, stalled cycles run the prefetch sweep — but the
+         sweep only acts on a not-yet-prefetched memory entry whose
+         operands are ready, and ready times are fixed while nothing
+         issues or completes. It is therefore a provable no-op strictly
+         below the earliest readiness among unprefetched memory entries
+         in the fetch buffer; skipping stops there. *)
+      let fetch_blocked_until =
+        if
+          Ring.is_full st.fbuf || st.spec_halted || st.fetch_frozen
+          || st.fetch_pc < 0
+          || st.fetch_pc >= st.code_len
+        then max_int
+        else st.fetch_stall_until
+      in
+      let target0 =
+        imin limit
+          (imin st.park_until (imin fetch_blocked_until st.next_complete))
+      in
+      (* Only pay the sweep-bound scan when the cheap bounds already
+         permit a skip. *)
+      let target =
+        if target0 <= now || not st.cfg.Config.runahead then target0
+        else begin
+          let b = ref target0 in
+          let n = Ring.length st.fbuf in
+          let k = ref 0 in
+          while !b > now && !k < n do
+            let e = Ring.get st.fbuf !k in
+            if st.i_prefetch.(e) < 0 then begin
+              let si = st.static.(st.i_pc.(e)) in
+              if si.s_mem_kind <> 0 then begin
+                let uses = si.s_uses in
+                let r = ref 0 in
+                for j = 0 to Array.length uses - 1 do
+                  let t = st.ready.(uses.(j)) in
+                  if t > !r then r := t
+                done;
+                if !r < !b then b := !r
+              end
+            end;
+            incr k
+          done;
+          !b
+        end
+      in
+      let k = target - now in
+      if k > 0 then begin
+        let stats = st.stats in
+        stats.Stats.head_stall_cycles <- stats.Stats.head_stall_cycles + k;
+        stats.Stats.operand_stall_cycles <-
+          stats.Stats.operand_stall_cycles + k;
+        let slot = st.c_site.(h) in
+        if slot >= 0 then Stats.add_site_stalls stats ~slot ~n:k;
+        stats.Stats.dbb_occupancy_sum <-
+          stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
+        stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
+        Spec_state.log_trim st;
+        st.now <- now + k;
+        stats.Stats.cycles <- st.now
+      end
+    end
+  end
+
+(* Step the machine until it finishes, reaches [max_cycles] or [continue]
+   turns false. This is the one place that decides whether cycles may be
+   skipped: a run is observed when events, cycle accounting or a
+   per-cycle hook can see each cycle, and only an unobserved run skips
+   stalls. The stepped path is the reference the skip must reproduce. *)
+let run_while st ~max_cycles ~on_cycle continue =
+  let skip =
+    not
+      (st.Machine_state.events_enabled || st.Machine_state.acct_enabled
+     || Option.is_some on_cycle)
+  in
   while
     (not st.Machine_state.finished)
     && st.Machine_state.now < max_cycles
-    && Stats.retired stats < max_retired
+    && continue ()
   do
-    if st.Machine_state.compiled then Compile.skip_stalls st ~limit:max_cycles;
+    if skip then skip_stalls st ~limit:max_cycles;
     if st.Machine_state.now < max_cycles then cycle st ~on_cycle
   done
+
+let run_to st ~max_cycles ~max_retired ~on_cycle =
+  let stats = st.Machine_state.stats in
+  run_while st ~max_cycles ~on_cycle (fun () ->
+      Stats.retired stats < max_retired)
 
 let result_of st =
   let mem_digest = Array.fold_left fnv_fold 0xcbf29ce4 st.Machine_state.mem in
@@ -78,15 +189,8 @@ let result_of st =
   }
 
 let run ?(max_cycles = 1_000_000_000) ?(max_retired = max_int) ?on_event
-    ?on_cycle ?acct ?compile ~config image =
+    ?on_cycle ?acct ~config image =
   let st = Machine_state.create ~config ?on_event ?acct image in
-  let want = match compile with Some b -> b | None -> !compile_default in
-  (* Observers see per-instruction / per-cycle detail the fused closures
-     skip, so any observer forces the interpreted path. *)
-  if
-    want && Option.is_none on_event && Option.is_none on_cycle
-    && Option.is_none acct
-  then Compile.attach st;
   run_to st ~max_cycles ~max_retired ~on_cycle;
   (match acct with
   | Some a -> Acct.check a ~cycles:st.Machine_state.stats.Stats.cycles
@@ -118,7 +222,7 @@ type sampled =
    results (memory digest, store count) are exact: both modes execute
    the same committed semantics, only the timing of the fast-forwarded
    stretches is extrapolated. *)
-let run_sampled ?(max_cycles = 1_000_000_000) ?compile
+let run_sampled ?(max_cycles = 1_000_000_000)
     ?(params = default_sample_params) ~config image =
   let p =
     { sp_period = max 1 params.sp_period;
@@ -127,24 +231,15 @@ let run_sampled ?(max_cycles = 1_000_000_000) ?compile
     }
   in
   let st = Machine_state.create ~config image in
-  let want = match compile with Some b -> b | None -> !compile_default in
-  if want then Compile.attach st;
   let stats = st.Machine_state.stats in
   let windows = ref [] in
   let ff_instrs = ref 0 in
   let ff_halted = ref false in
   let drain () =
     st.Machine_state.fetch_frozen <- true;
-    while
-      (not st.Machine_state.finished)
-      && st.Machine_state.now < max_cycles
-      && (Machine_state.Ring.length st.Machine_state.fbuf > 0
-         || Machine_state.Ring.length st.Machine_state.pending > 0)
-    do
-      if st.Machine_state.compiled then
-        Compile.skip_stalls st ~limit:max_cycles;
-      if st.Machine_state.now < max_cycles then cycle st ~on_cycle:None
-    done;
+    run_while st ~max_cycles ~on_cycle:None (fun () ->
+        Machine_state.Ring.length st.Machine_state.fbuf > 0
+        || Machine_state.Ring.length st.Machine_state.pending > 0);
     st.Machine_state.fetch_frozen <- false
   in
   while

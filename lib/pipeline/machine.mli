@@ -45,22 +45,12 @@ type result =
         (** comparable with {!Bv_exec.Interp.arch_digest} when [finished] *)
   }
 
-val set_compile_default : bool -> unit
-(** Set the process-wide default for block-compiled dispatch (initially
-    on, unless the [BV_NO_COMPILE] environment variable is set to a
-    non-empty value other than ["0"]). The CLI's [--no-compile] flag
-    routes here. Per-run [?compile] overrides win. *)
-
-val compile_enabled : unit -> bool
-(** The current process-wide compiled-dispatch default. *)
-
 val run :
   ?max_cycles:int ->
   ?max_retired:int ->
   ?on_event:(event -> unit) ->
   ?on_cycle:(cycle:int -> stats:Stats.t -> dbb_occupancy:int -> unit) ->
   ?acct:Acct.t ->
-  ?compile:bool ->
   config:Config.t ->
   Layout.image ->
   result
@@ -78,10 +68,13 @@ val run :
     never perturbs timing — results are bit-identical with it on or
     off.
 
-    [compile] selects the block-compiled fast path (see {!Compile});
-    default from {!set_compile_default}. Compiled runs are byte-identical
-    to interpreted runs; attaching any observer ([on_event], [on_cycle]
-    or [acct]) forces the interpreted path regardless. *)
+    A run with none of [on_event], [on_cycle] or [acct] fast-forwards
+    through cycles in which the machine provably only does bookkeeping
+    (an empty fetch buffer behind a blocked front end, or an
+    operand-blocked issue head with fetch also blocked) instead of
+    stepping them. Attaching any of the three steps every cycle; the
+    two paths are byte-identical, so a no-op [on_cycle] gives the
+    stepped reference run. *)
 
 (** {2 SMARTS-style interval sampling} *)
 
@@ -105,7 +98,6 @@ type sampled =
 
 val run_sampled :
   ?max_cycles:int ->
-  ?compile:bool ->
   ?params:sample_params ->
   config:Config.t ->
   Bv_ir.Layout.image ->
@@ -115,7 +107,9 @@ val run_sampled :
     costed through pipeline drain, then functional fast-forward
     ({!Ffwd}) over the rest of the period with predictor, BTB, RAS, DBB
     and caches still being warmed. Setting [sp_detail >= sp_period]
-    degenerates to an exact full detailed run (one window). *)
+    degenerates to an exact full detailed run (one window). Detailed
+    stretches are never observed, so they always skip stalls as an
+    unobserved {!run} does. *)
 
 val result_to_json :
   ?acct:Acct.t -> ?sampled:Smarts.estimate -> result -> Bv_obs.Json.t

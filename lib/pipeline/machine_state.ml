@@ -329,16 +329,6 @@ type t =
     ready_src_load : int array;
         (* per register: 1 when the producer that last raised [ready] was
            a load — splits operand stalls into memory vs dependency *)
-    (* --- block-compiled fast path -------------------------------------- *)
-    (* Populated by [Compile.attach] only when no observer is attached:
-       per-pc fused fetch/execute closures (decode, operand indexing and
-       ALU dispatch folded into the closure at build time) and, per pc,
-       the length of the straight-line run of simple instructions that
-       starts there, clipped at the I-cache line boundary. Empty arrays
-       (and [compiled = false]) mean the interpreted path. *)
-    mutable compiled : bool;
-    mutable fetch_ops : (t -> unit) array;
-    mutable run_len : int array;
     (* Sampled-mode drain: while set, the front end fetches nothing —
        the pipeline empties so architectural state can be handed to the
        functional fast-forward executor. Never set on normal runs. *)
@@ -487,9 +477,6 @@ let create ~config ?on_event ?acct image =
     in_recovery = false;
     recovery_pc = -1;
     ready_src_load = Array.make Reg.count 0;
-    compiled = false;
-    fetch_ops = [||];
-    run_len = [||];
     fetch_frozen = false
   }
 

@@ -286,17 +286,6 @@ type t =
     ready_src_load : int array;
         (** per register: 1 when the producer that last raised [ready]
             was a load (splits operand stalls into memory vs base) *)
-    mutable compiled : bool;
-        (** Block-compiled fast path armed ({!Compile.attach}): the front
-            end dispatches through [fetch_ops]/[run_len] instead of the
-            interpreted decode match. Only ever set when no observer
-            (events, accounting, per-cycle hook) is attached. *)
-    mutable fetch_ops : (t -> unit) array;
-        (** per-pc fused fetch/execute closures; [[||]] when interpreted *)
-    mutable run_len : int array;
-        (** per pc: length of the straight-line run of simple (non-control,
-            non-halt) instructions starting there, clipped at the I-cache
-            line boundary; 0 for control instructions *)
     mutable fetch_frozen : bool
         (** sampled-mode drain: the front end fetches nothing while set,
             so the pipeline empties before a functional fast-forward
