@@ -12,7 +12,7 @@ let size t = Array.length t.slots
 let push t pc =
   t.slots.(t.top) <- pc;
   t.top <- (t.top + 1) mod size t;
-  t.depth <- min (size t) (t.depth + 1)
+  if t.depth < size t then t.depth <- t.depth + 1
 
 let pop t =
   if t.depth = 0 then None

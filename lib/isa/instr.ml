@@ -152,18 +152,25 @@ let pp ppf = function
 
 let to_string i = Format.asprintf "%a" pp i
 
-let eval_alu op a b =
+(* Operands are annotated [int] and shift counts clamped with an int
+   compare: otherwise the compares below are the polymorphic ones, a C
+   call per evaluation on the fetch path. *)
+let[@inline] shift_count b =
+  let s = b land 63 in
+  if s > 62 then 62 else s
+
+let eval_alu op (a : int) (b : int) =
   match op with
   | Add -> a + b
   | Sub -> a - b
   | And -> a land b
   | Or -> a lor b
   | Xor -> a lxor b
-  | Shl -> a lsl (min 62 (b land 63))
-  | Shr -> a asr (min 62 (b land 63))
+  | Shl -> a lsl shift_count b
+  | Shr -> a asr shift_count b
   | Mul -> a * b
 
-let eval_cmp op a b =
+let eval_cmp op (a : int) (b : int) =
   match op with
   | Eq -> a = b
   | Ne -> a <> b

@@ -3,7 +3,7 @@ open Bv_isa
 (* Top-down cycle accounting: every simulated cycle is charged to exactly
    one component, so the stack sums to total cycles by construction (the
    conservation invariant [check] asserts). The per-cycle classifier
-   itself lives in {!Machine_state.account_cycle}; this module is the
+   itself lives in {!Machine_state.account_cycles}; this module is the
    accumulator — flat int arrays indexed by component / pc, mirroring the
    [static_info] layout so the instrumented path allocates nothing. *)
 
@@ -81,8 +81,8 @@ let[@inline] record_branch t ~pc ~mispredict ~latency =
   let b = (pc * lat_buckets) + bucket_of lat in
   t.lat_hist.(b) <- t.lat_hist.(b) + 1
 
-let[@inline] record_recovery t ~pc =
-  t.recovery_cycles.(pc) <- t.recovery_cycles.(pc) + 1
+let[@inline] record_recovery t ~pc ~n =
+  t.recovery_cycles.(pc) <- t.recovery_cycles.(pc) + n
 
 let total t = Array.fold_left ( + ) 0 t.components
 

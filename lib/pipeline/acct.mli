@@ -1,7 +1,7 @@
 (** Top-down cycle accounting: the CPI stack and per-branch attribution.
 
-    An accumulator of two tables filled by the instrumented cycle loop
-    (see {!Machine_state.account_cycle} for the classifier and
+    An accumulator of two tables filled by the accounted cycle loop
+    (see {!Machine_state.account_cycles} for the classifier and
     [docs/INTERNALS.md] for the charge-point map):
 
     - a CPI stack — every simulated cycle charged to exactly one of
@@ -76,8 +76,8 @@ val record_branch : t -> pc:int -> mispredict:bool -> latency:int -> unit
 (** Called at control-instruction completion; [latency] is
     fetch-to-completion in cycles. *)
 
-val record_recovery : t -> pc:int -> unit
-(** Charge one recovery cycle to the mispredicting [pc]. *)
+val record_recovery : t -> pc:int -> n:int -> unit
+(** Charge [n] recovery cycles to the mispredicting [pc]. *)
 
 val total : t -> int
 (** Sum of the component counters. *)

@@ -222,7 +222,7 @@ let fetch_exec st pc =
       ignore slot;
       st.stats.Stats.predicts_fetched <- st.stats.Stats.predicts_fetched + 1;
       st.stats.Stats.dbb_max_occupancy <-
-        max st.stats.Stats.dbb_max_occupancy (Dbb.occupancy st.dbb);
+        imax st.stats.Stats.dbb_max_occupancy (Dbb.occupancy st.dbb);
       (* The predict is dropped after steering: no fetch-buffer entry,
          no issue slot. *)
       if pred then begin

@@ -33,7 +33,7 @@ let cycle st ~on_cycle =
       stats.Stats.dbb_occupancy_sum + dbb_occupancy;
     stats.Stats.dbb_samples <- stats.Stats.dbb_samples + 1;
     Spec_state.log_trim st;
-    if st.Machine_state.acct_enabled then Machine_state.account_cycle st;
+    if st.Machine_state.acct_enabled then Machine_state.account_cycles st 1;
     st.Machine_state.now <- st.Machine_state.now + 1;
     stats.Stats.cycles <- st.Machine_state.now;
     match on_cycle with
@@ -43,9 +43,35 @@ let cycle st ~on_cycle =
 
 (* ---- stall skipping ---------------------------------------------------- *)
 
+(* The first cycle at which fetch could next act (max_int: not before a
+   completion or a flush changes the machine). *)
+let fetch_blocked_until st =
+  let open Machine_state in
+  if
+    Ring.is_full st.fbuf || st.spec_halted || st.fetch_frozen
+    || st.fetch_pc < 0
+    || st.fetch_pc >= st.code_len
+  then max_int
+  else st.fetch_stall_until
+
+(* Apply the bookkeeping every one of [k] skipped cycles shares, each of
+   them a zero-issue cycle blocked by [stall]. *)
+let advance st ~stall k =
+  let open Machine_state in
+  let stats = st.stats in
+  stats.Stats.dbb_occupancy_sum <-
+    stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
+  stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
+  Spec_state.log_trim st;
+  st.cycle_stall <- stall;
+  if st.acct_enabled then account_cycles st k;
+  st.now <- st.now + k;
+  stats.Stats.cycles <- st.now
+
 (* Fast-forward [st.now] through cycles in which the machine provably
    does nothing but bookkeeping, applying each skipped cycle's counter
-   updates in closed form. Two such states exist:
+   updates and, on an accounted run, its CPI-stack charge in closed form
+   ({!Machine_state.account_cycles}). Two such states exist:
 
    1. Empty fetch buffer with a blocked front end (I-cache stall,
       redirect bubble, spec-halt drain, fetch off the end): nothing can
@@ -54,85 +80,41 @@ let cycle st ~on_cycle =
 
    2. A parked issue head (operand-blocked until [park_until]) with the
       front end also blocked: in-order issue means nothing younger can
-      move either. Under runahead the skip is additionally bounded by
-      the earliest cycle at which the prefetch sweep could act.
+      move either. Under runahead the skip also stops at [sweep_bound],
+      below which a stepped cycle skips the prefetch sweep as well; at
+      or past it (0 when unknown) the cycle steps and its sweep
+      recomputes the bound.
 
-   Only unobserved runs skip (see [run_while]): the per-cycle effects of
-   a skipped cycle are exactly the counter increments replicated here,
-   so the result is byte-identical to stepping cycle by cycle. *)
+   Nothing fetches, issues, completes or flushes in a skipped cycle, so
+   no event fires in one and its effects are exactly the counter
+   increments replicated here: the result is byte-identical to stepping
+   cycle by cycle. *)
 let skip_stalls st ~limit =
   let open Machine_state in
   let now = st.now in
   if Ring.length st.fbuf = 0 then begin
-    let fetch_blocked_until =
-      if
-        st.spec_halted || st.fetch_frozen || st.fetch_pc < 0
-        || st.fetch_pc >= st.code_len
-      then max_int
-      else st.fetch_stall_until
+    let target =
+      imin limit (imin (fetch_blocked_until st) st.next_complete)
     in
-    let target = imin limit (imin fetch_blocked_until st.next_complete) in
     let k = target - now in
     if k > 0 then begin
       let stats = st.stats in
       stats.Stats.frontend_empty_cycles <-
         stats.Stats.frontend_empty_cycles + k;
-      stats.Stats.dbb_occupancy_sum <-
-        stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
-      stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
-      Spec_state.log_trim st;
-      st.now <- now + k;
-      stats.Stats.cycles <- st.now
+      advance st ~stall:stall_frontend k
     end
   end
   else begin
     let h = Ring.front st.fbuf in
     if h = st.park_h && now < st.park_until && st.i_seq.(h) = st.park_seq
     then begin
-      (* Under runahead, stalled cycles run the prefetch sweep — but the
-         sweep only acts on a not-yet-prefetched memory entry whose
-         operands are ready, and ready times are fixed while nothing
-         issues or completes. It is therefore a provable no-op strictly
-         below the earliest readiness among unprefetched memory entries
-         in the fetch buffer; skipping stops there. *)
-      let fetch_blocked_until =
-        if
-          Ring.is_full st.fbuf || st.spec_halted || st.fetch_frozen
-          || st.fetch_pc < 0
-          || st.fetch_pc >= st.code_len
-        then max_int
-        else st.fetch_stall_until
-      in
-      let target0 =
-        imin limit
-          (imin st.park_until (imin fetch_blocked_until st.next_complete))
-      in
-      (* Only pay the sweep-bound scan when the cheap bounds already
-         permit a skip. *)
       let target =
-        if target0 <= now || not st.cfg.Config.runahead then target0
-        else begin
-          let b = ref target0 in
-          let n = Ring.length st.fbuf in
-          let k = ref 0 in
-          while !b > now && !k < n do
-            let e = Ring.get st.fbuf !k in
-            if st.i_prefetch.(e) < 0 then begin
-              let si = st.static.(st.i_pc.(e)) in
-              if si.s_mem_kind <> 0 then begin
-                let uses = si.s_uses in
-                let r = ref 0 in
-                for j = 0 to Array.length uses - 1 do
-                  let t = st.ready.(uses.(j)) in
-                  if t > !r then r := t
-                done;
-                if !r < !b then b := !r
-              end
-            end;
-            incr k
-          done;
-          !b
-        end
+        imin limit
+          (imin st.park_until
+             (imin (fetch_blocked_until st) st.next_complete))
+      in
+      let target =
+        if st.cfg.Config.runahead then imin target st.sweep_bound else target
       in
       let k = target - now in
       if k > 0 then begin
@@ -142,27 +124,20 @@ let skip_stalls st ~limit =
           stats.Stats.operand_stall_cycles + k;
         let slot = st.c_site.(h) in
         if slot >= 0 then Stats.add_site_stalls stats ~slot ~n:k;
-        stats.Stats.dbb_occupancy_sum <-
-          stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
-        stats.Stats.dbb_samples <- stats.Stats.dbb_samples + k;
-        Spec_state.log_trim st;
-        st.now <- now + k;
-        stats.Stats.cycles <- st.now
+        advance st ~stall:stall_operand k
       end
     end
   end
 
 (* Step the machine until it finishes, reaches [max_cycles] or [continue]
    turns false. This is the one place that decides whether cycles may be
-   skipped: a run is observed when events, cycle accounting or a
-   per-cycle hook can see each cycle, and only an unobserved run skips
-   stalls. The stepped path is the reference the skip must reproduce. *)
+   skipped: only a per-cycle hook sees every cycle, so a run skips stalls
+   unless it has an [on_cycle]. Events and cycle accounting need no
+   stepping: no event fires in a skippable cycle, and {!skip_stalls}
+   charges the stretch in closed form. The stepped path is the reference
+   the skip must reproduce. *)
 let run_while st ~max_cycles ~on_cycle continue =
-  let skip =
-    not
-      (st.Machine_state.events_enabled || st.Machine_state.acct_enabled
-     || Option.is_some on_cycle)
-  in
+  let skip = Option.is_none on_cycle in
   while
     (not st.Machine_state.finished)
     && st.Machine_state.now < max_cycles

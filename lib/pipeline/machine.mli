@@ -68,13 +68,14 @@ val run :
     never perturbs timing — results are bit-identical with it on or
     off.
 
-    A run with none of [on_event], [on_cycle] or [acct] fast-forwards
-    through cycles in which the machine provably only does bookkeeping
-    (an empty fetch buffer behind a blocked front end, or an
-    operand-blocked issue head with fetch also blocked) instead of
-    stepping them. Attaching any of the three steps every cycle; the
-    two paths are byte-identical, so a no-op [on_cycle] gives the
-    stepped reference run. *)
+    A run without [on_cycle] fast-forwards through cycles in which the
+    machine provably only does bookkeeping (an empty fetch buffer behind
+    a blocked front end, or an operand-blocked issue head with fetch
+    also blocked) instead of stepping them. No event fires in such a
+    cycle, and [acct] is charged for the whole stretch in closed form,
+    so [on_event] and [acct] runs skip too. Attaching [on_cycle] steps
+    every cycle; the two paths are byte-identical, so a no-op
+    [on_cycle] gives the stepped reference run. *)
 
 (** {2 SMARTS-style interval sampling} *)
 

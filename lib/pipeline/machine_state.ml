@@ -60,8 +60,8 @@ let[@inline] imax (a : int) (b : int) = if a >= b then a else b
 let[@inline] imin (a : int) (b : int) = if a <= b then a else b
 
 (* Per-cycle stall reason for the accounting classifier, written by the
-   scoreboard (one store per cycle): which single reason blocked issue
-   when nothing issued. *)
+   scoreboard (one store per cycle) or by a stall skip for its stretch:
+   which single reason blocked issue when nothing issued. *)
 let stall_none = 0  (* at least one instruction issued *)
 let stall_frontend = 1  (* fetch buffer empty / front-stage fill *)
 let stall_operand = 2
@@ -258,7 +258,8 @@ type t =
        memory entries in [fbuf]. Folded down at fetch, recomputed by the
        sweep itself, reset to 0 (= unknown, walk) whenever a flush can
        lower [ready] ({!rebuild_scoreboard}). While [now] < bound, the
-       per-cycle sweep walk is provably a no-op and is skipped. *)
+       per-cycle sweep walk is provably a no-op and is skipped, and a
+       parked stall skip may run up to the bound. *)
     mutable sweep_bound : int;
     mutable fetch_pc : int;
     mutable fetch_stall_until : int;
@@ -574,47 +575,65 @@ let operand_value st = function
 
 (* ---- cycle accounting ------------------------------------------------- *)
 
-(* Classify the cycle just simulated into exactly one {!Acct} component.
-   Runs once per cycle, only when accounting is on, after issue and fetch
-   — so [cycle_stall] holds this cycle's verdict and the scoreboard state
-   is still at [now]. Priority: progress beats recovery beats back-end
-   stalls beats front-end starvation; conservation holds by construction
-   (one increment per call, one call per counted cycle). *)
-let account_cycle st =
+let[@inline] charge a comp n =
+  a.Acct.components.(comp) <- a.Acct.components.(comp) + n
+
+(* How many of the [n] cycles from [now] fall before cycle [t]. *)
+let[@inline] cycles_before st n t = imax 0 (imin n (t - st.now))
+
+(* Latest ready cycle among the issue head's load-produced operands
+   (0 when there are none): the head waits on memory strictly below it. *)
+let head_load_ready st =
+  let uses = st.static.(st.i_pc.(Ring.front st.fbuf)).s_uses in
+  let m = ref 0 in
+  for k = 0 to Array.length uses - 1 do
+    let r = uses.(k) in
+    if st.ready_src_load.(r) = 1 && st.ready.(r) > !m then m := st.ready.(r)
+  done;
+  !m
+
+(* Classify the [n] cycles starting at [now] into {!Acct} components.
+   Runs only when accounting is on, after issue and fetch — so
+   [cycle_stall] holds the verdict of every one of the [n] cycles and the
+   scoreboard state is still at [now]. A stepped cycle passes 1; a
+   skipped stretch passes its length, and within it a cycle's component
+   changes only at [fetch_stall_until] (front end empty) or at the head's
+   latest load-produced operand (parked head). Priority: progress beats
+   recovery beats back-end stalls beats front-end starvation;
+   conservation holds by construction (the [n] cycles are charged once
+   each). *)
+let account_cycles st n =
   let a = st.acct in
-  let comp =
-    if st.cycle_stall = stall_none then Acct.c_base
-    else if st.in_recovery then Acct.c_recovery
-    else if st.cycle_stall = stall_operand then begin
-      (* the head is still at the fetch-buffer front (nothing issued) and
-         the scoreboard has not advanced since the issue pass looked *)
-      if Ring.length st.fbuf > 0 then begin
-        let h = Ring.front st.fbuf in
-        let uses = st.static.(st.i_pc.(h)).s_uses in
-        let mem = ref false in
-        for k = 0 to Array.length uses - 1 do
-          let r = uses.(k) in
-          if st.ready.(r) > st.now && st.ready_src_load.(r) = 1 then
-            mem := true
-        done;
-        if !mem then Acct.c_memory else Acct.c_base
-      end
-      else Acct.c_base
-    end
-    else if st.cycle_stall = stall_fu then Acct.c_fu
-    else if st.cycle_stall = stall_mem then Acct.c_mem_struct
-    else if
-      (* front end empty: split by what armed the fetch stall, if one is
-         still live; otherwise fetch is merely refilling (front-stage
-         delay, fetch off the end, spec-halted drain) *)
-      st.fetch_stall_until > st.now
-    then
+  if st.cycle_stall = stall_none then begin
+    charge a Acct.c_base n;
+    st.in_recovery <- false
+  end
+  else if st.in_recovery then begin
+    charge a Acct.c_recovery n;
+    if st.recovery_pc >= 0 then Acct.record_recovery a ~pc:st.recovery_pc ~n
+  end
+  else if st.cycle_stall = stall_operand then begin
+    (* the head is still at the fetch-buffer front (nothing issued) and
+       the scoreboard has not advanced since the issue pass looked *)
+    let mem =
+      if Ring.length st.fbuf > 0 then cycles_before st n (head_load_ready st)
+      else 0
+    in
+    charge a Acct.c_memory mem;
+    charge a Acct.c_base (n - mem)
+  end
+  else if st.cycle_stall = stall_fu then charge a Acct.c_fu n
+  else if st.cycle_stall = stall_mem then charge a Acct.c_mem_struct n
+  else begin
+    (* front end empty: split by what armed the fetch stall while it is
+       live; after it, fetch is merely refilling (front-stage delay,
+       fetch off the end, spec-halted drain) *)
+    let shadow = cycles_before st n st.fetch_stall_until in
+    let src =
       if st.fetch_stall_src = fsrc_icache then Acct.c_icache
       else if st.fetch_stall_src = fsrc_dbb then Acct.c_dbb
       else Acct.c_redirect
-    else Acct.c_fetch_starve
-  in
-  a.Acct.components.(comp) <- a.Acct.components.(comp) + 1;
-  if comp = Acct.c_recovery && st.recovery_pc >= 0 then
-    Acct.record_recovery a ~pc:st.recovery_pc;
-  if st.cycle_stall = stall_none then st.in_recovery <- false
+    in
+    charge a src shadow;
+    charge a Acct.c_fetch_starve (n - shadow)
+  end

@@ -64,7 +64,8 @@ val fu_branch : int
 val fu_none : int
 
 (** Per-cycle stall reason written by the scoreboard (exactly one per
-    zero-issue cycle), consumed by {!account_cycle}. *)
+    zero-issue cycle) or by a stall skip for its whole stretch, consumed
+    by {!account_cycles}. *)
 
 val stall_none : int
 
@@ -214,7 +215,7 @@ type t =
             prefetch sweep could act (min readiness over unprefetched
             memory entries in [fbuf]; 0 = unknown, walk). Maintained by
             the scoreboard sweep, folded down at fetch, reset by
-            {!rebuild_scoreboard}. *)
+            {!rebuild_scoreboard}; a parked stall skip stops at it. *)
     mutable fetch_pc : int;
     mutable fetch_stall_until : int;
     mutable current_line : int;
@@ -326,9 +327,13 @@ val line_of : t -> int -> int
 val operand_value : t -> Instr.operand -> int
 (** Read an operand against the speculative register file. *)
 
-val account_cycle : t -> unit
-(** Charge the cycle just simulated to exactly one {!Acct} component
-    (call once per cycle, after issue and fetch, only when
-    [acct_enabled]). Conservation holds by construction: one increment
-    per call. Recovery cycles are additionally attributed to the
-    mispredicting pc. *)
+val account_cycles : t -> int -> unit
+(** [account_cycles st n] charges each of the [n] cycles starting at
+    [now] to exactly one {!Acct} component (call only when
+    [acct_enabled], after issue and fetch, before [now] advances). A
+    stepped cycle passes 1; a stall skip passes its length after setting
+    [cycle_stall] for the stretch, and the split inside it is exact
+    because the component can change only at [fetch_stall_until] or at
+    the issue head's latest load-produced operand. Conservation holds by
+    construction: [n] cycles charged per call. Recovery cycles are
+    additionally attributed to the mispredicting pc. *)

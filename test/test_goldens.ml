@@ -4,7 +4,9 @@
    Machine.run) must reproduce the pre-refactor monolith's behaviour
    bit-for-bit: these goldens were captured from the single-module
    machine and every counter in Stats.to_json — cycles included — plus
-   the architectural digests must match exactly.
+   the architectural digests must match exactly. An accounted run of each
+   case must reproduce the same counters, and its CPI stack and
+   per-branch attribution ({!Acct.to_json}) must match [acct_<case>.json].
 
    Regenerating (only after an *intentional* timing-model change):
 
@@ -78,8 +80,8 @@ let cases =
       lazy (decomposed_image spec_mem) )
   ]
 
-let capture ?on_cycle (config : Config.t) image =
-  let res = Machine.run ?on_cycle ~config image in
+let capture ?on_cycle ?acct (config : Config.t) image =
+  let res = Machine.run ?on_cycle ?acct ~config image in
   let open Bv_obs.Json in
   to_string ~indent:true
     (Obj
@@ -92,7 +94,19 @@ let capture ?on_cycle (config : Config.t) image =
        ])
   ^ "\n"
 
-let golden_path name = Filename.concat "goldens" (name ^ ".json")
+let check_golden ~file ~what got =
+  match Sys.getenv_opt "BV_GOLDEN_DIR" with
+  | Some dir ->
+    let path = Filename.concat dir file in
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc got);
+    Printf.printf "wrote %s\n%!" path
+  | None ->
+    let want =
+      In_channel.with_open_text (Filename.concat "goldens" file)
+        In_channel.input_all
+    in
+    Alcotest.(check string) what want got
 
 let test_case (name, config, image) () =
   let image = Lazy.force image in
@@ -103,17 +117,14 @@ let test_case (name, config, image) () =
   let no_op ~cycle:_ ~stats:_ ~dbb_occupancy:_ = () in
   let stepped = capture ~on_cycle:no_op config image in
   Alcotest.(check string) (name ^ " unobserved = stepped") stepped got;
-  match Sys.getenv_opt "BV_GOLDEN_DIR" with
-  | Some dir ->
-    let path = Filename.concat dir (name ^ ".json") in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc got);
-    Printf.printf "wrote %s\n%!" path
-  | None ->
-    let want =
-      In_channel.with_open_text (golden_path name) In_channel.input_all
-    in
-    Alcotest.(check string) (name ^ " stats bit-for-bit") want got
+  let acct = Acct.create image.Layout.code in
+  let accounted = capture ~acct config image in
+  Alcotest.(check string) (name ^ " accounted = unobserved") got accounted;
+  check_golden ~file:(name ^ ".json") ~what:(name ^ " stats bit-for-bit") got;
+  check_golden
+    ~file:("acct_" ^ name ^ ".json")
+    ~what:(name ^ " CPI stack bit-for-bit")
+    (Bv_obs.Json.to_string ~indent:true (Acct.to_json acct) ^ "\n")
 
 let () =
   Alcotest.run "bv_goldens"
