@@ -48,7 +48,7 @@ let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
     else begin
       (* Run ended: confirm or learn the trip count. *)
       if e.past_count = e.current && e.past_count > 0 then
-        e.confidence <- min 7 (e.confidence + 1)
+        e.confidence <- (if e.confidence < 7 then e.confidence + 1 else 7)
       else begin
         e.past_count <- e.current;
         e.confidence <- 0

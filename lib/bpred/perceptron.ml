@@ -4,6 +4,9 @@ let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
   let hmask = (1 lsl history_bits) - 1 in
   let wmax = (1 lsl (weight_bits - 1)) - 1 in
   let wmin = -wmax - 1 in
+  let clamp (v : int) =
+    if v > wmax then wmax else if v < wmin then wmin else v
+  in
   (* weights.(p) = bias weight :: one weight per history bit *)
   let weights = Array.make_matrix size (history_bits + 1) 0 in
   let history = ref 0 in
@@ -36,10 +39,10 @@ let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
         if pred <> taken || abs sum <= threshold then begin
           let w = weights.(index pc) in
           let t = if taken then 1 else -1 in
-          w.(0) <- max wmin (min wmax (w.(0) + t));
+          w.(0) <- clamp (w.(0) + t);
           for b = 0 to history_bits - 1 do
             let x = if (h lsr b) land 1 = 1 then 1 else -1 in
-            w.(b + 1) <- max wmin (min wmax (w.(b + 1) + (t * x)))
+            w.(b + 1) <- clamp (w.(b + 1) + (t * x))
           done
         end);
     recover = (fun meta ~taken -> history := shift meta.(0) taken)

@@ -9,7 +9,9 @@ type t =
   }
 
 let counter_update c ~taken ~max =
-  if taken then min max (c + 1) else Stdlib.max 0 (c - 1)
+  if taken then if c < max then c + 1 else max
+  else if c > 0 then c - 1
+  else 0
 
 let counter_taken c ~max = 2 * c > max
 

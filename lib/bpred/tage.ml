@@ -217,7 +217,7 @@ let create ?(num_tables = 6) ?(table_bits = 11) ?(tag_bits = 9)
         (* No room: age the would-be victims. *)
         for t = start to n - 1 do
           let e = st.tables.(t).(idx t) in
-          e.useful <- max 0 (e.useful - 1)
+          e.useful <- (if e.useful > 0 then e.useful - 1 else 0)
         done
       | c :: rest ->
         st.lfsr <- next_lfsr st.lfsr;

@@ -54,28 +54,30 @@ let name t = t.name
 let line_bytes t = 1 lsl t.line_bits
 let sets t = t.set_count
 
-(* Index of the way holding [tag], or -1: the hot paths (access, probe)
-   must not allocate an option per lookup. *)
-let find_way_idx t set tag =
+(* One pass over [set]: the index of the way holding [tag] if one does,
+   otherwise [-1 - v] for the victim [v] — the first invalid way, else the
+   first least-recently-used one. Invalid ways rank below every stamp
+   ([-1 < 0 <= lru]), and a strict [<] keeps the first of equals. No
+   closure, no option: [access] and [probe] allocate nothing. *)
+let lookup t set tag =
   let base = set * t.ways in
-  let rec go w =
-    if w >= t.ways then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
-
-let victim_way t set =
-  let base = set * t.ways in
-  let best = ref base in
-  for w = 1 to t.ways - 1 do
-    let i = base + w in
-    if t.tags.(i) = -1 && t.tags.(!best) <> -1 then best := i
-    else if t.tags.(i) <> -1 && t.tags.(!best) <> -1
-            && t.lru.(i) < t.lru.(!best)
-    then best := i
+  let stop = base + t.ways in
+  let w = ref base and found = ref (-1) in
+  let victim = ref base and victim_rank = ref max_int in
+  while !found < 0 && !w < stop do
+    let i = !w in
+    let tg = t.tags.(i) in
+    if tg = tag then found := i
+    else begin
+      let rank = if tg = -1 then -1 else t.lru.(i) in
+      if rank < !victim_rank then begin
+        victim := i;
+        victim_rank := rank
+      end
+    end;
+    w := i + 1
   done;
-  !best
+  if !found >= 0 then !found else -1 - !victim
 
 let access t ~addr ~write =
   t.accesses <- t.accesses + 1;
@@ -83,7 +85,7 @@ let access t ~addr ~write =
   let line = addr lsr t.line_bits in
   let set = line land (t.set_count - 1) in
   let tag = line lsr t.set_bits in
-  let i = find_way_idx t set tag in
+  let i = lookup t set tag in
   if i >= 0 then begin
     t.lru.(i) <- t.clock;
     if write then t.dirty.(i) <- true;
@@ -91,7 +93,7 @@ let access t ~addr ~write =
   end
   else begin
     t.misses <- t.misses + 1;
-    let i = victim_way t set in
+    let i = -1 - i in
     if t.tags.(i) <> -1 then begin
       t.evictions <- t.evictions + 1;
       if t.dirty.(i) then t.writebacks <- t.writebacks + 1
@@ -106,7 +108,7 @@ let probe t ~addr =
   let line = addr lsr t.line_bits in
   let set = line land (t.set_count - 1) in
   let tag = line lsr t.set_bits in
-  find_way_idx t set tag >= 0
+  lookup t set tag >= 0
 
 let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

@@ -35,7 +35,9 @@ let no_hooks =
     on_resolve = (fun ~id:_ ~pc:_ ~mispredicted:_ ~taken:_ -> ())
   }
 
-let operand_value regs = function
+let never ~pc:_ ~id:_ = false
+
+let[@inline] operand_value regs = function
   | Instr.Reg r -> regs.(Reg.index r)
   | Instr.Imm i -> i
 
@@ -50,73 +52,77 @@ let store_word state ~addr v =
     raise (Fault (Printf.sprintf "store to invalid address %d" addr))
   else state.mem.(addr / 8) <- v
 
-let step ?(hooks = no_hooks) ?(predict_policy = fun ~pc:_ ~id:_ -> false) image
-    state =
-  if not state.halted then begin
-    let code = image.Layout.code in
-    if state.pc < 0 || state.pc >= Array.length code then
-      raise (Fault (Printf.sprintf "pc %d out of code bounds" state.pc));
-    let regs = state.regs in
-    let set r v = regs.(Reg.index r) <- v in
-    let get r = regs.(Reg.index r) in
-    let target_pc l = Layout.resolve image l in
-    let pc = state.pc in
-    state.instr_count <- state.instr_count + 1;
-    let next = pc + 1 in
-    (match code.(pc) with
-    | Instr.Nop -> state.pc <- next
-    | Instr.Alu { op; dst; src1; src2 } | Instr.Fpu { op; dst; src1; src2 } ->
-      set dst (Instr.eval_alu op (get src1) (operand_value regs src2));
-      state.pc <- next
-    | Instr.Mov { dst; src } ->
-      set dst (operand_value regs src);
-      state.pc <- next
-    | Instr.Load { dst; base; offset; speculative } ->
-      state.load_count <- state.load_count + 1;
-      set dst (load_word state ~addr:(get base + offset) ~speculative);
-      state.pc <- next
-    | Instr.Store { src; base; offset } ->
-      state.store_count <- state.store_count + 1;
-      store_word state ~addr:(get base + offset) (get src);
-      state.pc <- next
-    | Instr.Cmp { op; dst; src1; src2 } ->
-      set dst
-        (Bool.to_int (Instr.eval_cmp op (get src1) (operand_value regs src2)));
-      state.pc <- next
-    | Instr.Cmov { on; cond; dst; src } ->
-      if (get cond <> 0) = on then set dst (operand_value regs src);
-      state.pc <- next
-    | Instr.Branch { on; src; target; id } ->
-      let taken = (get src <> 0) = on in
-      hooks.on_branch ~id ~pc ~taken;
-      state.pc <- (if taken then target_pc target else next)
-    | Instr.Jump target -> state.pc <- target_pc target
-    | Instr.Call target ->
-      Stack.push next state.call_stack;
-      state.pc <- target_pc target
-    | Instr.Ret ->
-      (match Stack.pop_opt state.call_stack with
-      | Some ra -> state.pc <- ra
-      | None -> raise (Fault "ret with empty call stack"))
-    | Instr.Predict { target; id } ->
-      state.pc <- (if predict_policy ~pc ~id then target_pc target else next)
-    | Instr.Resolve { on; src; target; predicted_taken; id } ->
-      let taken = (get src <> 0) = on in
-      let mispredicted = taken <> predicted_taken in
-      hooks.on_resolve ~id ~pc ~mispredicted ~taken;
-      state.pc <- (if mispredicted then target_pc target else next)
-    | Instr.Halt -> state.halted <- true)
-  end
+(* The semantics of one instruction, for a state that is not halted: the
+   only definition of what an instruction does, shared by [step] and
+   [run]. Control targets come from [image.targets], resolved at layout,
+   and nothing here allocates except a [Call]'s return-stack push. *)
+let exec hooks predict_policy image state =
+  let code = image.Layout.code in
+  let pc = state.pc in
+  if pc < 0 || pc >= Array.length code then
+    raise (Fault (Printf.sprintf "pc %d out of code bounds" pc));
+  let regs = state.regs in
+  state.instr_count <- state.instr_count + 1;
+  let next = pc + 1 in
+  match code.(pc) with
+  | Instr.Nop -> state.pc <- next
+  | Instr.Alu { op; dst; src1; src2 } | Instr.Fpu { op; dst; src1; src2 } ->
+    regs.(Reg.index dst) <-
+      Instr.eval_alu op regs.(Reg.index src1) (operand_value regs src2);
+    state.pc <- next
+  | Instr.Mov { dst; src } ->
+    regs.(Reg.index dst) <- operand_value regs src;
+    state.pc <- next
+  | Instr.Load { dst; base; offset; speculative } ->
+    state.load_count <- state.load_count + 1;
+    regs.(Reg.index dst) <-
+      load_word state ~addr:(regs.(Reg.index base) + offset) ~speculative;
+    state.pc <- next
+  | Instr.Store { src; base; offset } ->
+    state.store_count <- state.store_count + 1;
+    store_word state ~addr:(regs.(Reg.index base) + offset)
+      regs.(Reg.index src);
+    state.pc <- next
+  | Instr.Cmp { op; dst; src1; src2 } ->
+    regs.(Reg.index dst) <-
+      Bool.to_int
+        (Instr.eval_cmp op regs.(Reg.index src1) (operand_value regs src2));
+    state.pc <- next
+  | Instr.Cmov { on; cond; dst; src } ->
+    if (regs.(Reg.index cond) <> 0) = on then
+      regs.(Reg.index dst) <- operand_value regs src;
+    state.pc <- next
+  | Instr.Branch { on; src; id; target = _ } ->
+    let taken = (regs.(Reg.index src) <> 0) = on in
+    hooks.on_branch ~id ~pc ~taken;
+    state.pc <- (if taken then image.Layout.targets.(pc) else next)
+  | Instr.Jump _ -> state.pc <- image.Layout.targets.(pc)
+  | Instr.Call _ ->
+    Stack.push next state.call_stack;
+    state.pc <- image.Layout.targets.(pc)
+  | Instr.Ret ->
+    if Stack.is_empty state.call_stack then
+      raise (Fault "ret with empty call stack");
+    state.pc <- Stack.pop state.call_stack
+  | Instr.Predict { id; target = _ } ->
+    state.pc <-
+      (if predict_policy ~pc ~id then image.Layout.targets.(pc) else next)
+  | Instr.Resolve { on; src; predicted_taken; id; target = _ } ->
+    let taken = (regs.(Reg.index src) <> 0) = on in
+    let mispredicted = taken <> predicted_taken in
+    hooks.on_resolve ~id ~pc ~mispredicted ~taken;
+    state.pc <- (if mispredicted then image.Layout.targets.(pc) else next)
+  | Instr.Halt -> state.halted <- true
 
-let run ?hooks ?predict_policy ?(max_instrs = 100_000_000) image =
+let step ?(hooks = no_hooks) ?(predict_policy = never) image state =
+  if not state.halted then exec hooks predict_policy image state
+
+let run ?(hooks = no_hooks) ?(predict_policy = never)
+    ?(max_instrs = 100_000_000) image =
   let state = init image in
-  let rec go () =
-    if (not state.halted) && state.instr_count < max_instrs then begin
-      step ?hooks ?predict_policy image state;
-      go ()
-    end
-  in
-  go ();
+  while (not state.halted) && state.instr_count < max_instrs do
+    exec hooks predict_policy image state
+  done;
   state
 
 let fnv_fold acc v =

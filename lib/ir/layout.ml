@@ -3,6 +3,7 @@ open Bv_isa
 type image =
   { code : Instr.t array;
     labels : (Label.t, int) Hashtbl.t;
+    targets : int array;
     entry : int;
     program : Program.t
   }
@@ -55,11 +56,20 @@ let program prog =
       emit p.Proc.blocks)
     prog.Program.procs;
   let code = Array.of_list (List.concat (List.rev !chunks)) in
+  (* [Validate.check_exn] has proved that every label exists. *)
+  let targets =
+    Array.map
+      (fun i ->
+        match Instr.branch_target i with
+        | Some l -> Hashtbl.find labels l
+        | None -> -1)
+      code
+  in
   let entry =
     let main = Program.find_proc prog prog.Program.main in
     Hashtbl.find labels main.Proc.entry
   in
-  { code; labels; entry; program = prog }
+  { code; labels; targets; entry; program = prog }
 
 let static_bytes image = 4 * Array.length image.code
 

@@ -12,6 +12,9 @@ type image =
   { code : Instr.t array;
     labels : (Label.t, int) Hashtbl.t;
         (** block labels and procedure names -> pc *)
+    targets : int array;
+        (** pc -> the pc its label names, resolved once at layout; -1 for
+            an instruction without a target *)
     entry : int;  (** pc of the main procedure's entry block *)
     program : Program.t
   }
@@ -23,6 +26,7 @@ val static_bytes : image -> int
 (** Code image size in bytes. *)
 
 val resolve : image -> Label.t -> int
-(** Label -> pc. Raises [Not_found]. *)
+(** Label -> pc, for lookups by name. Raises [Not_found]. Executors read
+    a control instruction's target from [targets] instead. *)
 
 val pp_disassembly : Format.formatter -> image -> unit

@@ -6,7 +6,7 @@ let image (img : Layout.image) =
   let code = img.Layout.code in
   let len = Array.length code in
   if len = 0 then invalid_arg "Recover.image: empty code";
-  let target_pc l = Layout.resolve img l in
+  let target_pc pc = img.Layout.targets.(pc) in
   (* ---- leaders and procedure starts ---- *)
   let proc_starts = ref (Intset.singleton img.Layout.entry) in
   let call_names = Hashtbl.create 8 in
@@ -16,14 +16,11 @@ let image (img : Layout.image) =
     (fun pc instr ->
       (match instr with
       | Instr.Call l ->
-        let t = target_pc l in
+        let t = target_pc pc in
         proc_starts := Intset.add t !proc_starts;
         Hashtbl.replace call_names t l
-      | Instr.Branch { target; _ }
-      | Instr.Jump target
-      | Instr.Predict { target; _ }
-      | Instr.Resolve { target; _ } ->
-        add_leader (target_pc target)
+      | Instr.Branch _ | Instr.Jump _ | Instr.Predict _ | Instr.Resolve _ ->
+        add_leader (target_pc pc)
       | _ -> ());
       if Instr.is_terminator instr then add_leader (pc + 1))
     code;
@@ -35,7 +32,7 @@ let image (img : Layout.image) =
     | Some l -> l
     | None -> Printf.sprintf "proc%d" pc
   in
-  let retarget l = block_label (target_pc l) in
+  let retarget pc = block_label (target_pc pc) in
   (* ---- carve blocks ---- *)
   let leader_list = Intset.elements !leaders in
   let next_leader =
@@ -66,26 +63,32 @@ let image (img : Layout.image) =
              stop);
       block_label stop
     in
+    (* a terminator is the block's last instruction *)
+    let term_pc = stop - 1 in
     let term =
       match term_instr with
       | None -> Term.Jump (fallthrough ())
-      | Some (Instr.Jump l) -> Term.Jump (retarget l)
-      | Some (Instr.Branch { on; src; target; id }) ->
+      | Some (Instr.Jump _) -> Term.Jump (retarget term_pc)
+      | Some (Instr.Branch { on; src; id; target = _ }) ->
         Term.Branch
-          { on; src; taken = retarget target; not_taken = fallthrough (); id }
-      | Some (Instr.Predict { target; id }) ->
-        Term.Predict { taken = retarget target; not_taken = fallthrough (); id }
-      | Some (Instr.Resolve { on; src; target; predicted_taken; id }) ->
+          { on; src; taken = retarget term_pc; not_taken = fallthrough (); id }
+      | Some (Instr.Predict { id; target = _ }) ->
+        Term.Predict
+          { taken = retarget term_pc; not_taken = fallthrough (); id }
+      | Some (Instr.Resolve { on; src; predicted_taken; id; target = _ }) ->
         Term.Resolve
           { on;
             src;
-            mispredict = retarget target;
+            mispredict = retarget term_pc;
             fallthrough = fallthrough ();
             predicted_taken;
             id
           }
-      | Some (Instr.Call l) ->
-        Term.Call { target = proc_name (target_pc l); return_to = fallthrough () }
+      | Some (Instr.Call _) ->
+        Term.Call
+          { target = proc_name (target_pc term_pc);
+            return_to = fallthrough ()
+          }
       | Some Instr.Ret -> Term.Ret
       | Some Instr.Halt -> Term.Halt
       | Some i ->

@@ -7,7 +7,7 @@ let make i =
     invalid_arg (Printf.sprintf "Reg.make: %d out of range [0, %d)" i count);
   i
 
-let index r = r
+external index : t -> int = "%identity"
 let equal = Int.equal
 let compare = Int.compare
 let hash r = r

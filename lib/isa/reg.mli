@@ -16,8 +16,11 @@ val make : int -> t
 (** [make i] is register [ri]. Raises [Invalid_argument] unless
     [0 <= i < count]. *)
 
-val index : t -> int
-(** Position of the register in the file, in [0 .. count - 1]. *)
+external index : t -> int = "%identity"
+(** Position of the register in the file, in [0 .. count - 1]. A
+    primitive, so register-file accesses inline even across the
+    separately compiled ([-opaque]) module boundaries of dune's dev
+    profile. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -197,14 +197,19 @@ module Release = struct
     t.occupancy <- t.occupancy + 1
 
   (* After [drain t ~now], [occupancy] counts exactly the entries with
-     release cycle > now (the old [List.filter (fun c -> c > now)]). *)
+     release cycle > now (the old [List.filter (fun c -> c > now)]).
+     [occupancy] is the sum of all slots, so once it reaches 0 every slot
+     left is already 0 and the cursor jumps to [now + 1]: catching up
+     after a stall skip costs the occupied slots, not the skipped
+     cycles. *)
   let[@inline] drain t ~now =
-    while t.cursor <= now do
+    while t.occupancy > 0 && t.cursor <= now do
       let i = t.cursor land t.mask in
       t.occupancy <- t.occupancy - t.slots.(i);
       t.slots.(i) <- 0;
       t.cursor <- t.cursor + 1
-    done
+    done;
+    if t.cursor <= now then t.cursor <- now + 1
 end
 
 type t =
@@ -342,7 +347,7 @@ let site_of = function
   | Instr.Branch { id; _ } | Instr.Resolve { id; _ } when id >= 0 -> id
   | _ -> -1
 
-let static_of (cfg : Config.t) image stats instr =
+let static_of (cfg : Config.t) image stats pc instr =
   let dst =
     match Instr.defs instr with r :: _ -> Reg.index r | [] -> -1
   in
@@ -356,16 +361,6 @@ let static_of (cfg : Config.t) image stats instr =
   let mem_kind =
     match instr with Instr.Load _ -> 1 | Instr.Store _ -> 2 | _ -> 0
   in
-  let target =
-    match instr with
-    | Instr.Jump l
-    | Instr.Call l
-    | Instr.Branch { target = l; _ }
-    | Instr.Predict { target = l; _ }
-    | Instr.Resolve { target = l; _ } ->
-      Layout.resolve image l
-    | _ -> -1
-  in
   { s_fu =
       (match Instr.fu_class instr with
       | Instr.Fu_int -> fu_int
@@ -378,7 +373,7 @@ let static_of (cfg : Config.t) image stats instr =
     s_latency = latency;
     s_mem_kind = mem_kind;
     s_is_halt = instr = Instr.Halt;
-    s_target = target;
+    s_target = image.Layout.targets.(pc);
     s_slot = Stats.slot stats (site_of instr)
   }
 
@@ -407,7 +402,7 @@ let create ~config ?on_event ?acct image =
     image;
     code;
     code_len = Array.length code;
-    static = Array.map (static_of cfg image stats) code;
+    static = Array.mapi (static_of cfg image stats) code;
     stats;
     hier = Hierarchy.create ~config:cfg.Config.cache ();
     predictor = Kind.create cfg.Config.predictor;

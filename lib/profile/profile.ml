@@ -1,5 +1,6 @@
 open Bv_bpred
 open Bv_exec
+open Bv_ir
 
 type site =
   { id : int;
@@ -25,16 +26,22 @@ let collect ?(max_instrs = 10_000_000) ~predictor image =
       mispredicts = 0
     }
   in
-  let site id =
-    match Hashtbl.find_opt t.sites id with
-    | Some s -> s
-    | None ->
-      let s = { id; executed = 0; taken = 0; correct = 0 } in
-      Hashtbl.replace t.sites id s;
-      s
-  in
+  (* The site of the branch at each pc, created on its first execution.
+     [Validate] makes branch ids unique per program, so each id has one
+     pc, and the id-keyed table keeps its first-execution order. *)
+  let unseen = { id = -1; executed = 0; taken = 0; correct = 0 } in
+  let at_pc = Array.make (Array.length image.Layout.code) unseen in
   let on_branch ~id ~pc ~taken =
-    let s = site id in
+    let s =
+      let s = at_pc.(pc) in
+      if s != unseen then s
+      else begin
+        let s = { id; executed = 0; taken = 0; correct = 0 } in
+        Hashtbl.replace t.sites id s;
+        at_pc.(pc) <- s;
+        s
+      end
+    in
     s.executed <- s.executed + 1;
     if taken then s.taken <- s.taken + 1;
     t.branch_count <- t.branch_count + 1;

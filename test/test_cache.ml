@@ -61,6 +61,146 @@ let test_probe_and_stats () =
   Sa_cache.invalidate_all c;
   Alcotest.(check bool) "invalidated" false (Sa_cache.probe c ~addr:0)
 
+(* The two-pass lookup [Sa_cache] used to run, kept as the reference: find
+   the way holding the tag, and on a miss scan the set again for the
+   victim. *)
+module Two_pass = struct
+  type t =
+    { line_bits : int;
+      set_bits : int;
+      set_count : int;
+      ways : int;
+      tags : int array;
+      lru : int array;
+      dirty : bool array;
+      mutable clock : int;
+      mutable stats : Sa_cache.stats
+    }
+
+  let log2 n =
+    let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
+    go n 0
+
+  let create ~size_bytes ~ways ~line_bytes =
+    let set_count = size_bytes / (ways * line_bytes) in
+    { line_bits = log2 line_bytes;
+      set_bits = log2 set_count;
+      set_count;
+      ways;
+      tags = Array.make (set_count * ways) (-1);
+      lru = Array.make (set_count * ways) 0;
+      dirty = Array.make (set_count * ways) false;
+      clock = 0;
+      stats =
+        { Sa_cache.accesses = 0; misses = 0; evictions = 0; writebacks = 0 }
+    }
+
+  let find_way_idx t set tag =
+    let base = set * t.ways in
+    let rec go w =
+      if w >= t.ways then -1
+      else if t.tags.(base + w) = tag then base + w
+      else go (w + 1)
+    in
+    go 0
+
+  let victim_way t set =
+    let base = set * t.ways in
+    let best = ref base in
+    for w = 1 to t.ways - 1 do
+      let i = base + w in
+      if t.tags.(i) = -1 && t.tags.(!best) <> -1 then best := i
+      else if t.tags.(i) <> -1 && t.tags.(!best) <> -1
+              && t.lru.(i) < t.lru.(!best)
+      then best := i
+    done;
+    !best
+
+  (* The byte address of the line held in way [i]. *)
+  let line_addr t i =
+    let set = i / t.ways in
+    ((t.tags.(i) lsl t.set_bits) lor set) lsl t.line_bits
+
+  (* The access's outcome and the address of the line it evicted, or -1. *)
+  let access t ~addr ~write =
+    let s = t.stats in
+    t.clock <- t.clock + 1;
+    let line = addr lsr t.line_bits in
+    let set = line land (t.set_count - 1) in
+    let tag = line lsr t.set_bits in
+    let i = find_way_idx t set tag in
+    if i >= 0 then begin
+      t.stats <- { s with accesses = s.accesses + 1 };
+      t.lru.(i) <- t.clock;
+      if write then t.dirty.(i) <- true;
+      (`Hit, -1)
+    end
+    else begin
+      let i = victim_way t set in
+      let evicted = if t.tags.(i) <> -1 then line_addr t i else -1 in
+      t.stats <-
+        { Sa_cache.accesses = s.accesses + 1;
+          misses = s.misses + 1;
+          evictions = (s.evictions + if evicted >= 0 then 1 else 0);
+          writebacks =
+            (s.writebacks + if evicted >= 0 && t.dirty.(i) then 1 else 0)
+        };
+      t.tags.(i) <- tag;
+      t.lru.(i) <- t.clock;
+      t.dirty.(i) <- write;
+      (`Miss, evicted)
+    end
+
+  let invalidate_all t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.dirty 0 (Array.length t.dirty) false
+end
+
+type cache_op = Access of int * bool | Invalidate
+
+let prop_single_pass_lookup =
+  let gen =
+    QCheck2.Gen.(
+      let* ways = oneofl [ 1; 2; 3; 4; 8 ] in
+      let* sets = oneofl [ 1; 2; 8 ] in
+      let* line = oneofl [ 16; 64 ] in
+      (* a few lines' worth of addresses per way, so sets conflict *)
+      let lines = sets * ways * 3 in
+      let access =
+        map2 (fun a w -> Access (a, w)) (int_bound ((lines * line) - 1)) bool
+      in
+      let op = frequency [ (40, access); (1, pure Invalidate) ] in
+      let+ ops = list_size (int_range 1 400) op in
+      (ways, sets, line, ops))
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"single-pass lookup = two-pass reference (outcome, stats, victim)"
+    gen
+    (fun (ways, sets, line, ops) ->
+      let size_bytes = ways * sets * line in
+      let c = Sa_cache.create ~name:"t" ~size_bytes ~ways ~line_bytes:line in
+      let r = Two_pass.create ~size_bytes ~ways ~line_bytes:line in
+      List.for_all
+        (function
+          | Invalidate ->
+            Sa_cache.invalidate_all c;
+            Two_pass.invalidate_all r;
+            true
+          | Access (addr, write) ->
+            let got = Sa_cache.access c ~addr ~write in
+            let want, evicted = Two_pass.access r ~addr ~write in
+            got = want
+            && Sa_cache.stats c = r.Two_pass.stats
+            (* the same line left, and the set now holds the same lines *)
+            && (evicted < 0 || not (Sa_cache.probe c ~addr:evicted))
+            && List.for_all
+                 (fun i ->
+                   r.Two_pass.tags.(i) = -1
+                   || Sa_cache.probe c ~addr:(Two_pass.line_addr r i))
+                 (let set = (addr lsr r.Two_pass.line_bits) land (sets - 1) in
+                  List.init ways (fun w -> (set * ways) + w)))
+        ops)
+
 let test_hierarchy_latencies () =
   let h = Hierarchy.create () in
   let lat, level = Hierarchy.data_access h ~addr:0 ~write:false in
@@ -112,5 +252,7 @@ let () =
           Alcotest.test_case "l2 hit" `Quick test_hierarchy_l2_hit
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_inclusive_second_access_hits ] )
+        [ QCheck_alcotest.to_alcotest prop_inclusive_second_access_hits;
+          QCheck_alcotest.to_alcotest prop_single_pass_lookup
+        ] )
     ]

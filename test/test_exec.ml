@@ -215,6 +215,106 @@ let test_digests () =
   Alcotest.(check bool) "mem digest differs" true
     (Interp.mem_digest s1 <> Interp.mem_digest s3)
 
+(* ---- run = step iterated -------------------------------------------- *)
+
+type hook_call =
+  | On_branch of int * int * bool
+  | On_resolve of int * int * bool * bool
+
+(* Hooks that log every call, and a predict policy drawing its directions
+   from [policy_seed] in call order: two executions that agree call both
+   identically. *)
+let observed ~policy_seed =
+  let log = ref [] in
+  let hooks =
+    { Interp.on_branch =
+        (fun ~id ~pc ~taken -> log := On_branch (id, pc, taken) :: !log);
+      on_resolve =
+        (fun ~id ~pc ~mispredicted ~taken ->
+          log := On_resolve (id, pc, mispredicted, taken) :: !log)
+    }
+  in
+  let rng = Random.State.make [| policy_seed |] in
+  let predict_policy ~pc:_ ~id:_ = Random.State.bool rng in
+  (hooks, predict_policy, log)
+
+let shape_valid_candidates prog =
+  let image = Layout.program (Program.copy prog) in
+  let profile =
+    Bv_profile.Profile.collect
+      ~predictor:(Bv_bpred.Kind.create Bv_bpred.Kind.Always_not_taken)
+      image
+  in
+  (Vanguard.Select.select ~threshold:(-2.0) ~min_executed:0 ~profile prog)
+    .Vanguard.Select.candidates
+
+let prop_run_is_iterated_step =
+  QCheck2.Test.make ~name:"run = step iterated from init" ~count:60
+    QCheck2.Gen.(
+      (* fuzz programs run tens to hundreds of instructions: a small
+         limit often stops them early *)
+      quad (int_range 0 100_000) bool (int_range 0 1_000_000)
+        (oneof [ int_range 1 200; pure 100_000_000 ]))
+    (fun (seed, transformed, policy_seed, max_instrs) ->
+      let prog = Bv_workloads.Fuzzgen.generate ~seed in
+      let prog =
+        if transformed then
+          (Vanguard.Transform.apply ~candidates:(shape_valid_candidates prog)
+             prog)
+            .Vanguard.Transform.program
+        else prog
+      in
+      let image = Layout.program prog in
+      let hooks, predict_policy, run_log = observed ~policy_seed in
+      let ran = Interp.run ~hooks ~predict_policy ~max_instrs image in
+      let hooks, predict_policy, step_log = observed ~policy_seed in
+      let st = Interp.init image in
+      while (not st.Interp.halted) && st.Interp.instr_count < max_instrs do
+        Interp.step ~hooks ~predict_policy image st
+      done;
+      (* a halted machine does not move *)
+      if ran.Interp.halted then Interp.step ~hooks ~predict_policy image ran;
+      ran.Interp.regs = st.Interp.regs
+      && ran.Interp.mem = st.Interp.mem
+      && ran.Interp.pc = st.Interp.pc
+      && ran.Interp.halted = st.Interp.halted
+      && ran.Interp.instr_count = st.Interp.instr_count
+      && ran.Interp.load_count = st.Interp.load_count
+      && ran.Interp.store_count = st.Interp.store_count
+      && !run_log = !step_log)
+
+(* The interpreter is the profiler's and every digest's engine: a run
+   allocates nothing per instruction (the state, and a call's return-stack
+   push, are all it allocates). *)
+let test_run_does_not_allocate () =
+  let open Bv_workloads in
+  let spec = Option.get (Suites.find "perlbench") in
+  let image =
+    Layout.program (Gen.generate ~input:0 { spec with Spec.reps = 2 })
+  in
+  let branches = ref 0 in
+  let hooks =
+    { Interp.no_hooks with
+      Interp.on_branch = (fun ~id:_ ~pc:_ ~taken:_ -> incr branches)
+    }
+  in
+  let per_instr f =
+    let w0 = Gc.minor_words () in
+    let st = f () in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check bool) "halted" true st.Interp.halted;
+    (w1 -. w0) /. Float.of_int st.Interp.instr_count
+  in
+  let plain = per_instr (fun () -> Interp.run image) in
+  let hooked =
+    per_instr (fun () ->
+        Interp.run ~hooks ~predict_policy:(fun ~pc:_ ~id:_ -> true) image)
+  in
+  Alcotest.(check bool) "branches seen" true (!branches > 0);
+  if plain >= 1.0 || hooked >= 1.0 then
+    Alcotest.failf "minor words per instruction: %.3f plain, %.3f hooked"
+      plain hooked
+
 let () =
   Alcotest.run "bv_exec"
     [ ( "basics",
@@ -239,5 +339,10 @@ let () =
       ( "limits",
         [ Alcotest.test_case "max instrs" `Quick test_max_instrs;
           Alcotest.test_case "digests" `Quick test_digests
+        ] );
+      ( "run",
+        [ QCheck_alcotest.to_alcotest prop_run_is_iterated_step;
+          Alcotest.test_case "no allocation per instruction" `Quick
+            test_run_does_not_allocate
         ] )
     ]

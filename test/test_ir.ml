@@ -270,6 +270,68 @@ let test_layout_calls_and_decomposed () =
   Alcotest.(check int) "proc label = entry pc" (Layout.resolve image "f0")
     (Layout.resolve image "f")
 
+(* [image.targets] is [Layout.resolve] of each instruction's label, done
+   once at layout, and -1 where there is no label. *)
+let check_targets what image =
+  let label = function
+    | Instr.Branch { target; _ }
+    | Instr.Jump target
+    | Instr.Call target
+    | Instr.Predict { target; _ }
+    | Instr.Resolve { target; _ } ->
+      Some target
+    | _ -> None
+  in
+  Alcotest.(check int)
+    (what ^ " targets length")
+    (Array.length image.Layout.code)
+    (Array.length image.Layout.targets);
+  Array.iteri
+    (fun pc i ->
+      let want =
+        match label i with Some l -> Layout.resolve image l | None -> -1
+      in
+      if image.Layout.targets.(pc) <> want then
+        Alcotest.failf "%s: pc %d (%s): target %d, resolve gives %d" what pc
+          (Instr.to_string i) image.Layout.targets.(pc) want)
+    image.Layout.code
+
+let test_layout_targets () =
+  let open Bv_workloads in
+  (* every benchmark, shrunk, before and after decomposing every
+     shape-valid site (so predicts and resolves are laid out too) *)
+  let predicts = ref 0 in
+  List.iter
+    (fun s ->
+      let prog = Gen.generate ~input:1 { s with Spec.inner_n = 16; reps = 2 } in
+      let image = Layout.program (Program.copy prog) in
+      check_targets (s.Spec.name ^ " baseline") image;
+      let profile =
+        Bv_profile.Profile.collect
+          ~predictor:(Bv_bpred.Kind.create Bv_bpred.Kind.Tournament)
+          image
+      in
+      let sel =
+        Vanguard.Select.select ~threshold:(-2.0) ~min_executed:0 ~profile prog
+      in
+      let result =
+        Vanguard.Transform.apply ~exit_live:Gen.live_at_exit
+          ~candidates:sel.Vanguard.Select.candidates prog
+      in
+      let image = Layout.program result.Vanguard.Transform.program in
+      check_targets (s.Spec.name ^ " transformed") image;
+      Array.iter
+        (function Instr.Predict _ -> incr predicts | _ -> ())
+        image.Layout.code)
+    Suites.all;
+  Alcotest.(check bool) "transformed images hold predicts" true
+    (!predicts > 0);
+  for seed = 0 to 24 do
+    check_targets
+      (Printf.sprintf "fuzz %d" seed)
+      (Layout.program (Fuzzgen.generate ~seed))
+  done
+
 let test_validate_entry_not_first () =
   match
     Program.make ~main:"m"
@@ -378,7 +440,8 @@ let () =
           Alcotest.test_case "calls + decomposed" `Quick
             test_layout_calls_and_decomposed;
           Alcotest.test_case "entry not first" `Quick
-            test_validate_entry_not_first
+            test_validate_entry_not_first;
+          Alcotest.test_case "targets = resolve" `Quick test_layout_targets
         ] );
       ( "cfg", [ Alcotest.test_case "basics" `Quick test_cfg ] );
       ( "liveness",
