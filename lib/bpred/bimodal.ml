@@ -3,14 +3,12 @@ let create ?(table_bits = 14) () =
   let mask = size - 1 in
   let table = Array.make size 1 in
   let index pc = Predictor.hash_pc pc land mask in
-  { Predictor.name = Printf.sprintf "bimodal-%db" table_bits;
-    storage_bits = 2 * size;
-    predict =
-      (fun ~pc ~outcome:_ ->
-        (Predictor.counter_taken table.(index pc) ~max:3, [||]));
-    update =
-      (fun _ ~pc ~taken ->
-        let i = index pc in
-        table.(i) <- Predictor.counter_update table.(i) ~taken ~max:3);
-    recover = (fun _ ~taken:_ -> ())
-  }
+  Predictor.make
+    ~name:(Printf.sprintf "bimodal-%db" table_bits)
+    ~storage_bits:(2 * size) ~meta_words:0
+    ~predict_at:(fun _ _ ~pc ~outcome:_ ->
+      Predictor.counter_taken table.(index pc) ~max:3)
+    ~update_at:(fun _ _ ~pc ~taken ->
+      let i = index pc in
+      table.(i) <- Predictor.counter_update table.(i) ~taken ~max:3)
+    ~recover_at:Predictor.no_recover

@@ -27,10 +27,6 @@ let find t ~pc =
     -1
   end
 
-let lookup t ~pc =
-  let target = find t ~pc in
-  if target >= 0 then Some target else None
-
 let update t ~pc ~target =
   let i = slot t pc in
   t.tags.(i) <- pc;

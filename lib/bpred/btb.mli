@@ -7,12 +7,10 @@ type t
 val create : ?entries:int -> unit -> t
 (** Default 4096 entries (Table 1). *)
 
-val lookup : t -> pc:int -> int option
-(** Predicted target, if the entry is present and tag-matches. *)
-
 val find : t -> pc:int -> int
-(** Allocation-free {!lookup}: the predicted target, or -1 on a miss
-    (targets are pcs, never negative). Counts hits/misses identically. *)
+(** The predicted target if the entry is present and tag-matches, or -1
+    on a miss (targets are pcs, never negative). Counts the hit or miss;
+    allocation-free. *)
 
 val update : t -> pc:int -> target:int -> unit
 

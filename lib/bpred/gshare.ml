@@ -6,18 +6,17 @@ let create ?(table_bits = 15) ?(history_bits = 15) () =
   let history = ref 0 in
   let index pc h = (Predictor.hash_pc pc lxor h) land mask in
   let shift h taken = ((h lsl 1) lor Bool.to_int taken) land hmask in
-  { Predictor.name =
-      Printf.sprintf "gshare-%db-h%d" table_bits history_bits;
-    storage_bits = 2 * size;
-    predict =
-      (fun ~pc ~outcome:_ ->
-        let h = !history in
-        let pred = Predictor.counter_taken table.(index pc h) ~max:3 in
-        history := shift h pred;
-        (pred, [| h |]));
-    update =
-      (fun meta ~pc ~taken ->
-        let i = index pc meta.(0) in
-        table.(i) <- Predictor.counter_update table.(i) ~taken ~max:3);
-    recover = (fun meta ~taken -> history := shift meta.(0) taken)
-  }
+  (* meta row: [| h |] *)
+  Predictor.make
+    ~name:(Printf.sprintf "gshare-%db-h%d" table_bits history_bits)
+    ~storage_bits:(2 * size) ~meta_words:1
+    ~predict_at:(fun m o ~pc ~outcome:_ ->
+      let h = !history in
+      let pred = Predictor.counter_taken table.(index pc h) ~max:3 in
+      history := shift h pred;
+      m.(o) <- h;
+      pred)
+    ~update_at:(fun m o ~pc ~taken ->
+      let i = index pc m.(o) in
+      table.(i) <- Predictor.counter_update table.(i) ~taken ~max:3)
+    ~recover_at:(fun m o ~taken -> history := shift m.(o) taken)

@@ -7,11 +7,12 @@ type loop_entry =
 
 let confidence_threshold = 3
 
-(* meta layout: TAGE meta (variable length) ++ [| final_pred; loop_hit;
-   loop_pred; sc_index |] appended as the last four slots. *)
+(* meta row: the TAGE row ([tw] words) followed by [| final_pred;
+   loop_hit; tage_pred; sc_index |]. *)
 
 let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
   let tage = Tage.create ~num_tables ~table_bits ~tag_bits:10 () in
+  let tw = tage.Predictor.meta_words in
   let loop_mask = loop_entries - 1 in
   let loops =
     Array.init loop_entries (fun _ ->
@@ -24,13 +25,14 @@ let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
   let loop_index pc = Predictor.hash_pc pc land loop_mask in
   let loop_tag pc = (Predictor.hash_pc (pc * 17) lsr 8) land 0x3fff in
   (* The loop predictor models "taken past_count times, then one not-taken
-     exit" loops (backward loop branches). *)
+     exit" loops (backward loop branches): 1 / 0 for a confident taken /
+     not-taken prediction, -1 when it has none. *)
   let loop_lookup pc =
     let e = loops.(loop_index pc) in
     if e.tag = loop_tag pc && e.confidence >= confidence_threshold
        && e.past_count > 0
-    then Some (e.current < e.past_count)
-    else None
+    then Bool.to_int (e.current < e.past_count)
+    else -1
   in
   let loop_update pc ~taken =
     let i = loop_index pc in
@@ -59,49 +61,37 @@ let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
   let sc_index pc pred =
     (Predictor.hash_pc (pc * 7) lxor Bool.to_int pred) land sc_mask
   in
-  let predict ~pc ~outcome =
-    let tage_pred, tmeta = tage.Predictor.predict ~pc ~outcome in
-    let loop_hit, pred =
-      match loop_lookup pc with
-      | Some p -> (true, p)
-      | None ->
+  let predict_at m o ~pc ~outcome =
+    let tage_pred = tage.Predictor.predict_at m o ~pc ~outcome in
+    let loop = loop_lookup pc in
+    let pred =
+      if loop >= 0 then loop = 1
+      else
         (* Statistical corrector: revert TAGE when strongly contradicted. *)
         let s = sc.(sc_index pc tage_pred) in
-        if s <= 2 then (false, not tage_pred)
-        else if s >= 30 then (false, tage_pred)
-        else (false, tage_pred)
+        if s <= 2 then not tage_pred else tage_pred
     in
     if pred <> tage_pred then
       (* Keep the speculative history consistent with the final direction. *)
-      tage.Predictor.recover tmeta ~taken:pred;
-    let meta =
-      Array.append tmeta
-        [| Bool.to_int pred;
-           Bool.to_int loop_hit;
-           Bool.to_int tage_pred;
-           sc_index pc tage_pred
-        |]
-    in
-    (pred, meta)
+      tage.Predictor.recover_at m o ~taken:pred;
+    m.(o + tw) <- Bool.to_int pred;
+    m.(o + tw + 1) <- Bool.to_int (loop >= 0);
+    m.(o + tw + 2) <- Bool.to_int tage_pred;
+    m.(o + tw + 3) <- sc_index pc tage_pred;
+    pred
   in
-  let update meta ~pc ~taken =
-    let tlen = Array.length meta - 4 in
-    let tmeta = Array.sub meta 0 tlen in
-    tage.Predictor.update tmeta ~pc ~taken;
+  let update_at m o ~pc ~taken =
+    tage.Predictor.update_at m o ~pc ~taken;
     loop_update pc ~taken;
-    let tage_pred = meta.(tlen + 2) = 1 in
-    let si = meta.(tlen + 3) in
+    let tage_pred = m.(o + tw + 2) = 1 in
+    let si = m.(o + tw + 3) in
     sc.(si) <- Predictor.counter_update sc.(si) ~taken:(tage_pred = taken) ~max:31
   in
-  let recover meta ~taken =
-    tage.Predictor.recover (Array.sub meta 0 (Array.length meta - 4)) ~taken
-  in
-  { Predictor.name = Printf.sprintf "isl-tage-%dx%db" num_tables table_bits;
-    storage_bits =
-      tage.Predictor.storage_bits
+  Predictor.make
+    ~name:(Printf.sprintf "isl-tage-%dx%db" num_tables table_bits)
+    ~storage_bits:
+      (tage.Predictor.storage_bits
       + (loop_entries * (14 + 16 + 16 + 3))
-      + (5 * (sc_mask + 1));
-    predict;
-    update;
-    recover
-  }
+      + (5 * (sc_mask + 1)))
+    ~meta_words:(tw + 4) ~predict_at ~update_at
+    ~recover_at:tage.Predictor.recover_at

@@ -23,27 +23,29 @@ let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
     !sum
   in
   let shift h taken = ((h lsl 1) lor Bool.to_int taken) land hmask in
-  { Predictor.name = Printf.sprintf "perceptron-%dx%dh" size history_bits;
-    storage_bits = size * (history_bits + 1) * weight_bits;
-    predict =
-      (fun ~pc ~outcome:_ ->
-        let h = !history in
-        let sum = dot weights.(index pc) h in
-        let pred = sum >= 0 in
-        history := shift h pred;
-        (pred, [| h; sum |]));
-    update =
-      (fun meta ~pc ~taken ->
-        let h = meta.(0) and sum = meta.(1) in
-        let pred = sum >= 0 in
-        if pred <> taken || abs sum <= threshold then begin
-          let w = weights.(index pc) in
-          let t = if taken then 1 else -1 in
-          w.(0) <- clamp (w.(0) + t);
-          for b = 0 to history_bits - 1 do
-            let x = if (h lsr b) land 1 = 1 then 1 else -1 in
-            w.(b + 1) <- clamp (w.(b + 1) + (t * x))
-          done
-        end);
-    recover = (fun meta ~taken -> history := shift meta.(0) taken)
-  }
+  (* meta row: [| h; dot product |] *)
+  Predictor.make
+    ~name:(Printf.sprintf "perceptron-%dx%dh" size history_bits)
+    ~storage_bits:(size * (history_bits + 1) * weight_bits)
+    ~meta_words:2
+    ~predict_at:(fun m o ~pc ~outcome:_ ->
+      let h = !history in
+      let sum = dot weights.(index pc) h in
+      let pred = sum >= 0 in
+      history := shift h pred;
+      m.(o) <- h;
+      m.(o + 1) <- sum;
+      pred)
+    ~update_at:(fun m o ~pc ~taken ->
+      let h = m.(o) and sum = m.(o + 1) in
+      let pred = sum >= 0 in
+      if pred <> taken || abs sum <= threshold then begin
+        let w = weights.(index pc) in
+        let t = if taken then 1 else -1 in
+        w.(0) <- clamp (w.(0) + t);
+        for b = 0 to history_bits - 1 do
+          let x = if (h lsr b) land 1 = 1 then 1 else -1 in
+          w.(b + 1) <- clamp (w.(b + 1) + (t * x))
+        done
+      end)
+    ~recover_at:(fun m o ~taken -> history := shift m.(o) taken)

@@ -7,10 +7,13 @@ val create : ?entries:int -> unit -> t
 (** Default 64 entries (Table 1). *)
 
 val push : t -> int -> unit
-val pop : t -> int option
-(** [None] when empty. Overflowed entries are silently overwritten, so a
-    pop after deep recursion may return a stale (wrong) address — exactly
-    the real-hardware failure mode. *)
+(** Push a return address (a pc, never negative). *)
+
+val pop : t -> int
+(** The popped return address, or -1 when empty (allocation-free, like
+    {!Btb.find}). Overflowed entries are silently overwritten, so a pop
+    after deep recursion may return a stale (wrong) address — exactly the
+    real-hardware failure mode. *)
 
 val depth : t -> int
 val snapshot : t -> t

@@ -11,29 +11,29 @@ let create ?(table_bits = 15) ?history_bits () =
   let bim_index pc = Predictor.hash_pc pc land mask in
   let gsh_index pc h = (Predictor.hash_pc pc lxor h) land mask in
   let shift h taken = ((h lsl 1) lor Bool.to_int taken) land hmask in
-  { Predictor.name = Printf.sprintf "tournament-3x%db" table_bits;
-    storage_bits = 3 * 2 * size;
-    predict =
-      (fun ~pc ~outcome:_ ->
-        let h = !history in
-        let bp = Predictor.counter_taken bim.(bim_index pc) ~max:3 in
-        let gp = Predictor.counter_taken gsh.(gsh_index pc h) ~max:3 in
-        let use_gshare =
-          Predictor.counter_taken chooser.(bim_index pc) ~max:3
-        in
-        let pred = if use_gshare then gp else bp in
-        history := shift h pred;
-        (pred, [| h; Bool.to_int bp; Bool.to_int gp |]));
-    update =
-      (fun meta ~pc ~taken ->
-        let h = meta.(0) in
-        let bp = meta.(1) = 1 and gp = meta.(2) = 1 in
-        let bi = bim_index pc and gi = gsh_index pc h in
-        bim.(bi) <- Predictor.counter_update bim.(bi) ~taken ~max:3;
-        gsh.(gi) <- Predictor.counter_update gsh.(gi) ~taken ~max:3;
-        (* Train the chooser only when the components disagree. *)
-        if bp <> gp then
-          chooser.(bi) <-
-            Predictor.counter_update chooser.(bi) ~taken:(gp = taken) ~max:3);
-    recover = (fun meta ~taken -> history := shift meta.(0) taken)
-  }
+  (* meta row: [| h; bimodal prediction; gshare prediction |] *)
+  Predictor.make
+    ~name:(Printf.sprintf "tournament-3x%db" table_bits)
+    ~storage_bits:(3 * 2 * size) ~meta_words:3
+    ~predict_at:(fun m o ~pc ~outcome:_ ->
+      let h = !history in
+      let bp = Predictor.counter_taken bim.(bim_index pc) ~max:3 in
+      let gp = Predictor.counter_taken gsh.(gsh_index pc h) ~max:3 in
+      let use_gshare = Predictor.counter_taken chooser.(bim_index pc) ~max:3 in
+      let pred = if use_gshare then gp else bp in
+      history := shift h pred;
+      m.(o) <- h;
+      m.(o + 1) <- Bool.to_int bp;
+      m.(o + 2) <- Bool.to_int gp;
+      pred)
+    ~update_at:(fun m o ~pc ~taken ->
+      let h = m.(o) in
+      let bp = m.(o + 1) = 1 and gp = m.(o + 2) = 1 in
+      let bi = bim_index pc and gi = gsh_index pc h in
+      bim.(bi) <- Predictor.counter_update bim.(bi) ~taken ~max:3;
+      gsh.(gi) <- Predictor.counter_update gsh.(gi) ~taken ~max:3;
+      (* Train the chooser only when the components disagree. *)
+      if bp <> gp then
+        chooser.(bi) <-
+          Predictor.counter_update chooser.(bi) ~taken:(gp = taken) ~max:3)
+    ~recover_at:(fun m o ~taken -> history := shift m.(o) taken)

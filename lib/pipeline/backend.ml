@@ -3,16 +3,11 @@ open Machine_state
 
 (* ---- completion ------------------------------------------------------- *)
 
-(* Train the predictor entry recorded at fetch; a [no_ctrl_meta] column
-   (wrong-path resolve with an empty DBB, or a ret) has nothing to
-   train. *)
-let train_predictor st h ~mispredict =
-  let meta = st.c_meta.(h) in
-  if meta != no_ctrl_meta then begin
-    let taken = st.c_actual.(h) = 1 in
-    st.predictor.Predictor.update meta ~pc:st.c_meta_pc.(h) ~taken;
-    if mispredict then st.predictor.Predictor.recover meta ~taken
-  end
+(* Train the predictor from the meta row its prediction wrote. *)
+let train st buf off ~pc h ~mispredict =
+  let taken = st.c_actual.(h) = 1 in
+  st.predictor.Predictor.update_at buf off ~pc ~taken;
+  if mispredict then st.predictor.Predictor.recover_at buf off ~taken
 
 let handle_completion st h =
   let kind = st.c_kind.(h) in
@@ -26,7 +21,7 @@ let handle_completion st h =
         ~latency:(st.now - st.i_fetch_cycle.(h));
     if kind = ck_branch then begin
       st.stats.Stats.branch_execs <- st.stats.Stats.branch_execs + 1;
-      train_predictor st h ~mispredict;
+      train st st.c_meta (h * st.meta_words) ~pc:st.i_pc.(h) h ~mispredict;
       if mispredict then begin
         st.stats.Stats.branch_mispredicts <-
           st.stats.Stats.branch_mispredicts + 1;
@@ -35,7 +30,14 @@ let handle_completion st h =
     end
     else if kind = ck_resolve then begin
       st.stats.Stats.resolve_execs <- st.stats.Stats.resolve_execs + 1;
-      train_predictor st h ~mispredict;
+      (* The claimed slot's row is intact: a restore could have dropped
+         the slot only for a flush older than this resolve, which would
+         have squashed it. A wrong-path resolve that found nothing to
+         claim (-1) has nothing to train. *)
+      let slot = st.c_dbb_slot.(h) in
+      if slot >= 0 then
+        train st (Dbb.meta st.dbb) (Dbb.meta_row st.dbb slot)
+          ~pc:(Dbb.slot_pc st.dbb slot) h ~mispredict;
       if mispredict then begin
         st.stats.Stats.resolve_mispredicts <-
           st.stats.Stats.resolve_mispredicts + 1;
@@ -44,7 +46,6 @@ let handle_completion st h =
       (* Free after any flush: the restored DBB snapshot (taken at this
          resolve's fetch) still holds the entry, so freeing first would
          let the restore resurrect it. *)
-      let slot = st.c_dbb_slot.(h) in
       if slot >= 0 then Dbb.free st.dbb slot
     end
     else begin
@@ -101,8 +102,7 @@ let process_completions st =
   (* Flushes remove their squashed suffix from the deque synchronously, so
      when nothing completed this cycle the deque needs no compaction. *)
   if st.comp_len > 0 then begin
-    Ring.filter_in_place st.pending ~keep:(fun h ->
-        not (st.i_squashed.(h) = 1 || st.i_complete_cycle.(h) <= st.now));
+    compact_pending st;
     (* Every collected handle is now off the deque (completed ones by the
        compaction above, flush-squashed ones by the flush itself — which
        recycles only the squashed handles NOT collected here, so no row

@@ -1,5 +1,3 @@
-open Bv_bpred
-
 (* Struct-of-arrays storage: the DBB sits on the decomposed hot path
    (one allocate per predict, one claim + one free per resolve), so the
    slots are parallel arrays and the live set is tracked by counters —
@@ -13,7 +11,10 @@ type t =
     slot_claimed : int array;  (* 0 / 1 *)
     slot_pc : int array;
     slot_taken : int array;  (* 0 / 1 *)
-    slot_meta : Predictor.meta array;  (* stale when empty *)
+    meta_words : int;
+    meta : int array;
+        (* one predictor meta row per slot, slot [i]'s at [i * meta_words];
+           stale when empty *)
     mutable live : int;
     mutable next : int;  (* ring allocation pointer *)
     mutable alloc_id : int
@@ -29,17 +30,16 @@ type t =
 type snapshot =
   { snap_id : int array;
     snap_claimed : int array;
-    snap_next : int
+    mutable snap_next : int
   }
 
-let no_meta : Predictor.meta = [||]
-
-let create ~entries =
+let create ~entries ~meta_words =
   { slot_id = Array.make entries 0;
     slot_claimed = Array.make entries 0;
     slot_pc = Array.make entries 0;
     slot_taken = Array.make entries 0;
-    slot_meta = Array.make entries no_meta;
+    meta_words;
+    meta = Array.make (entries * meta_words) 0;
     live = 0;
     next = 0;
     alloc_id = 0
@@ -49,7 +49,7 @@ let capacity t = Array.length t.slot_id
 let occupancy t = t.live
 let is_full t = t.live = Array.length t.slot_id
 
-let allocate t ~pc ~meta ~taken =
+let allocate t ~pc =
   if is_full t then -1
   else begin
     let n = Array.length t.slot_id in
@@ -62,8 +62,7 @@ let allocate t ~pc ~meta ~taken =
     t.slot_id.(idx) <- t.alloc_id;
     t.slot_claimed.(idx) <- 0;
     t.slot_pc.(idx) <- pc;
-    t.slot_taken.(idx) <- (if taken then 1 else 0);
-    t.slot_meta.(idx) <- meta;
+    t.slot_taken.(idx) <- 0;
     t.live <- t.live + 1;
     t.next <- (idx + 1) mod n;
     idx
@@ -81,21 +80,29 @@ let claim_newest t =
   !best
 
 let slot_pc t idx = t.slot_pc.(idx)
-let slot_meta t idx = t.slot_meta.(idx)
+let meta t = t.meta
+let[@inline] meta_row t idx = idx * t.meta_words
 let slot_taken t idx = t.slot_taken.(idx) = 1
+let set_taken t idx taken = t.slot_taken.(idx) <- Bool.to_int taken
 
 let free t idx =
   if t.slot_id.(idx) <> 0 then begin
     t.slot_id.(idx) <- 0;
-    t.slot_meta.(idx) <- no_meta;
     t.live <- t.live - 1
   end
 
-let snapshot t =
-  { snap_id = Array.copy t.slot_id;
-    snap_claimed = Array.copy t.slot_claimed;
-    snap_next = t.next
-  }
+let new_snapshot t =
+  let n = Array.length t.slot_id in
+  { snap_id = Array.make n 0; snap_claimed = Array.make n 0; snap_next = 0 }
+
+(* Plain int stores: [Array.blit] into an old array runs [caml_modify]
+   per word. *)
+let snapshot t ~into =
+  for i = 0 to Array.length t.slot_id - 1 do
+    into.snap_id.(i) <- t.slot_id.(i);
+    into.snap_claimed.(i) <- t.slot_claimed.(i)
+  done;
+  into.snap_next <- t.next
 
 let restore t snap =
   let live = ref 0 in
@@ -105,11 +112,9 @@ let restore t snap =
         t.slot_claimed.(i) <- snap.snap_claimed.(i);
         incr live
       end
-      else begin
+      else
         (* allocated after the snapshot — wrong path, drop *)
-        t.slot_id.(i) <- 0;
-        t.slot_meta.(i) <- no_meta
-      end
+        t.slot_id.(i) <- 0
   done;
   t.live <- !live;
   t.next <- snap.snap_next

@@ -15,21 +15,37 @@
 
     Entries live in flat parallel arrays and the interface traffics in
     ints: the DBB sits on the decomposed hot path (an allocate per
-    predict, a claim and a free per resolve), so no call here allocates. *)
-
-open Bv_bpred
+    predict, a claim and a free per resolve), so no call here allocates.
+    Each slot owns a preallocated predictor meta row ({!Bv_bpred.Predictor}'s
+    meta storage): a predict writes its meta straight into the row of the
+    slot it allocated, and the resolve that claims the slot trains from
+    that row. A restore drops only slots allocated after the restoring
+    instruction, so a slot's row stays intact as long as any live resolve
+    holds the slot. *)
 
 type t
 
 type snapshot
 
-val create : entries:int -> t
+val create : entries:int -> meta_words:int -> t
+(** [meta_words] is the predictor's meta row width. *)
+
 val capacity : t -> int
 val occupancy : t -> int
 val is_full : t -> bool
 
-val allocate : t -> pc:int -> meta:Predictor.meta -> taken:bool -> int
-(** Tail allocation; returns the slot index, or -1 when full. *)
+val allocate : t -> pc:int -> int
+(** Tail allocation; returns the slot index, or -1 when full. The caller
+    then writes the slot's meta row and {!set_taken}. *)
+
+val meta : t -> int array
+(** The meta rows of all slots. *)
+
+val meta_row : t -> int -> int
+(** Offset in {!meta} of a slot's row. *)
+
+val set_taken : t -> int -> bool -> unit
+(** Record an allocated slot's predicted direction. *)
 
 val claim_newest : t -> int
 (** The most recently allocated unclaimed entry (the paper's tail-pointer
@@ -41,16 +57,17 @@ val claim_newest : t -> int
 val slot_pc : t -> int -> int
 (** Predict-instruction pc of a claimed slot. *)
 
-val slot_meta : t -> int -> Predictor.meta
-(** Predictor metadata of a claimed slot. *)
-
 val slot_taken : t -> int -> bool
 (** Predicted direction of a claimed slot. *)
 
 val free : t -> int -> unit
 (** Release a slot at resolve execution. Idempotent. *)
 
-val snapshot : t -> snapshot
+val new_snapshot : t -> snapshot
+(** Storage for one snapshot of [t], to be filled by {!snapshot}. *)
+
+val snapshot : t -> into:snapshot -> unit
+(** Record the allocation state in place: no allocation. *)
 
 val restore : t -> snapshot -> unit
 (** Misprediction repair. Restoration intersects the snapshot with the

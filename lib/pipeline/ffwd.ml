@@ -37,6 +37,10 @@ let run st ~max_instrs =
   let warm_btb pc target =
     if Btb.find st.btb ~pc <> target then Btb.update st.btb ~pc ~target
   in
+  let p = st.predictor in
+  (* Each branch trains right after its prediction, so one meta row
+     serves them all. *)
+  let scratch = Array.make p.Predictor.meta_words 0 in
   let n = ref 0 in
   let pc = ref st.fetch_pc in
   let halted = ref st.spec_halted in
@@ -81,9 +85,9 @@ let run st ~max_instrs =
       pc := next
     | Instr.Branch { on; src; target = _; id = _ } ->
       let taken = (regs.(Reg.index src) <> 0) = on in
-      let pred, meta = st.predictor.Predictor.predict ~pc:!pc ~outcome:taken in
-      st.predictor.Predictor.update meta ~pc:!pc ~taken;
-      if pred <> taken then st.predictor.Predictor.recover meta ~taken;
+      let pred = p.Predictor.predict_at scratch 0 ~pc:!pc ~outcome:taken in
+      p.Predictor.update_at scratch 0 ~pc:!pc ~taken;
+      if pred <> taken then p.Predictor.recover_at scratch 0 ~taken;
       if taken then begin
         let target = st.static.(!pc).s_target in
         warm_btb !pc target;
@@ -115,9 +119,20 @@ let run st ~max_instrs =
       let outcome =
         st.oracle_needed && Frontend.predict_outcome_oracle st !pc
       in
-      let pred, meta = st.predictor.Predictor.predict ~pc:!pc ~outcome in
-      if not (Dbb.is_full st.dbb) then
-        ignore (Dbb.allocate st.dbb ~pc:!pc ~meta ~taken:pred);
+      (* into the allocated slot's meta row; with the DBB full, the
+         prediction still shifts the history and its row is dropped *)
+      let slot = Dbb.allocate st.dbb ~pc:!pc in
+      let pred =
+        if slot >= 0 then begin
+          let pred =
+            p.Predictor.predict_at (Dbb.meta st.dbb)
+              (Dbb.meta_row st.dbb slot) ~pc:!pc ~outcome
+          in
+          Dbb.set_taken st.dbb slot pred;
+          pred
+        end
+        else p.Predictor.predict_at scratch 0 ~pc:!pc ~outcome
+      in
       if pred then begin
         let target = st.static.(!pc).s_target in
         warm_btb !pc target;
@@ -129,10 +144,9 @@ let run st ~max_instrs =
       let mispredict = taken <> predicted_taken in
       let slot = Dbb.claim_newest st.dbb in
       if slot >= 0 then begin
-        let meta = Dbb.slot_meta st.dbb slot in
-        let mpc = Dbb.slot_pc st.dbb slot in
-        st.predictor.Predictor.update meta ~pc:mpc ~taken;
-        if mispredict then st.predictor.Predictor.recover meta ~taken;
+        let m = Dbb.meta st.dbb and o = Dbb.meta_row st.dbb slot in
+        p.Predictor.update_at m o ~pc:(Dbb.slot_pc st.dbb slot) ~taken;
+        if mispredict then p.Predictor.recover_at m o ~taken;
         Dbb.free st.dbb slot
       end;
       if mispredict then pc := st.static.(!pc).s_target else pc := next

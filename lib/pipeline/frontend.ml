@@ -6,52 +6,54 @@ open Machine_state
 (* What will the decomposed branch actually do? Interpret the fall-through
    resolution block (condition slice + speculative loads; no stores) on
    scratch registers up to its resolve. Oracle hint for the perfect
-   predictor; real predictors ignore it. *)
+   predictor; real predictors ignore it. The walk is top-level, not a
+   closure over the scratch registers, so a predict allocates nothing. *)
+let oracle_value scratch = function
+  | Instr.Reg r -> scratch.(Reg.index r)
+  | Instr.Imm i -> i
+
+let rec oracle_walk st scratch pc steps =
+  if steps > 256 || pc < 0 || pc >= st.code_len then false
+  else
+    match st.code.(pc) with
+    | Instr.Resolve { on; src; _ } -> (scratch.(Reg.index src) <> 0) = on
+    | Instr.Alu { op; dst; src1; src2 } | Instr.Fpu { op; dst; src1; src2 } ->
+      scratch.(Reg.index dst) <-
+        Instr.eval_alu op scratch.(Reg.index src1) (oracle_value scratch src2);
+      oracle_walk st scratch (pc + 1) (steps + 1)
+    | Instr.Mov { dst; src } ->
+      scratch.(Reg.index dst) <- oracle_value scratch src;
+      oracle_walk st scratch (pc + 1) (steps + 1)
+    | Instr.Cmp { op; dst; src1; src2 } ->
+      scratch.(Reg.index dst) <-
+        Bool.to_int
+          (Instr.eval_cmp op scratch.(Reg.index src1)
+             (oracle_value scratch src2));
+      oracle_walk st scratch (pc + 1) (steps + 1)
+    | Instr.Cmov { on; cond; dst; src } ->
+      if (scratch.(Reg.index cond) <> 0) = on then
+        scratch.(Reg.index dst) <- oracle_value scratch src;
+      oracle_walk st scratch (pc + 1) (steps + 1)
+    | Instr.Load { dst; base; offset; _ } ->
+      scratch.(Reg.index dst) <-
+        Spec_state.spec_load st ~addr:(scratch.(Reg.index base) + offset);
+      oracle_walk st scratch (pc + 1) (steps + 1)
+    | Instr.Jump _ -> oracle_walk st scratch st.static.(pc).s_target (steps + 1)
+    | Instr.Nop -> oracle_walk st scratch (pc + 1) (steps + 1)
+    | Instr.Store _ | Instr.Branch _ | Instr.Call _ | Instr.Ret
+    | Instr.Predict _ | Instr.Halt ->
+      false
+
 let predict_outcome_oracle st pc =
   let scratch = st.oracle_scratch in
   Array.blit st.regs 0 scratch 0 (Array.length scratch);
-  let value = function
-    | Instr.Reg r -> scratch.(Reg.index r)
-    | Instr.Imm i -> i
-  in
-  let rec walk pc steps =
-    if steps > 256 || pc < 0 || pc >= st.code_len then false
-    else
-      match st.code.(pc) with
-      | Instr.Resolve { on; src; _ } -> (scratch.(Reg.index src) <> 0) = on
-      | Instr.Alu { op; dst; src1; src2 }
-      | Instr.Fpu { op; dst; src1; src2 } ->
-        scratch.(Reg.index dst) <-
-          Instr.eval_alu op scratch.(Reg.index src1) (value src2);
-        walk (pc + 1) (steps + 1)
-      | Instr.Mov { dst; src } ->
-        scratch.(Reg.index dst) <- value src;
-        walk (pc + 1) (steps + 1)
-      | Instr.Cmp { op; dst; src1; src2 } ->
-        scratch.(Reg.index dst) <-
-          Bool.to_int (Instr.eval_cmp op scratch.(Reg.index src1) (value src2));
-        walk (pc + 1) (steps + 1)
-      | Instr.Cmov { on; cond; dst; src } ->
-        if (scratch.(Reg.index cond) <> 0) = on then
-          scratch.(Reg.index dst) <- value src;
-        walk (pc + 1) (steps + 1)
-      | Instr.Load { dst; base; offset; _ } ->
-        scratch.(Reg.index dst) <-
-          Spec_state.spec_load st ~addr:(scratch.(Reg.index base) + offset);
-        walk (pc + 1) (steps + 1)
-      | Instr.Jump _ -> walk st.static.(pc).s_target (steps + 1)
-      | Instr.Nop -> walk (pc + 1) (steps + 1)
-      | Instr.Store _ | Instr.Branch _ | Instr.Call _ | Instr.Ret
-      | Instr.Predict _ | Instr.Halt ->
-        false
-  in
-  walk (pc + 1) 0
+  oracle_walk st scratch (pc + 1) 0
 
 (* Enqueue and return the pool row, so control instructions can fill
-   their [c_*] columns in place (recycled / fresh rows already hold
-   [ck_none] and cleared pointer columns). [addr] is a plain labeled
-   argument — an optional int would box at every memory-instruction
-   call site. *)
+   their [c_*] columns and meta row in place (recycled / fresh rows
+   already hold [ck_none], [c_site] = -1 and [c_ckpt] = -1). [addr] is a
+   plain labeled argument — an optional int would box at every
+   memory-instruction call site. *)
 let enqueue_h st ~addr pc instr =
   let h = alloc_inflight st in
   st.i_seq.(h) <- st.seq;
@@ -164,39 +166,32 @@ let fetch_exec st pc =
       false
     | ra :: rest ->
       st.call_stack <- rest;
-      let predicted = Option.value (Ras.pop st.ras) ~default:ra in
+      let top = Ras.pop st.ras in
+      let predicted = if top >= 0 then top else ra in
       let mispredict = predicted <> ra in
-      let checkpoint =
-        if mispredict then Some (Spec_state.make_checkpoint st) else None
-      in
       let h = enqueue_h st ~addr:0 pc i in
-      (* [c_site] stays -1 and [c_meta] stays [no_ctrl_meta] from the
-         recycled row; a ret reads neither *)
+      (* [c_site] stays -1 from the recycled row; a ret reads no meta *)
       st.c_kind.(h) <- ck_ret;
       st.c_mispredict.(h) <- Bool.to_int mispredict;
       st.c_redirect.(h) <- ra;
-      (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
+      if mispredict then st.c_ckpt.(h) <- Spec_state.make_checkpoint st;
       steer_taken st ~pc ~target:predicted;
       false)
   | Instr.Branch { on; src; target = _; id = _ } as i ->
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
-    let pred, meta =
-      st.predictor.Predictor.predict ~pc ~outcome:actual_taken
+    let h = enqueue_h st ~addr:0 pc i in
+    let pred =
+      st.predictor.Predictor.predict_at st.c_meta (h * st.meta_words) ~pc
+        ~outcome:actual_taken
     in
     let target_pc = st.static.(pc).s_target in
     let mispredict = pred <> actual_taken in
-    let checkpoint =
-      if mispredict then Some (Spec_state.make_checkpoint st) else None
-    in
-    let h = enqueue_h st ~addr:0 pc i in
     st.c_kind.(h) <- ck_branch;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     st.c_redirect.(h) <- (if actual_taken then target_pc else next);
     st.c_site.(h) <- st.static.(pc).s_slot;
-    st.c_meta.(h) <- meta;
-    st.c_meta_pc.(h) <- pc;
     st.c_actual.(h) <- Bool.to_int actual_taken;
-    (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
+    if mispredict then st.c_ckpt.(h) <- Spec_state.make_checkpoint st;
     if pred then begin
       steer_taken st ~pc ~target:target_pc;
       false
@@ -216,10 +211,13 @@ let fetch_exec st pc =
       (* the walk is side-effect-free and its result only feeds the
          perfect predictor's [~outcome] — skip it for real predictors *)
       let outcome = st.oracle_needed && predict_outcome_oracle st pc in
-      let pred, meta = st.predictor.Predictor.predict ~pc ~outcome in
-      let slot = Dbb.allocate st.dbb ~pc ~meta ~taken:pred in
+      let slot = Dbb.allocate st.dbb ~pc in
       assert (slot >= 0);
-      ignore slot;
+      let pred =
+        st.predictor.Predictor.predict_at (Dbb.meta st.dbb)
+          (Dbb.meta_row st.dbb slot) ~pc ~outcome
+      in
+      Dbb.set_taken st.dbb slot pred;
       st.stats.Stats.predicts_fetched <- st.stats.Stats.predicts_fetched + 1;
       st.stats.Stats.dbb_max_occupancy <-
         imax st.stats.Stats.dbb_max_occupancy (Dbb.occupancy st.dbb);
@@ -238,22 +236,15 @@ let fetch_exec st pc =
     let actual_taken = (st.regs.(Reg.index src) <> 0) = on in
     let mispredict = actual_taken <> predicted_taken in
     let slot = Dbb.claim_newest st.dbb in
-    let checkpoint =
-      if mispredict then Some (Spec_state.make_checkpoint st) else None
-    in
     let h = enqueue_h st ~addr:0 pc i in
     st.c_kind.(h) <- ck_resolve;
     st.c_mispredict.(h) <- Bool.to_int mispredict;
     st.c_redirect.(h) <- (if mispredict then st.static.(pc).s_target else next);
     st.c_site.(h) <- st.static.(pc).s_slot;
-    if slot >= 0 then begin
-      st.c_meta.(h) <- Dbb.slot_meta st.dbb slot;
-      st.c_meta_pc.(h) <- Dbb.slot_pc st.dbb slot
-    end
-    else st.c_meta_pc.(h) <- pc;
     st.c_actual.(h) <- Bool.to_int actual_taken;
     st.c_dbb_slot.(h) <- slot;
-    (match checkpoint with None -> () | Some _ -> st.c_ckpt.(h) <- checkpoint);
+    (* the checkpoint's DBB snapshot records the claim just made *)
+    if mispredict then st.c_ckpt.(h) <- Spec_state.make_checkpoint st;
     (* always predicted not-taken by the front end *)
     st.fetch_pc <- next;
     true

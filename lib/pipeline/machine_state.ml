@@ -3,13 +3,16 @@ open Bv_ir
 open Bv_bpred
 open Bv_cache
 
+(* A mispredict checkpoint. Checkpoints are recycled through a pool
+   (the [ckpts] fields of [t]) and refilled in place, so taking one
+   allocates nothing once the pool has grown to the run's peak. *)
 type checkpoint =
   { ck_regs : int array;
-    ck_undo : int;  (* absolute undo-log position *)
-    ck_stack : int list;
-    ck_ras_depth : int;
+    mutable ck_undo : int;  (* absolute undo-log position *)
+    mutable ck_stack : int list;
+    mutable ck_ras_depth : int;
     ck_dbb : Dbb.snapshot;
-    ck_halted : bool
+    mutable ck_halted : bool
   }
 
 (* Control-instruction kinds, as int tags: control metadata lives in flat
@@ -19,12 +22,6 @@ let ck_none = 0
 let ck_branch = 1
 let ck_resolve = 2
 let ck_ret = 3
-
-(* Sentinel for "no predictor metadata", distinguished by physical
-   equality: deliberately non-empty so it can never be confused with a
-   predictor's legitimate empty meta (all zero-length arrays share one
-   representation). *)
-let no_ctrl_meta : Predictor.meta = [| min_int |]
 
 (* In-flight instructions live in a struct-of-arrays pool and are named
    by an int handle (see the [i_*] fields of [t]): the queues and the
@@ -111,6 +108,7 @@ module Ring = struct
   let[@inline] is_full t = t.len >= t.limit
 
   let[@inline] get t k = t.buf.((t.head + k) land t.mask)
+  let[@inline] set t k x = t.buf.((t.head + k) land t.mask) <- x
 
   let grow t =
     let n = Array.length t.buf in
@@ -138,38 +136,9 @@ module Ring = struct
     t.len <- t.len - 1;
     x
 
-  let iter t f =
-    for k = 0 to t.len - 1 do
-      f (get t k)
-    done
-
   let drop_tail t n =
     assert (n <= t.len);
     t.len <- t.len - n
-
-  (* Remove the maximal tail suffix failing [keep], calling [removed] on
-     each dropped entry in ring (FIFO) order. *)
-  let truncate_tail t ~keep ~removed =
-    let cut = ref t.len in
-    while !cut > 0 && not (keep (get t (!cut - 1))) do
-      decr cut
-    done;
-    for k = !cut to t.len - 1 do
-      removed (get t k)
-    done;
-    t.len <- !cut
-
-  (* In-place compaction preserving order. *)
-  let filter_in_place t ~keep =
-    let w = ref 0 in
-    for r = 0 to t.len - 1 do
-      let x = get t r in
-      if keep x then begin
-        t.buf.((t.head + !w) land t.mask) <- x;
-        incr w
-      end
-    done;
-    t.len <- !w
 end
 
 (* Release-time calendar for MSHR / store-buffer occupancy: O(1) schedule,
@@ -294,22 +263,31 @@ type t =
     mutable i_prefetch : int array;  (* prefetch arrival cycle; -1: none *)
     (* Control metadata, valid while [c_kind] is not [ck_none]. A row's
        enqueuer writes every field it later reads; [recycle_inflight]
-       resets only the discriminator, the pointers and [c_site] (read
-       unguarded on the issue path). *)
+       resets only the discriminator and [c_site] (read unguarded on the
+       issue path). *)
     mutable c_kind : int array;  (* ck_none / ck_branch / ck_resolve / ck_ret *)
     mutable c_mispredict : int array;  (* 0 / 1 *)
     mutable c_redirect : int array;  (* correct-path pc, used on mispredict *)
     mutable c_site : int array;  (* branch/resolve stats slot, -1 otherwise *)
-    mutable c_meta_pc : int array;  (* pc whose predictor entry to train *)
     mutable c_actual : int array;  (* actual direction, 0 / 1 *)
     mutable c_dbb_slot : int array;  (* -1 when none *)
-    mutable c_meta : Predictor.meta array;  (* [no_ctrl_meta] when none *)
-    mutable c_ckpt : checkpoint option array;  (* present iff mispredict *)
+    meta_words : int;  (* the predictor's meta row width *)
+    mutable c_meta : int array;
+        (* one predictor meta row per handle, [h]'s at [h * meta_words]:
+           a branch predicts into its own row and trains from it *)
+    mutable c_ckpt : int array;
+        (* index into [ckpts] while the row holds a live checkpoint (a
+           mispredicting control instruction), else -1 *)
     mutable pool_next : handle;  (* first never-allocated row *)
     mutable free_pool : int array;  (* recycled handles (a stack) *)
     mutable free_len : int;
     mutable comp_buf : int array;  (* per-cycle completion scratch *)
     mutable comp_len : int;
+    (* Checkpoint pool: the free ones are indexed by the stack
+       [ck_free.(0 .. ck_free_len - 1)]. *)
+    mutable ckpts : checkpoint array;
+    mutable ck_free : int array;
+    mutable ck_free_len : int;
     oracle_scratch : int array;  (* predict-oracle register scratch *)
     (* Only the perfect predictor reads [~outcome] at predict time (the
        interface contract: every other predictor must ignore it), so the
@@ -398,6 +376,8 @@ let create ~config ?on_event ?acct image =
               (fun acc i -> match site_of i with -1 -> acc | s -> s :: acc)
               [] code))
   in
+  let predictor = Kind.create cfg.Config.predictor in
+  let meta_words = predictor.Predictor.meta_words in
   { cfg;
     image;
     code;
@@ -405,10 +385,10 @@ let create ~config ?on_event ?acct image =
     static = Array.mapi (static_of cfg image stats) code;
     stats;
     hier = Hierarchy.create ~config:cfg.Config.cache ();
-    predictor = Kind.create cfg.Config.predictor;
+    predictor;
     btb = Btb.create ~entries:cfg.Config.btb_entries ();
     ras = Ras.create ~entries:cfg.Config.ras_entries ();
-    dbb = Dbb.create ~entries:cfg.Config.dbb_entries;
+    dbb = Dbb.create ~entries:cfg.Config.dbb_entries ~meta_words;
     regs = Array.make Reg.count 0;
     mem;
     mem_words = Array.length mem;
@@ -452,16 +432,19 @@ let create ~config ?on_event ?acct image =
     c_mispredict = Array.make 64 0;
     c_redirect = Array.make 64 0;
     c_site = Array.make 64 (-1);
-    c_meta_pc = Array.make 64 0;
     c_actual = Array.make 64 0;
     c_dbb_slot = Array.make 64 (-1);
-    c_meta = Array.make 64 no_ctrl_meta;
-    c_ckpt = Array.make 64 None;
+    meta_words;
+    c_meta = Array.make (64 * meta_words) 0;
+    c_ckpt = Array.make 64 (-1);
     pool_next = 0;
     free_pool = Array.make 64 0;
     free_len = 0;
     comp_buf = Array.make 64 0;
     comp_len = 0;
+    ckpts = [||];
+    ck_free = [||];
+    ck_free_len = 0;
     oracle_scratch = Array.make Reg.count 0;
     oracle_needed = (cfg.Config.predictor = Kind.Perfect);
     events_enabled = Option.is_some on_event;
@@ -499,15 +482,15 @@ let grow_pool st =
     (let b = Array.make (2 * n) (-1) in
      Array.blit st.c_site 0 b 0 n;
      b);
-  st.c_meta_pc <- g st.c_meta_pc;
   st.c_actual <- g st.c_actual;
   st.c_dbb_slot <- g st.c_dbb_slot;
-  let m = Array.make (2 * n) no_ctrl_meta in
-  Array.blit st.c_meta 0 m 0 n;
+  let m = Array.make (2 * n * st.meta_words) 0 in
+  Array.blit st.c_meta 0 m 0 (n * st.meta_words);
   st.c_meta <- m;
-  let c = Array.make (2 * n) None in
-  Array.blit st.c_ckpt 0 c 0 n;
-  st.c_ckpt <- c
+  st.c_ckpt <-
+    (let b = Array.make (2 * n) (-1) in
+     Array.blit st.c_ckpt 0 b 0 n;
+     b)
 
 let alloc_inflight st =
   if st.free_len > 0 then begin
@@ -523,15 +506,14 @@ let alloc_inflight st =
 
 (* Callers must guarantee the handle is unreachable from the fetch buffer,
    the pending deque and the completion scratch — a double recycle would
-   hand the same row out twice. *)
+   hand the same row out twice — and that its checkpoint, if any, has been
+   released. *)
 let recycle_inflight st h =
   if st.c_kind.(h) <> ck_none then begin
-    (* drop checkpoint / predictor-meta references; [c_site] is read
-       without a kind guard on the issue path, so it must go back to -1 *)
+    (* [c_site] is read without a kind guard on the issue path, so it must
+       go back to -1 *)
     st.c_kind.(h) <- ck_none;
-    st.c_site.(h) <- -1;
-    if st.c_meta.(h) != no_ctrl_meta then st.c_meta.(h) <- no_ctrl_meta;
-    (match st.c_ckpt.(h) with None -> () | Some _ -> st.c_ckpt.(h) <- None)
+    st.c_site.(h) <- -1
   end;
   if st.free_len = Array.length st.free_pool then begin
     let n = Array.length st.free_pool in
@@ -541,6 +523,22 @@ let recycle_inflight st h =
   end;
   st.free_pool.(st.free_len) <- h;
   st.free_len <- st.free_len + 1
+
+(* Drop completed and squashed entries from the pending deque, in place
+   and in order. A plain loop next to [Ring], whose accessors then
+   inline: no predicate closure, no cross-module call per entry. *)
+let compact_pending st =
+  let p = st.pending in
+  let len = Ring.length p in
+  let kept = ref 0 in
+  for k = 0 to len - 1 do
+    let h = Ring.get p k in
+    if st.i_squashed.(h) = 0 && st.i_complete_cycle.(h) > st.now then begin
+      Ring.set p !kept h;
+      incr kept
+    end
+  done;
+  Ring.drop_tail p (len - !kept)
 
 (* Scoreboard repair after a squash: recompute every register's ready
    cycle from the surviving in-flight producers. *)

@@ -11,25 +11,30 @@
     tests) read and write fields directly, and the narrow surface of each
     stage lives in that stage's [.mli], not here.
 
-    Allocation discipline: the steady-state cycle loop allocates nothing
-    per instruction. Decode products are precomputed per pc in [static];
-    inflight records are recycled through a free list; event values are
-    only built when a subscriber is attached ([events_enabled]); and the
+    Allocation discipline: the steady-state cycle loop allocates nothing.
+    Decode products are precomputed per pc in [static]; in-flight rows
+    are recycled through a free list, each with its own preallocated
+    predictor meta row; mispredict checkpoints are recycled through a
+    pool and refilled in place; event values are only built when a
+    subscriber is attached ([events_enabled]); and the
     structural-resource trackers ({!Release}) and queues ({!Ring}) are
-    flat arrays with mask indexing. *)
+    flat arrays with mask indexing. The one remaining allocation is the
+    speculative [call_stack]'s cons per call. *)
 
 open Bv_isa
 open Bv_ir
 open Bv_bpred
 open Bv_cache
 
+(** A mispredict checkpoint, recycled through the [ckpts] pool and
+    refilled in place by {!Spec_state.make_checkpoint}. *)
 type checkpoint =
   { ck_regs : int array;
-    ck_undo : int;  (** absolute undo-log position *)
-    ck_stack : int list;
-    ck_ras_depth : int;
+    mutable ck_undo : int;  (** absolute undo-log position *)
+    mutable ck_stack : int list;
+    mutable ck_ras_depth : int;
     ck_dbb : Dbb.snapshot;
-    ck_halted : bool
+    mutable ck_halted : bool
   }
 
 (** Control-instruction kind tags for the flat [c_kind] pool column.
@@ -41,11 +46,6 @@ val ck_none : int
 val ck_branch : int
 val ck_resolve : int
 val ck_ret : int
-
-val no_ctrl_meta : Predictor.meta
-(** Sentinel for "no predictor metadata" in the [c_meta] column,
-    distinguished by {e physical} equality ([==]); deliberately non-empty
-    so a predictor's legitimate empty meta can never alias it. *)
 
 type handle = int
 (** Name of an in-flight instruction: a row index into the [i_*]
@@ -145,18 +145,8 @@ module Ring : sig
   (** [get t k] is the k-th entry from the head (no bounds check beyond
       the mask). *)
 
-  val iter : t -> (int -> unit) -> unit
-
   val drop_tail : t -> int -> unit
   (** Shorten by [n] entries at the tail. *)
-
-  val truncate_tail :
-    t -> keep:(int -> bool) -> removed:(int -> unit) -> unit
-  (** Remove the maximal tail suffix failing [keep], calling [removed] on
-      each dropped entry in ring (FIFO) order. *)
-
-  val filter_in_place : t -> keep:(int -> bool) -> unit
-  (** Order-preserving in-place compaction. *)
 end
 
 (** Release-time calendar giving O(1) structural-resource occupancy
@@ -230,10 +220,9 @@ type t =
     mutable stores_retired : int;
     mutable shadow_fetches : int;
     mutable i_seq : int array;
-        (** In-flight pool: parallel arrays indexed by {!handle}, grown
-            together on demand. All-int except [c_meta] and [c_ckpt]
-            (touched only by control instructions), so a field refill
-            touches no pointers. *)
+        (** In-flight pool: parallel int arrays indexed by {!handle},
+            grown together on demand, so a field refill touches no
+            pointers. *)
     mutable i_pc : int array;
     mutable i_fetch_cycle : int array;
     mutable i_addr : int array;
@@ -245,26 +234,36 @@ type t =
     mutable c_kind : int array;
         (** Control metadata columns, valid while [c_kind] is not
             {!ck_none}: the row's enqueuer writes every field it later
-            reads; {!recycle_inflight} resets the discriminator, the
-            pointer columns and [c_site]. *)
+            reads; {!recycle_inflight} resets the discriminator and
+            [c_site]. *)
     mutable c_mispredict : int array;  (** 0 / 1 *)
     mutable c_redirect : int array;
         (** correct-path pc, used on mispredict *)
     mutable c_site : int array;
         (** branch/resolve site's stats slot ([s_slot]); -1 otherwise
             (read without a kind guard on the issue path) *)
-    mutable c_meta_pc : int array;
-        (** pc whose predictor entry to train *)
     mutable c_actual : int array;  (** actual direction, 0 / 1 *)
     mutable c_dbb_slot : int array;  (** -1 when none *)
-    mutable c_meta : Predictor.meta array;
-        (** {!no_ctrl_meta} when none (compare with [==]) *)
-    mutable c_ckpt : checkpoint option array;  (** present iff mispredict *)
+    meta_words : int;  (** the predictor's meta row width *)
+    mutable c_meta : int array;
+        (** Predictor meta storage ({!Bv_bpred.Predictor}): one row per
+            handle, [h]'s at [h * meta_words]. A branch predicts into its
+            own row at fetch and trains from it at completion; a resolve
+            trains from the row of the DBB slot it claimed instead. *)
+    mutable c_ckpt : int array;
+        (** index into [ckpts] while the row holds a live checkpoint (a
+            mispredicting control instruction), else -1 *)
     mutable pool_next : handle;  (** first never-allocated row *)
     mutable free_pool : int array;  (** recycled handles (a stack) *)
     mutable free_len : int;
     mutable comp_buf : int array;  (** per-cycle completion scratch *)
     mutable comp_len : int;
+    mutable ckpts : checkpoint array;
+        (** Checkpoint pool, grown to the run's peak of live checkpoints;
+            the free ones are indexed by the stack
+            [ck_free.(0 .. ck_free_len - 1)]. *)
+    mutable ck_free : int array;
+    mutable ck_free_len : int;
     oracle_scratch : int array;
     oracle_needed : bool;
         (** only the perfect predictor reads [~outcome] at predict time,
@@ -314,8 +313,12 @@ val recycle_inflight : t -> handle -> unit
 (** Return a handle to the free list. The caller must guarantee it is no
     longer reachable from the fetch buffer, the pending deque or the
     completion scratch — a double recycle would hand the same row out
-    twice. Resets [c_kind], [c_site] and the pointer columns ([c_meta],
-    [c_ckpt]). *)
+    twice — and that its checkpoint, if any, was released
+    ({!Spec_state.release_checkpoint}). Resets [c_kind] and [c_site]. *)
+
+val compact_pending : t -> unit
+(** Drop every completed ([complete_cycle <= now]) or squashed entry from
+    [pending], keeping the rest in order. Allocation-free. *)
 
 val rebuild_scoreboard : t -> unit
 (** Recompute every register's ready cycle from the surviving in-flight

@@ -40,26 +40,71 @@ let spec_store st ~addr v =
 
 (* ---- checkpoints ------------------------------------------------------ *)
 
+(* Pop a recycled checkpoint off the free stack, or add one to the pool:
+   the pool grows only to the run's peak of live checkpoints. *)
+let alloc_checkpoint st =
+  if st.ck_free_len > 0 then begin
+    st.ck_free_len <- st.ck_free_len - 1;
+    st.ck_free.(st.ck_free_len)
+  end
+  else begin
+    let i = Array.length st.ckpts in
+    let ck =
+      { ck_regs = Array.make Reg.count 0;
+        ck_undo = 0;
+        ck_stack = [];
+        ck_ras_depth = 0;
+        ck_dbb = Dbb.new_snapshot st.dbb;
+        ck_halted = false
+      }
+    in
+    st.ckpts <- Array.append st.ckpts [| ck |];
+    (* the free stack is empty here; size it for the whole pool *)
+    st.ck_free <- Array.make (i + 1) 0;
+    i
+  end
+
 let make_checkpoint st =
   st.live_checkpoints <- st.live_checkpoints + 1;
-  { ck_regs = Array.copy st.regs;
-    ck_undo = st.log_base + st.log_len;
-    ck_stack = st.call_stack;
-    ck_ras_depth = Bv_bpred.Ras.depth st.ras;
-    ck_dbb = Dbb.snapshot st.dbb;
-    ck_halted = st.spec_halted
-  }
+  let i = alloc_checkpoint st in
+  let ck = st.ckpts.(i) in
+  (* plain int stores: [Array.blit] into an old array runs [caml_modify]
+     per word *)
+  for r = 0 to Reg.count - 1 do
+    ck.ck_regs.(r) <- st.regs.(r)
+  done;
+  ck.ck_undo <- st.log_base + st.log_len;
+  ck.ck_stack <- st.call_stack;
+  ck.ck_ras_depth <- Bv_bpred.Ras.depth st.ras;
+  Dbb.snapshot st.dbb ~into:ck.ck_dbb;
+  ck.ck_halted <- st.spec_halted;
+  i
 
 let release_checkpoint st h =
-  match st.c_ckpt.(h) with
-  | Some _ -> st.live_checkpoints <- st.live_checkpoints - 1
-  | None -> ()
+  let i = st.c_ckpt.(h) in
+  if i >= 0 then begin
+    st.c_ckpt.(h) <- -1;
+    st.ck_free.(st.ck_free_len) <- i;
+    st.ck_free_len <- st.ck_free_len + 1;
+    st.live_checkpoints <- st.live_checkpoints - 1
+  end
 
 (* ---- misprediction flush ---------------------------------------------- *)
 
+(* Index of the first entry of [ring] younger than [from_seq]: the ring
+   is in seq order, so the squash set is the tail from there on. *)
+let squash_start st ring ~from_seq =
+  let cut = ref (Ring.length ring) in
+  while !cut > 0 && st.i_seq.(Ring.get ring (!cut - 1)) > from_seq do
+    decr cut
+  done;
+  !cut
+
 let flush st ~from_seq ~checkpoint ~new_pc =
   st.stats.Stats.redirects <- st.stats.Stats.redirects + 1;
-  Array.blit checkpoint.ck_regs 0 st.regs 0 Reg.count;
+  for r = 0 to Reg.count - 1 do
+    st.regs.(r) <- checkpoint.ck_regs.(r)
+  done;
   log_undo_to st checkpoint.ck_undo;
   st.call_stack <- checkpoint.ck_stack;
   (* RAS repair: recover the stack depth (entries pushed on the wrong
@@ -73,25 +118,24 @@ let flush st ~from_seq ~checkpoint ~new_pc =
     st.on_event (Redirected { cycle = st.now; after_seq = from_seq; new_pc });
   (* Wrong-path fetches were only ever reachable from the fetch buffer, so
      they go straight back to the free list. *)
-  Ring.truncate_tail st.fbuf
-    ~keep:(fun h -> st.i_seq.(h) <= from_seq)
-    ~removed:(fun h ->
-      st.stats.Stats.squashed_fetched <- st.stats.Stats.squashed_fetched + 1;
-      if st.events_enabled then
-        st.on_event (Squashed { cycle = st.now; seq = st.i_seq.(h) });
-      release_checkpoint st h;
-      recycle_inflight st h);
-  (* The deque is in seq order, so the squash set is a contiguous tail.
-     A squashed entry whose complete_cycle has arrived is also sitting in
+  let len = Ring.length st.fbuf in
+  let cut = squash_start st st.fbuf ~from_seq in
+  for k = cut to len - 1 do
+    let h = Ring.get st.fbuf k in
+    st.stats.Stats.squashed_fetched <- st.stats.Stats.squashed_fetched + 1;
+    if st.events_enabled then
+      st.on_event (Squashed { cycle = st.now; seq = st.i_seq.(h) });
+    release_checkpoint st h;
+    recycle_inflight st h
+  done;
+  Ring.drop_tail st.fbuf (len - cut);
+  (* A squashed entry whose complete_cycle has arrived is also sitting in
      the completion scratch (collected before this flush ran) and will be
      recycled there; one still in flight is reachable from nowhere else
      once dropped, so it is recycled here. *)
   let len = Ring.length st.pending in
-  let cut = ref len in
-  while !cut > 0 && st.i_seq.(Ring.get st.pending (!cut - 1)) > from_seq do
-    decr cut
-  done;
-  for k = !cut to len - 1 do
+  let cut = squash_start st st.pending ~from_seq in
+  for k = cut to len - 1 do
     let h = Ring.get st.pending k in
     st.i_squashed.(h) <- 1;
     if st.events_enabled then
@@ -102,7 +146,7 @@ let flush st ~from_seq ~checkpoint ~new_pc =
     release_checkpoint st h;
     if st.i_complete_cycle.(h) > st.now then recycle_inflight st h
   done;
-  Ring.drop_tail st.pending (len - !cut);
+  Ring.drop_tail st.pending (len - cut);
   rebuild_scoreboard st;
   st.fetch_pc <- new_pc;
   st.fetch_stall_until <- st.now + 1;
@@ -112,9 +156,10 @@ let flush st ~from_seq ~checkpoint ~new_pc =
   if st.acct_enabled then st.in_recovery <- true
 
 let mispredict_flush st h =
-  match st.c_ckpt.(h) with
-  | Some ck ->
-    st.live_checkpoints <- st.live_checkpoints - 1;
-    if st.acct_enabled then st.recovery_pc <- st.i_pc.(h);
-    flush st ~from_seq:st.i_seq.(h) ~checkpoint:ck ~new_pc:st.c_redirect.(h)
-  | None -> assert false
+  let i = st.c_ckpt.(h) in
+  assert (i >= 0);
+  if st.acct_enabled then st.recovery_pc <- st.i_pc.(h);
+  flush st ~from_seq:st.i_seq.(h) ~checkpoint:st.ckpts.(i)
+    ~new_pc:st.c_redirect.(h);
+  (* only now that the flush has read it can the checkpoint be reused *)
+  release_checkpoint st h

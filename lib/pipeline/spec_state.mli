@@ -14,14 +14,17 @@ val spec_load : t -> addr:int -> int
 val spec_store : t -> addr:int -> int -> unit
 (** Wrong-path-safe store; the old value is pushed onto the undo log. *)
 
-val make_checkpoint : t -> checkpoint
+val make_checkpoint : t -> int
 (** Snapshot registers, undo-log position, call stack, RAS depth, DBB and
-    the halt flag. Increments the live-checkpoint count (which pins the
-    undo log). *)
+    the halt flag into a recycled checkpoint of the [ckpts] pool, and
+    return its index (for the [c_ckpt] column). Increments the
+    live-checkpoint count (which pins the undo log). Allocates only while
+    the pool grows to the run's peak. *)
 
 val release_checkpoint : t -> handle -> unit
-(** Drop the checkpoint reference of a squashed/completed control
-    instruction, unpinning the undo log once no checkpoints remain. *)
+(** Return a squashed or flushed control instruction's checkpoint to the
+    pool and clear its [c_ckpt], unpinning the undo log once no
+    checkpoints remain. A no-op for a row without a checkpoint. *)
 
 val log_trim : t -> unit
 (** Discard the undo log when no checkpoints are live (called once per
@@ -37,4 +40,4 @@ val flush : t -> from_seq:int -> checkpoint:checkpoint -> new_pc:int -> unit
 
 val mispredict_flush : t -> handle -> unit
 (** [flush] driven by a mispredicting control instruction's own
-    checkpoint and redirect columns. *)
+    checkpoint and redirect columns; releases the checkpoint after. *)

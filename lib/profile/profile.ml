@@ -31,6 +31,9 @@ let collect ?(max_instrs = 10_000_000) ~predictor image =
      pc, and the id-keyed table keeps its first-execution order. *)
   let unseen = { id = -1; executed = 0; taken = 0; correct = 0 } in
   let at_pc = Array.make (Array.length image.Layout.code) unseen in
+  (* Each branch is trained right after its prediction, so one meta row
+     serves them all. *)
+  let row = Array.make predictor.Predictor.meta_words 0 in
   let on_branch ~id ~pc ~taken =
     let s =
       let s = at_pc.(pc) in
@@ -45,13 +48,13 @@ let collect ?(max_instrs = 10_000_000) ~predictor image =
     s.executed <- s.executed + 1;
     if taken then s.taken <- s.taken + 1;
     t.branch_count <- t.branch_count + 1;
-    let pred, meta = predictor.Predictor.predict ~pc ~outcome:taken in
+    let pred = predictor.Predictor.predict_at row 0 ~pc ~outcome:taken in
     if pred = taken then s.correct <- s.correct + 1
     else begin
       t.mispredicts <- t.mispredicts + 1;
-      predictor.Predictor.recover meta ~taken
+      predictor.Predictor.recover_at row 0 ~taken
     end;
-    predictor.Predictor.update meta ~pc ~taken
+    predictor.Predictor.update_at row 0 ~pc ~taken
   in
   let hooks = { Interp.no_hooks with on_branch } in
   let state = Interp.run ~hooks ~max_instrs image in

@@ -139,27 +139,27 @@ let test_kind_roundtrip () =
 
 let test_btb () =
   let btb = Btb.create ~entries:16 () in
-  Alcotest.(check (option int)) "cold miss" None (Btb.lookup btb ~pc:100);
+  Alcotest.(check int) "cold miss" (-1) (Btb.find btb ~pc:100);
   Btb.update btb ~pc:100 ~target:555;
-  Alcotest.(check (option int)) "hit" (Some 555) (Btb.lookup btb ~pc:100);
+  Alcotest.(check int) "hit" 555 (Btb.find btb ~pc:100);
   Alcotest.(check int) "stats" 1 (Btb.hits btb);
   Alcotest.(check int) "stats" 1 (Btb.misses btb)
 
 let test_ras () =
   let ras = Ras.create ~entries:4 () in
-  Alcotest.(check (option int)) "empty" None (Ras.pop ras);
+  Alcotest.(check int) "empty" (-1) (Ras.pop ras);
   Ras.push ras 1;
   Ras.push ras 2;
-  Alcotest.(check (option int)) "lifo" (Some 2) (Ras.pop ras);
-  Alcotest.(check (option int)) "lifo" (Some 1) (Ras.pop ras);
+  Alcotest.(check int) "lifo" 2 (Ras.pop ras);
+  Alcotest.(check int) "lifo" 1 (Ras.pop ras);
   (* overflow wraps and loses the deepest entries *)
   List.iter (Ras.push ras) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "depth capped" 4 (Ras.depth ras);
-  Alcotest.(check (option int)) "newest wins" (Some 5) (Ras.pop ras);
+  Alcotest.(check int) "newest wins" 5 (Ras.pop ras);
   let snap = Ras.snapshot ras in
   ignore (Ras.pop ras);
   Ras.restore ras ~from:snap;
-  Alcotest.(check (option int)) "restored" (Some 4) (Ras.pop ras)
+  Alcotest.(check int) "restored" 4 (Ras.pop ras)
 
 (* properties *)
 let stream_gen =
@@ -190,6 +190,347 @@ let prop_bimodal_tracks_bias =
       in
       accuracy (Bimodal.create ()) outcomes >= bias -. 0.1)
 
+(* ---------------------------------------------- packed TAGE vs reference *)
+
+(* The record-based TAGE the packed one replaced: one mutable record per
+   tagged entry, closures over the state, and a full [refold] of every
+   folded register on recovery. Kept verbatim as the reference the packed
+   layout and its O(tables) recovery are checked against. *)
+module Tage_ref = struct
+  type t =
+    { predict : pc:int -> bool * int array;
+      update : int array -> pc:int -> taken:bool -> unit;
+      recover : int array -> taken:bool -> unit
+    }
+
+  type entry =
+    { mutable tag : int;
+      mutable ctr : int;  (* 0..7, taken if >= 4 *)
+      mutable useful : int  (* 0..3 *)
+    }
+
+  type state =
+    { base : int array;  (* bimodal, 2-bit *)
+      base_mask : int;
+      tables : entry array array;
+      hist_lens : int array;
+      table_mask : int;
+      idx_bits : int;  (* log2 (table_mask + 1), hoisted out of [index] *)
+      tag_mask : int;
+      mutable history : int;
+      hmask : int;
+      (* Incrementally-maintained folded views of [history], one triple per
+         table: the two index folds (idx_bits and idx_bits-1 wide) and the
+         tag fold (9 bits). Invariant: f_idx.(t) = fold history len idx_bits
+         (etc.) for len = hist_lens.(t). *)
+      f_idx : int array;
+      f_idx2 : int array;
+      f_tag : int array;
+      mutable use_alt_on_na : int;  (* 0..15 *)
+      mutable update_count : int;
+      mutable lfsr : int
+    }
+
+  let geometric ~first ~last ~n =
+    if n = 1 then [| last |]
+    else begin
+      let r = Float.of_int last /. Float.of_int first in
+      let ratio = r ** (1.0 /. Float.of_int (n - 1)) in
+      Array.init n (fun i ->
+          let l =
+            Float.to_int
+              (Float.round (Float.of_int first *. (ratio ** Float.of_int i)))
+          in
+          max 1 (min last l))
+    end
+
+  (* XOR-fold the low [len] bits of [h] down to [bits] bits. *)
+  let fold h len bits =
+    let mask = (1 lsl bits) - 1 in
+    let rec go acc h remaining =
+      if remaining <= 0 then acc
+      else go (acc lxor (h land mask)) (h lsr bits) (remaining - bits)
+    in
+    go 0 (h land ((1 lsl len) - 1)) len
+
+  (* Rebuild every folded register from [st.history] (after an arbitrary
+     history rewrite, i.e. a mispredict recovery). *)
+  let refold st =
+    for t = 0 to Array.length st.hist_lens - 1 do
+      let len = st.hist_lens.(t) in
+      st.f_idx.(t) <- fold st.history len st.idx_bits;
+      st.f_idx2.(t) <- fold st.history len (st.idx_bits - 1);
+      st.f_tag.(t) <- fold st.history len 9
+    done
+
+  (* O(1) update of an XOR-fold when the folded history shifts left by one:
+     rotate within [bits], insert the new bit at position 0 and cancel the
+     outgoing bit (previously at position len-1) at position len mod bits. *)
+  let shift_fold f ~bits ~len ~b ~old_top =
+    let mask = (1 lsl bits) - 1 in
+    let f = ((f lsl 1) lor (f lsr (bits - 1))) land mask in
+    f lxor b lxor (old_top lsl (len mod bits))
+
+  (* Shift a new outcome bit into the history, keeping the folded
+     registers in sync incrementally. *)
+  let shift_history st taken =
+    let h = st.history in
+    let b = Bool.to_int taken in
+    let bits = st.idx_bits in
+    for t = 0 to Array.length st.hist_lens - 1 do
+      let len = st.hist_lens.(t) in
+      let old_top = (h lsr (len - 1)) land 1 in
+      st.f_idx.(t) <- shift_fold st.f_idx.(t) ~bits ~len ~b ~old_top;
+      st.f_idx2.(t) <- shift_fold st.f_idx2.(t) ~bits:(bits - 1) ~len ~b ~old_top;
+      st.f_tag.(t) <- shift_fold st.f_tag.(t) ~bits:9 ~len ~b ~old_top
+    done;
+    st.history <- ((h lsl 1) lor b) land st.hmask
+
+  let base_index st pc = Predictor.hash_pc pc land st.base_mask
+
+  let next_lfsr x =
+    let x = x lxor (x lsl 13) land max_int in
+    let x = x lxor (x lsr 7) in
+    x lxor (x lsl 17) land max_int
+
+  let create ?(num_tables = 6) ?(table_bits = 11) ?(tag_bits = 9)
+      ?(max_history = 62) () =
+    let st =
+      { base = Array.make (1 lsl 13) 1;
+        base_mask = (1 lsl 13) - 1;
+        tables =
+          Array.init num_tables (fun _ ->
+              Array.init (1 lsl table_bits) (fun _ ->
+                  { tag = -1; ctr = 4; useful = 0 }));
+        hist_lens = geometric ~first:4 ~last:max_history ~n:num_tables;
+        table_mask = (1 lsl table_bits) - 1;
+        idx_bits = table_bits;
+        tag_mask = (1 lsl tag_bits) - 1;
+        history = 0;
+        hmask = (1 lsl max_history) - 1;
+        f_idx = Array.make num_tables 0;
+        f_idx2 = Array.make num_tables 0;
+        f_tag = Array.make num_tables 0;
+        use_alt_on_na = 8;
+        update_count = 0;
+        lfsr = 0x12345
+      }
+    in
+    let shift h taken = ((h lsl 1) lor Bool.to_int taken) land st.hmask in
+    (* meta layout: [| h; pred; provider+1; ppred; alt;
+       idx_0..idx_{n-1}; tag_0..tag_{n-1} |]. The per-table indices and
+       tags are pure functions of (pc, predict-time history); computing
+       them once here and carrying them in meta lets [update] skip every
+       fold entirely (it used to rewind [st.history] and re-derive them). *)
+    let n = num_tables in
+    let predict ~pc ~outcome:_ =
+      let h = st.history in
+      let meta = Array.make (5 + 2 * n) 0 in
+      let hp = Predictor.hash_pc pc in
+      let hp31 = Predictor.hash_pc (pc * 31) in
+      for t = 0 to n - 1 do
+        meta.(5 + t) <-
+          (hp lxor st.f_idx.(t) lxor (st.f_idx2.(t) lsl 1)) land st.table_mask;
+        meta.(5 + n + t) <-
+          (hp31 lxor st.f_tag.(t) lxor (t * 0x5bd1)) land st.tag_mask
+      done;
+      let base_pred =
+        Predictor.counter_taken st.base.(base_index st pc) ~max:3
+      in
+      (* Longest-match lookup over the cached indices/tags. *)
+      let rec find t =
+        if t < 0 then -1
+        else if st.tables.(t).(meta.(5 + t)).tag = meta.(5 + n + t) then t
+        else find (t - 1)
+      in
+      let provider = find (n - 1) in
+      let ppred, alt =
+        if provider < 0 then (base_pred, base_pred)
+        else begin
+          let alt =
+            match find (provider - 1) with
+            | -1 -> base_pred
+            | a -> st.tables.(a).(meta.(5 + a)).ctr >= 4
+          in
+          (st.tables.(provider).(meta.(5 + provider)).ctr >= 4, alt)
+        end
+      in
+      let pred =
+        if provider >= 0 then begin
+          let e = st.tables.(provider).(meta.(5 + provider)) in
+          (* Weak, never-useful entries are "newly allocated": optionally
+             trust the alternate prediction. *)
+          if e.useful = 0 && (e.ctr = 3 || e.ctr = 4) && st.use_alt_on_na >= 8
+          then alt
+          else ppred
+        end
+        else ppred
+      in
+      shift_history st pred;
+      meta.(0) <- h;
+      meta.(1) <- Bool.to_int pred;
+      meta.(2) <- provider + 1;
+      meta.(3) <- Bool.to_int ppred;
+      meta.(4) <- Bool.to_int alt;
+      (pred, meta)
+    in
+    let update meta ~pc ~taken =
+      (* Indices/tags for the predict-time history snapshot are cached in
+         meta (offsets 5.. and 5+n..); no history rewind needed. *)
+      let idx t = meta.(5 + t) in
+      let tg t = meta.(5 + n + t) in
+      let pred = meta.(1) = 1 in
+      let provider = meta.(2) - 1 in
+      let ppred = meta.(3) = 1 in
+      let alt = meta.(4) = 1 in
+      st.update_count <- st.update_count + 1;
+      if provider >= 0 then begin
+        let e = st.tables.(provider).(idx provider) in
+        if e.tag = tg provider then begin
+          e.ctr <- Predictor.counter_update e.ctr ~taken ~max:7;
+          if ppred <> alt then
+            e.useful <-
+              Predictor.counter_update e.useful ~taken:(ppred = taken) ~max:3;
+          (* Track whether alt would have been the better choice for newly
+             allocated entries. *)
+          if e.useful = 0 && ppred <> alt then
+            st.use_alt_on_na <-
+              Predictor.counter_update st.use_alt_on_na ~taken:(alt = taken)
+                ~max:15
+        end
+      end
+      else begin
+        let i = base_index st pc in
+        st.base.(i) <- Predictor.counter_update st.base.(i) ~taken ~max:3
+      end;
+      (* Allocate on misprediction, in a table longer than the provider. *)
+      if pred <> taken && provider < n - 1 then begin
+        let start = provider + 1 in
+        (* Find candidate entries with useful = 0; pick pseudo-randomly with
+           preference for shorter histories. *)
+        let candidates = ref [] in
+        for t = n - 1 downto start do
+          let e = st.tables.(t).(idx t) in
+          if e.useful = 0 then candidates := t :: !candidates
+        done;
+        (match !candidates with
+        | [] ->
+          (* No room: age the would-be victims. *)
+          for t = start to n - 1 do
+            let e = st.tables.(t).(idx t) in
+            e.useful <- (if e.useful > 0 then e.useful - 1 else 0)
+          done
+        | c :: rest ->
+          st.lfsr <- next_lfsr st.lfsr;
+          let chosen =
+            match rest with
+            | c2 :: _ when st.lfsr land 3 = 0 -> c2
+            | _ -> c
+          in
+          let e = st.tables.(chosen).(idx chosen) in
+          e.tag <- tg chosen;
+          e.ctr <- (if taken then 4 else 3);
+          e.useful <- 0)
+      end;
+      (* Periodic useful-bit aging. *)
+      if st.update_count land 0x3ffff = 0 then
+        Array.iter
+          (fun tbl -> Array.iter (fun e -> e.useful <- e.useful lsr 1) tbl)
+          st.tables
+    in
+    let recover meta ~taken =
+      st.history <- shift meta.(0) taken;
+      refold st
+    in
+    { predict = (fun ~pc -> predict ~pc ~outcome:false); update; recover }
+
+end
+
+(* Reference and packed TAGE of the same geometry, driven in lockstep the
+   way the pipeline drives a predictor: predictions run ahead of updates
+   by a random depth, and an update that finds a misprediction recovers
+   the history and squashes every younger in-flight prediction. Each
+   prediction must agree, as must the first [5 + 2n] meta words (history,
+   pred, provider, ppred, alt, indices, tags). Returns the first
+   disagreement, and the number of updates made. *)
+let tage_lockstep ~num_tables ~table_bits ~tag_bits steps =
+  let r = Tage_ref.create ~num_tables ~table_bits ~tag_bits () in
+  let p = Tage.create ~num_tables ~table_bits ~tag_bits () in
+  let words = 5 + (2 * num_tables) in
+  let row = Array.make p.Predictor.meta_words 0 in
+  let inflight = Queue.create () in
+  let error = ref None in
+  let updates = ref 0 in
+  let retire () =
+    let pc, taken, rmeta, pmeta = Queue.pop inflight in
+    incr updates;
+    r.Tage_ref.update rmeta ~pc ~taken;
+    p.Predictor.update_at pmeta 0 ~pc ~taken;
+    if rmeta.(1) <> Bool.to_int taken then begin
+      r.Tage_ref.recover rmeta ~taken;
+      p.Predictor.recover_at pmeta 0 ~taken;
+      Queue.clear inflight
+    end
+  in
+  Array.iteri
+    (fun i (pc, taken, depth) ->
+      if !error = None then begin
+        let rpred, rmeta = r.Tage_ref.predict ~pc in
+        let ppred = p.Predictor.predict_at row 0 ~pc ~outcome:taken in
+        if rpred <> ppred || Array.sub row 0 words <> rmeta then
+          error := Some (Printf.sprintf "step %d (pc %d)" i pc);
+        Queue.push (pc, taken, rmeta, Array.copy row) inflight;
+        while Queue.length inflight > depth do
+          retire ()
+        done
+      end)
+    steps;
+  (!error, !updates)
+
+let tage_geometries = [| (6, 11, 9); (8, 12, 10); (4, 5, 9) |]
+
+let prop_packed_tage_matches_reference =
+  QCheck2.Test.make ~name:"packed tage = record-based reference" ~count:100
+    QCheck2.Gen.(
+      pair (int_range 0 (Array.length tage_geometries - 1))
+        (array_size (int_range 1 3000)
+           (triple (int_range 0 63) bool (int_range 0 12))))
+    (fun (g, steps) ->
+      let num_tables, table_bits, tag_bits = tage_geometries.(g) in
+      let steps = Array.map (fun (k, t, d) -> (0x400 + (4 * k), t, d)) steps in
+      match tage_lockstep ~num_tables ~table_bits ~tag_bits steps with
+      | None, _ -> true
+      | Some e, _ -> QCheck2.Test.fail_reportf "diverged at %s" e)
+
+(* Every 2^18 updates the useful bits of every entry are halved: a
+   deterministic stream long enough for that, with loop- and
+   history-correlated branches so entries earn useful bits first.
+   Squashed predictions never update, so the stream needs well over 2^18
+   steps; the differences aging makes show up some 100k updates later. *)
+let test_packed_tage_aging () =
+  let n = 600_000 in
+  let rng = Bv_workloads.Rng.create ~seed:2718 in
+  let steps =
+    Array.init n (fun i ->
+        let site = Bv_workloads.Rng.below rng 48 in
+        let taken =
+          if site < 16 then i mod (site + 3) <> 0
+          else if site < 32 then (i / 7) land 1 = 1
+          else Bv_workloads.Rng.bernoulli rng 0.7
+        in
+        (0x400 + (4 * site), taken, Bv_workloads.Rng.below rng 8))
+  in
+  List.iter
+    (fun (num_tables, table_bits, tag_bits) ->
+      let what =
+        Printf.sprintf "%d tables of 2^%d, %d-bit tags" num_tables table_bits
+          tag_bits
+      in
+      let error, updates = tage_lockstep ~num_tables ~table_bits ~tag_bits steps in
+      Alcotest.(check (option string)) what None error;
+      Alcotest.(check bool) (what ^ ": aged") true (updates > 1 lsl 18))
+    [ (6, 11, 9); (4, 5, 9) ]
+
 let () =
   Alcotest.run "bv_bpred"
     [ ( "primitives",
@@ -219,6 +560,11 @@ let () =
       ( "btb/ras",
         [ Alcotest.test_case "btb" `Quick test_btb;
           Alcotest.test_case "ras" `Quick test_ras
+        ] );
+      ( "reference",
+        [ QCheck_alcotest.to_alcotest prop_packed_tage_matches_reference;
+          Alcotest.test_case "useful-bit aging past 2^18 updates" `Quick
+            test_packed_tage_aging
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

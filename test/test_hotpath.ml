@@ -23,12 +23,13 @@ let test_ring_fifo () =
   Ring.push r 10;
   Ring.push r 11;
   (* head has rotated; order must survive wraparound *)
-  let xs = ref [] in
-  Ring.iter r (fun x -> xs := x :: !xs);
   Alcotest.(check (list int))
     "fifo order across wrap"
     [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
-    (List.rev !xs)
+    (List.init (Ring.length r) (Ring.get r));
+  Ring.drop_tail r 8;
+  Alcotest.(check (list int)) "drop_tail" [ 2; 3 ]
+    (List.init (Ring.length r) (Ring.get r))
 
 let test_ring_limit () =
   let r = Ring.create ~limit:3 8 in
@@ -40,39 +41,6 @@ let test_ring_limit () =
   Alcotest.(check bool) "full at limit" true (Ring.is_full r);
   ignore (Ring.pop r);
   Alcotest.(check bool) "pop reopens" false (Ring.is_full r)
-
-let test_ring_truncate_tail () =
-  let r = Ring.create 4 in
-  List.iter (Ring.push r) [ 1; 2; 3; 14; 15 ];
-  let removed = ref [] in
-  Ring.truncate_tail r
-    ~keep:(fun x -> x < 10)
-    ~removed:(fun x -> removed := x :: !removed);
-  Alcotest.(check (list int)) "removed in fifo order" [ 14; 15 ]
-    (List.rev !removed);
-  Alcotest.(check int) "survivors" 3 (Ring.length r);
-  (* keep only bounds the *tail*: an interior non-matching entry stops
-     the truncation *)
-  let r2 = Ring.create 4 in
-  List.iter (Ring.push r2) [ 14; 1; 15 ];
-  Ring.truncate_tail r2 ~keep:(fun x -> x < 10) ~removed:(fun _ -> ());
-  Alcotest.(check int) "interior entry shields the head" 2 (Ring.length r2)
-
-let test_ring_filter_in_place () =
-  let r = Ring.create 4 in
-  (* rotate the head first so compaction must handle wraparound *)
-  List.iter (Ring.push r) [ 99; 99; 99 ];
-  for _ = 1 to 3 do
-    ignore (Ring.pop r)
-  done;
-  List.iter (Ring.push r) [ 1; 2; 3; 4; 5; 6 ];
-  Ring.filter_in_place r ~keep:(fun x -> x mod 2 = 0);
-  let xs = ref [] in
-  Ring.iter r (fun x -> xs := x :: !xs);
-  Alcotest.(check (list int)) "kept, order preserved" [ 2; 4; 6 ]
-    (List.rev !xs);
-  Ring.drop_tail r 1;
-  Alcotest.(check int) "drop_tail" 2 (Ring.length r)
 
 (* --------------------------------------------------------------- release *)
 
@@ -174,6 +142,32 @@ let test_static_table_agrees () =
 
 (* ----------------------------------------------------------- handle pool *)
 
+(* The pending deque drops completed and squashed entries in place and
+   keeps the rest in order, across a wrapped head. *)
+let test_compact_pending () =
+  let st = fresh_state () in
+  st.now <- 10;
+  for _ = 1 to 5 do
+    Ring.push st.pending 0;
+    ignore (Ring.pop st.pending)
+  done;
+  let row ~complete ~squashed =
+    let h = alloc_inflight st in
+    st.i_complete_cycle.(h) <- complete;
+    st.i_squashed.(h) <- squashed;
+    Ring.push st.pending h;
+    h
+  in
+  let a = row ~complete:12 ~squashed:0 in
+  ignore (row ~complete:10 ~squashed:0);
+  ignore (row ~complete:max_int ~squashed:1);
+  let d = row ~complete:max_int ~squashed:0 in
+  ignore (row ~complete:3 ~squashed:0);
+  let f = row ~complete:11 ~squashed:0 in
+  compact_pending st;
+  Alcotest.(check (list int)) "in flight, in order" [ a; d; f ]
+    (List.init (Ring.length st.pending) (Ring.get st.pending))
+
 let test_pool_recycle () =
   let st = fresh_state () in
   let h0 = alloc_inflight st in
@@ -181,15 +175,13 @@ let test_pool_recycle () =
   Alcotest.(check bool) "distinct rows" true (h0 <> h1);
   st.c_kind.(h0) <- ck_branch;
   st.c_site.(h0) <- 7;
-  st.c_meta.(h0) <- [| 42 |];
   recycle_inflight st h0;
   (* the freed row comes back first (LIFO), with its control columns
      cleared so the next occupant starts from a non-control row *)
   let h2 = alloc_inflight st in
   Alcotest.(check int) "freed row reused" h0 h2;
   Alcotest.(check int) "kind cleared" ck_none st.c_kind.(h2);
-  Alcotest.(check int) "site cleared" (-1) st.c_site.(h2);
-  Alcotest.(check bool) "meta cleared" true (st.c_meta.(h2) == no_ctrl_meta)
+  Alcotest.(check int) "site cleared" (-1) st.c_site.(h2)
 
 let test_pool_grows () =
   let st = fresh_state () in
@@ -209,15 +201,70 @@ let test_pool_grows () =
   Array.sort compare reused;
   Alcotest.(check bool) "free list hands rows back" true (reused = sorted)
 
+(* ------------------------------------------------------ allocation gate *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Minor words a run allocates per simulated cycle, net of
+   [Machine_state.create] (and [Acct.create] on an accounted run) on the
+   same image and config: creation builds per-run tables, the remainder
+   is the cycle loop's. For a fixed binary the count is deterministic. *)
+let words_per_cycle ?on_cycle ~accounted config image =
+  let acct () =
+    if accounted then Some (Acct.create image.Bv_ir.Layout.code) else None
+  in
+  let setup () = ignore (Machine_state.create ~config ?acct:(acct ()) image) in
+  let cycles = ref 0 in
+  let run () =
+    let r = Machine.run ?on_cycle ?acct:(acct ()) ~config image in
+    cycles := r.Machine.stats.Stats.cycles
+  in
+  let created = minor_words setup in
+  let ran = minor_words run in
+  (ran -. created) /. Float.of_int !cycles
+
+(* The simulated cycle allocates nothing: unobserved, accounted and
+   stepped runs of the four golden configs, plus the perfect predictor
+   (whose oracle walks the resolution slice at every predict) on the
+   decomposed image. Evented runs are exempt: [on_event] receives a
+   freshly built event by design. *)
+let test_cycle_allocation () =
+  let no_op ~cycle:_ ~stats:_ ~dbb_occupancy:_ = () in
+  let decomposed = List.assoc "decomposed_w4" Golden_configs.images in
+  let configs =
+    Golden_configs.cases
+    @ [ ( "decomposed_w4/perfect",
+          Config.make ~predictor:Bv_bpred.Kind.Perfect ~width:4 (),
+          decomposed )
+      ]
+  in
+  let over =
+    List.concat_map
+      (fun (name, config, image) ->
+        let image = Lazy.force image in
+        List.filter_map
+          (fun (mode, w) ->
+            let reading = Printf.sprintf "%s %s: %.4f" name mode w in
+            print_endline reading;
+            if w < 0.05 then None else Some reading)
+          [ ("unobserved", words_per_cycle ~accounted:false config image);
+            ("accounted", words_per_cycle ~accounted:true config image);
+            ( "stepped",
+              words_per_cycle ~on_cycle:no_op ~accounted:false config image )
+          ])
+      configs
+  in
+  Alcotest.(check (list string)) "runs at >= 0.05 minor words/cycle" [] over
+
 let () =
   Alcotest.run "bv_hotpath"
     [ ( "ring",
         [ Alcotest.test_case "fifo across growth and wrap" `Quick
             test_ring_fifo;
-          Alcotest.test_case "limit vs backing" `Quick test_ring_limit;
-          Alcotest.test_case "truncate_tail" `Quick test_ring_truncate_tail;
-          Alcotest.test_case "filter_in_place" `Quick
-            test_ring_filter_in_place
+          Alcotest.test_case "limit vs backing" `Quick test_ring_limit
         ] );
       ( "release",
         [ Alcotest.test_case "occupancy calendar" `Quick
@@ -230,6 +277,11 @@ let () =
       ( "pool",
         [ Alcotest.test_case "recycle clears control columns" `Quick
             test_pool_recycle;
-          Alcotest.test_case "growth and reuse" `Quick test_pool_grows
+          Alcotest.test_case "growth and reuse" `Quick test_pool_grows;
+          Alcotest.test_case "pending compaction" `Quick test_compact_pending
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "no allocation per simulated cycle" `Quick
+            test_cycle_allocation
         ] )
     ]

@@ -15,10 +15,13 @@ let run ?(config = Config.four_wide) ?max_cycles img =
 
 (* ------------------------------------------------------------------ DBB *)
 
-let alloc d pc = Dbb.allocate d ~pc ~meta:[| pc |] ~taken:true
+let alloc d pc =
+  let slot = Dbb.allocate d ~pc in
+  if slot >= 0 then Dbb.set_taken d slot true;
+  slot
 
 let test_dbb_alloc_claim_free () =
-  let d = Dbb.create ~entries:2 in
+  let d = Dbb.create ~entries:2 ~meta_words:1 in
   Alcotest.(check int) "capacity" 2 (Dbb.capacity d);
   let s0 = alloc d 10 in
   let s1 = alloc d 20 in
@@ -39,9 +42,10 @@ let test_dbb_alloc_claim_free () =
   Alcotest.(check int) "occupancy" 1 (Dbb.occupancy d)
 
 let test_dbb_snapshot_no_resurrection () =
-  let d = Dbb.create ~entries:4 in
+  let d = Dbb.create ~entries:4 ~meta_words:1 in
   let s0 = alloc d 10 in
-  let snap = Dbb.snapshot d in
+  let snap = Dbb.new_snapshot d in
+  Dbb.snapshot d ~into:snap;
   (* an older resolve frees the entry after the snapshot was taken *)
   Dbb.free d s0;
   (* a wrong-path predict allocates something new *)
@@ -52,9 +56,10 @@ let test_dbb_snapshot_no_resurrection () =
   Alcotest.(check int) "nothing to claim" (-1) (Dbb.claim_newest d)
 
 let test_dbb_snapshot_claim_revert () =
-  let d = Dbb.create ~entries:4 in
+  let d = Dbb.create ~entries:4 ~meta_words:1 in
   ignore (alloc d 10);
-  let snap = Dbb.snapshot d in
+  let snap = Dbb.new_snapshot d in
+  Dbb.snapshot d ~into:snap;
   ignore (Dbb.claim_newest d);
   (* wrong-path claim *)
   Dbb.restore d snap;

@@ -24,10 +24,10 @@ let fresh_state () =
     ~on_event:(fun _ -> ())
     (Lazy.force tiny_image)
 
-(* A minimal in-flight control instruction carrying [checkpoint], good
-   enough for release_checkpoint / flush bookkeeping: allocates a pool
-   row and returns its handle. *)
-let ctrl_inflight st ~seq checkpoint =
+(* A minimal in-flight control instruction carrying checkpoint [ckpt]
+   (-1: none), good enough for release_checkpoint / flush bookkeeping:
+   allocates a pool row and returns its handle. *)
+let ctrl_inflight st ~seq ckpt =
   let h = Machine_state.alloc_inflight st in
   st.i_seq.(h) <- seq;
   st.i_pc.(h) <- 0;
@@ -37,13 +37,12 @@ let ctrl_inflight st ~seq checkpoint =
   st.i_squashed.(h) <- 0;
   st.i_prefetch.(h) <- -1;
   st.c_kind.(h) <- ck_branch;
-  st.c_mispredict.(h) <- (if checkpoint <> None then 1 else 0);
+  st.c_mispredict.(h) <- (if ckpt >= 0 then 1 else 0);
   st.c_redirect.(h) <- 0;
   st.c_site.(h) <- -1;
-  st.c_meta_pc.(h) <- 0;
   st.c_actual.(h) <- 0;
   st.c_dbb_slot.(h) <- -1;
-  st.c_ckpt.(h) <- checkpoint;
+  st.c_ckpt.(h) <- ckpt;
   h
 
 (* -------------------------------------------------- checkpoint round-trip *)
@@ -68,7 +67,7 @@ let test_roundtrip () =
   Bv_bpred.Ras.push st.ras 0xBB;
   st.spec_halted <- true;
   st.live_checkpoints <- st.live_checkpoints - 1;
-  Spec_state.flush st ~from_seq:st.seq ~checkpoint:ck ~new_pc:0x40;
+  Spec_state.flush st ~from_seq:st.seq ~checkpoint:st.ckpts.(ck) ~new_pc:0x40;
   (* everything rolls back *)
   Alcotest.(check int) "reg 3 restored" 111 st.regs.(3);
   Alcotest.(check int) "reg 7 restored" 222 st.regs.(7);
@@ -113,20 +112,21 @@ let test_log_truncation () =
   Spec_state.log_trim st;
   Alcotest.(check int) "pinned log survives trim" 1 (Spec_state.log_depth st);
   (* releasing the owning instruction unpins it *)
-  Spec_state.release_checkpoint st (ctrl_inflight st ~seq:0 (Some ck));
+  Spec_state.release_checkpoint st (ctrl_inflight st ~seq:0 ck);
   Alcotest.(check int) "no live checkpoints" 0 st.live_checkpoints;
   Spec_state.log_trim st;
   Alcotest.(check int) "released log discarded" 0 (Spec_state.log_depth st);
   (* an inflight without a checkpoint must not decrement the count *)
   ignore (Spec_state.make_checkpoint st);
-  Spec_state.release_checkpoint st (ctrl_inflight st ~seq:1 None);
+  Spec_state.release_checkpoint st (ctrl_inflight st ~seq:1 (-1));
   Alcotest.(check int) "plain ctrl releases nothing" 1 st.live_checkpoints
 
 (* --------------------------------------------------- DBB pointer recovery *)
 
 let dbb_alloc st pc =
-  let _, meta = st.predictor.Bv_bpred.Predictor.predict ~pc ~outcome:true in
-  Dbb.allocate st.dbb ~pc ~meta ~taken:true
+  let slot = Dbb.allocate st.dbb ~pc in
+  if slot >= 0 then Dbb.set_taken st.dbb slot true;
+  slot
 
 let test_dbb_recovery () =
   let st = fresh_state () in
@@ -143,7 +143,7 @@ let test_dbb_recovery () =
   ignore (dbb_alloc st 0x300);
   Alcotest.(check int) "occupancy before flush" 3 (Dbb.occupancy st.dbb);
   st.live_checkpoints <- st.live_checkpoints - 1;
-  Spec_state.flush st ~from_seq:st.seq ~checkpoint:ck ~new_pc:0;
+  Spec_state.flush st ~from_seq:st.seq ~checkpoint:st.ckpts.(ck) ~new_pc:0;
   (* tail pointer recovered: wrong-path allocations gone, the claim on the
      surviving entry reverted so the correct-path resolve can re-claim it *)
   Alcotest.(check int) "occupancy after flush" 1 (Dbb.occupancy st.dbb);
