@@ -701,17 +701,20 @@ let experiment_cmd =
     let ids = if ids = [ "all" ] then List.map (fun (i, _, _) -> i)
                   Experiments.all
               else ids in
-    ignore (Experiments.drain_tables ());
-    let entries = ref [] in
-    let rec go = function
-      | [] -> 0
-      | id :: rest ->
-        (match Experiments.find id with
-        | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ppf;
-          let seconds = Unix.gettimeofday () -. t0 in
-          entries :=
+    (* Every id is checked before the first experiment runs. *)
+    match List.filter (fun id -> Option.is_none (Experiments.find id)) ids with
+    | _ :: _ as unknown ->
+      Printf.eprintf "unknown experiment %s (try `vanguard_cli list`)\n"
+        (String.concat ", " unknown);
+      1
+    | [] ->
+      ignore (Experiments.drain_tables ());
+      let entries =
+        List.map
+          (fun id ->
+            let t0 = Unix.gettimeofday () in
+            Option.get (Experiments.find id) ppf;
+            let seconds = Unix.gettimeofday () -. t0 in
             Bv_obs.Json.Obj
               [ ("id", Bv_obs.Json.String id);
                 ("seconds", Bv_obs.Json.float seconds);
@@ -719,31 +722,26 @@ let experiment_cmd =
                   Bv_obs.Json.List
                     (List.map Experiments.table_to_json
                        (Experiments.drain_tables ())) )
-              ]
-            :: !entries;
-          go rest
-        | None ->
-          Printf.eprintf "unknown experiment %s\n" id;
-          1)
-    in
-    let status = go ids in
-    (match json with
-    | Some path when status = 0 ->
-      write_json path
-        (Bv_obs.Json.Obj
-           [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-             ("scale", Bv_obs.Json.float (Runner.scale ()));
-             ("experiments", Bv_obs.Json.List (List.rev !entries));
-             dag_field ()
-           ])
-    | _ -> ());
-    status
+              ])
+          ids
+      in
+      Option.iter
+        (fun path ->
+          write_json path
+            (Bv_obs.Json.Obj
+               [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
+                 ("scale", Bv_obs.Json.float (Runner.scale ()));
+                 ("experiments", Bv_obs.Json.List entries);
+                 dag_field ()
+               ]))
+        json;
+      0
   in
   let ids_arg =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
            & info [ "j"; "jobs" ] ~docv:"N"
                ~doc:"Worker processes for row-level parallelism (default \
                      \\$(b,BV_JOBS) or 1). Output is byte-identical to a \
@@ -1920,4 +1918,11 @@ let main =
       prove_cmd; advise_cmd; summaries_cmd; assemble_cmd; trace_cmd; dag_cmd
     ]
 
-let () = exit (Cmd.eval' main)
+(* A malformed BV_SCALE or BV_JOBS stops every command before it does any
+   work, with an error naming the variable. *)
+let () =
+  match (Runner.scale (), Pool.jobs_env ()) with
+  | exception Invalid_argument msg ->
+    prerr_endline ("vanguard_cli: " ^ msg);
+    exit Cmd.Exit.cli_error
+  | _ -> exit (Cmd.eval' main)

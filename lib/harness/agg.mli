@@ -12,5 +12,6 @@ val max_or : float -> float list -> float
 
 val median : float list -> float
 (** Median (midpoint of the two middle elements for even lengths); 0.0 on
-    the empty list. The bench-trend reference point: robust to the odd
-    slow CI host in a trailing history. *)
+    the empty list. [bvbench] takes its set-up time, per-op round times
+    and host-speed readings as medians of repetitions: robust to the odd
+    slow repetition on a shared host. *)

@@ -39,8 +39,8 @@ let normalize text =
 let heading ppf title = Format.fprintf ppf "@.=== %s ===@." (normalize title)
 
 (* Every emitted table is also captured structurally (name, headers, rows)
-   so the bench harness / --json consumers get the data without scraping
-   the rendered text. *)
+   so --json consumers get the data without scraping the rendered
+   text. *)
 let captured : (string * string list * string list list) list ref = ref []
 
 let drain_tables () =

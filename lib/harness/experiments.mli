@@ -14,8 +14,7 @@ val bench : Bv_workloads.Spec.t -> Runner.bench
 val drain_tables : unit -> (string * string list * string list list) list
 (** The (name, headers, rows) of every table emitted since the last
     drain, in emission order — the structured counterpart of the printed
-    output, consumed by the bench harness's JSON trajectory artifact and
-    [vanguard_cli experiment --json]. *)
+    output, consumed by [vanguard_cli experiment --json]. *)
 
 val table_to_json : string * string list * string list list -> Bv_obs.Json.t
 

@@ -12,8 +12,12 @@ let () =
 
 let jobs_env () =
   match Sys.getenv_opt "BV_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
   | None -> 1
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> n
+    | _ ->
+      invalid_arg (Printf.sprintf "BV_JOBS must be an integer >= 1, got %S" s))
 
 (* Deterministic fork/join scatter: worker [w] walks [plan jobs w] and
    streams [(index, result)] pairs back over its own pipe, so reassembly

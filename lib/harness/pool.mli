@@ -29,7 +29,9 @@ exception
     }
 
 val jobs_env : unit -> int
-(** Worker count from [BV_JOBS] (default 1). *)
+(** Worker count from [BV_JOBS] (default 1).
+    @raise Invalid_argument naming [BV_JOBS] unless it is an integer
+    >= 1. *)
 
 val scatter :
   jobs:int ->

@@ -26,20 +26,22 @@ type bench =
 
 (* Read BV_SCALE once: every artifact-cache key and every scaled spec in
    the process must agree on the factor, even if the environment is
-   mutated mid-run. *)
+   mutated mid-run. A value that is not a finite positive number is an
+   error, not full scale: a typo would otherwise run for minutes and
+   report numbers at a scale nobody asked for. *)
 let scale =
-  let memo = ref None in
-  fun () ->
-    match !memo with
-    | Some s -> s
-    | None ->
-      let s =
-        match Sys.getenv_opt "BV_SCALE" with
-        | Some s -> ( try Float.of_string s with _ -> 1.0)
-        | None -> 1.0
-      in
-      memo := Some s;
-      s
+  let factor =
+    lazy
+      (match Sys.getenv_opt "BV_SCALE" with
+      | None -> 1.0
+      | Some s -> (
+        match Float.of_string_opt (String.trim s) with
+        | Some f when Float.is_finite f && f > 0.0 -> f
+        | _ ->
+          invalid_arg
+            (Printf.sprintf "BV_SCALE must be a finite number > 0, got %S" s)))
+  in
+  fun () -> Lazy.force factor
 
 let scaled_spec spec =
   let reps =

@@ -13,7 +13,9 @@ val scale : unit -> float
 (** Workload scale factor from the [BV_SCALE] environment variable
     (default 1.0): multiplies each spec's outer repetitions. Use e.g.
     [BV_SCALE=0.5] for quick runs. Read once and memoised, so a single
-    run never mixes factors. *)
+    run never mixes factors.
+    @raise Invalid_argument naming [BV_SCALE] unless it is a finite
+    number > 0. *)
 
 type artifact
 (** The pure (marshal-safe) payload of a prepared bench: spec, profile,

@@ -1,8 +1,7 @@
 (** The unified simulation engine: one session object carrying the
     run-path policy — worker count and the memoized experiment
-    {!Dag} — that {!Experiments}, the CLI and the bench harness all
-    share instead of each re-implementing prepare/memoise/simulate
-    plumbing.
+    {!Dag} — that {!Experiments} and the CLI share instead of each
+    re-implementing prepare/memoise/simulate plumbing.
 
     Every stage is a DAG node content-hashed into the session's
     [BV_CACHE] store: prepare (profile → select → transform,

@@ -2,7 +2,7 @@
 
     The telemetry layer's interchange format: {!Stats.to_json}-style
     converters across the tree build values of this type and the CLI /
-    bench harness serialise them. The emitter always produces valid JSON:
+    [bvbench] serialise them. The emitter always produces valid JSON:
     non-finite floats ([nan], [infinity]) have no JSON encoding and are
     emitted as [null]; strings are escaped per RFC 8259 (control
     characters as [\u00XX]). The parser accepts anything the emitter

@@ -14,7 +14,8 @@ type result =
     finished : bool;
     mem_digest : int;
     stores_retired : int;
-    arch_digest : int
+    arch_digest : int;
+    skipped_cycles : int
   }
 
 let fnv_fold acc v = (acc lxor v) * 0x100000001B3 land max_int
@@ -58,6 +59,7 @@ let fetch_blocked_until st =
    them a zero-issue cycle blocked by [stall]. *)
 let advance st ~stall k =
   let open Machine_state in
+  st.skipped_cycles <- st.skipped_cycles + k;
   let stats = st.stats in
   stats.Stats.dbb_occupancy_sum <-
     stats.Stats.dbb_occupancy_sum + (Dbb.occupancy st.dbb * k);
@@ -160,7 +162,8 @@ let result_of st =
     finished = st.Machine_state.finished;
     mem_digest;
     stores_retired = st.Machine_state.stores_retired;
-    arch_digest = fnv_fold mem_digest st.Machine_state.stores_retired
+    arch_digest = fnv_fold mem_digest st.Machine_state.stores_retired;
+    skipped_cycles = st.Machine_state.skipped_cycles
   }
 
 let run ?(max_cycles = 1_000_000_000) ?(max_retired = max_int) ?on_event

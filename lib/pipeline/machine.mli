@@ -41,8 +41,14 @@ type result =
     finished : bool;  (** reached [Halt] (as opposed to a run limit) *)
     mem_digest : int;
     stores_retired : int;
-    arch_digest : int
+    arch_digest : int;
         (** comparable with {!Bv_exec.Interp.arch_digest} when [finished] *)
+    skipped_cycles : int
+        (** the cycles of [stats.cycles] that stall skipping fast-forwarded
+            instead of stepping: 0 under [on_cycle], and the same with or
+            without [on_event] and [acct]. It counts the host's work, not
+            the machine's, so it stays out of {!Stats.t} and
+            {!result_to_json}: no golden or report moves with it. *)
   }
 
 val run :

@@ -207,6 +207,8 @@ type t =
     mutable live_checkpoints : int;
     (* --- timing state ------------------------------------------------- *)
     mutable now : int;
+    (* Cycles fast-forwarded by the stall skip rather than stepped. *)
+    mutable skipped_cycles : int;
     fbuf : Ring.t;
     (* Issued-but-incomplete instructions, in seq order: a FIFO deque —
        push at tail on issue, compact on completion, truncate on flush. *)
@@ -400,6 +402,7 @@ let create ~config ?on_event ?acct image =
     log_base = 0;
     live_checkpoints = 0;
     now = 0;
+    skipped_cycles = 0;
     fbuf = Ring.create ~limit:cfg.Config.fetch_buffer cfg.Config.fetch_buffer;
     pending = Ring.create 64;
     next_complete = max_int;

@@ -187,6 +187,8 @@ type t =
     mutable log_base : int;
     mutable live_checkpoints : int;
     mutable now : int;
+    mutable skipped_cycles : int;
+        (** cycles fast-forwarded by the stall skip rather than stepped *)
     fbuf : Ring.t;
     pending : Ring.t;
         (** issued-but-incomplete instructions, in seq order *)

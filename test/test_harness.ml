@@ -108,6 +108,70 @@ let test_experiments_registry () =
   Alcotest.(check bool) "mentions widths" true
     (Buffer.length buf > 200)
 
+(* --------------------------------------------------------- run inputs *)
+
+(* Run the CLI built next to this test with [env] on top of this
+   process's environment minus every BV_* variable (and with the DAG
+   store off); its exit code, stdout and stderr. *)
+let cli ~env args =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../bin/vanguard_cli.exe"
+  in
+  let inherited =
+    List.filter
+      (fun kv -> not (String.starts_with ~prefix:"BV_" kv))
+      (Array.to_list (Unix.environment ()))
+  in
+  let env = Array.of_list (("BV_CACHE=none" :: env) @ inherited) in
+  let ((out, _, err) as proc) =
+    Unix.open_process_args_full exe (Array.of_list (exe :: args)) env
+  in
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  match Unix.close_process_full proc with
+  | Unix.WEXITED code -> (code, stdout, stderr)
+  | _ -> (-1, stdout, stderr)
+
+(* A malformed input fails before any work: non-zero exit, nothing on
+   stdout, and an error that opens by naming the culprit. *)
+let check_rejected what (code, stdout, stderr) ~error =
+  Alcotest.(check bool) (what ^ ": exits non-zero") true (code <> 0);
+  Alcotest.(check string) (what ^ ": no output") "" stdout;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: error starts %S (%S)" what error stderr)
+    true
+    (String.starts_with ~prefix:error stderr)
+
+let test_scale_rejected () =
+  List.iter
+    (fun v ->
+      check_rejected ("BV_SCALE=" ^ v)
+        (cli ~env:[ "BV_SCALE=" ^ v ] [ "run"; "-b"; "gobmk" ])
+        ~error:"vanguard_cli: BV_SCALE must be a finite number > 0")
+    [ "0.05x"; "0,05"; "nan"; "inf"; "-1"; "0"; "" ];
+  let code, _, _ = cli ~env:[ "BV_SCALE=0.05" ] [ "list" ] in
+  Alcotest.(check int) "BV_SCALE=0.05 accepted" 0 code
+
+let test_jobs_rejected () =
+  List.iter
+    (fun v ->
+      check_rejected ("BV_JOBS=" ^ v)
+        (cli ~env:[ "BV_JOBS=" ^ v ] [ "experiment"; "table1" ])
+        ~error:"vanguard_cli: BV_JOBS must be an integer >= 1")
+    [ "0"; "-2"; "two"; "1.5"; "" ];
+  let code, stdout, _ = cli ~env:[ "BV_JOBS=2" ] [ "experiment"; "table1" ] in
+  Alcotest.(check int) "BV_JOBS=2 accepted" 0 code;
+  Alcotest.(check bool) "table1 printed" true (stdout <> "")
+
+(* An unknown id anywhere in the list stops the command before the
+   experiments ahead of it run. *)
+let test_experiment_ids_checked_first () =
+  check_rejected "experiment table1 zzz"
+    (cli ~env:[] [ "experiment"; "table1"; "zzz" ])
+    ~error:"unknown experiment zzz"
+
 let prop_geomean_between_min_max =
   QCheck2.Test.make ~name:"geomean between min and max" ~count:200
     QCheck2.Gen.(list_size (int_range 1 10) (float_range 0.1 10.0))
@@ -136,5 +200,11 @@ let () =
         ] );
       ( "metrics", [ Alcotest.test_case "alpbb" `Quick test_alpbb_known ] );
       ( "experiments",
-        [ Alcotest.test_case "registry" `Quick test_experiments_registry ] )
+        [ Alcotest.test_case "registry" `Quick test_experiments_registry ] );
+      ( "run inputs",
+        [ Alcotest.test_case "malformed BV_SCALE" `Quick test_scale_rejected;
+          Alcotest.test_case "malformed BV_JOBS" `Quick test_jobs_rejected;
+          Alcotest.test_case "experiment ids checked first" `Quick
+            test_experiment_ids_checked_first
+        ] )
     ]

@@ -259,6 +259,63 @@ let test_cycle_allocation () =
   in
   Alcotest.(check (list string)) "runs at >= 0.05 minor words/cycle" [] over
 
+(* ------------------------------------------------------ stall-skip gate *)
+
+(* Stall skipping is what makes a memory-bound run cheap, and a change
+   that stops it still passes every byte-identity check: a stepped run
+   gives the same result, only slower. So the share of cycles each golden
+   config steps is pinned here: the percentage an unobserved run stepped
+   when the gate was set, with 1 point of headroom. Deterministic for a
+   given model; lower it when a change skips more. *)
+let stepped_pct_when_set =
+  [ ("plain_w4", 68.67);
+    ("decomposed_w4", 70.70);
+    ("runahead_w8", 82.29);
+    ("decomposed_runahead_w8", 25.85)
+  ]
+
+(* Unobserved, accounted and evented runs skip the same cycles (no event
+   fires in a skippable cycle, and accounting charges a stretch in closed
+   form); an [on_cycle] run steps every cycle. *)
+let test_stall_skip_rate () =
+  let no_op ~cycle:_ ~stats:_ ~dbb_occupancy:_ = () in
+  let failures =
+    List.concat_map
+      (fun (name, config, image) ->
+        let image = Lazy.force image in
+        let ceiling = List.assoc name stepped_pct_when_set +. 1.0 in
+        let acct () = Acct.create image.Bv_ir.Layout.code in
+        let stepped_pct mode (r : Machine.result) =
+          let cycles = r.Machine.stats.Stats.cycles in
+          let stepped = cycles - r.Machine.skipped_cycles in
+          let pct = 100.0 *. Float.of_int stepped /. Float.of_int cycles in
+          let reading =
+            Printf.sprintf "%s %s: stepped %d / %d cycles = %.2f%%" name mode
+              stepped cycles pct
+          in
+          print_endline reading;
+          if pct <= ceiling then None
+          else Some (Printf.sprintf "%s (ceiling %.2f%%)" reading ceiling)
+        in
+        let unobserved = stepped_pct "unobserved" (Machine.run ~config image) in
+        let accounted =
+          stepped_pct "accounted" (Machine.run ~acct:(acct ()) ~config image)
+        in
+        let evented =
+          stepped_pct "evented" (Machine.run ~on_event:ignore ~config image)
+        in
+        let skipped =
+          (Machine.run ~on_cycle:no_op ~config image).Machine.skipped_cycles
+        in
+        let on_cycle =
+          if skipped = 0 then None
+          else Some (Printf.sprintf "%s on_cycle: skipped %d cycles" name skipped)
+        in
+        List.filter_map Fun.id [ unobserved; accounted; evented; on_cycle ])
+      Golden_configs.cases
+  in
+  Alcotest.(check (list string)) "runs over their stepped ceiling" [] failures
+
 let () =
   Alcotest.run "bv_hotpath"
     [ ( "ring",
@@ -283,5 +340,9 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "no allocation per simulated cycle" `Quick
             test_cycle_allocation
+        ] );
+      ( "stall skipping",
+        [ Alcotest.test_case "stepped share of cycles" `Quick
+            test_stall_skip_rate
         ] )
     ]

@@ -11,7 +11,9 @@
    - an accounted and evented run must equal the same run stepped, on all
      six {!Acct} tables, on the result JSON with its CPI stack and top
      branches, and on the event stream; its counters must also equal the
-     unobserved run's.
+     unobserved run's, and it must skip exactly the cycles the unobserved
+     run skips (stepping is byte-identical, so only [skipped_cycles]
+     shows a mode that stopped skipping).
 
    Both are checked on random structured programs across widths and
    under runahead, and on four suite configurations, both sides of the
@@ -70,8 +72,8 @@ let acct_tables (a : Acct.t) =
     ]
 
 (* [Some msg] when the accounted, evented run of [image] under [config]
-   differs from the same run stepped, or its counters from the unobserved
-   run's. *)
+   differs from the same run stepped, or its counters or skipped cycles
+   from the unobserved run's. *)
 let observed_divergence config image =
   let observed ?on_cycle () =
     let acct = Acct.create image.Layout.code in
@@ -91,9 +93,16 @@ let observed_divergence config image =
     if result_string ~acct:acct_a a <> result_string ~acct:acct_b b then
       Some "accounted result JSON differs"
     else if events_a <> events_b then Some "event stream differs"
-    else if result_string a <> result_string (Machine.run ~config image) then
-      Some "observing changed the result"
-    else None
+    else
+      let unobserved = Machine.run ~config image in
+      if result_string a <> result_string unobserved then
+        Some "observing changed the result"
+      else if a.Machine.skipped_cycles <> unobserved.Machine.skipped_cycles
+      then
+        Some
+          (Printf.sprintf "observed run skipped %d cycles, unobserved %d"
+             a.Machine.skipped_cycles unobserved.Machine.skipped_cycles)
+      else None
 
 let configs =
   Config.
