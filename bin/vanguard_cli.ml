@@ -109,8 +109,15 @@ let write_json path json =
   else
     try
       Out_channel.with_open_text path (fun oc ->
-          Bv_obs.Json.to_channel ~indent:true oc json)
+          Bv_obs.Json.to_channel ~indent:true oc json;
+          (* reports a failing final flush (a full disk), which the
+             implicit close drops: the report would be lost silently *)
+          Out_channel.close oc)
     with Sys_error e ->
+      (* an open error names the file already; a write error does not *)
+      let e =
+        if String.starts_with ~prefix:path e then e else path ^ ": " ^ e
+      in
       prerr_endline ("error: cannot write " ^ e);
       exit 1
 
@@ -1918,10 +1925,13 @@ let main =
       prove_cmd; advise_cmd; summaries_cmd; assemble_cmd; trace_cmd; dag_cmd
     ]
 
-(* A malformed BV_SCALE or BV_JOBS stops every command before it does any
-   work, with an error naming the variable. *)
+(* A malformed BV_SCALE, BV_JOBS, BV_DAG_WAIT or BV_DAG_CLAIM_TTL stops
+   every command before it does any work, with an error naming the
+   variable. *)
 let () =
-  match (Runner.scale (), Pool.jobs_env ()) with
+  match
+    (Runner.scale (), Pool.jobs_env (), Dag.wait_budget (), Dag.claim_ttl ())
+  with
   | exception Invalid_argument msg ->
     prerr_endline ("vanguard_cli: " ^ msg);
     exit Cmd.Exit.cli_error

@@ -4,8 +4,9 @@
    [.bench] artifact cache; format 3 added the block-compiled fast path
    and the sample/compiled node kinds; format 4 changed [Stats.t]'s
    per-site tables, which [sim] nodes marshal, from growable arrays
-   indexed by site id to sorted ids plus one fixed slot per id.) *)
-let code_format = 4
+   indexed by site id to sorted ids plus one fixed slot per id; format 5
+   put a length-and-digest header in front of every node's payload.) *)
+let code_format = 5
 
 type counters =
   { hits : int;
@@ -93,18 +94,30 @@ let rec ensure_dir d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
+(* Read once, like BV_SCALE: a value that is not a finite number >= 0 is
+   an error, not the default — "5m" would otherwise wait an hour, and a
+   NaN deadline never passes. *)
 let env_seconds name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( try float_of_string (String.trim s) with _ -> default)
-  | None -> default
+  let v =
+    lazy
+      (match Sys.getenv_opt name with
+      | None -> default
+      | Some s -> (
+        match Float.of_string_opt (String.trim s) with
+        | Some f when Float.is_finite f && f >= 0.0 -> f
+        | _ ->
+          invalid_arg
+            (Printf.sprintf "%s must be a finite number >= 0, got %S" name s)))
+  in
+  fun () -> Lazy.force v
 
 (* How long an awaiting process waits for a claimed node before giving up
    (the owner may legitimately be simulating for a long time). *)
-let wait_budget = lazy (env_seconds "BV_DAG_WAIT" 3600.0)
+let wait_budget = env_seconds "BV_DAG_WAIT" 3600.0
 
 (* Age past which a claim from another host is presumed abandoned (pid
    liveness is only checkable on this host). *)
-let claim_ttl = lazy (env_seconds "BV_DAG_CLAIM_TTL" 900.0)
+let claim_ttl = env_seconds "BV_DAG_CLAIM_TTL" 900.0
 
 let poll_interval = 0.05
 
@@ -116,8 +129,9 @@ let iso8601 time =
 
 (* One O_APPEND write per event: short lines are atomic, so concurrent
    evaluators interleave whole records. This is the provenance [explain]
-   replays. *)
-let log_event dir event k ~kind ~label =
+   replays. [detail] ends the line: why a node was rejected or could not
+   be stored. *)
+let log_event ?(detail = "") dir event k ~kind ~label =
   try
     let fd =
       Unix.openfile (log_path dir)
@@ -125,32 +139,87 @@ let log_event dir event k ~kind ~label =
         0o644
     in
     let line =
-      Printf.sprintf "%s pid=%d %s %s %s %s\n"
+      Printf.sprintf "%s pid=%d %s %s %s %s%s\n"
         (iso8601 (Unix.time ()))
         (Unix.getpid ()) event k kind label
+        (if detail = "" then "" else " " ^ detail)
     in
     ignore (Unix.write_substring fd line 0 (String.length line));
     Unix.close fd
   with Unix.Unix_error _ | Sys_error _ -> ()
 
-let load_value dir k =
-  let path = node_path dir k in
-  if Sys.file_exists path then (
-    match In_channel.with_open_bin path Marshal.from_channel with
-    | v ->
-      (* touch: gc prunes least-recently-used first *)
-      (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
-      Some v
-    | exception _ -> None)
-  else None
+(* A node file is a header line, "bvdag <length> <digest>", then the
+   marshalled payload. The header lives in the node file itself because
+   one rename must publish both: the [.meta] sidecar lands after the
+   node. A reader checks the payload against the header before
+   unmarshalling, so a cut, emptied or bit-flipped file is a miss, never
+   a wrong value or a crash. *)
+let node_magic = "bvdag"
 
-let store_value t dir k n v ~seconds =
+let write_node oc v =
+  let payload = Marshal.to_string v [] in
+  Printf.fprintf oc "%s %d %s\n" node_magic (String.length payload)
+    (Digest.to_hex (Digest.string payload));
+  Out_channel.output_string oc payload
+
+(* The payload's offset in a node file's contents, or why the file is not
+   a whole node. *)
+let check_node text =
+  match String.index_opt text '\n' with
+  | None -> Error (if text = "" then "empty file" else "no header")
+  | Some nl -> (
+    match String.split_on_char ' ' (String.sub text 0 nl) with
+    | [ magic; len; digest ] when magic = node_magic ->
+      let have = String.length text - nl - 1 in
+      if int_of_string_opt len <> Some have then
+        Error (Printf.sprintf "payload is %d bytes, header says %s" have len)
+      else if Digest.to_hex (Digest.substring text (nl + 1) have) <> digest
+      then Error "payload digest mismatch"
+      else Ok (nl + 1)
+    | _ -> Error "no header")
+
+(* [None] when [k] has no node file. *)
+let read_node dir k =
+  match In_channel.with_open_bin (node_path dir k) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> Some (Result.map (fun off -> (text, off)) (check_node text))
+
+(* [k]'s stored value; [None] when it has none or its file fails the
+   check, which [log] records in [dag.log]. *)
+let load_value ?(log = true) dir n k =
+  match read_node dir k with
+  | None -> None
+  | Some (Error reason) ->
+    if log then
+      log_event dir "corrupt" k ~kind:n.n_kind ~label:n.n_label ~detail:reason;
+    None
+  | Some (Ok (text, off)) ->
+    (* touch: gc prunes least-recently-used first *)
+    (try Unix.utimes (node_path dir k) 0.0 0.0 with Unix.Unix_error _ -> ());
+    Some (Marshal.from_string text off)
+
+(* Write [path] through a tmp file renamed into place: rename is atomic,
+   so concurrent readers never see a torn file. The explicit close
+   reports a failing final flush (a full disk), which the [with_open_*]
+   functions' own close drops; on any failure the tmp file goes. *)
+let publish path write =
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  try
+    Out_channel.with_open_bin tmp (fun oc ->
+        write oc;
+        Out_channel.close oc);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+(* A value that cannot be stored is still returned, uncached: the
+   failure is logged and, when it hits the payload, no node is
+   published. *)
+let store_value t dir n k v ~seconds =
   try
     ensure_dir dir;
-    let tmp = Printf.sprintf "%s.tmp.%d" (node_path dir k) (Unix.getpid ()) in
-    Out_channel.with_open_bin tmp (fun oc -> Marshal.to_channel oc v []);
-    (* rename is atomic: concurrent readers never see a torn value *)
-    Sys.rename tmp (node_path dir k);
+    publish (node_path dir k) (fun oc -> write_node oc v);
     let meta =
       let open Bv_obs.Json in
       Obj
@@ -166,11 +235,10 @@ let store_value t dir k n v ~seconds =
           ("compute_seconds", float seconds)
         ]
     in
-    let mtmp = Printf.sprintf "%s.tmp.%d" (meta_path dir k) (Unix.getpid ()) in
-    Out_channel.with_open_text mtmp (fun oc ->
-        Bv_obs.Json.to_channel oc meta);
-    Sys.rename mtmp (meta_path dir k)
-  with _ -> ()
+    publish (meta_path dir k) (fun oc -> Bv_obs.Json.to_channel oc meta)
+  with e ->
+    log_event dir "store-failed" k ~kind:n.n_kind ~label:n.n_label
+      ~detail:(Printexc.to_string e)
 
 (* ----------------------------------------------------------- claim files *)
 
@@ -221,8 +289,8 @@ let claim_stale dir k =
       match Unix.kill pid 0 with
       | () -> false
       | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-      | exception Unix.Unix_error _ -> age > Lazy.force claim_ttl)
-    else age > Lazy.force claim_ttl
+      | exception Unix.Unix_error _ -> age > claim_ttl ())
+    else age > claim_ttl ()
 
 (* ------------------------------------------------------------ evaluation *)
 
@@ -239,7 +307,12 @@ let attempt_exclusive t n k =
     memoize t k v;
     Some v
   | Some dir ->
-    if Sys.file_exists (node_path dir k) then None
+    (* published meanwhile; a node that fails its check does not count,
+       it is recomputed and overwritten *)
+    let published =
+      match read_node dir k with Some (Ok _) -> true | _ -> false
+    in
+    if published then None
     else if try_claim dir k then
       Some
         (Fun.protect
@@ -247,7 +320,7 @@ let attempt_exclusive t n k =
            (fun () ->
              let t0 = Unix.gettimeofday () in
              let v = n.n_compute () in
-             store_value t dir k n v ~seconds:(Unix.gettimeofday () -. t0);
+             store_value t dir n k v ~seconds:(Unix.gettimeofday () -. t0);
              log_event dir "miss" k ~kind:n.n_kind ~label:n.n_label;
              memoize t k v;
              v))
@@ -255,12 +328,14 @@ let attempt_exclusive t n k =
 
 (* Somebody else claimed [k]: poll for their published value, take over
    if their claim disappears without a value (crash before store) or
-   goes stale (dead pid / cross-host TTL). *)
+   goes stale (dead pid / cross-host TTL). The deadline bounds every
+   retry, so no state of the store can make this spin forever. The
+   caller has already logged a corrupt node; polls stay quiet. *)
 let await t n k =
   let dir = match t.dir with Some d -> d | None -> assert false in
-  let deadline = Unix.gettimeofday () +. Lazy.force wait_budget in
+  let deadline = Unix.gettimeofday () +. wait_budget () in
   let rec loop () =
-    match load_value dir k with
+    match load_value ~log:false dir n k with
     | Some v ->
       memoize t k v;
       log_event dir "stolen" k ~kind:n.n_kind ~label:n.n_label;
@@ -271,23 +346,23 @@ let await t n k =
         | Some v -> (Miss, v)
         | None ->
           (* lost the re-acquire race; the new owner is at work *)
-          Unix.sleepf poll_interval;
-          loop ())
+          retry ())
       else if claim_stale dir k then begin
         release_claim dir k;
         loop ()
       end
-      else if Unix.gettimeofday () > deadline then
-        failwith
-          (Printf.sprintf
-             "Dag: timed out after %.0fs awaiting node %s (%s %s); if its \
-              owner is gone, remove %s"
-             (Lazy.force wait_budget) k n.n_kind n.n_label
-             (claim_path dir k))
-      else begin
-        Unix.sleepf poll_interval;
-        loop ()
-      end
+      else retry ()
+  and retry () =
+    if Unix.gettimeofday () > deadline then
+      failwith
+        (Printf.sprintf
+           "Dag: timed out after %.0fs awaiting node %s (%s %s); if its \
+            owner is gone, remove %s"
+           (wait_budget ()) k n.n_kind n.n_label (claim_path dir k))
+    else begin
+      Unix.sleepf poll_interval;
+      loop ()
+    end
   in
   loop ()
 
@@ -304,7 +379,7 @@ let eval t n =
       | Some v -> count t Miss; v
       | None -> assert false)
     | Some dir -> (
-      match load_value dir k with
+      match load_value dir n k with
       | Some v ->
         memoize t k v;
         log_event dir "hit" k ~kind:n.n_kind ~label:n.n_label;
@@ -343,7 +418,7 @@ let eval_list ?(jobs = 1) t ns =
           match t.dir with
           | None -> ()
           | Some dir -> (
-            match load_value dir k with
+            match load_value dir ns.(i) k with
             | Some v ->
               memoize t k v;
               log_event dir "hit" k ~kind:ns.(i).n_kind ~label:ns.(i).n_label;
@@ -386,7 +461,7 @@ let eval_list ?(jobs = 1) t ns =
                  backtrace = ""
                })
         | Some dir -> (
-          match load_value dir keys.(i) with
+          match load_value dir ns.(i) keys.(i) with
           | Some v ->
             memoize t keys.(i) v;
             log_event dir "stolen" keys.(i) ~kind:ns.(i).n_kind

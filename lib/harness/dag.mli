@@ -24,6 +24,17 @@ val code_format : int
     any cached stage changes — pipeline semantics, node payload types,
     experiment row formulas — so stale entries miss instead of lying. *)
 
+val wait_budget : unit -> float
+(** Seconds an evaluator waits for a node another live process has
+    claimed before failing: [BV_DAG_WAIT], default 3600. Read once.
+    @raise Invalid_argument naming the variable unless it is a finite
+    number >= 0. *)
+
+val claim_ttl : unit -> float
+(** Age in seconds past which a claim whose owner cannot be probed (it
+    is on another host) is broken: [BV_DAG_CLAIM_TTL], default 900. Read
+    and checked like {!wait_budget}. *)
+
 type t
 (** An engine: store directory, in-process memo and hit/miss counters. *)
 
@@ -54,7 +65,11 @@ val eval : t -> 'a node -> 'a
 (** Memo hit, store hit, locally computed (claim won) or awaited from a
     concurrent evaluator — whichever comes first. Computed values are
     written tmp-then-rename with a [.meta] sidecar, and every store
-    event is appended to [dag.log] for {!explain}. *)
+    event is appended to [dag.log] for {!explain}. A node file carries
+    its payload's length and digest: one that fails the check is a
+    miss, logged with the reason, recomputed and overwritten. A value
+    that cannot be written (a full disk) is logged and returned
+    uncached. *)
 
 val eval_list : ?jobs:int -> t -> 'a node list -> 'a list
 (** Evaluate ready nodes cooperatively, results in input order. With

@@ -72,7 +72,11 @@ let emit ?csv ppf ~headers rows =
        if not (Sys.file_exists "results") then Sys.mkdir "results" 0o755;
        Out_channel.with_open_text
          (Filename.concat "results" (name ^ ".csv"))
-         (fun oc -> Out_channel.output_string oc (Text.csv ~headers rows))
+         (fun oc ->
+           Out_channel.output_string oc (Text.csv ~headers rows);
+           (* reports a failing final flush, which the implicit close
+              drops *)
+           Out_channel.close oc)
      with Sys_error e -> progress "csv export failed: %s" e)
   | _ -> ()
 

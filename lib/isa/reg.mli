@@ -18,9 +18,9 @@ val make : int -> t
 
 external index : t -> int = "%identity"
 (** Position of the register in the file, in [0 .. count - 1]. A
-    primitive, so register-file accesses inline even across the
-    separately compiled ([-opaque]) module boundaries of dune's dev
-    profile. *)
+    primitive needs no cross-module inlining, so register-file accesses
+    cost no call even in a [-opaque] build ([dune build --profile
+    dev]). *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

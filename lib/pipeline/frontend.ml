@@ -293,7 +293,8 @@ let fetch_up_to_width st =
     if fetch_one st then incr fetched_now else go := false
   done
 
-(* The frozen check stays outside the loop's function: merged into it,
+(* The frozen check stays outside the loop's function. Merged into it,
    the same instructions measured 4-7% slower sim-* benchmark rounds
-   (dune dev profile, Sapphire Rapids VM) from code placement alone. *)
+   from code placement alone, in a dev-profile ([-opaque]) build on a
+   Sapphire Rapids VM; the merge has not been measured in release. *)
 let fetch_group st = if st.fetch_frozen then () else fetch_up_to_width st

@@ -528,8 +528,7 @@ let recycle_inflight st h =
   st.free_len <- st.free_len + 1
 
 (* Drop completed and squashed entries from the pending deque, in place
-   and in order. A plain loop next to [Ring], whose accessors then
-   inline: no predicate closure, no cross-module call per entry. *)
+   and in order. A plain loop: no predicate closure per entry. *)
 let compact_pending st =
   let p = st.pending in
   let len = Ring.length p in

@@ -28,6 +28,13 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec at i =
+    i + nl <= hl && (String.sub hay i nl = needle || at (i + 1))
+  in
+  at 0
+
 (* ---- keys and counters ------------------------------------------------ *)
 
 let counters_of_json j =
@@ -221,12 +228,7 @@ let test_worker_failure () =
   | exception Pool.Worker_failure { index; message; backtrace = _ } ->
     Alcotest.(check int) "failing index carried" 7 index;
     Alcotest.(check bool) "child exception text carried" true
-      (let needle = "boom 7" in
-       let rec has i =
-         i + String.length needle <= String.length message
-         && (String.sub message i (String.length needle) = needle || has (i + 1))
-       in
-       has 0)
+      (contains message "boom 7")
 
 let test_worker_failure_lowest_index () =
   match
@@ -237,6 +239,115 @@ let test_worker_failure_lowest_index () =
   | _ -> Alcotest.fail "expected Worker_failure"
   | exception Pool.Worker_failure { index; _ } ->
     Alcotest.(check int) "lowest failing index wins" 3 index
+
+(* ---- store integrity -------------------------------------------------- *)
+
+exception Timed_out
+
+(* [Dag.eval] under a 5 s alarm, so that an evaluation spinning on a bad
+   node fails its test instead of hanging the suite. *)
+let eval_within what d n =
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
+  in
+  ignore (Unix.alarm 5 : int);
+  match
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Unix.alarm 0 : int);
+        Sys.set_signal Sys.sigalrm old)
+      (fun () -> Dag.eval d n)
+  with
+  | v -> v
+  | exception Timed_out ->
+    Alcotest.failf "%s: Dag.eval still running after 5 s" what
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let thousands () = Array.init 8 (fun i -> i * 1000)
+
+(* Store a node, rewrite its file with [damage], then evaluate it on a
+   fresh engine: the damage must be a miss, logged with its reason, that
+   recomputes the right value and overwrites the node. *)
+let check_damaged what damage =
+  with_dir (fun dir ->
+      let computes = ref 0 in
+      let n =
+        Dag.node ~kind:"integrity" ~inputs:what (fun () ->
+            incr computes;
+            thousands ())
+      in
+      let d = Dag.create ~dir () in
+      ignore (Dag.eval d n : int array);
+      let k = Dag.key d n in
+      let path = Filename.concat dir (k ^ ".node") in
+      let damaged = damage (read_file path) in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc damaged);
+      let d2 = Dag.create ~dir () in
+      Alcotest.(check (array int)) (what ^ ": right value") (thousands ())
+        (eval_within what d2 n);
+      Alcotest.(check int) (what ^ ": recomputed") 2 !computes;
+      let c = Dag.counters d2 in
+      Alcotest.(check (pair int int)) (what ^ ": a miss, not a hit") (0, 1)
+        (c.Dag.hits, c.Dag.misses);
+      Alcotest.(check bool) (what ^ ": reason logged") true
+        (contains
+           (read_file (Filename.concat dir "dag.log"))
+           ("corrupt " ^ k));
+      let d3 = Dag.create ~dir () in
+      Alcotest.(check (array int)) (what ^ ": node overwritten") (thousands ())
+        (eval_within what d3 n);
+      Alcotest.(check int) (what ^ ": then a store hit") 1
+        (Dag.counters d3).Dag.hits)
+
+let flip_last_bit s =
+  let b = Bytes.of_string s in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+let test_flipped_bit () = check_damaged "flipped bit" flip_last_bit
+
+let test_truncated () =
+  check_damaged "truncated" (fun s -> String.sub s 0 (String.length s - 2))
+
+let test_empty () = check_damaged "empty" (fun _ -> "")
+
+(* a bare marshalled value, as nodes were stored before the header *)
+let test_headerless () =
+  check_damaged "header-less" (fun _ -> Marshal.to_string (thousands ()) [])
+
+(* The payload's tmp file is a symlink to /dev/full, so its final flush
+   fails as on a full disk (the tmp name is the store's own). The value is
+   still returned, the failure is logged, the tmp file goes, no node is
+   published, and the next evaluation recomputes. *)
+let test_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  with_dir (fun dir ->
+      let n = Dag.node ~kind:"integrity" ~inputs:"full" thousands in
+      let d = Dag.create ~dir () in
+      let k = Dag.key d n in
+      let node = Filename.concat dir (k ^ ".node") in
+      let tmp = Printf.sprintf "%s.tmp.%d" node (Unix.getpid ()) in
+      Unix.symlink "/dev/full" tmp;
+      Alcotest.(check (array int)) "value returned" (thousands ())
+        (eval_within "full disk" d n);
+      let present path =
+        match Unix.lstat path with
+        | _ -> true
+        | exception Unix.Unix_error _ -> false
+      in
+      Alcotest.(check bool) "no node published" false (present node);
+      Alcotest.(check bool) "tmp file removed" false (present tmp);
+      Alcotest.(check bool) "failure logged" true
+        (contains
+           (read_file (Filename.concat dir "dag.log"))
+           ("store-failed " ^ k));
+      let d2 = Dag.create ~dir () in
+      ignore (eval_within "after full disk" d2 n : int array);
+      Alcotest.(check int) "next evaluation misses" 1
+        (Dag.counters d2).Dag.misses)
 
 (* ---- gc and explain --------------------------------------------------- *)
 
@@ -329,5 +440,12 @@ let () =
       ( "store",
         [ Alcotest.test_case "gc" `Quick test_gc;
           Alcotest.test_case "explain" `Quick test_explain
+        ] );
+      ( "integrity",
+        [ Alcotest.test_case "flipped bit" `Quick test_flipped_bit;
+          Alcotest.test_case "truncated node" `Quick test_truncated;
+          Alcotest.test_case "empty node" `Quick test_empty;
+          Alcotest.test_case "header-less node" `Quick test_headerless;
+          Alcotest.test_case "full disk" `Quick test_full_disk
         ] )
     ]

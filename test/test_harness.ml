@@ -165,6 +165,33 @@ let test_jobs_rejected () =
   Alcotest.(check int) "BV_JOBS=2 accepted" 0 code;
   Alcotest.(check bool) "table1 printed" true (stdout <> "")
 
+let test_dag_seconds_rejected () =
+  List.iter
+    (fun var ->
+      List.iter
+        (fun v ->
+          check_rejected (var ^ "=" ^ v)
+            (cli ~env:[ var ^ "=" ^ v ] [ "experiment"; "table1" ])
+            ~error:
+              (Printf.sprintf "vanguard_cli: %s must be a finite number >= 0"
+                 var))
+        [ "5m"; "nan"; "inf"; "-1"; "" ];
+      let code, _, _ = cli ~env:[ var ^ "=0" ] [ "list" ] in
+      Alcotest.(check int) (var ^ "=0 accepted") 0 code)
+    [ "BV_DAG_WAIT"; "BV_DAG_CLAIM_TTL" ]
+
+(* A report the disk cannot take is an error, not a silent success. *)
+let test_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let code, _, stderr =
+    cli ~env:[] [ "experiment"; "table1"; "--json"; "/dev/full" ]
+  in
+  Alcotest.(check bool) "exits non-zero" true (code <> 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "names the error (%S)" stderr)
+    true
+    (String.starts_with ~prefix:"error: cannot write /dev/full" stderr)
+
 (* An unknown id anywhere in the list stops the command before the
    experiments ahead of it run. *)
 let test_experiment_ids_checked_first () =
@@ -204,6 +231,9 @@ let () =
       ( "run inputs",
         [ Alcotest.test_case "malformed BV_SCALE" `Quick test_scale_rejected;
           Alcotest.test_case "malformed BV_JOBS" `Quick test_jobs_rejected;
+          Alcotest.test_case "malformed BV_DAG_WAIT/CLAIM_TTL" `Quick
+            test_dag_seconds_rejected;
+          Alcotest.test_case "--json to a full disk" `Quick test_full_disk;
           Alcotest.test_case "experiment ids checked first" `Quick
             test_experiment_ids_checked_first
         ] )
