@@ -105,21 +105,26 @@ let sample_params_of ~period ~detail ~warmup =
   { Machine.sp_period = period; sp_detail = detail; sp_warmup = warmup }
 
 let write_json path json =
-  if path = "-" then Bv_obs.Json.to_channel ~indent:true stdout json
-  else
-    try
+  try
+    if path = "-" then begin
+      Bv_obs.Json.to_channel ~indent:true stdout json;
+      (* a full stdout fails here, not in the flush at exit, which
+         would end the process with an uncaught exception *)
+      flush stdout
+    end
+    else
       Out_channel.with_open_text path (fun oc ->
           Bv_obs.Json.to_channel ~indent:true oc json;
           (* reports a failing final flush (a full disk), which the
              implicit close drops: the report would be lost silently *)
           Out_channel.close oc)
-    with Sys_error e ->
-      (* an open error names the file already; a write error does not *)
-      let e =
-        if String.starts_with ~prefix:path e then e else path ^ ": " ^ e
-      in
-      prerr_endline ("error: cannot write " ^ e);
-      exit 1
+  with Sys_error e ->
+    (* an open error names the file already; a write error does not *)
+    let e = if String.starts_with ~prefix:path e then e else path ^ ": " ^ e in
+    prerr_endline ("error: cannot write " ^ e);
+    (* drop what stdout still holds, or flushing it at exit raises again *)
+    if path = "-" then close_out_noerr stdout;
+    exit 1
 
 let obj_add json fields =
   match json with
@@ -716,6 +721,7 @@ let experiment_cmd =
       1
     | [] ->
       ignore (Experiments.drain_tables ());
+      ignore (Experiments.drain_csv_failures ());
       let entries =
         List.map
           (fun id ->
@@ -742,7 +748,9 @@ let experiment_cmd =
                  dag_field ()
                ]))
         json;
-      0
+      (* every table and the report are out; a stale results/*.csv is
+         still a failure *)
+      if Experiments.drain_csv_failures () = [] then 0 else 1
   in
   let ids_arg =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT")

@@ -73,12 +73,22 @@ let alu_av op a b =
     if h2 = 0 || h1 <= max_int / h2 then Abs (l1 * l2, h1 * h2) else Top
   | _ -> Top
 
-let join_av a b = if a = b then a else Top
+let equal_av a b =
+  match (a, b) with
+  | Abs (l, h), Abs (l', h') -> l = l' && h = h'
+  | Entry (r, (l, h)), Entry (r', (l', h')) -> r = r' && l = l' && h = h'
+  | Top, Top -> true
+  | (Abs _ | Entry _ | Top), _ -> false
+
+let join_av a b = if equal_av a b then a else Top
 
 module L = struct
   type t = absval array
 
-  let equal = ( = )
+  let equal a b =
+    let n = Array.length a in
+    let rec from i = i >= n || (equal_av a.(i) b.(i) && from (i + 1)) in
+    n = Array.length b && from 0
 
   let join a b = Array.init Reg.count (fun i -> join_av a.(i) b.(i))
 end
@@ -131,6 +141,14 @@ type address =
   | Absolute of int * int
   | Reg_relative of Reg.t * int * int
   | Unknown
+
+let equal_address a b =
+  match (a, b) with
+  | Absolute (l, h), Absolute (l', h') -> l = l' && h = h'
+  | Reg_relative (r, l, h), Reg_relative (r', l', h') ->
+    Reg.equal r r' && l = l' && h = h'
+  | Unknown, Unknown -> true
+  | (Absolute _ | Reg_relative _ | Unknown), _ -> false
 
 module Phys = Hashtbl.Make (struct
   type t = Instr.t
@@ -188,7 +206,8 @@ let analyze ?call_mod proc =
        blocks; join duplicated occurrences conservatively. *)
     match Phys.find_opt table instr with
     | None -> Phys.replace table instr addr
-    | Some prior -> if prior <> addr then Phys.replace table instr Unknown
+    | Some prior ->
+      if not (equal_address prior addr) then Phys.replace table instr Unknown
   in
   List.iter
     (fun block ->

@@ -1,6 +1,5 @@
 open Bv_isa
 open Bv_ir
-module Regset = Set.Make (Reg)
 
 type pred_class =
   | Loop_back
@@ -190,7 +189,7 @@ let side_cost ~may_alias ~max_hoist ~temp_slots ~must_rename ~slice body =
   }
 
 let count_preds preds lab =
-  List.length (Option.value (Hashtbl.find_opt preds lab) ~default:[])
+  List.length (Option.value (Label.Tbl.find_opt preds lab) ~default:[])
 
 (* Structural preconditions of the rewrite, mirroring candidate
    selection: a hammock of distinct, non-entry, single-predecessor
@@ -207,7 +206,7 @@ let shape_reason ~preds ~entry ~block ~taken ~not_taken =
     Some "not-taken successor has multiple predecessors"
   else None
 
-let classify ~proc ~loops ~cfg_forward ~slice block =
+let classify ~proc ~blocks ~loops ~cfg_forward ~slice block =
   let lab = block.Block.label in
   if not cfg_forward then Loop_back
   else
@@ -242,7 +241,7 @@ let classify ~proc ~loops ~cfg_forward ~slice block =
         let varying =
           List.exists
             (fun l ->
-              let b = Proc.find_block proc l in
+              let b = Label.Tbl.find blocks l in
               (not (Label.equal l lab))
               && List.exists
                    (fun i ->
@@ -264,6 +263,8 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
   let live = Liveness.compute ?exit_live proc in
   let loops = Loops.compute proc in
   let preds = Cfg.predecessor_map proc in
+  let blocks = Cfg.block_index proc in
+  let position = Cfg.block_position proc in
   (* A site's DBB window spans its own block (the predict issues at its
      exit) and both successors (the resolve sits at the top of the
      resolution block carved out of them). Pressure at a label is how
@@ -278,14 +279,21 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
         | _ -> None)
       proc.Proc.blocks
   in
+  (* windows covering each label, a window counted once however often it
+     names the label *)
+  let covering = Label.Tbl.create 64 in
+  List.iter
+    (fun (_, w) ->
+      List.iter
+        (fun lab ->
+          let n = Option.value (Label.Tbl.find_opt covering lab) ~default:0 in
+          Label.Tbl.replace covering lab (n + 1))
+        (List.sort_uniq Label.compare w))
+    windows;
   let pressure_of window =
     List.fold_left
       (fun acc lab ->
-        let covering =
-          List.length
-            (List.filter (fun (_, w) -> List.mem lab w) windows)
-        in
-        max acc covering)
+        max acc (Option.value (Label.Tbl.find_opt covering lab) ~default:0))
       1 window
   in
   List.filter_map
@@ -293,7 +301,7 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
       match block.Block.term with
       | Term.Branch { src; taken; not_taken; id; _ } ->
         let slice, rest = condition_slice block.Block.body ~src in
-        let forward = Cfg.is_forward_branch proc block in
+        let forward = Cfg.is_forward_branch ~position block in
         let ineligible =
           match
             shape_reason ~preds ~entry:proc.Proc.entry ~block:block.Block.label
@@ -314,7 +322,7 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
         let side_of ~self ~alternate =
           side_cost ~may_alias ~max_hoist ~temp_slots
             ~must_rename:(must_rename ~alternate) ~slice
-            (Proc.find_block proc self).Block.body
+            (Label.Tbl.find blocks self).Block.body
         in
         let nt = side_of ~self:not_taken ~alternate:taken in
         let t = side_of ~self:taken ~alternate:not_taken in
@@ -330,7 +338,8 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
             site = id;
             ineligible;
             forward;
-            pred_class = classify ~proc ~loops ~cfg_forward:forward ~slice block;
+            pred_class =
+              classify ~proc ~blocks ~loops ~cfg_forward:forward ~slice block;
             loop_depth = Loops.depth loops block.Block.label;
             slice_size = List.length slice;
             slice_height;

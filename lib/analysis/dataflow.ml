@@ -14,24 +14,21 @@ end
 
 module Make (L : LATTICE) = struct
   type solution =
-    { s_in : (Label.t, L.t) Hashtbl.t;
-      s_out : (Label.t, L.t) Hashtbl.t
+    { s_in : L.t Label.Tbl.t;
+      s_out : L.t Label.Tbl.t
     }
 
-  let fact_in s l = Hashtbl.find_opt s.s_in l
-  let fact_out s l = Hashtbl.find_opt s.s_out l
+  let fact_in s l = Label.Tbl.find_opt s.s_in l
+  let fact_out s l = Label.Tbl.find_opt s.s_out l
 
   let solve ~direction ~boundary ~transfer proc =
-    let blocks = Hashtbl.create 64 in
-    List.iter
-      (fun b -> Hashtbl.replace blocks b.Block.label b)
-      proc.Proc.blocks;
-    let rpo = Cfg.reverse_postorder proc in
+    let blocks = Cfg.block_index proc in
+    let rpo = Cfg.reverse_postorder_indexed blocks proc in
     let order = match direction with Forward -> rpo | Backward -> List.rev rpo in
-    let in_order = Hashtbl.create 64 in
-    List.iter (fun l -> Hashtbl.replace in_order l ()) order;
+    let in_order = Label.Tbl.create 64 in
+    List.iter (fun l -> Label.Tbl.replace in_order l ()) order;
     let preds = Cfg.predecessor_map proc in
-    let pred_labels l = Option.value (Hashtbl.find_opt preds l) ~default:[] in
+    let pred_labels l = Option.value (Label.Tbl.find_opt preds l) ~default:[] in
     (* "upstream" feeds a block's input fact; "downstream" must be revisited
        when its output fact changes. *)
     let upstream b =
@@ -49,46 +46,46 @@ module Make (L : LATTICE) = struct
       | Forward -> Label.equal b.Block.label proc.Proc.entry
       | Backward -> Term.successors b.Block.term = []
     in
-    let s_in = Hashtbl.create 64 in
-    let s_out = Hashtbl.create 64 in
+    let s_in = Label.Tbl.create 64 in
+    let s_out = Label.Tbl.create 64 in
     (* The transfer's input is the block-in for forward problems and the
        block-out for backward ones; its output is the other. *)
     let input_tbl = match direction with Forward -> s_in | Backward -> s_out in
     let output_tbl = match direction with Forward -> s_out | Backward -> s_in in
     let queue = Queue.create () in
-    let queued = Hashtbl.create 64 in
+    let queued = Label.Tbl.create 64 in
     let enqueue l =
       if
-        Hashtbl.mem blocks l
-        && Hashtbl.mem in_order l
-        && not (Hashtbl.mem queued l)
+        Label.Tbl.mem blocks l
+        && Label.Tbl.mem in_order l
+        && not (Label.Tbl.mem queued l)
       then begin
-        Hashtbl.replace queued l ();
+        Label.Tbl.replace queued l ();
         Queue.add l queue
       end
     in
     List.iter enqueue order;
     while not (Queue.is_empty queue) do
       let l = Queue.pop queue in
-      Hashtbl.remove queued l;
-      let b = Hashtbl.find blocks l in
+      Label.Tbl.remove queued l;
+      let b = Label.Tbl.find blocks l in
       let sources =
-        List.filter_map (fun s -> Hashtbl.find_opt output_tbl s) (upstream b)
+        List.filter_map (fun s -> Label.Tbl.find_opt output_tbl s) (upstream b)
       in
       let sources = if at_boundary b then boundary :: sources else sources in
       match sources with
       | [] -> () (* no facts yet; a later upstream visit will re-enqueue *)
       | f :: rest ->
         let input = List.fold_left L.join f rest in
-        Hashtbl.replace input_tbl l input;
+        Label.Tbl.replace input_tbl l input;
         let output = transfer b input in
         let changed =
-          match Hashtbl.find_opt output_tbl l with
+          match Label.Tbl.find_opt output_tbl l with
           | Some prev -> not (L.equal prev output)
           | None -> true
         in
         if changed then begin
-          Hashtbl.replace output_tbl l output;
+          Label.Tbl.replace output_tbl l output;
           List.iter enqueue (downstream b)
         end
     done;

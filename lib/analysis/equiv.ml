@@ -28,21 +28,42 @@ type path = { endpoint : endpoint; lits : (int * bool) list; state : S.state }
    re-running under a tracer. *)
 exception Budget of { at : Label.t; explored : int }
 
+let endpoint_equal a b =
+  match (a, b) with
+  | Cut l, Cut l' -> Label.equal l l'
+  | Halted, Halted | Returned, Returned -> true
+  | Called (t, r), Called (t', r') -> Label.equal t t' && Label.equal r r'
+  | (Cut _ | Halted | Returned | Called _), _ -> false
+
+(* Literal lists are short; these scans compare their ints and bools
+   directly rather than through the polymorphic comparison. *)
+let has_lit id v lits =
+  List.exists (fun (i, b) -> i = id && Bool.equal b v) lits
+
 let add_lit lits ((id, v) as lit) =
-  if List.mem (id, not v) lits then None
-  else if List.mem lit lits then Some lits
+  if has_lit id (not v) lits then None
+  else if has_lit id v lits then Some lits
   else Some (lit :: lits)
 
-let subsumes ~by lits = List.for_all (fun l -> List.mem l by) lits
+let subsumes ~by lits = List.for_all (fun (id, v) -> has_lit id v by) lits
 
 let compatible l1 l2 =
-  not (List.exists (fun (id, v) -> List.mem (id, not v) l2) l1)
+  not (List.exists (fun (id, v) -> has_lit id (not v) l2) l1)
+
+(* A procedure's blocks by label and its cutpoint set, built once per
+   procedure and read at every step of every region's exploration. *)
+type region_graph = { blocks : Block.t Label.Tbl.t; is_cut : unit Label.Tbl.t }
+
+let region_graph proc ~cuts =
+  let is_cut = Label.Tbl.create 16 in
+  List.iter (fun l -> Label.Tbl.replace is_cut l ()) cuts;
+  { blocks = Cfg.block_index proc; is_cut }
 
 (* Enumerate every path of the acyclic region rooted at [start] (a
    cutpoint, whose own block is executed) up to the next cutpoint or
    procedure exit. [Predict] forks without a literal: the front end's
    choice is an oracle the relation must be insensitive to. *)
-let explore ctx proc ~cuts ~budget ~state ~start =
+let explore ctx g ~budget ~state ~start =
   let paths = ref [] and count = ref 0 in
   let current = ref start in
   let emit endpoint lits state =
@@ -51,8 +72,8 @@ let explore ctx proc ~cuts ~budget ~state ~start =
     paths := { endpoint; lits; state } :: !paths
   in
   let rec continue lab state lits =
-    if Lset.mem lab cuts then emit (Cut lab) lits state
-    else step (Proc.find_block proc lab) state lits
+    if Label.Tbl.mem g.is_cut lab then emit (Cut lab) lits state
+    else step (Label.Tbl.find g.blocks lab) state lits
   and step block state lits =
     current := block.Block.label;
     let state = S.exec_body ctx state block.Block.body in
@@ -88,7 +109,7 @@ let explore ctx proc ~cuts ~budget ~state ~start =
     | Term.Ret -> emit Returned lits state
     | Term.Halt -> emit Halted lits state
   in
-  step (Proc.find_block proc start) state [];
+  step (Label.Tbl.find g.blocks start) state [];
   List.rev !paths
 
 let labels_of proc =
@@ -142,24 +163,18 @@ let lits_name lits =
 
 (* ------------------------------------------------- one region, paired -- *)
 
-let check_region ~diags ~proc_name ~live ~scratch ~exit_set ~budget ~p_o
-    ~p_t ~cuts cut =
+let check_region ~diags ~proc_name ~live ~scratch ~exit_set ~budget ~g_o
+    ~g_t cut =
   let ctx = S.create () in
-  let shared_live = Regset.diff (Liveness.live_in live cut) scratch in
   (* Havoc: registers the relation assumes equal at region entry get one
      shared symbol; everything else (dead or scratch) gets a per-side
      symbol, so a program whose visible state depends on them is caught
      rather than silently accepted. Memory is shared. *)
-  let reg_symbol side r =
-    if Regset.mem r shared_live then
-      Printf.sprintf "%s@%s" (Reg.to_string r) cut
-    else Printf.sprintf "%s!%s@%s" side (Reg.to_string r) cut
-  in
-  let mem_symbol = "mem@" ^ cut in
-  let state side = S.init ctx ~reg_symbol:(reg_symbol side) ~mem_symbol in
+  let shared = Regset.diff (Liveness.live_in live cut) scratch in
+  let state side = S.init ctx ~at:cut ~side ~shared in
   match
-    ( explore ctx p_o ~cuts ~budget ~state:(state "o") ~start:cut,
-      explore ctx p_t ~cuts ~budget ~state:(state "t") ~start:cut )
+    ( explore ctx g_o ~budget ~state:(state "o") ~start:cut,
+      explore ctx g_t ~budget ~state:(state "t") ~start:cut )
   with
   | exception Budget { at; explored } ->
     diags :=
@@ -185,7 +200,7 @@ let check_region ~diags ~proc_name ~live ~scratch ~exit_set ~budget ~p_o
         else
           List.iter
             (fun po ->
-              if po.endpoint <> pt.endpoint then
+              if not (endpoint_equal po.endpoint pt.endpoint) then
                 diags :=
                   Diagnostic.error ~block:cut ~pass ~proc:proc_name
                     "%s from %s: original reaches %s, transformed %s"
@@ -215,7 +230,7 @@ let exit_live_set exit_live = Option.map Regset.of_list exit_live
 
 let verify_proc ~diags ~scratch ~exit_live ~budget ~p_o ~p_t =
   let exit_set =
-    Option.value exit_live ~default:(Regset.of_list Reg.all)
+    Option.value exit_live ~default:Regset.all
   in
   let proc_name = p_t.Proc.name in
   if not (Label.equal p_o.Proc.entry p_t.Proc.entry) then
@@ -225,11 +240,10 @@ let verify_proc ~diags ~scratch ~exit_live ~budget ~p_o ~p_t =
       :: !diags
   else begin
     let common = Lset.inter (labels_of p_o) (labels_of p_t) in
+    let cuts_o = Cutpoint.compute ~include_joins:true p_o in
     let cuts =
       Lset.inter common
-        (Lset.of_list
-           (Cutpoint.compute ~include_joins:true p_o
-           @ Cutpoint.compute ~include_joins:false p_t))
+        (Lset.of_list (cuts_o @ Cutpoint.compute ~include_joins:false p_t))
     in
     let cut_list = Lset.elements cuts in
     if not (Cutpoint.regions_acyclic p_o ~cuts:cut_list) then
@@ -244,15 +258,16 @@ let verify_proc ~diags ~scratch ~exit_live ~budget ~p_o ~p_t =
         :: !diags
     else begin
       let live = Liveness.compute ?exit_live p_o in
+      let g_o = region_graph p_o ~cuts:cut_list
+      and g_t = region_graph p_t ~cuts:cut_list in
       let paths =
         List.fold_left
           (fun acc cut ->
             acc
             + check_region ~diags ~proc_name ~live ~scratch ~exit_set
-                ~budget ~p_o ~p_t ~cuts cut)
+                ~budget ~g_o ~g_t cut)
           0
-          (Cutpoint.compute ~include_joins:true p_o
-          |> List.filter (fun l -> Lset.mem l cuts))
+          (List.filter (fun l -> Lset.mem l cuts) cuts_o)
       in
       diags :=
         Diagnostic.info ~pass ~proc:proc_name
@@ -301,7 +316,6 @@ let verify_self ?(scratch = []) ?exit_live ?(max_paths = 4096) program =
     (fun proc ->
       let proc_name = proc.Proc.name in
       let cut_list = Cutpoint.compute ~include_joins:true proc in
-      let cuts = Lset.of_list cut_list in
       if not (Cutpoint.regions_acyclic proc ~cuts:cut_list) then
         diags :=
           Diagnostic.error ~pass ~proc:proc_name
@@ -310,21 +324,15 @@ let verify_self ?(scratch = []) ?exit_live ?(max_paths = 4096) program =
       else begin
         let live = Liveness.compute ?exit_live proc in
         let exit_set =
-          Option.value exit_live ~default:(Regset.of_list Reg.all)
+          Option.value exit_live ~default:Regset.all
         in
         let checked = ref 0 in
+        let g = region_graph proc ~cuts:cut_list in
         List.iter
           (fun cut ->
             let ctx = S.create () in
-            let state =
-              S.init ctx
-                ~reg_symbol:(fun r ->
-                  Printf.sprintf "%s@%s" (Reg.to_string r) cut)
-                ~mem_symbol:("mem@" ^ cut)
-            in
-            match
-              explore ctx proc ~cuts ~budget:max_paths ~state ~start:cut
-            with
+            let state = S.init ctx ~at:cut ~side:"self" ~shared:Regset.all in
+            match explore ctx g ~budget:max_paths ~state ~start:cut with
             | exception Budget { at; explored } ->
               diags :=
                 Diagnostic.error ~block:cut ~pass ~proc:proc_name
@@ -339,7 +347,7 @@ let verify_self ?(scratch = []) ?exit_live ?(max_paths = 4096) program =
                   let p1 = arr.(i) and p2 = arr.(j) in
                   if compatible p1.lits p2.lits then begin
                     incr checked;
-                    if p1.endpoint <> p2.endpoint then
+                    if not (endpoint_equal p1.endpoint p2.endpoint) then
                       diags :=
                         Diagnostic.error ~block:cut ~pass ~proc:proc_name
                           "compatible paths from %s diverge: %s vs %s" cut

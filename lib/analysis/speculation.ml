@@ -7,7 +7,6 @@ let pass_names =
 let default_dbb_entries = 16
 
 module Intset = Set.Make (Int)
-module Regset = Set.Make (Reg)
 
 module Sites_may = Dataflow.Make (struct
   type t = Intset.t
@@ -89,6 +88,7 @@ let condition_slice body ~src =
 
 type proc_facts =
   { proc : Proc.t;
+    blocks : Block.t Label.Tbl.t;  (** {!Cfg.block_index} of [proc] *)
     reachable : Label.t list;  (** reverse postorder from the entry *)
     may : Sites_may.solution;
     must : Sites_must.solution;
@@ -99,8 +99,8 @@ type proc_facts =
 
 let callee_mods summaries target =
   match Summary.find summaries target with
-  | Some s -> Regset.of_list (Summary.Regset.elements s.Summary.mod_regs)
-  | None -> Regset.of_list (List.init Reg.count Reg.make)
+  | Some s -> s.Summary.mod_regs
+  | None -> Regset.all
 
 let compute_facts ?summaries proc =
   let may =
@@ -145,8 +145,10 @@ let compute_facts ?summaries proc =
         Hashtbl.replace resolve_arms id (n + 1)
       | _ -> ())
     proc.Proc.blocks;
+  let blocks = Cfg.block_index proc in
   { proc;
-    reachable = Cfg.reverse_postorder proc;
+    blocks;
+    reachable = Cfg.reverse_postorder_indexed blocks proc;
     may;
     must;
     spec;
@@ -161,7 +163,7 @@ let pairing_pass ~dbb_entries ?summaries ?(scratch_pool = []) facts =
   let emit d = diags := d :: !diags in
   List.iter
     (fun label ->
-      let b = Proc.find_block facts.proc label in
+      let b = Label.Tbl.find facts.blocks label in
       let may_in =
         Option.value (Sites_may.fact_in facts.may label) ~default:Intset.empty
       in
@@ -287,7 +289,7 @@ let spec_window_pass facts =
       | None -> ()
       | Some sites when Intset.is_empty sites -> ()
       | Some _ ->
-        let b = Proc.find_block facts.proc label in
+        let b = Label.Tbl.find facts.blocks label in
         List.iter
           (fun i ->
             match i with
@@ -315,7 +317,7 @@ let correction_pass facts =
   let emit d = diags := d :: !diags in
   List.iter
     (fun label ->
-      let b = Proc.find_block facts.proc label in
+      let b = Label.Tbl.find facts.blocks label in
       match b.Block.term with
       | Term.Resolve { src; mispredict; id; _ }
         when Intset.mem id facts.predict_ids -> begin
@@ -333,7 +335,7 @@ let correction_pass facts =
         let danger =
           Regset.diff (Regset.union spec_in (body_defs b.Block.body)) safe
         in
-        match Proc.find_block facts.proc mispredict with
+        match Label.Tbl.find facts.blocks mispredict with
         | exception Not_found ->
           emit
             (Diagnostic.error ~block:label ~site:id ~pass ~proc
@@ -387,7 +389,7 @@ let scratch_uninit_pass ~scratch facts =
     in
     List.concat_map
       (fun label ->
-        let b = Proc.find_block facts.proc label in
+        let b = Label.Tbl.find facts.blocks label in
         let defined =
           ref
             (Option.value (Must_defined.fact_in sol label)
@@ -425,11 +427,11 @@ let scratch_uninit_pass ~scratch facts =
 let reachability_pass facts =
   let pass = "reachability" in
   let proc = facts.proc.Proc.name in
-  let reachable = Hashtbl.create 64 in
-  List.iter (fun l -> Hashtbl.replace reachable l ()) facts.reachable;
+  let reachable = Label.Tbl.create 64 in
+  List.iter (fun l -> Label.Tbl.replace reachable l ()) facts.reachable;
   List.filter_map
     (fun b ->
-      if Hashtbl.mem reachable b.Block.label then None
+      if Label.Tbl.mem reachable b.Block.label then None
       else
         Some
           (Diagnostic.warning ~block:b.Block.label ~pass ~proc

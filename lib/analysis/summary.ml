@@ -1,6 +1,6 @@
 open Bv_isa
 open Bv_ir
-module Regset = Set.Make (Reg)
+module Regset = Regset
 
 type purity = Pure | Read_only | Writes_bounded | Writes_unknown
 
@@ -38,9 +38,6 @@ let purity_name = function
 let scratch_clean t ~pool =
   let pool = Regset.of_list pool in
   Regset.is_empty (Regset.inter pool (Regset.union t.mod_regs t.use_regs))
-
-let all_regs =
-  Regset.of_list (List.init Reg.count Reg.make)
 
 (* ----------------------------------------------- footprint algebra -- *)
 
@@ -133,8 +130,8 @@ let terminator_uses = function
    would reject): the callee may touch anything. *)
 let havoc_all =
   { name = "";
-    mod_regs = all_regs;
-    use_regs = all_regs;
+    mod_regs = Regset.all;
+    use_regs = Regset.all;
     loads = None;
     stores = None;
     recursive = false
@@ -152,9 +149,10 @@ let summarize lookup proc =
   let use_regs = ref Regset.empty in
   let loads = ref (Some []) in
   let stores = ref (Some []) in
+  let index = Cfg.block_index proc in
   List.iter
     (fun label ->
-      let b = Proc.find_block proc label in
+      let b = Label.Tbl.find index label in
       List.iter
         (fun i ->
           mod_regs := Regset.union !mod_regs (Regset.of_list (Instr.defs i));
@@ -185,7 +183,7 @@ let summarize lookup proc =
           loads := add_rebased !loads callee.loads facts;
           stores := add_rebased !stores callee.stores facts
         | _ -> ()))
-    (Cfg.reverse_postorder proc);
+    (Cfg.reverse_postorder_indexed index proc);
   { name = proc.Proc.name;
     mod_regs = !mod_regs;
     use_regs = !use_regs;

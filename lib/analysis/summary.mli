@@ -28,7 +28,8 @@
 open Bv_isa
 open Bv_ir
 
-module Regset : Set.S with type elt = Reg.t
+module Regset = Regset
+(** The bitset {!Bv_isa.Regset}; [Liveness.Regset] is the same module. *)
 
 type purity =
   | Pure  (** no loads, no stores — a function of its register inputs *)

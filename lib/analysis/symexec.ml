@@ -5,6 +5,7 @@ type expr = { id : int; node : node }
 and node =
   | Const of int
   | Symbol of string
+  | Entry of { reg : Reg.t; side : string option; at : string }
   | Alu of Instr.alu_op * expr * expr
   | Cmp of Instr.cmp_op * expr * expr
   | Ite of expr * expr * expr
@@ -17,10 +18,13 @@ and mnode =
   | Store of mem * expr * expr
 
 (* Structural keys over child ids: children are already interned, so the
-   key identifies the node up to congruence. *)
+   key identifies the node up to congruence. An entry symbol's key is an
+   int: [Reg.index r] for the register shared by every side,
+   [k * Reg.count + Reg.index r] for side number [k >= 1]. *)
 type ekey =
   | Kconst of int
   | Ksymbol of string
+  | Kentry of int
   | Kalu of Instr.alu_op * int * int
   | Kcmp of Instr.cmp_op * int * int
   | Kite of int * int * int
@@ -28,38 +32,112 @@ type ekey =
 
 type mkey = Kmemsym of string | Kstore of int * int * int
 
+(* Hashing for the monomorphic tables: FNV-style mixing of the key's ints,
+   with the high bits folded down because a table indexes by the low
+   ones. *)
+let mix h x = (h lxor x) * 0x100000001b3
+let finish h = h lxor (h lsr 29)
+
+let alu_code = function
+  | Instr.Add -> 0
+  | Instr.Sub -> 1
+  | Instr.And -> 2
+  | Instr.Or -> 3
+  | Instr.Xor -> 4
+  | Instr.Shl -> 5
+  | Instr.Shr -> 6
+  | Instr.Mul -> 7
+
+let cmp_code = function
+  | Instr.Eq -> 0
+  | Instr.Ne -> 1
+  | Instr.Lt -> 2
+  | Instr.Ge -> 3
+  | Instr.Le -> 4
+  | Instr.Gt -> 5
+
+module Etab = Hashtbl.Make (struct
+  type t = ekey
+
+  let equal a b =
+    match (a, b) with
+    | Kconst x, Kconst y | Kentry x, Kentry y -> x = y
+    | Ksymbol x, Ksymbol y -> String.equal x y
+    | Kalu (o, x, y), Kalu (o', x', y') -> o == o' && x = x' && y = y'
+    | Kcmp (o, x, y), Kcmp (o', x', y') -> o == o' && x = x' && y = y'
+    | Kite (c, x, y), Kite (c', x', y') -> c = c' && x = x' && y = y'
+    | Kselect (m, x), Kselect (m', x') -> m = m' && x = x'
+    | ( ( Kconst _ | Ksymbol _ | Kentry _ | Kalu _ | Kcmp _ | Kite _
+        | Kselect _ ),
+        _ ) ->
+      false
+
+  let hash = function
+    | Kconst n -> finish (mix 1 n)
+    | Ksymbol s -> Hashtbl.hash s
+    | Kentry k -> finish (mix 2 k)
+    | Kalu (o, x, y) -> finish (mix (mix (mix 3 (alu_code o)) x) y)
+    | Kcmp (o, x, y) -> finish (mix (mix (mix 4 (cmp_code o)) x) y)
+    | Kite (c, x, y) -> finish (mix (mix (mix 5 c) x) y)
+    | Kselect (m, x) -> finish (mix (mix 6 m) x)
+end)
+
+module Mtab = Hashtbl.Make (struct
+  type t = mkey
+
+  let equal a b =
+    match (a, b) with
+    | Kmemsym x, Kmemsym y -> String.equal x y
+    | Kstore (m, x, y), Kstore (m', x', y') -> m = m' && x = x' && y = y'
+    | (Kmemsym _ | Kstore _), _ -> false
+
+  let hash = function
+    | Kmemsym s -> Hashtbl.hash s
+    | Kstore (m, x, y) -> finish (mix (mix (mix 7 m) x) y)
+end)
+
+(* Term ids are dense, so the id itself is a perfect hash. *)
+module Itab = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
 type ctx =
-  { etab : (ekey, expr) Hashtbl.t;
-    mtab : (mkey, mem) Hashtbl.t;
-    rtab : (int, (int * int) option) Hashtbl.t;  (* memoized ranges *)
+  { etab : expr Etab.t;
+    mtab : mem Mtab.t;
+    rtab : (int * int) option Itab.t;  (* memoized ranges *)
+    mutable sides : string list;  (* per-side symbol owners, numbered from 1 *)
     mutable next_e : int;
     mutable next_m : int
   }
 
 let create () =
-  { etab = Hashtbl.create 256;
-    mtab = Hashtbl.create 64;
-    rtab = Hashtbl.create 256;
+  { etab = Etab.create 256;
+    mtab = Mtab.create 64;
+    rtab = Itab.create 256;
+    sides = [];
     next_e = 0;
     next_m = 0
   }
 
 let intern ctx key node =
-  match Hashtbl.find_opt ctx.etab key with
+  match Etab.find_opt ctx.etab key with
   | Some e -> e
   | None ->
     let e = { id = ctx.next_e; node } in
     ctx.next_e <- ctx.next_e + 1;
-    Hashtbl.add ctx.etab key e;
+    Etab.add ctx.etab key e;
     e
 
 let mintern ctx key mnode =
-  match Hashtbl.find_opt ctx.mtab key with
+  match Mtab.find_opt ctx.mtab key with
   | Some m -> m
   | None ->
     let m = { mid = ctx.next_m; mnode } in
     ctx.next_m <- ctx.next_m + 1;
-    Hashtbl.add ctx.mtab key m;
+    Mtab.add ctx.mtab key m;
     m
 
 let const ctx n = intern ctx (Kconst n) (Const n)
@@ -158,17 +236,17 @@ let add_bound a b =
 let sub_bound a b = if b = min_int then None else add_bound a (-b)
 
 let rec range ctx e =
-  match Hashtbl.find_opt ctx.rtab e.id with
+  match Itab.find_opt ctx.rtab e.id with
   | Some r -> r
   | None ->
     let r = compute_range ctx e in
-    Hashtbl.replace ctx.rtab e.id r;
+    Itab.replace ctx.rtab e.id r;
     r
 
 and compute_range ctx e =
   match e.node with
   | Const k -> Some (k, k)
-  | Symbol _ | Select _ -> None
+  | Symbol _ | Entry _ | Select _ -> None
   | Cmp _ -> Some (0, 1)
   | Ite (_, t, el) -> (
     match (range ctx t, range ctx el) with
@@ -293,46 +371,77 @@ and mstore ctx m a v = mintern ctx (Kstore (m.mid, a.id, v.id)) (Store (m, a, v)
 
 type state = { regs : expr array; mem : mem }
 
-let init ctx ~reg_symbol ~mem_symbol =
-  { regs = Array.init Reg.count (fun i -> symbol ctx (reg_symbol (Reg.make i)));
-    mem = memsym ctx mem_symbol
-  }
+(* The number of [side] among the context's per-side symbol owners,
+   allocated on first use. *)
+let side_number ctx side =
+  let rec find k = function
+    | [] ->
+      ctx.sides <- ctx.sides @ [ side ];
+      k
+    | s :: rest -> if String.equal s side then k else find (k + 1) rest
+  in
+  find 1 ctx.sides
 
-let get st r = st.regs.(Reg.index r)
+let init ctx ~at ~side ~shared =
+  let base = Reg.count * side_number ctx side in
+  let own = Some side in
+  let entry i =
+    let reg = Reg.make i in
+    if Regset.mem reg shared then
+      intern ctx (Kentry i) (Entry { reg; side = None; at })
+    else intern ctx (Kentry (base + i)) (Entry { reg; side = own; at })
+  in
+  { regs = Array.init Reg.count entry; mem = memsym ctx ("mem@" ^ at) }
 
-let set st r v =
-  let regs = Array.copy st.regs in
-  regs.(Reg.index r) <- v;
-  { st with regs }
-
-let operand ctx st = function
-  | Instr.Reg r -> get st r
+let operand ctx regs = function
+  | Instr.Reg r -> regs.(Reg.index r)
   | Instr.Imm k -> const ctx k
 
-let addr ctx st ~base ~offset = alu ctx Instr.Add (get st base) (const ctx offset)
+let addr ctx regs ~base ~offset =
+  alu ctx Instr.Add regs.(Reg.index base) (const ctx offset)
 
-let exec_instr ctx st instr =
+(* One instruction over a register file the caller owns: writes [regs] in
+   place and returns the memory. *)
+let step ctx regs mem instr =
+  let get r = regs.(Reg.index r) in
+  let set r v = regs.(Reg.index r) <- v in
   match instr with
-  | Instr.Nop -> st
+  | Instr.Nop -> mem
   | Instr.Alu { op; dst; src1; src2 } | Instr.Fpu { op; dst; src1; src2 } ->
-    set st dst (alu ctx op (get st src1) (operand ctx st src2))
-  | Instr.Mov { dst; src } -> set st dst (operand ctx st src)
+    set dst (alu ctx op (get src1) (operand ctx regs src2));
+    mem
+  | Instr.Mov { dst; src } ->
+    set dst (operand ctx regs src);
+    mem
   | Instr.Load { dst; base; offset; speculative = _ } ->
-    set st dst (select ctx st.mem (addr ctx st ~base ~offset))
+    set dst (select ctx mem (addr ctx regs ~base ~offset));
+    mem
   | Instr.Store { src; base; offset } ->
-    { st with mem = store ctx st.mem (addr ctx st ~base ~offset) (get st src) }
+    store ctx mem (addr ctx regs ~base ~offset) (get src)
   | Instr.Cmp { op; dst; src1; src2 } ->
-    set st dst (cmp ctx op (get st src1) (operand ctx st src2))
+    set dst (cmp ctx op (get src1) (operand ctx regs src2));
+    mem
   | Instr.Cmov { on; cond; dst; src } ->
-    let c = get st cond in
-    let v = operand ctx st src and old = get st dst in
+    let c = get cond in
+    let v = operand ctx regs src and old = get dst in
     let t, e = if on then (v, old) else (old, v) in
-    set st dst (ite ctx c t e)
+    set dst (ite ctx c t e);
+    mem
   | Instr.Branch _ | Instr.Jump _ | Instr.Call _ | Instr.Ret
   | Instr.Predict _ | Instr.Resolve _ | Instr.Halt ->
     invalid_arg "Symexec.exec_instr: control-flow instruction in a block body"
 
-let exec_body ctx st body = List.fold_left (exec_instr ctx) st body
+(* The register file is copied once per body, not once per instruction:
+   the copy is private to this call, so the steps may write it. *)
+let exec_body ctx st body =
+  match body with
+  | [] -> st
+  | _ ->
+    let regs = Array.copy st.regs in
+    let mem = List.fold_left (step ctx regs) st.mem body in
+    { regs; mem }
+
+let exec_instr ctx st instr = exec_body ctx st [ instr ]
 
 (* ----------------------------------------------------------- printing -- *)
 
@@ -358,6 +467,9 @@ let rec pp ppf e =
   match e.node with
   | Const n -> Format.pp_print_int ppf n
   | Symbol s -> Format.pp_print_string ppf s
+  | Entry { reg; side = None; at } -> Format.fprintf ppf "%a@@%s" Reg.pp reg at
+  | Entry { reg; side = Some side; at } ->
+    Format.fprintf ppf "%s!%a@@%s" side Reg.pp reg at
   | Alu (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp a (alu_sym op) pp b
   | Cmp (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp a (cmp_sym op) pp b
   | Ite (c, t, e) -> Format.fprintf ppf "(%a ? %a : %a)" pp c pp t pp e

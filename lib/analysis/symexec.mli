@@ -30,7 +30,9 @@
     modelled — terms denote values of fault-free executions.
 
     Terms are interned in tables private to a {!ctx}; ids are only
-    comparable within one context. *)
+    comparable within one context. The tables are monomorphic and keyed
+    by child ids; a register's entry symbol ({!init}) is keyed by an int,
+    and its name is rendered only when a term is printed. *)
 
 open Bv_isa
 
@@ -44,6 +46,10 @@ type expr = private { id : int; node : node }
 and node =
   | Const of int
   | Symbol of string
+  | Entry of { reg : Reg.t; side : string option; at : string }
+      (** [reg]'s value on entry to the region at [at], from {!init}:
+          shared by every side when [side = None] (printed [r3@at]),
+          private to one side otherwise (printed [side!r3@at]) *)
   | Alu of Instr.alu_op * expr * expr
   | Cmp of Instr.cmp_op * expr * expr
   | Ite of expr * expr * expr  (** [Ite (c, t, e)]: [t] if [c <> 0] *)
@@ -84,8 +90,13 @@ val surely_disjoint : ctx -> expr -> expr -> bool
 
 type state = { regs : expr array;  (** indexed by [Reg.index] *) mem : mem }
 
-val init : ctx -> reg_symbol:(Reg.t -> string) -> mem_symbol:string -> state
-(** Fully symbolic state: register [r] holds [Symbol (reg_symbol r)]. *)
+val init : ctx -> at:string -> side:string -> shared:Regset.t -> state
+(** Fully symbolic entry state of the region at [at]. A register in
+    [shared] holds the one entry symbol every side's [init] in this
+    context gets for it; any other register holds a symbol private to
+    [side]. Memory holds [Memsym ("mem@" ^ at)]. The 64 register symbols
+    are interned in register order on every call, so term ids depend only
+    on the sequence of [init] calls, never on names. *)
 
 val exec_instr : ctx -> state -> Instr.t -> state
 (** Straight-line step. Control-flow instructions (which never appear in
@@ -93,6 +104,7 @@ val exec_instr : ctx -> state -> Instr.t -> state
     normal loads evaluate alike (fault-free semantics). *)
 
 val exec_body : ctx -> state -> Instr.t list -> state
+(** [exec_instr] over a body, copying the register file once. *)
 
 val truth : expr -> bool option
 (** [Some b] if the term decides [e <> 0] on its own: a constant, or a

@@ -36,10 +36,10 @@ let shape_ok proc block preds =
     && (not (Label.equal not_taken block.Block.label))
     && (not (Label.equal taken proc.Proc.entry))
     && (not (Label.equal not_taken proc.Proc.entry))
-    && (match Hashtbl.find_opt preds taken with
+    && (match Label.Tbl.find_opt preds taken with
        | Some [ _ ] -> true
        | _ -> false)
-    && (match Hashtbl.find_opt preds not_taken with
+    && (match Label.Tbl.find_opt preds not_taken with
        | Some [ _ ] -> true
        | _ -> false)
   | _ -> false
@@ -52,9 +52,10 @@ let select ?(threshold = 0.05) ?(min_executed = 100) ~profile program =
   List.iter
     (fun proc ->
       let preds = Cfg.predecessor_map proc in
+      let position = Cfg.block_position proc in
       List.iter
         (fun block ->
-          if Cfg.is_forward_branch proc block then begin
+          if Cfg.is_forward_branch ~position block then begin
             incr forward;
             match block.Block.term with
             | Term.Branch { id; _ } ->

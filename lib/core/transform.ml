@@ -32,8 +32,6 @@ let phi r =
 
 exception Skip of string
 
-module Regset = Set.Make (Reg)
-
 (* Backward closure of [src] through the block body: the instructions that
    the condition value depends on within this block. Returns the slice (in
    original order) and the remainder. *)

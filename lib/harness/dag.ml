@@ -5,8 +5,10 @@
    and the sample/compiled node kinds; format 4 changed [Stats.t]'s
    per-site tables, which [sim] nodes marshal, from growable arrays
    indexed by site id to sorted ids plus one fixed slot per id; format 5
-   put a length-and-digest header in front of every node's payload.) *)
-let code_format = 5
+   put a length-and-digest header in front of every node's payload;
+   format 6 changed the register sets of [Summary.t], which [summary]
+   nodes marshal, from balanced trees to two-word bitsets.) *)
+let code_format = 6
 
 type counters =
   { hits : int;

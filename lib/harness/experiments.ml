@@ -60,6 +60,14 @@ let table_to_json (name, headers, rows) =
       )
     ]
 
+(* The results/*.csv files that failed to write since the last drain. *)
+let csv_failed : string list ref = ref []
+
+let drain_csv_failures () =
+  let failed = List.rev !csv_failed in
+  csv_failed := [];
+  failed
+
 (* Print a table; with BV_CSV set, also drop the data under results/. *)
 let emit ?csv ppf ~headers rows =
   (match csv with
@@ -68,16 +76,21 @@ let emit ?csv ppf ~headers rows =
   Format.fprintf ppf "%s@." (Text.render ~headers rows);
   match (csv, Sys.getenv_opt "BV_CSV") with
   | Some name, Some _ ->
+    let path = Filename.concat "results" (name ^ ".csv") in
     (try
        if not (Sys.file_exists "results") then Sys.mkdir "results" 0o755;
-       Out_channel.with_open_text
-         (Filename.concat "results" (name ^ ".csv"))
-         (fun oc ->
+       Out_channel.with_open_text path (fun oc ->
            Out_channel.output_string oc (Text.csv ~headers rows);
            (* reports a failing final flush, which the implicit close
               drops *)
            Out_channel.close oc)
-     with Sys_error e -> progress "csv export failed: %s" e)
+     with Sys_error e ->
+       (* an open error names the file already; a write error does not *)
+       let e =
+         if String.starts_with ~prefix:path e then e else path ^ ": " ^ e
+       in
+       csv_failed := path :: !csv_failed;
+       progress "csv export failed: %s" e)
   | _ -> ()
 
 (* --------------------------------------------------------------- table1 *)

@@ -18,6 +18,11 @@ val drain_tables : unit -> (string * string list * string list list) list
 
 val table_to_json : string * string list * string list list -> Bv_obs.Json.t
 
+val drain_csv_failures : unit -> string list
+(** The [results/<id>.csv] paths a [BV_CSV] export failed to write since
+    the last drain, in emission order. Each failure was also reported on
+    stderr with its cause. *)
+
 val table1 : Format.formatter -> unit
 val fig2 : Format.formatter -> unit
 val fig3 : Format.formatter -> unit

@@ -143,33 +143,37 @@ let scc_index t name = Hashtbl.find t.scc_of name
    is boolean and monotone, so a round-robin sweep to fixpoint over the
    reachable blocks terminates in O(blocks * diameter). *)
 let call_shadowed proc =
-  let rpo = Cfg.reverse_postorder proc in
+  let blocks = Cfg.block_index proc in
+  let rpo = Cfg.reverse_postorder_indexed blocks proc in
   let preds = Cfg.predecessor_map proc in
-  let shadowed_in = Hashtbl.create 32 in
-  let shadowed_out = Hashtbl.create 32 in
-  let out_of l = Option.value (Hashtbl.find_opt shadowed_out l) ~default:false in
+  let shadowed_in = Label.Tbl.create 32 in
+  let shadowed_out = Label.Tbl.create 32 in
+  let out_of l =
+    Option.value (Label.Tbl.find_opt shadowed_out l) ~default:false
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun label ->
-        let b = Proc.find_block proc label in
+        let b = Label.Tbl.find blocks label in
         let fact_in =
           List.exists out_of
-            (Option.value (Hashtbl.find_opt preds label) ~default:[])
+            (Option.value (Label.Tbl.find_opt preds label) ~default:[])
         in
         let fact_out =
           fact_in || (match b.Block.term with Term.Call _ -> true | _ -> false)
         in
         if
-          Option.value (Hashtbl.find_opt shadowed_in label) ~default:false
+          Option.value (Label.Tbl.find_opt shadowed_in label) ~default:false
           <> fact_in
           || out_of label <> fact_out
         then begin
-          Hashtbl.replace shadowed_in label fact_in;
-          Hashtbl.replace shadowed_out label fact_out;
+          Label.Tbl.replace shadowed_in label fact_in;
+          Label.Tbl.replace shadowed_out label fact_out;
           changed := true
         end)
       rpo
   done;
-  fun label -> Option.value (Hashtbl.find_opt shadowed_in label) ~default:false
+  fun label ->
+    Option.value (Label.Tbl.find_opt shadowed_in label) ~default:false

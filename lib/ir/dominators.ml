@@ -3,7 +3,7 @@ module Sset = Set.Make (String)
 
 type t =
   { entry : Label.t;
-    doms : (Label.t, Sset.t) Hashtbl.t  (* reachable block -> dominators *)
+    doms : Sset.t Label.Tbl.t  (* reachable block -> dominators *)
   }
 
 let compute proc =
@@ -13,13 +13,14 @@ let compute proc =
   let preds l =
     List.filter
       (fun p -> Sset.mem p reachable)
-      (Option.value (Hashtbl.find_opt preds_all l) ~default:[])
+      (Option.value (Label.Tbl.find_opt preds_all l) ~default:[])
   in
-  let doms = Hashtbl.create 64 in
+  let doms = Label.Tbl.create 64 in
   let entry = proc.Proc.entry in
-  Hashtbl.replace doms entry (Sset.singleton entry);
+  Label.Tbl.replace doms entry (Sset.singleton entry);
   List.iter
-    (fun l -> if not (Label.equal l entry) then Hashtbl.replace doms l reachable)
+    (fun l ->
+      if not (Label.equal l entry) then Label.Tbl.replace doms l reachable)
     rpo;
   let changed = ref true in
   while !changed do
@@ -32,12 +33,12 @@ let compute proc =
             | [] -> Sset.singleton l
             | p :: rest ->
               List.fold_left
-                (fun acc q -> Sset.inter acc (Hashtbl.find doms q))
-                (Hashtbl.find doms p) rest
+                (fun acc q -> Sset.inter acc (Label.Tbl.find doms q))
+                (Label.Tbl.find doms p) rest
           in
           let now = Sset.add l inter in
-          if not (Sset.equal now (Hashtbl.find doms l)) then begin
-            Hashtbl.replace doms l now;
+          if not (Sset.equal now (Label.Tbl.find doms l)) then begin
+            Label.Tbl.replace doms l now;
             changed := true
           end
         end)
@@ -48,12 +49,12 @@ let compute proc =
 let dominates t a b =
   if Label.equal a b then true
   else
-    match Hashtbl.find_opt t.doms b with
+    match Label.Tbl.find_opt t.doms b with
     | Some s -> Sset.mem a s
     | None -> false
 
 let idom t b =
-  match Hashtbl.find_opt t.doms b with
+  match Label.Tbl.find_opt t.doms b with
   | None -> None
   | Some s ->
     if Label.equal b t.entry then None
@@ -76,7 +77,7 @@ let idom t b =
 
 let dominator_tree t =
   let children = Hashtbl.create 16 in
-  Hashtbl.iter
+  Label.Tbl.iter
     (fun b _ ->
       match idom t b with
       | Some p ->
@@ -86,7 +87,7 @@ let dominator_tree t =
         Hashtbl.replace children p (b :: existing)
       | None -> ())
     t.doms;
-  Hashtbl.fold
+  Label.Tbl.fold
     (fun b _ acc ->
       (b, List.sort compare (Option.value (Hashtbl.find_opt children b) ~default:[]))
       :: acc)

@@ -1,12 +1,12 @@
 open Bv_isa
-module Regset = Set.Make (Reg)
+module Regset = Regset
 
 type t =
-  { live_in : (Label.t, Regset.t) Hashtbl.t;
-    live_out : (Label.t, Regset.t) Hashtbl.t
+  { live_in : Regset.t Label.Tbl.t;
+    live_out : Regset.t Label.Tbl.t
   }
 
-let all_regs = Regset.of_list Reg.all
+let all_regs = Regset.all
 
 let term_uses term =
   match term with
@@ -31,19 +31,19 @@ let block_use_def block =
 
 let compute ?(exit_live = all_regs) proc =
   let blocks = proc.Proc.blocks in
-  let use_def = Hashtbl.create 64 in
+  let use_def = Label.Tbl.create 64 in
   List.iter
-    (fun b -> Hashtbl.replace use_def b.Block.label (block_use_def b))
+    (fun b -> Label.Tbl.replace use_def b.Block.label (block_use_def b))
     blocks;
-  let live_in = Hashtbl.create 64 in
-  let live_out = Hashtbl.create 64 in
+  let live_in = Label.Tbl.create 64 in
+  let live_out = Label.Tbl.create 64 in
   List.iter
     (fun b ->
-      Hashtbl.replace live_in b.Block.label Regset.empty;
-      Hashtbl.replace live_out b.Block.label Regset.empty)
+      Label.Tbl.replace live_in b.Block.label Regset.empty;
+      Label.Tbl.replace live_out b.Block.label Regset.empty)
     blocks;
   let lookup_in l =
-    Option.value (Hashtbl.find_opt live_in l) ~default:Regset.empty
+    Option.value (Label.Tbl.find_opt live_in l) ~default:Regset.empty
   in
   let changed = ref true in
   while !changed do
@@ -69,17 +69,19 @@ let compute ?(exit_live = all_regs) proc =
               Regset.empty
               (Term.successors b.Block.term)
         in
-        let use, def = Hashtbl.find use_def l in
+        let use, def = Label.Tbl.find use_def l in
         let inn = Regset.union use (Regset.diff out def) in
         if not (Regset.equal inn (lookup_in l)) then begin
-          Hashtbl.replace live_in l inn;
+          Label.Tbl.replace live_in l inn;
           changed := true
         end;
-        Hashtbl.replace live_out l out)
+        Label.Tbl.replace live_out l out)
       (List.rev blocks)
   done;
   { live_in; live_out }
 
-let live_in t l = Option.value (Hashtbl.find_opt t.live_in l) ~default:all_regs
+let live_in t l =
+  Option.value (Label.Tbl.find_opt t.live_in l) ~default:all_regs
+
 let live_out t l =
-  Option.value (Hashtbl.find_opt t.live_out l) ~default:all_regs
+  Option.value (Label.Tbl.find_opt t.live_out l) ~default:all_regs

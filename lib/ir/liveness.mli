@@ -8,7 +8,8 @@
 
 open Bv_isa
 
-module Regset : Set.S with type elt = Reg.t
+module Regset = Regset
+(** The bitset {!Bv_isa.Regset}, under the name earlier callers use. *)
 
 type t
 

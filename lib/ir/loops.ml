@@ -3,7 +3,7 @@ module Lset = Set.Make (Label)
 
 type t =
   { back_edges : (Label.t * Label.t) list;
-    bodies : (Label.t, Lset.t) Hashtbl.t  (* header -> natural loop *)
+    bodies : Lset.t Label.Tbl.t  (* header -> natural loop *)
   }
 
 let compute proc =
@@ -20,11 +20,11 @@ let compute proc =
           (Cfg.successors proc block))
       proc.Proc.blocks
   in
-  let bodies = Hashtbl.create 8 in
+  let bodies = Label.Tbl.create 8 in
   List.iter
     (fun (latch, header) ->
       let body =
-        match Hashtbl.find_opt bodies header with
+        match Label.Tbl.find_opt bodies header with
         | Some b -> ref b
         | None -> ref (Lset.singleton header)
       in
@@ -34,11 +34,11 @@ let compute proc =
         if not (Lset.mem lab !body) then begin
           body := Lset.add lab !body;
           List.iter absorb
-            (Option.value (Hashtbl.find_opt preds lab) ~default:[])
+            (Option.value (Label.Tbl.find_opt preds lab) ~default:[])
         end
       in
       absorb latch;
-      Hashtbl.replace bodies header !body)
+      Label.Tbl.replace bodies header !body)
     back_edges;
   { back_edges; bodies }
 
@@ -46,20 +46,20 @@ let back_edges t = t.back_edges
 
 let headers t =
   List.sort Label.compare
-    (Hashtbl.fold (fun h _ acc -> h :: acc) t.bodies [])
+    (Label.Tbl.fold (fun h _ acc -> h :: acc) t.bodies [])
 
 let body t header =
-  match Hashtbl.find_opt t.bodies header with
+  match Label.Tbl.find_opt t.bodies header with
   | Some b -> Lset.elements b
   | None -> []
 
 let in_loop t ~header lab =
-  match Hashtbl.find_opt t.bodies header with
+  match Label.Tbl.find_opt t.bodies header with
   | Some b -> Lset.mem lab b
   | None -> false
 
 let containing t lab =
-  Hashtbl.fold
+  Label.Tbl.fold
     (fun h b acc -> if Lset.mem lab b then (h, Lset.cardinal b) :: acc else acc)
     t.bodies []
 

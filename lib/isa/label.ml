@@ -11,3 +11,10 @@ let fresh ~prefix =
   Printf.sprintf "%s$%d" prefix !counter
 
 let reset_fresh_counter () = counter := 0
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)

@@ -12,3 +12,9 @@ val fresh : prefix:string -> t
 
 val reset_fresh_counter : unit -> unit
 (** Restart the [fresh] counter (useful to make test output reproducible). *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Label-keyed tables compared with [String.equal], not the polymorphic
+    comparison. They hash with [Hashtbl.hash], as a polymorphic
+    [Hashtbl.t] does, so a table filled in the same order iterates in the
+    same order. *)

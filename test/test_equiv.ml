@@ -75,9 +75,7 @@ let test_symexec_memory () =
 
 let test_symexec_exec () =
   let ctx = S.create () in
-  let init =
-    S.init ctx ~reg_symbol:Reg.to_string ~mem_symbol:"mem"
-  in
+  let init = S.init ctx ~at:"entry" ~side:"s" ~shared:Regset.all in
   let store ~src ~offset = Instr.Store { src = r src; base = r 0; offset } in
   let load ~dst ~offset =
     Instr.Load { dst = r dst; base = r 0; offset; speculative = false }
@@ -108,6 +106,49 @@ let test_symexec_exec () =
   Alcotest.(check int) "cmov"
     (S.ite ctx init.S.regs.(5) init.S.regs.(7) init.S.regs.(6)).S.id
     cm.S.regs.(6).S.id
+
+(* Entry symbols are keyed by register and side, not by name: the names
+   printed are still [r3@L] for a shared register and [o!r3@L] /
+   [t!r3@L] for a per-side one. A shared register interns to one term
+   for both sides, a per-side register to one term per side, and all 64
+   are interned eagerly in register order, so ids match the named
+   interning they replaced. *)
+let test_symexec_entry_symbols () =
+  let ctx = S.create () in
+  let shared = Regset.of_list [ r 3; r 31; r 32 ] in
+  let o = S.init ctx ~at:"L" ~side:"o" ~shared in
+  let t = S.init ctx ~at:"L" ~side:"t" ~shared in
+  let name (st : S.state) i = S.to_string st.S.regs.(i) in
+  let id (st : S.state) i = st.S.regs.(i).S.id in
+  Alcotest.(check string) "shared name" "r3@L" (name o 3);
+  Alcotest.(check string) "shared name, other side" "r3@L" (name t 3);
+  Alcotest.(check string) "original side" "o!r4@L" (name o 4);
+  Alcotest.(check string) "transformed side" "t!r4@L" (name t 4);
+  Alcotest.(check string) "last register" "t!r63@L" (name t 63);
+  Alcotest.(check string) "memory" "mem@L"
+    (Format.asprintf "%a" S.pp_mem t.S.mem);
+  Alcotest.(check int) "memory is shared" o.S.mem.S.mid t.S.mem.S.mid;
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "r%d one term" i) (id o i) (id t i))
+    [ 3; 31; 32 ];
+  Alcotest.(check (list int)) "first side: ids in register order"
+    (List.init Reg.count Fun.id)
+    (List.init Reg.count (id o));
+  (* the second side's private symbols follow, in register order *)
+  let private_t =
+    List.filter
+      (fun i -> not (Regset.mem (r i) shared))
+      (List.init Reg.count Fun.id)
+  in
+  Alcotest.(check (list int)) "second side: fresh ids in register order"
+    (List.init (List.length private_t) (fun k -> Reg.count + k))
+    (List.map (id t) private_t);
+  (* a third init of a known side reuses its symbols *)
+  let o' = S.init ctx ~at:"L" ~side:"o" ~shared in
+  Alcotest.(check (list int)) "same side, same terms"
+    (List.init Reg.count (id o))
+    (List.init Reg.count (id o'))
 
 (* ---------------------------------------------------------------- alias *)
 
@@ -621,6 +662,42 @@ let test_mutation_kill () =
     Alcotest.failf "kill rate %.2f below 0.9; escapes: %s" rate
       (String.concat ", " !escaped)
 
+(* The full text of two counterexamples on one fuzz seed, pinned byte
+   for byte: they print register terms, shared ([r18@x4]) and per-side
+   ([t!r49@x4]) entry symbols, memory logs and [t<id>] path literals, so
+   a change to how terms are interned or named shows here. Regenerate
+   with [BV_GOLDEN_DIR=test/goldens dune exec test/test_equiv.exe]. *)
+let test_counterexample_golden () =
+  let seed = 31 in
+  let prog = gen_program seed in
+  let candidates = shape_valid_candidates prog in
+  let transformed =
+    (Vanguard.Transform.apply ~candidates prog).Vanguard.Transform.program
+  in
+  let mutant name =
+    let m = Program.copy transformed in
+    Alcotest.(check bool) (name ^ " applies") true
+      ((List.assoc name mutators) m);
+    ( name,
+      Bv_obs.Json.List
+        (List.map
+           (fun d -> Bv_obs.Json.String (Format.asprintf "%a" Diagnostic.pp d))
+           (Equiv.verify ~scratch ~original:prog m)) )
+  in
+  let got =
+    Bv_obs.Json.to_string ~indent:true
+      (Bv_obs.Json.Obj
+         [ ("seed", Bv_obs.Json.Int seed);
+           ( "mutants",
+             Bv_obs.Json.Obj
+               [ mutant "swap-resolve-arms"; mutant "drop-resolution-instr" ]
+           )
+         ])
+    ^ "\n"
+  in
+  Golden.check ~file:"toolchain_counterexample.json"
+    ~what:"counterexample text" got
+
 (* ------------------------------------------------------------------ main *)
 
 let () =
@@ -628,7 +705,8 @@ let () =
     [ ( "symexec",
         [ Alcotest.test_case "normalization" `Quick test_symexec_normalization;
           Alcotest.test_case "memory terms" `Quick test_symexec_memory;
-          Alcotest.test_case "execution" `Quick test_symexec_exec
+          Alcotest.test_case "execution" `Quick test_symexec_exec;
+          Alcotest.test_case "entry symbols" `Quick test_symexec_entry_symbols
         ] );
       ( "alias",
         [ Alcotest.test_case "verdicts" `Quick test_alias_verdicts;
@@ -645,7 +723,9 @@ let () =
             test_equiv_rejects_swapped_arms;
           Alcotest.test_case "budget overflow names the branch" `Quick
             test_equiv_budget_overflow_message;
-          Alcotest.test_case "mutation kill" `Slow test_mutation_kill
+          Alcotest.test_case "mutation kill" `Slow test_mutation_kill;
+          Alcotest.test_case "counterexample golden" `Quick
+            test_counterexample_golden
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_transform_proves;

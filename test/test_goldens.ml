@@ -33,20 +33,6 @@ let capture ?on_cycle ?acct (config : Config.t) image =
        ])
   ^ "\n"
 
-let check_golden ~file ~what got =
-  match Sys.getenv_opt "BV_GOLDEN_DIR" with
-  | Some dir ->
-    let path = Filename.concat dir file in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc got);
-    Printf.printf "wrote %s\n%!" path
-  | None ->
-    let want =
-      In_channel.with_open_text (Filename.concat "goldens" file)
-        In_channel.input_all
-    in
-    Alcotest.(check string) what want got
-
 let test_case (name, config, image) () =
   let image = Lazy.force image in
   let got = capture config image in
@@ -59,8 +45,8 @@ let test_case (name, config, image) () =
   let acct = Acct.create image.Layout.code in
   let accounted = capture ~acct config image in
   Alcotest.(check string) (name ^ " accounted = unobserved") got accounted;
-  check_golden ~file:(name ^ ".json") ~what:(name ^ " stats bit-for-bit") got;
-  check_golden
+  Golden.check ~file:(name ^ ".json") ~what:(name ^ " stats bit-for-bit") got;
+  Golden.check
     ~file:("acct_" ^ name ^ ".json")
     ~what:(name ^ " CPI stack bit-for-bit")
     (Bv_obs.Json.to_string ~indent:true (Acct.to_json acct) ^ "\n")
@@ -79,7 +65,7 @@ let test_ladder kind () =
     (name ^ " unobserved = stepped")
     (capture ~on_cycle:no_op config image)
     got;
-  check_golden ~file:(name ^ ".json") ~what:(name ^ " stats bit-for-bit") got
+  Golden.check ~file:(name ^ ".json") ~what:(name ^ " stats bit-for-bit") got
 
 let () =
   Alcotest.run "bv_goldens"

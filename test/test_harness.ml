@@ -110,30 +110,6 @@ let test_experiments_registry () =
 
 (* --------------------------------------------------------- run inputs *)
 
-(* Run the CLI built next to this test with [env] on top of this
-   process's environment minus every BV_* variable (and with the DAG
-   store off); its exit code, stdout and stderr. *)
-let cli ~env args =
-  let exe =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      "../bin/vanguard_cli.exe"
-  in
-  let inherited =
-    List.filter
-      (fun kv -> not (String.starts_with ~prefix:"BV_" kv))
-      (Array.to_list (Unix.environment ()))
-  in
-  let env = Array.of_list (("BV_CACHE=none" :: env) @ inherited) in
-  let ((out, _, err) as proc) =
-    Unix.open_process_args_full exe (Array.of_list (exe :: args)) env
-  in
-  let stdout = In_channel.input_all out in
-  let stderr = In_channel.input_all err in
-  match Unix.close_process_full proc with
-  | Unix.WEXITED code -> (code, stdout, stderr)
-  | _ -> (-1, stdout, stderr)
-
 (* A malformed input fails before any work: non-zero exit, nothing on
    stdout, and an error that opens by naming the culprit. *)
 let check_rejected what (code, stdout, stderr) ~error =
@@ -148,20 +124,22 @@ let test_scale_rejected () =
   List.iter
     (fun v ->
       check_rejected ("BV_SCALE=" ^ v)
-        (cli ~env:[ "BV_SCALE=" ^ v ] [ "run"; "-b"; "gobmk" ])
+        (Cli.run ~env:[ "BV_SCALE=" ^ v ] [ "run"; "-b"; "gobmk" ])
         ~error:"vanguard_cli: BV_SCALE must be a finite number > 0")
     [ "0.05x"; "0,05"; "nan"; "inf"; "-1"; "0"; "" ];
-  let code, _, _ = cli ~env:[ "BV_SCALE=0.05" ] [ "list" ] in
+  let code, _, _ = Cli.run ~env:[ "BV_SCALE=0.05" ] [ "list" ] in
   Alcotest.(check int) "BV_SCALE=0.05 accepted" 0 code
 
 let test_jobs_rejected () =
   List.iter
     (fun v ->
       check_rejected ("BV_JOBS=" ^ v)
-        (cli ~env:[ "BV_JOBS=" ^ v ] [ "experiment"; "table1" ])
+        (Cli.run ~env:[ "BV_JOBS=" ^ v ] [ "experiment"; "table1" ])
         ~error:"vanguard_cli: BV_JOBS must be an integer >= 1")
     [ "0"; "-2"; "two"; "1.5"; "" ];
-  let code, stdout, _ = cli ~env:[ "BV_JOBS=2" ] [ "experiment"; "table1" ] in
+  let code, stdout, _ =
+    Cli.run ~env:[ "BV_JOBS=2" ] [ "experiment"; "table1" ]
+  in
   Alcotest.(check int) "BV_JOBS=2 accepted" 0 code;
   Alcotest.(check bool) "table1 printed" true (stdout <> "")
 
@@ -171,12 +149,12 @@ let test_dag_seconds_rejected () =
       List.iter
         (fun v ->
           check_rejected (var ^ "=" ^ v)
-            (cli ~env:[ var ^ "=" ^ v ] [ "experiment"; "table1" ])
+            (Cli.run ~env:[ var ^ "=" ^ v ] [ "experiment"; "table1" ])
             ~error:
               (Printf.sprintf "vanguard_cli: %s must be a finite number >= 0"
                  var))
         [ "5m"; "nan"; "inf"; "-1"; "" ];
-      let code, _, _ = cli ~env:[ var ^ "=0" ] [ "list" ] in
+      let code, _, _ = Cli.run ~env:[ var ^ "=0" ] [ "list" ] in
       Alcotest.(check int) (var ^ "=0 accepted") 0 code)
     [ "BV_DAG_WAIT"; "BV_DAG_CLAIM_TTL" ]
 
@@ -184,7 +162,7 @@ let test_dag_seconds_rejected () =
 let test_full_disk () =
   if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
   let code, _, stderr =
-    cli ~env:[] [ "experiment"; "table1"; "--json"; "/dev/full" ]
+    Cli.run ~env:[] [ "experiment"; "table1"; "--json"; "/dev/full" ]
   in
   Alcotest.(check bool) "exits non-zero" true (code <> 0);
   Alcotest.(check bool)
@@ -192,11 +170,69 @@ let test_full_disk () =
     true
     (String.starts_with ~prefix:"error: cannot write /dev/full" stderr)
 
+let has_line ~prefix text =
+  List.exists (String.starts_with ~prefix) (String.split_on_char '\n' text)
+
+(* A report on a full stdout is the same named error as one to a full
+   file, not an exception escaping at exit. *)
+let test_full_stdout () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let code, stderr =
+    Cli.run_redirected ~stdout:"/dev/full" ~env:[]
+      [ "experiment"; "table1"; "--json"; "-" ]
+  in
+  Alcotest.(check int) (Printf.sprintf "exits 1 (%S)" stderr) 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "names the error (%S)" stderr)
+    true
+    (has_line ~prefix:"error: cannot write -: " stderr)
+
+(* A BV_CSV export that fails names its file and fails the command, but
+   only after every table and the --json report are written. *)
+let test_csv_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = Filename.temp_dir "bv_csv" "" in
+  let results = Filename.concat dir "results" in
+  let csv = Filename.concat results "fig2.csv" in
+  let report = Filename.concat dir "report.json" in
+  let tables = Filename.concat dir "tables.txt" in
+  Sys.mkdir results 0o755;
+  Unix.symlink "/dev/full" csv;
+  let code, stderr =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> if Sys.file_exists f || f = csv then Sys.remove f)
+          [ csv; report; tables ];
+        Sys.rmdir results;
+        Sys.rmdir dir)
+      (fun () ->
+        let ((_, stderr) as got) =
+          Cli.run_redirected ~cwd:dir ~stdout:tables
+            ~env:[ "BV_CSV=1"; "BV_SCALE=0.05" ]
+            [ "experiment"; "fig2"; "--json"; report ]
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "tables printed (%S)" stderr)
+          true
+          (In_channel.with_open_text tables In_channel.input_all <> "");
+        Alcotest.(check bool) "report written" true
+          (Result.is_ok
+             (Bv_obs.Json.of_string
+                (In_channel.with_open_text report In_channel.input_all)));
+        got)
+  in
+  Alcotest.(check int) (Printf.sprintf "exits 1 (%S)" stderr) 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "names the file (%S)" stderr)
+    true
+    (has_line ~prefix:"  [bench] csv export failed: results/fig2.csv: " stderr)
+
 (* An unknown id anywhere in the list stops the command before the
    experiments ahead of it run. *)
 let test_experiment_ids_checked_first () =
   check_rejected "experiment table1 zzz"
-    (cli ~env:[] [ "experiment"; "table1"; "zzz" ])
+    (Cli.run ~env:[] [ "experiment"; "table1"; "zzz" ])
     ~error:"unknown experiment zzz"
 
 let prop_geomean_between_min_max =
@@ -234,6 +270,10 @@ let () =
           Alcotest.test_case "malformed BV_DAG_WAIT/CLAIM_TTL" `Quick
             test_dag_seconds_rejected;
           Alcotest.test_case "--json to a full disk" `Quick test_full_disk;
+          Alcotest.test_case "--json - to a full stdout" `Quick
+            test_full_stdout;
+          Alcotest.test_case "BV_CSV export to a full disk" `Quick
+            test_csv_full_disk;
           Alcotest.test_case "experiment ids checked first" `Quick
             test_experiment_ids_checked_first
         ] )

@@ -1,7 +1,9 @@
 (* Hot-path data structures in isolation: the monomorphic handle Ring,
    the Release occupancy calendars, the pre-decoded static table, the
    struct-of-arrays in-flight pool, and the SoA DBB — everything the
-   per-cycle loop leans on for its zero-allocation / O(1) claims. *)
+   per-cycle loop leans on for its zero-allocation / O(1) claims — plus
+   the allocation of the toolchain's translation validator and
+   liveness. *)
 
 open Bv_pipeline
 open Machine_state
@@ -259,6 +261,90 @@ let test_cycle_allocation () =
   in
   Alcotest.(check (list string)) "runs at >= 0.05 minor words/cycle" [] over
 
+(* ------------------------------------------------ analysis allocation *)
+
+(* The 55 TRAIN programs at a quarter of their repetitions (as the
+   toolchain benchmark runs them), each with its decomposed-branch
+   transform: profile with the tournament predictor, select, transform. *)
+let analysis_corpus =
+  lazy
+    (List.map
+       (fun spec ->
+         let reps = spec.Bv_workloads.Spec.reps in
+         let spec =
+           { spec with
+             Bv_workloads.Spec.reps =
+               max 2 (Float.to_int (Float.round (Float.of_int reps /. 4.0)))
+           }
+         in
+         let prog = Bv_workloads.Gen.generate ~input:0 spec in
+         let profile =
+           Bv_profile.Profile.collect
+             ~predictor:(Bv_bpred.Kind.create Bv_bpred.Kind.Tournament)
+             (Bv_ir.Layout.program (Bv_ir.Program.copy prog))
+         in
+         let candidates =
+           (Vanguard.Select.select ~profile prog).Vanguard.Select.candidates
+         in
+         let transformed =
+           (Vanguard.Transform.apply ~exit_live:Bv_workloads.Gen.live_at_exit
+              ~candidates prog)
+             .Vanguard.Transform.program
+         in
+         (prog, transformed))
+       Bv_workloads.Suites.all)
+
+(* Minor words the translation validator ([Equiv.verify] + [verify_self])
+   and [Liveness.compute] allocate over that corpus, in millions, pinned
+   just above their values when the gate was set (27.69 M and 1.57 M;
+   91.33 M and 6.23 M before register sets became bitsets, entry symbols
+   int-keyed and label lookups indexed). For a fixed binary the counts
+   are deterministic. *)
+let equiv_words_when_set = 28.0
+let liveness_words_when_set = 1.6
+
+let test_analysis_allocation () =
+  let corpus = Lazy.force analysis_corpus in
+  let scratch = Vanguard.Transform.default_temp_pool in
+  let exit_live = Bv_workloads.Gen.live_at_exit in
+  let equiv =
+    minor_words (fun () ->
+        List.iter
+          (fun (original, transformed) ->
+            ignore
+              (Bv_analysis.Equiv.verify ~scratch ~exit_live ~original
+                 transformed);
+            ignore
+              (Bv_analysis.Equiv.verify_self ~scratch ~exit_live
+                 transformed))
+          corpus)
+  in
+  let exit_live = Bv_ir.Liveness.Regset.of_list exit_live in
+  let liveness =
+    minor_words (fun () ->
+        List.iter
+          (fun (original, _) ->
+            List.iter
+              (fun proc -> ignore (Bv_ir.Liveness.compute ~exit_live proc))
+              original.Bv_ir.Program.procs)
+          corpus)
+  in
+  let over =
+    List.filter_map
+      (fun (what, words, ceiling) ->
+        let reading =
+          Printf.sprintf "%s: %.2f M minor words (ceiling %.2f M)" what
+            (words /. 1e6) ceiling
+        in
+        print_endline reading;
+        if words /. 1e6 <= ceiling then None else Some reading)
+      [ ("Equiv.verify + verify_self", equiv, equiv_words_when_set);
+        ("Liveness.compute", liveness, liveness_words_when_set)
+      ]
+  in
+  Alcotest.(check (list string))
+    "analyses over their allocation ceiling" [] over
+
 (* ------------------------------------------------------ stall-skip gate *)
 
 (* Stall skipping is what makes a memory-bound run cheap, and a change
@@ -339,7 +425,9 @@ let () =
         ] );
       ( "allocation",
         [ Alcotest.test_case "no allocation per simulated cycle" `Quick
-            test_cycle_allocation
+            test_cycle_allocation;
+          Alcotest.test_case "analysis allocation" `Quick
+            test_analysis_allocation
         ] );
       ( "stall skipping",
         [ Alcotest.test_case "stepped share of cycles" `Quick

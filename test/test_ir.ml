@@ -356,11 +356,12 @@ let test_cfg () =
   Alcotest.(check (list string)) "succs" [ "c"; "b" ] (Cfg.successors p a);
   let preds = Cfg.predecessor_map p in
   Alcotest.(check (list string)) "preds of d" [ "b"; "c" ]
-    (List.sort compare (Hashtbl.find preds "d"));
+    (List.sort compare (Label.Tbl.find preds "d"));
   let rpo = Cfg.reverse_postorder p in
   Alcotest.(check string) "rpo starts at entry" "a" (List.hd rpo);
   Alcotest.(check int) "rpo complete" 4 (List.length rpo);
-  Alcotest.(check bool) "forward" true (Cfg.is_forward_branch p a);
+  Alcotest.(check bool) "forward" true
+    (Cfg.is_forward_branch ~position:(Cfg.block_position p) a);
   (* backward branch *)
   let p2 =
     Proc.make ~name:"m"
@@ -372,7 +373,8 @@ let test_cfg () =
       ]
   in
   Alcotest.(check bool) "backward" false
-    (Cfg.is_forward_branch p2 (Proc.find_block p2 "loop"))
+    (Cfg.is_forward_branch ~position:(Cfg.block_position p2)
+       (Proc.find_block p2 "loop"))
 
 let test_liveness () =
   (* diamond: r1 read on one side only, r2 written both sides *)

@@ -134,6 +134,103 @@ let prop_defs_uses_disjoint_store =
     (fun (a, b) ->
       Instr.defs (Instr.Store { src = r a; base = r b; offset = 0 }) = [])
 
+(* The bitset [Regset] against the balanced-tree set it replaced, kept
+   here as the reference: random operation sequences over two sets, with
+   registers drawn so that both word boundaries (r31/r32) and both ends
+   (r0/r63) come up often. After every step the two must agree on
+   membership of every register, on emptiness, on equality, and on the
+   order [elements], [fold] and [iter] visit. *)
+module Tree = Set.Make (Reg)
+
+type set_op =
+  | Add of int
+  | Singleton of int
+  | Of_list of int list
+  | Union
+  | Inter
+  | Diff
+  | Diff_back
+  | Swap
+  | Clear
+  | Fill
+
+let reg_index_gen =
+  QCheck2.Gen.(oneof [ oneofl [ 0; 31; 32; 63 ]; int_range 0 63 ])
+
+let set_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map (fun i -> Add i) reg_index_gen);
+        (2, map (fun i -> Singleton i) reg_index_gen);
+        ( 2,
+          map (fun l -> Of_list l) (list_size (int_range 0 12) reg_index_gen)
+        );
+        (2, pure Union);
+        (2, pure Inter);
+        (2, pure Diff);
+        (2, pure Diff_back);
+        (1, pure Swap);
+        (1, pure Clear);
+        (1, pure Fill)
+      ])
+
+let show_set_op = function
+  | Add i -> Printf.sprintf "add r%d" i
+  | Singleton i -> Printf.sprintf "singleton r%d" i
+  | Of_list l ->
+    "of_list [" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+  | Union -> "union"
+  | Inter -> "inter"
+  | Diff -> "diff"
+  | Diff_back -> "diff_back"
+  | Swap -> "swap"
+  | Clear -> "clear"
+  | Fill -> "fill"
+
+(* One step on (x, y) in both representations. *)
+let step_sets op ((x, tx), (y, ty)) =
+  match op with
+  | Add i -> ((Regset.add (r i) x, Tree.add (r i) tx), (y, ty))
+  | Singleton i -> ((x, tx), (Regset.singleton (r i), Tree.singleton (r i)))
+  | Of_list l ->
+    let rs = List.map r l in
+    ((x, tx), (Regset.of_list rs, Tree.of_list rs))
+  | Union -> ((Regset.union x y, Tree.union tx ty), (y, ty))
+  | Inter -> ((Regset.inter x y, Tree.inter tx ty), (y, ty))
+  | Diff -> ((Regset.diff x y, Tree.diff tx ty), (y, ty))
+  | Diff_back -> ((x, tx), (Regset.diff y x, Tree.diff ty tx))
+  | Swap -> ((y, ty), (x, tx))
+  | Clear -> ((Regset.empty, Tree.empty), (y, ty))
+  | Fill -> ((x, tx), (Regset.all, Tree.of_list Reg.all))
+
+let agrees (s, t) =
+  let idx = List.map Reg.index in
+  idx (Regset.elements s) = idx (Tree.elements t)
+  && idx (Regset.fold (fun r acc -> r :: acc) s [])
+     = idx (Tree.fold (fun r acc -> r :: acc) t [])
+  && (let seen = ref [] and want = ref [] in
+      Regset.iter (fun r -> seen := Reg.index r :: !seen) s;
+      Tree.iter (fun r -> want := Reg.index r :: !want) t;
+      !seen = !want)
+  && Bool.equal (Regset.is_empty s) (Tree.is_empty t)
+  && List.for_all (fun r -> Bool.equal (Regset.mem r s) (Tree.mem r t)) Reg.all
+
+let prop_regset_matches_tree =
+  QCheck2.Test.make ~name:"bitset Regset = Set.Make (Reg)" ~count:500
+    ~print:(fun ops -> String.concat "; " (List.map show_set_op ops))
+    QCheck2.Gen.(list_size (int_range 1 40) set_op_gen)
+    (fun ops ->
+      let empty = (Regset.empty, Tree.empty) in
+      let rec run sets = function
+        | [] -> true
+        | op :: rest ->
+          let ((x, tx), (y, ty)) as sets = step_sets op sets in
+          agrees (x, tx) && agrees (y, ty)
+          && Bool.equal (Regset.equal x y) (Tree.equal tx ty)
+          && run sets rest
+      in
+      run (empty, empty) ops)
+
 let () =
   Alcotest.run "bv_isa"
     [ ( "reg",
@@ -151,6 +248,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_alu_total; prop_cmp_antisymmetric;
-            prop_defs_uses_disjoint_store
+            prop_defs_uses_disjoint_store; prop_regset_matches_tree
           ] )
     ]

@@ -1,4 +1,5 @@
-(* Assembler, dominators and DOT export. *)
+(* Assembler, dominators, DOT export, and goldens of the analysis
+   commands' JSON reports. *)
 
 open Bv_isa
 open Bv_ir
@@ -216,6 +217,55 @@ let test_dot_output () =
   let s3 = Format.asprintf "%a" (Dot.program ~bodies:false) prog2 in
   Alcotest.(check bool) "call edge" true (contains s3 "style=dashed")
 
+(* ------------------------------------------------------- report goldens *)
+
+(* The JSON reports of [prove], [lint] and [advise] on four benchmarks,
+   pinned byte for byte so that a change to the analyses' data
+   structures cannot move a verdict, a diagnostic or a cost figure
+   unseen. The DAG counters are dropped: they describe the run, not its
+   result.
+
+   Regenerating (only after an intentional analysis change):
+
+     dune build && BV_GOLDEN_DIR=test/goldens dune exec test/test_toolchain.exe
+
+   from the repository root rewrites the files in place (the first step
+   builds the CLI the cases run). *)
+
+let rec drop_dag = function
+  | Bv_obs.Json.Obj fields ->
+    Bv_obs.Json.Obj
+      (List.filter_map
+         (fun (k, v) -> if k = "dag" then None else Some (k, drop_dag v))
+         fields)
+  | Bv_obs.Json.List items -> Bv_obs.Json.List (List.map drop_dag items)
+  | v -> v
+
+let test_report_golden (command, bench) () =
+  let code, out, _ =
+    Cli.run ~env:[ "BV_SCALE=0.25" ] [ command; "-b"; bench; "--json"; "-" ]
+  in
+  Alcotest.(check int) (command ^ " exits 0") 0 code;
+  match Bv_obs.Json.of_string out with
+  | Error e -> Alcotest.failf "%s -b %s: bad JSON: %s" command bench e
+  | Ok json ->
+    Golden.check
+      ~file:(Printf.sprintf "toolchain_%s_%s.json" command bench)
+      ~what:(Printf.sprintf "%s -b %s report" command bench)
+      (Bv_obs.Json.to_string ~indent:true (drop_dag json) ^ "\n")
+
+let report_cases =
+  List.concat_map
+    (fun command ->
+      List.map
+        (fun bench ->
+          Alcotest.test_case
+            (Printf.sprintf "%s -b %s" command bench)
+            `Quick
+            (test_report_golden (command, bench)))
+        [ "perlbench"; "gcc"; "mcf"; "lbm" ])
+    [ "prove"; "lint"; "advise" ]
+
 let () =
   Alcotest.run "toolchain"
     [ ( "asm",
@@ -231,5 +281,6 @@ let () =
             test_dominators_after_transform;
           Alcotest.test_case "unreachable" `Quick test_dominators_unreachable
         ] );
-      ( "dot", [ Alcotest.test_case "output" `Quick test_dot_output ] )
+      ( "dot", [ Alcotest.test_case "output" `Quick test_dot_output ] );
+      ("report goldens", report_cases)
     ]
