@@ -175,13 +175,12 @@ type facts = absval array
 
 type solution = Solver.solution
 
-let solve ?call_mod proc =
+let solve ?call_mod g =
   let boundary = Array.init Reg.count (fun i -> Entry (i, (0, 0))) in
   Solver.solve ~direction:Dataflow.Forward ~boundary
-    ~transfer:(transfer ?call_mod) proc
+    ~transfer:(transfer ?call_mod) g
 
-let entry_facts solution label =
-  Option.map Array.copy (Solver.fact_in solution label)
+let entry_facts solution b = Option.map Array.copy (Solver.fact_in_at solution b)
 
 let step_instr = step
 
@@ -198,8 +197,8 @@ let rebase addr regs =
       | None -> Unknown)
     | Top -> Unknown)
 
-let analyze ?call_mod proc =
-  let solution = solve ?call_mod proc in
+let analyze ?call_mod (g : Cfg.t) =
+  let solution = solve ?call_mod g in
   let table = Phys.create 64 in
   let record instr addr =
     (* A condition slice is physically shared between the two resolution
@@ -209,10 +208,10 @@ let analyze ?call_mod proc =
     | Some prior ->
       if not (equal_address prior addr) then Phys.replace table instr Unknown
   in
-  List.iter
-    (fun block ->
+  Array.iteri
+    (fun b block ->
       let regs =
-        match Solver.fact_in solution block.Block.label with
+        match Solver.fact_in_at solution b with
         | Some fact -> Array.copy fact
         | None -> Array.make Reg.count Top
       in
@@ -224,7 +223,7 @@ let analyze ?call_mod proc =
           | _ -> ());
           step regs instr)
         block.Block.body)
-    proc.Proc.blocks;
+    g.Cfg.blocks;
   table
 
 let address_of t instr =

@@ -36,7 +36,7 @@ type address =
           [lo, hi] *)
   | Unknown
 
-val analyze : ?call_mod:(Label.t -> Reg.t list option) -> Proc.t -> t
+val analyze : ?call_mod:(Label.t -> Reg.t list option) -> Cfg.t -> t
 (** [call_mod] is an interprocedural summary hook: at a [Term.Call] to
     [target], only the registers [call_mod target] reports are havocked
     instead of all of them ([None] — unknown callee — keeps the
@@ -60,13 +60,14 @@ type facts = absval array
 
 type solution
 
-val solve : ?call_mod:(Label.t -> Reg.t list option) -> Proc.t -> solution
+val solve : ?call_mod:(Label.t -> Reg.t list option) -> Cfg.t -> solution
 (** The forward interval solve {!analyze} is built on, without the
     per-occurrence address table. *)
 
-val entry_facts : solution -> Label.t -> facts option
-(** Fresh copy of the register facts at the named block's entry; [None]
-    for blocks unreachable from the procedure entry. *)
+val entry_facts : solution -> int -> facts option
+(** Fresh copy of the register facts at the entry of the block with
+    this number in the solved graph; [None] for blocks unreachable from
+    the procedure entry. *)
 
 val step_instr : facts -> Instr.t -> unit
 (** Advance the facts across one body instruction, in place. *)

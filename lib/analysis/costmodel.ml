@@ -188,25 +188,24 @@ let side_cost ~may_alias ~max_hoist ~temp_slots ~must_rename ~slice body =
       Bv_sched.Sched.critical_path_cycles ~may_alias (slice @ prefix)
   }
 
-let count_preds preds lab =
-  List.length (Option.value (Label.Tbl.find_opt preds lab) ~default:[])
-
 (* Structural preconditions of the rewrite, mirroring candidate
    selection: a hammock of distinct, non-entry, single-predecessor
-   successors, neither looping straight back to the branch block. *)
-let shape_reason ~preds ~entry ~block ~taken ~not_taken =
-  if Label.equal taken not_taken then Some "successors are not distinct"
-  else if Label.equal taken block || Label.equal not_taken block then
+   successors, neither looping straight back to the branch block. The
+   three are block numbers of [g]. *)
+let shape_reason (g : Cfg.t) ~block ~taken ~not_taken =
+  let is_entry b = Label.equal (Cfg.label g b) g.Cfg.proc.Proc.entry in
+  if taken = not_taken then Some "successors are not distinct"
+  else if taken = block || not_taken = block then
     Some "successor loops back to the branch block"
-  else if Label.equal taken entry || Label.equal not_taken entry then
+  else if is_entry taken || is_entry not_taken then
     Some "successor is the procedure entry"
-  else if count_preds preds taken > 1 then
+  else if Array.length g.Cfg.preds.(taken) > 1 then
     Some "taken successor has multiple predecessors"
-  else if count_preds preds not_taken > 1 then
+  else if Array.length g.Cfg.preds.(not_taken) > 1 then
     Some "not-taken successor has multiple predecessors"
   else None
 
-let classify ~proc ~blocks ~loops ~cfg_forward ~slice block =
+let classify (g : Cfg.t) ~loops ~cfg_forward ~slice block =
   let lab = block.Block.label in
   if not cfg_forward then Loop_back
   else
@@ -217,7 +216,7 @@ let classify ~proc ~blocks ~loops ~cfg_forward ~slice block =
       let exits =
         List.exists
           (fun s -> not (Loops.in_loop loops ~header s))
-          (Cfg.successors proc block)
+          (Term.successors block.Block.term)
       in
       if exits then Loop_exit
       else begin
@@ -241,7 +240,7 @@ let classify ~proc ~blocks ~loops ~cfg_forward ~slice block =
         let varying =
           List.exists
             (fun l ->
-              let b = Label.Tbl.find blocks l in
+              let b = g.Cfg.blocks.(Cfg.number g l) in
               (not (Label.equal l lab))
               && List.exists
                    (fun i ->
@@ -255,57 +254,51 @@ let classify ~proc ~blocks ~loops ~cfg_forward ~slice block =
 
 let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
     proc =
+  let g = Cfg.make proc in
   let call_mod = Option.map Summary.call_mod summaries in
-  let alias = Alias.analyze ?call_mod proc in
+  let alias = Alias.analyze ?call_mod g in
   let may_alias = Alias.may_alias alias in
   let slice_alias = Option.map (fun _ -> may_alias) summaries in
   let exit_live = Option.map Liveness.Regset.of_list exit_live in
-  let live = Liveness.compute ?exit_live proc in
-  let loops = Loops.compute proc in
-  let preds = Cfg.predecessor_map proc in
-  let blocks = Cfg.block_index proc in
-  let position = Cfg.block_position proc in
+  let live = Liveness.compute ?exit_live g in
+  let loops = Loops.compute g in
   (* A site's DBB window spans its own block (the predict issues at its
      exit) and both successors (the resolve sits at the top of the
-     resolution block carved out of them). Pressure at a label is how
+     resolution block carved out of them). Pressure at a block is how
      many windows cover it — the static analogue of
      {!Speculation.max_outstanding} on the transformed program. *)
   let windows =
     List.filter_map
       (fun b ->
-        match b.Block.term with
-        | Term.Branch { taken; not_taken; id; _ } ->
-          Some (id, [ b.Block.label; taken; not_taken ])
+        match g.Cfg.blocks.(b).Block.term with
+        | Term.Branch { id; _ } ->
+          Some (id, [ b; g.Cfg.succs.(b).(0); g.Cfg.succs.(b).(1) ])
         | _ -> None)
-      proc.Proc.blocks
+      (List.init (Cfg.size g) Fun.id)
   in
-  (* windows covering each label, a window counted once however often it
-     names the label *)
-  let covering = Label.Tbl.create 64 in
+  (* windows covering each block, a window counted once however often it
+     names the block *)
+  let covering = Array.make (Cfg.size g) 0 in
   List.iter
     (fun (_, w) ->
       List.iter
-        (fun lab ->
-          let n = Option.value (Label.Tbl.find_opt covering lab) ~default:0 in
-          Label.Tbl.replace covering lab (n + 1))
-        (List.sort_uniq Label.compare w))
+        (fun b -> covering.(b) <- covering.(b) + 1)
+        (List.sort_uniq Int.compare w))
     windows;
   let pressure_of window =
-    List.fold_left
-      (fun acc lab ->
-        max acc (Option.value (Label.Tbl.find_opt covering lab) ~default:0))
-      1 window
+    List.fold_left (fun acc b -> max acc covering.(b)) 1 window
   in
   List.filter_map
-    (fun block ->
+    (fun b ->
+      let block = g.Cfg.blocks.(b) in
       match block.Block.term with
       | Term.Branch { src; taken; not_taken; id; _ } ->
         let slice, rest = condition_slice block.Block.body ~src in
-        let forward = Cfg.is_forward_branch ~position block in
+        let forward = Cfg.is_forward_branch g b in
         let ineligible =
           match
-            shape_reason ~preds ~entry:proc.Proc.entry ~block:block.Block.label
-              ~taken ~not_taken
+            shape_reason g ~block:b ~taken:g.Cfg.succs.(b).(0)
+              ~not_taken:g.Cfg.succs.(b).(1)
           with
           | Some r -> Some r
           | None -> (
@@ -322,10 +315,10 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
         let side_of ~self ~alternate =
           side_cost ~may_alias ~max_hoist ~temp_slots
             ~must_rename:(must_rename ~alternate) ~slice
-            (Label.Tbl.find blocks self).Block.body
+            g.Cfg.blocks.(self).Block.body
         in
-        let nt = side_of ~self:not_taken ~alternate:taken in
-        let t = side_of ~self:taken ~alternate:not_taken in
+        let nt = side_of ~self:g.Cfg.succs.(b).(1) ~alternate:taken in
+        let t = side_of ~self:g.Cfg.succs.(b).(0) ~alternate:not_taken in
         let slice_height =
           Bv_sched.Sched.critical_path_cycles ~may_alias slice
         in
@@ -338,8 +331,7 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
             site = id;
             ineligible;
             forward;
-            pred_class =
-              classify ~proc ~blocks ~loops ~cfg_forward:forward ~slice block;
+            pred_class = classify g ~loops ~cfg_forward:forward ~slice block;
             loop_depth = Loops.depth loops block.Block.label;
             slice_size = List.length slice;
             slice_height;
@@ -353,7 +345,7 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
               + t.renamed + nt.seeds + t.seeds + 6
           }
       | _ -> None)
-    proc.Proc.blocks
+    (List.init (Cfg.size g) Fun.id)
 
 let analyze ?max_hoist ?temp_slots ?exit_live ?summaries program =
   List.concat_map

@@ -1,4 +1,3 @@
-open Bv_isa
 open Bv_ir
 
 type direction =
@@ -13,81 +12,85 @@ module type LATTICE = sig
 end
 
 module Make (L : LATTICE) = struct
+  (* Facts by block number; [has_in.(b)] is false while block [b] has no
+     fact, whatever [s_in.(b)] holds. *)
   type solution =
-    { s_in : L.t Label.Tbl.t;
-      s_out : L.t Label.Tbl.t
+    { cfg : Cfg.t;
+      s_in : L.t array;
+      s_out : L.t array;
+      has_in : bool array;
+      has_out : bool array
     }
 
-  let fact_in s l = Label.Tbl.find_opt s.s_in l
-  let fact_out s l = Label.Tbl.find_opt s.s_out l
+  let fact_in_at s b = if s.has_in.(b) then Some s.s_in.(b) else None
+  let fact_out_at s b = if s.has_out.(b) then Some s.s_out.(b) else None
 
-  let solve ~direction ~boundary ~transfer proc =
-    let blocks = Cfg.block_index proc in
-    let rpo = Cfg.reverse_postorder_indexed blocks proc in
-    let order = match direction with Forward -> rpo | Backward -> List.rev rpo in
-    let in_order = Label.Tbl.create 64 in
-    List.iter (fun l -> Label.Tbl.replace in_order l ()) order;
-    let preds = Cfg.predecessor_map proc in
-    let pred_labels l = Option.value (Label.Tbl.find_opt preds l) ~default:[] in
-    (* "upstream" feeds a block's input fact; "downstream" must be revisited
-       when its output fact changes. *)
-    let upstream b =
+  let fact_in s l =
+    match Cfg.find s.cfg l with Some b -> fact_in_at s b | None -> None
+
+  let fact_out s l =
+    match Cfg.find s.cfg l with Some b -> fact_out_at s b | None -> None
+
+  let solve ~direction ~boundary ~transfer (g : Cfg.t) =
+    let n = Cfg.size g in
+    let s_in = Array.make n boundary and s_out = Array.make n boundary in
+    let has_in = Array.make n false and has_out = Array.make n false in
+    (* The transfer's input is the block-in for forward problems and the
+       block-out for backward ones; its output is the other. "Upstream"
+       feeds a block's input fact; "downstream" must be revisited when
+       its output fact changes. *)
+    let input, has_input, output, has_output, upstream, downstream =
       match direction with
-      | Forward -> pred_labels b.Block.label
-      | Backward -> Term.successors b.Block.term
-    in
-    let downstream b =
-      match direction with
-      | Forward -> Term.successors b.Block.term
-      | Backward -> pred_labels b.Block.label
+      | Forward -> (s_in, has_in, s_out, has_out, g.Cfg.preds, g.Cfg.succs)
+      | Backward -> (s_out, has_out, s_in, has_in, g.Cfg.succs, g.Cfg.preds)
     in
     let at_boundary b =
       match direction with
-      | Forward -> Label.equal b.Block.label proc.Proc.entry
-      | Backward -> Term.successors b.Block.term = []
+      | Forward -> b = g.Cfg.rpo.(0)
+      | Backward -> Array.length g.Cfg.succs.(b) = 0
     in
-    let s_in = Label.Tbl.create 64 in
-    let s_out = Label.Tbl.create 64 in
-    (* The transfer's input is the block-in for forward problems and the
-       block-out for backward ones; its output is the other. *)
-    let input_tbl = match direction with Forward -> s_in | Backward -> s_out in
-    let output_tbl = match direction with Forward -> s_out | Backward -> s_in in
     let queue = Queue.create () in
-    let queued = Label.Tbl.create 64 in
-    let enqueue l =
-      if
-        Label.Tbl.mem blocks l
-        && Label.Tbl.mem in_order l
-        && not (Label.Tbl.mem queued l)
-      then begin
-        Label.Tbl.replace queued l ();
-        Queue.add l queue
+    let queued = Array.make n false in
+    let enqueue b =
+      if Cfg.reachable g b && not queued.(b) then begin
+        queued.(b) <- true;
+        Queue.add b queue
       end
     in
-    List.iter enqueue order;
+    (match direction with
+    | Forward -> Array.iter enqueue g.Cfg.rpo
+    | Backward ->
+      for k = Array.length g.Cfg.rpo - 1 downto 0 do
+        enqueue g.Cfg.rpo.(k)
+      done);
     while not (Queue.is_empty queue) do
-      let l = Queue.pop queue in
-      Label.Tbl.remove queued l;
-      let b = Label.Tbl.find blocks l in
-      let sources =
-        List.filter_map (fun s -> Label.Tbl.find_opt output_tbl s) (upstream b)
-      in
-      let sources = if at_boundary b then boundary :: sources else sources in
-      match sources with
-      | [] -> () (* no facts yet; a later upstream visit will re-enqueue *)
-      | f :: rest ->
-        let input = List.fold_left L.join f rest in
-        Label.Tbl.replace input_tbl l input;
-        let output = transfer b input in
-        let changed =
-          match Label.Tbl.find_opt output_tbl l with
-          | Some prev -> not (L.equal prev output)
-          | None -> true
-        in
-        if changed then begin
-          Label.Tbl.replace output_tbl l output;
-          List.iter enqueue (downstream b)
+      let b = Queue.pop queue in
+      queued.(b) <- false;
+      (* The boundary fact first, then the upstream facts computed so far
+         in [upstream] order; none yet means a later upstream visit will
+         re-enqueue the block. *)
+      let have = ref (at_boundary b) in
+      let fact = ref boundary in
+      let sources = upstream.(b) in
+      for k = 0 to Array.length sources - 1 do
+        let s = sources.(k) in
+        if has_output.(s) then
+          if !have then fact := L.join !fact output.(s)
+          else begin
+            fact := output.(s);
+            have := true
+          end
+      done;
+      if !have then begin
+        input.(b) <- !fact;
+        has_input.(b) <- true;
+        let out = transfer g.Cfg.blocks.(b) !fact in
+        if not (has_output.(b) && L.equal output.(b) out) then begin
+          output.(b) <- out;
+          has_output.(b) <- true;
+          Array.iter enqueue downstream.(b)
         end
+      end
     done;
-    { s_in; s_out }
+    { cfg = g; s_in; s_out; has_in; has_out }
 end

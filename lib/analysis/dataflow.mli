@@ -5,7 +5,10 @@
     the lattice's [join] and pushed through a per-block transfer function.
     Iteration is a worklist seeded in reverse postorder (postorder for
     backward problems), so acyclic regions converge in one sweep and loops
-    in a few.
+    in a few. The engine reads a {!Cfg.t}: facts live in arrays indexed by
+    block number, and the worklist is an int queue with a [bool array]
+    marking queued blocks. Facts join in {!Cfg.t.preds} or
+    {!Cfg.t.succs} order.
 
     Initialisation is optimistic: a block's input is the join of the facts
     of the upstream blocks {e computed so far} (plus the boundary fact at
@@ -39,9 +42,9 @@ module Make (L : LATTICE) : sig
     direction:direction ->
     boundary:L.t ->
     transfer:(Block.t -> L.t -> L.t) ->
-    Proc.t ->
+    Cfg.t ->
     solution
-  (** [solve ~direction ~boundary ~transfer proc] iterates to a fixpoint.
+  (** [solve ~direction ~boundary ~transfer g] iterates to a fixpoint.
       [boundary] enters at the procedure entry (forward) or at every
       exitless block — [Ret]/[Halt] (backward). [transfer b fact] maps a
       block's input fact to its output fact: in program order for forward
@@ -53,4 +56,10 @@ module Make (L : LATTICE) : sig
 
   val fact_out : solution -> Label.t -> L.t option
   (** Fact at the block's exit (program order). *)
+
+  val fact_in_at : solution -> int -> L.t option
+  (** [fact_in] of a block number of the solved graph. *)
+
+  val fact_out_at : solution -> int -> L.t option
+  (** [fact_out] of a block number of the solved graph. *)
 end

@@ -50,48 +50,57 @@ let subsumes ~by lits = List.for_all (fun (id, v) -> has_lit id v by) lits
 let compatible l1 l2 =
   not (List.exists (fun (id, v) -> has_lit id (not v) l2) l1)
 
-(* A procedure's blocks by label and its cutpoint set, built once per
-   procedure and read at every step of every region's exploration. *)
-type region_graph = { blocks : Block.t Label.Tbl.t; is_cut : unit Label.Tbl.t }
+(* A procedure's graph and its cutpoint set by block number, built once
+   per procedure and read at every step of every region's exploration. *)
+type region_graph = { cfg : Cfg.t; is_cut : bool array }
 
-let region_graph proc ~cuts =
-  let is_cut = Label.Tbl.create 16 in
-  List.iter (fun l -> Label.Tbl.replace is_cut l ()) cuts;
-  { blocks = Cfg.block_index proc; is_cut }
+let region_graph (g : Cfg.t) ~cuts =
+  let is_cut = Array.make (Cfg.size g) false in
+  List.iter
+    (fun l -> Option.iter (fun b -> is_cut.(b) <- true) (Cfg.find g l))
+    cuts;
+  { cfg = g; is_cut }
 
 (* Enumerate every path of the acyclic region rooted at [start] (a
    cutpoint, whose own block is executed) up to the next cutpoint or
    procedure exit. [Predict] forks without a literal: the front end's
-   choice is an oracle the relation must be insensitive to. *)
+   choice is an oracle the relation must be insensitive to. Successors
+   are read from the graph by position: {!Term.successors} lists a
+   branch's and a predict's taken target first, a resolve's mispredict
+   target first. *)
 let explore ctx g ~budget ~state ~start =
   let paths = ref [] and count = ref 0 in
   let current = ref start in
   let emit endpoint lits state =
     incr count;
-    if !count > budget then raise (Budget { at = !current; explored = !count });
+    if !count > budget then
+      raise (Budget { at = Cfg.label g.cfg !current; explored = !count });
     paths := { endpoint; lits; state } :: !paths
   in
-  let rec continue lab state lits =
-    if Label.Tbl.mem g.is_cut lab then emit (Cut lab) lits state
-    else step (Label.Tbl.find g.blocks lab) state lits
-  and step block state lits =
-    current := block.Block.label;
+  let rec continue b state lits =
+    if g.is_cut.(b) then emit (Cut (Cfg.label g.cfg b)) lits state
+    else step b state lits
+  and step b state lits =
+    current := b;
+    let block = g.cfg.Cfg.blocks.(b) in
+    let succs = g.cfg.Cfg.succs.(b) in
     let state = S.exec_body ctx state block.Block.body in
     let cond src = state.S.regs.(Reg.index src) in
     match block.Block.term with
-    | Term.Jump l -> continue l state lits
-    | Term.Branch { on; src; taken; not_taken; _ } -> (
+    | Term.Jump _ -> continue succs.(0) state lits
+    | Term.Branch { on; src; _ } -> (
+      let taken = succs.(0) and not_taken = succs.(1) in
       let c = cond src in
       match S.truth c with
       | Some b -> continue (if b = on then taken else not_taken) state lits
       | None ->
         Option.iter (continue taken state) (add_lit lits (c.S.id, on));
         Option.iter (continue not_taken state) (add_lit lits (c.S.id, not on)))
-    | Term.Predict { taken; not_taken; _ } ->
-      continue taken state lits;
-      continue not_taken state lits
-    | Term.Resolve { on; src; mispredict; fallthrough; predicted_taken; _ }
-      -> (
+    | Term.Predict _ ->
+      continue succs.(0) state lits;
+      continue succs.(1) state lits
+    | Term.Resolve { on; src; predicted_taken; _ } -> (
+      let mispredict = succs.(0) and fallthrough = succs.(1) in
       let c = cond src in
       (* fall through iff the original outcome (c<>0)=on equals the
          predicted direction, i.e. (c<>0) = (on = predicted_taken). *)
@@ -109,7 +118,7 @@ let explore ctx g ~budget ~state ~start =
     | Term.Ret -> emit Returned lits state
     | Term.Halt -> emit Halted lits state
   in
-  step (Label.Tbl.find g.blocks start) state [];
+  step start state [];
   List.rev !paths
 
 let labels_of proc =
@@ -172,9 +181,10 @@ let check_region ~diags ~proc_name ~live ~scratch ~exit_set ~budget ~g_o
      rather than silently accepted. Memory is shared. *)
   let shared = Regset.diff (Liveness.live_in live cut) scratch in
   let state side = S.init ctx ~at:cut ~side ~shared in
+  let start g = Cfg.number g.cfg cut in
   match
-    ( explore ctx g_o ~budget ~state:(state "o") ~start:cut,
-      explore ctx g_t ~budget ~state:(state "t") ~start:cut )
+    ( explore ctx g_o ~budget ~state:(state "o") ~start:(start g_o),
+      explore ctx g_t ~budget ~state:(state "t") ~start:(start g_t) )
   with
   | exception Budget { at; explored } ->
     diags :=
@@ -240,26 +250,27 @@ let verify_proc ~diags ~scratch ~exit_live ~budget ~p_o ~p_t =
       :: !diags
   else begin
     let common = Lset.inter (labels_of p_o) (labels_of p_t) in
-    let cuts_o = Cutpoint.compute ~include_joins:true p_o in
+    let cfg_o = Cfg.make p_o and cfg_t = Cfg.make p_t in
+    let cuts_o = Cutpoint.compute ~include_joins:true cfg_o in
     let cuts =
       Lset.inter common
-        (Lset.of_list (cuts_o @ Cutpoint.compute ~include_joins:false p_t))
+        (Lset.of_list (cuts_o @ Cutpoint.compute ~include_joins:false cfg_t))
     in
     let cut_list = Lset.elements cuts in
-    if not (Cutpoint.regions_acyclic p_o ~cuts:cut_list) then
+    if not (Cutpoint.regions_acyclic cfg_o ~cuts:cut_list) then
       diags :=
         Diagnostic.error ~pass ~proc:proc_name
           "original has a cycle avoiding every common cutpoint"
         :: !diags
-    else if not (Cutpoint.regions_acyclic p_t ~cuts:cut_list) then
+    else if not (Cutpoint.regions_acyclic cfg_t ~cuts:cut_list) then
       diags :=
         Diagnostic.error ~pass ~proc:proc_name
           "transformed has a cycle avoiding every common cutpoint"
         :: !diags
     else begin
-      let live = Liveness.compute ?exit_live p_o in
-      let g_o = region_graph p_o ~cuts:cut_list
-      and g_t = region_graph p_t ~cuts:cut_list in
+      let live = Liveness.compute ?exit_live cfg_o in
+      let g_o = region_graph cfg_o ~cuts:cut_list
+      and g_t = region_graph cfg_t ~cuts:cut_list in
       let paths =
         List.fold_left
           (fun acc cut ->
@@ -315,24 +326,28 @@ let verify_self ?(scratch = []) ?exit_live ?(max_paths = 4096) program =
   List.iter
     (fun proc ->
       let proc_name = proc.Proc.name in
-      let cut_list = Cutpoint.compute ~include_joins:true proc in
-      if not (Cutpoint.regions_acyclic proc ~cuts:cut_list) then
+      let cfg = Cfg.make proc in
+      let cut_list = Cutpoint.compute ~include_joins:true cfg in
+      if not (Cutpoint.regions_acyclic cfg ~cuts:cut_list) then
         diags :=
           Diagnostic.error ~pass ~proc:proc_name
             "a cycle avoids every cutpoint"
           :: !diags
       else begin
-        let live = Liveness.compute ?exit_live proc in
+        let live = Liveness.compute ?exit_live cfg in
         let exit_set =
           Option.value exit_live ~default:Regset.all
         in
         let checked = ref 0 in
-        let g = region_graph proc ~cuts:cut_list in
+        let g = region_graph cfg ~cuts:cut_list in
         List.iter
           (fun cut ->
             let ctx = S.create () in
             let state = S.init ctx ~at:cut ~side:"self" ~shared:Regset.all in
-            match explore ctx g ~budget:max_paths ~state ~start:cut with
+            match
+              explore ctx g ~budget:max_paths ~state
+                ~start:(Cfg.number cfg cut)
+            with
             | exception Budget { at; explored } ->
               diags :=
                 Diagnostic.error ~block:cut ~pass ~proc:proc_name

@@ -87,9 +87,7 @@ let condition_slice body ~src =
   (slice, rest)
 
 type proc_facts =
-  { proc : Proc.t;
-    blocks : Block.t Label.Tbl.t;  (** {!Cfg.block_index} of [proc] *)
-    reachable : Label.t list;  (** reverse postorder from the entry *)
+  { cfg : Cfg.t;
     may : Sites_may.solution;
     must : Sites_must.solution;
     spec : Spec_defs.solution;
@@ -102,14 +100,14 @@ let callee_mods summaries target =
   | Some s -> s.Summary.mod_regs
   | None -> Regset.all
 
-let compute_facts ?summaries proc =
+let compute_facts ?summaries (g : Cfg.t) =
   let may =
     Sites_may.solve ~direction:Dataflow.Forward ~boundary:Intset.empty
-      ~transfer:sites_transfer proc
+      ~transfer:sites_transfer g
   in
   let must =
     Sites_must.solve ~direction:Dataflow.Forward ~boundary:Intset.empty
-      ~transfer:sites_transfer proc
+      ~transfer:sites_transfer g
   in
   (* A block's body runs speculatively iff a predict is outstanding at its
      entry; a window closing in the block resets nothing retroactively.
@@ -132,11 +130,11 @@ let compute_facts ?summaries proc =
   in
   let spec =
     Spec_defs.solve ~direction:Dataflow.Forward ~boundary:Regset.empty
-      ~transfer:spec_transfer proc
+      ~transfer:spec_transfer g
   in
   let predict_ids = ref Intset.empty in
   let resolve_arms = Hashtbl.create 16 in
-  List.iter
+  Array.iter
     (fun b ->
       match b.Block.term with
       | Term.Predict { id; _ } -> predict_ids := Intset.add id !predict_ids
@@ -144,11 +142,8 @@ let compute_facts ?summaries proc =
         let n = Option.value (Hashtbl.find_opt resolve_arms id) ~default:0 in
         Hashtbl.replace resolve_arms id (n + 1)
       | _ -> ())
-    proc.Proc.blocks;
-  let blocks = Cfg.block_index proc in
-  { proc;
-    blocks;
-    reachable = Cfg.reverse_postorder_indexed blocks proc;
+    g.Cfg.blocks;
+  { cfg = g;
     may;
     must;
     spec;
@@ -158,18 +153,19 @@ let compute_facts ?summaries proc =
 
 let pairing_pass ~dbb_entries ?summaries ?(scratch_pool = []) facts =
   let pass = "pairing" in
-  let proc = facts.proc.Proc.name in
+  let proc = facts.cfg.Cfg.proc.Proc.name in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  List.iter
-    (fun label ->
-      let b = Label.Tbl.find facts.blocks label in
+  Array.iter
+    (fun n ->
+      let b = facts.cfg.Cfg.blocks.(n) in
+      let label = b.Block.label in
       let may_in =
-        Option.value (Sites_may.fact_in facts.may label) ~default:Intset.empty
+        Option.value (Sites_may.fact_in_at facts.may n) ~default:Intset.empty
       in
       let must_in =
         Option.value
-          (Sites_must.fact_in facts.must label)
+          (Sites_must.fact_in_at facts.must n)
           ~default:Intset.empty
       in
       (* Predicts and resolves are terminators, so the fact at the block
@@ -276,20 +272,21 @@ let pairing_pass ~dbb_entries ?summaries ?(scratch_pool = []) facts =
                (String.concat ", "
                   (List.map string_of_int (Intset.elements may_in))))
       | _ -> ()))
-    facts.reachable;
+    facts.cfg.Cfg.rpo;
   List.rev !diags
 
 let spec_window_pass facts =
   let pass = "spec-window" in
-  let proc = facts.proc.Proc.name in
+  let proc = facts.cfg.Cfg.proc.Proc.name in
   let diags = ref [] in
-  List.iter
-    (fun label ->
-      match Sites_may.fact_in facts.may label with
+  Array.iter
+    (fun n ->
+      match Sites_may.fact_in_at facts.may n with
       | None -> ()
       | Some sites when Intset.is_empty sites -> ()
       | Some _ ->
-        let b = Label.Tbl.find facts.blocks label in
+        let b = facts.cfg.Cfg.blocks.(n) in
+        let label = b.Block.label in
         List.iter
           (fun i ->
             match i with
@@ -307,17 +304,17 @@ let spec_window_pass facts =
                 :: !diags
             | _ -> ())
           b.Block.body)
-    facts.reachable;
+    facts.cfg.Cfg.rpo;
   List.rev !diags
 
 let correction_pass facts =
   let pass = "correction" in
-  let proc = facts.proc.Proc.name in
+  let proc = facts.cfg.Cfg.proc.Proc.name in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  List.iter
-    (fun label ->
-      let b = Label.Tbl.find facts.blocks label in
+  Array.iter
+    (fun n ->
+      let b = facts.cfg.Cfg.blocks.(n) in
       match b.Block.term with
       | Term.Resolve { src; mispredict; id; _ }
         when Intset.mem id facts.predict_ids -> begin
@@ -329,41 +326,37 @@ let correction_pass facts =
         let slice, rest = condition_slice b.Block.body ~src in
         let safe = Regset.diff (body_defs slice) (body_defs rest) in
         let spec_in =
-          Option.value (Spec_defs.fact_in facts.spec label)
+          Option.value (Spec_defs.fact_in_at facts.spec n)
             ~default:Regset.empty
         in
         let danger =
           Regset.diff (Regset.union spec_in (body_defs b.Block.body)) safe
         in
-        match Label.Tbl.find facts.blocks mispredict with
-        | exception Not_found ->
+        (* [Term.successors] lists the mispredict target first *)
+        let m = facts.cfg.Cfg.blocks.(facts.cfg.Cfg.succs.(n).(0)) in
+        List.iter
+          (fun i ->
+            match i with
+            | Instr.Store _ ->
+              emit
+                (Diagnostic.error ~block:mispredict ~site:id ~pass ~proc
+                   "correction block contains a store; correction code \
+                    must be idempotent")
+            | _ -> ())
+          m.Block.body;
+        let tainted_reads = Regset.inter (upward_exposed_uses m) danger in
+        if not (Regset.is_empty tainted_reads) then
           emit
-            (Diagnostic.error ~block:label ~site:id ~pass ~proc
-               "mispredict target %s does not name a block" mispredict)
-        | m ->
-          List.iter
-            (fun i ->
-              match i with
-              | Instr.Store _ ->
-                emit
-                  (Diagnostic.error ~block:mispredict ~site:id ~pass ~proc
-                     "correction block contains a store; correction code \
-                      must be idempotent")
-              | _ -> ())
-            m.Block.body;
-          let tainted_reads = Regset.inter (upward_exposed_uses m) danger in
-          if not (Regset.is_empty tainted_reads) then
-            emit
-              (Diagnostic.error ~block:mispredict ~site:id ~pass ~proc
-                 "correction block reads {%s} before defining them, but \
-                  they may hold speculative values on the mispredict edge"
-                 (String.concat ", "
-                    (List.map
-                       (fun r -> Printf.sprintf "r%d" (Reg.index r))
-                       (Regset.elements tainted_reads))))
+            (Diagnostic.error ~block:mispredict ~site:id ~pass ~proc
+               "correction block reads {%s} before defining them, but \
+                they may hold speculative values on the mispredict edge"
+               (String.concat ", "
+                  (List.map
+                     (fun r -> Printf.sprintf "r%d" (Reg.index r))
+                     (Regset.elements tainted_reads))))
       end
       | _ -> ())
-    facts.reachable;
+    facts.cfg.Cfg.rpo;
   List.rev !diags
 
 (* Scratch registers (the transformation's rename pool) hold no program
@@ -375,7 +368,7 @@ let scratch_uninit_pass ~scratch facts =
   if Regset.is_empty scratch then []
   else begin
     let pass = "scratch-uninit" in
-    let proc = facts.proc.Proc.name in
+    let proc = facts.cfg.Cfg.proc.Proc.name in
     let instr_scratch_defs i =
       Regset.inter (Regset.of_list (Instr.defs i)) scratch
     in
@@ -385,14 +378,15 @@ let scratch_uninit_pass ~scratch facts =
           List.fold_left
             (fun s i -> Regset.union s (instr_scratch_defs i))
             s b.Block.body)
-        facts.proc
+        facts.cfg
     in
     List.concat_map
-      (fun label ->
-        let b = Label.Tbl.find facts.blocks label in
+      (fun n ->
+        let b = facts.cfg.Cfg.blocks.(n) in
+        let label = b.Block.label in
         let defined =
           ref
-            (Option.value (Must_defined.fact_in sol label)
+            (Option.value (Must_defined.fact_in_at sol n)
                ~default:Regset.empty)
         in
         let diags = ref [] in
@@ -421,45 +415,45 @@ let scratch_uninit_pass ~scratch facts =
           check_uses [ src ]
         | _ -> ());
         List.rev !diags)
-      facts.reachable
+      (Array.to_list facts.cfg.Cfg.rpo)
   end
 
 let reachability_pass facts =
   let pass = "reachability" in
-  let proc = facts.proc.Proc.name in
-  let reachable = Label.Tbl.create 64 in
-  List.iter (fun l -> Label.Tbl.replace reachable l ()) facts.reachable;
+  let g = facts.cfg in
+  let proc = g.Cfg.proc.Proc.name in
   List.filter_map
-    (fun b ->
-      if Label.Tbl.mem reachable b.Block.label then None
+    (fun n ->
+      if Cfg.reachable g n then None
       else
         Some
-          (Diagnostic.warning ~block:b.Block.label ~pass ~proc
+          (Diagnostic.warning ~block:(Cfg.label g n) ~pass ~proc
              "block is unreachable from the procedure entry"))
-    facts.proc.Proc.blocks
+    (List.init (Cfg.size g) Fun.id)
 
 (* Peak DBB occupancy: the largest may-outstanding predict set at any
    block boundary (block-exit facts, so a predict terminator counts at
    the block that issues it). The cost-model advisor cross-checks its
    static window estimates against this on transformed programs. *)
 let max_outstanding proc =
+  let g = Cfg.make proc in
   let may =
     Sites_may.solve ~direction:Dataflow.Forward ~boundary:Intset.empty
-      ~transfer:sites_transfer proc
+      ~transfer:sites_transfer g
   in
-  List.fold_left
-    (fun acc b ->
+  let peak = ref 0 in
+  Array.iteri
+    (fun n b ->
       let fact_in =
-        Option.value
-          (Sites_may.fact_in may b.Block.label)
-          ~default:Intset.empty
+        Option.value (Sites_may.fact_in_at may n) ~default:Intset.empty
       in
-      max acc (Intset.cardinal (sites_transfer b fact_in)))
-    0 proc.Proc.blocks
+      peak := max !peak (Intset.cardinal (sites_transfer b fact_in)))
+    g.Cfg.blocks;
+  !peak
 
 let verify_proc ?(dbb_entries = default_dbb_entries) ?(scratch = []) ?summaries
     proc =
-  let facts = compute_facts ?summaries proc in
+  let facts = compute_facts ?summaries (Cfg.make proc) in
   let scratch_pool = scratch in
   let scratch = Regset.of_list scratch in
   pairing_pass ~dbb_entries ?summaries ~scratch_pool facts

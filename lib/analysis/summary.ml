@@ -137,22 +137,21 @@ let havoc_all =
     recursive = false
   }
 
-let summarize lookup proc =
+let summarize lookup (g : Cfg.t) =
   let callee_of target = Option.value (lookup target) ~default:havoc_all in
   let call_mod target =
     match lookup target with
     | Some s -> Some (Regset.elements s.mod_regs)
     | None -> None
   in
-  let solution = Alias.solve ~call_mod proc in
+  let solution = Alias.solve ~call_mod g in
   let mod_regs = ref Regset.empty in
   let use_regs = ref Regset.empty in
   let loads = ref (Some []) in
   let stores = ref (Some []) in
-  let index = Cfg.block_index proc in
-  List.iter
-    (fun label ->
-      let b = Label.Tbl.find index label in
+  Array.iter
+    (fun n ->
+      let b = g.Cfg.blocks.(n) in
       List.iter
         (fun i ->
           mod_regs := Regset.union !mod_regs (Regset.of_list (Instr.defs i));
@@ -160,7 +159,7 @@ let summarize lookup proc =
         b.Block.body;
       use_regs :=
         Regset.union !use_regs (Regset.of_list (terminator_uses b.Block.term));
-      (match Alias.entry_facts solution label with
+      (match Alias.entry_facts solution n with
       | None ->
         (* unreachable from the entry: contributes no dynamic accesses *)
         ()
@@ -183,8 +182,8 @@ let summarize lookup proc =
           loads := add_rebased !loads callee.loads facts;
           stores := add_rebased !stores callee.stores facts
         | _ -> ()))
-    (Cfg.reverse_postorder_indexed index proc);
-  { name = proc.Proc.name;
+    g.Cfg.rpo;
+  { name = g.Cfg.proc.Proc.name;
     mod_regs = !mod_regs;
     use_regs = !use_regs;
     loads = normalize !loads;
@@ -220,9 +219,12 @@ let compute program =
   let graph = Callgraph.build program in
   let table = Hashtbl.create 16 in
   let lookup target = Hashtbl.find_opt table target in
-  let proc_of =
+  (* one graph per procedure, shared by every round of its SCC *)
+  let graph_of =
     let m = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace m p.Proc.name p) program.Program.procs;
+    List.iter
+      (fun p -> Hashtbl.replace m p.Proc.name (Cfg.make p))
+      program.Program.procs;
     Hashtbl.find m
   in
   List.iter
@@ -230,7 +232,7 @@ let compute program =
       match members with
       | [ name ] when not (Callgraph.in_recursive_scc graph name) ->
         Hashtbl.replace table name
-          { (summarize lookup (proc_of name)) with recursive = false }
+          { (summarize lookup (graph_of name)) with recursive = false }
       | _ ->
         List.iter
           (fun name -> Hashtbl.replace table name (bottom name true))
@@ -244,7 +246,7 @@ let compute program =
             (fun name ->
               let old = Hashtbl.find table name in
               let nu =
-                { (summarize lookup (proc_of name)) with recursive = true }
+                { (summarize lookup (graph_of name)) with recursive = true }
               in
               let nu =
                 if !round < max_footprint_rounds then nu

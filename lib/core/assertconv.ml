@@ -25,13 +25,14 @@ let transform_site ~max_hoist ~temp_pool ~exit_live ?summaries program
     let likely_label = if likely_taken then c_label else b_label in
     let rare_label = if likely_taken then b_label else c_label in
     let likely = Proc.find_block proc likely_label in
+    let cfg = Cfg.make proc in
     let may_alias =
       Option.map
         (fun env ->
           Bv_analysis.Alias.may_alias
             (Bv_analysis.Alias.analyze
                ~call_mod:(Bv_analysis.Summary.call_mod env)
-               proc))
+               cfg))
         summaries
     in
     let slice, rest_a =
@@ -39,7 +40,7 @@ let transform_site ~max_hoist ~temp_pool ~exit_live ?summaries program
       | Ok parts -> parts
       | Error reason -> raise (Skip reason)
     in
-    let live = Liveness.compute ?exit_live proc in
+    let live = Liveness.compute ?exit_live cfg in
     let must_rename r =
       Liveness.Regset.mem r (Liveness.live_in live rare_label)
       || Reg.equal r src

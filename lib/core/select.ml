@@ -27,21 +27,16 @@ let pbc t =
 
 (* Structural preconditions of the transformation: a hammock-shaped forward
    branch whose two successors are distinct ordinary blocks with this block
-   as their only predecessor. *)
-let shape_ok proc block preds =
-  match block.Block.term with
+   as their only predecessor. [b] is a block number of [g]. *)
+let shape_ok (g : Cfg.t) b =
+  match g.Cfg.blocks.(b).Block.term with
   | Term.Branch { taken; not_taken; _ } ->
-    (not (Label.equal taken not_taken))
-    && (not (Label.equal taken block.Block.label))
-    && (not (Label.equal not_taken block.Block.label))
-    && (not (Label.equal taken proc.Proc.entry))
-    && (not (Label.equal not_taken proc.Proc.entry))
-    && (match Label.Tbl.find_opt preds taken with
-       | Some [ _ ] -> true
-       | _ -> false)
-    && (match Label.Tbl.find_opt preds not_taken with
-       | Some [ _ ] -> true
-       | _ -> false)
+    let t = g.Cfg.succs.(b).(0) and nt = g.Cfg.succs.(b).(1) in
+    t <> nt && t <> b && nt <> b
+    && (not (Label.equal taken g.Cfg.proc.Proc.entry))
+    && (not (Label.equal not_taken g.Cfg.proc.Proc.entry))
+    && Array.length g.Cfg.preds.(t) = 1
+    && Array.length g.Cfg.preds.(nt) = 1
   | _ -> false
 
 let select ?(threshold = 0.05) ?(min_executed = 100) ~profile program =
@@ -51,15 +46,14 @@ let select ?(threshold = 0.05) ?(min_executed = 100) ~profile program =
   let rejected_heuristic = ref 0 in
   List.iter
     (fun proc ->
-      let preds = Cfg.predecessor_map proc in
-      let position = Cfg.block_position proc in
-      List.iter
-        (fun block ->
-          if Cfg.is_forward_branch ~position block then begin
+      let g = Cfg.make proc in
+      Array.iteri
+        (fun b block ->
+          if Cfg.is_forward_branch g b then begin
             incr forward;
             match block.Block.term with
             | Term.Branch { id; _ } ->
-              if not (shape_ok proc block preds) then incr rejected_shape
+              if not (shape_ok g b) then incr rejected_shape
               else begin
                 match Profile.find profile id with
                 | None -> incr rejected_heuristic
@@ -80,7 +74,7 @@ let select ?(threshold = 0.05) ?(min_executed = 100) ~profile program =
               end
             | _ -> ()
           end)
-        proc.Proc.blocks)
+        g.Cfg.blocks)
     program.Program.procs;
   { candidates = List.rev !candidates;
     static_forward_branches = !forward;

@@ -244,6 +244,7 @@ let transform_site ~max_hoist ~temp_pool ~exit_live ?summaries program
     let b = Proc.find_block proc b_label in
     let c = Proc.find_block proc c_label in
     let slice, rest_a = condition_slice a.Block.body ~src in
+    let cfg = Cfg.make proc in
     let may_alias =
       (* on the current (possibly already part-transformed) procedure,
          with call havoc narrowed by the interprocedural summaries *)
@@ -252,13 +253,13 @@ let transform_site ~max_hoist ~temp_pool ~exit_live ?summaries program
           Bv_analysis.Alias.may_alias
             (Bv_analysis.Alias.analyze
                ~call_mod:(Bv_analysis.Summary.call_mod env)
-               proc))
+               cfg))
         summaries
     in
     check_slice_safety ?may_alias ~slice ~rest:rest_a a.Block.body;
     let b_size = List.length b.Block.body in
     let c_size = List.length c.Block.body in
-    let live = Liveness.compute ?exit_live proc in
+    let live = Liveness.compute ?exit_live cfg in
     let must_rename ~alternate r =
       Liveness.Regset.mem r (Liveness.live_in live alternate)
       || Reg.equal r src
@@ -342,7 +343,8 @@ let transform_site ~max_hoist ~temp_pool ~exit_live ?summaries program
    call-shadowed blocks disambiguate too. *)
 let alias_oracle ?summaries proc =
   let call_mod = Option.map Bv_analysis.Summary.call_mod summaries in
-  Bv_analysis.Alias.may_alias (Bv_analysis.Alias.analyze ?call_mod proc)
+  Bv_analysis.Alias.may_alias
+    (Bv_analysis.Alias.analyze ?call_mod (Cfg.make proc))
 
 let apply ?(max_hoist = 16) ?(temp_pool = default_temp_pool) ?(schedule = true)
     ?(verify = true) ?(prove = false) ?exit_live ?select ?summaries ~candidates

@@ -284,6 +284,17 @@ let program text =
     in
     Proc.make ~name blocks
   in
+  (* the last block of a label: a duplicate is the offender *)
+  let line_of label =
+    List.fold_left
+      (fun line (_, blocks) ->
+        List.fold_left
+          (fun line rb ->
+            if Label.equal rb.rb_label label then max line rb.rb_line
+            else line)
+          line !blocks)
+      0 !procs
+  in
   let procs = List.rev_map build_proc !procs in
   (match procs with
   | [] -> fail 0 "no procedures"
@@ -297,5 +308,7 @@ let program text =
     Program.make ~segments:(List.rev !segments) ?mem_words:!mem_words ~main
       procs
   in
-  Validate.check_exn p;
-  p
+  match Validate.errors p with
+  | [] -> p
+  | (block, message) :: _ ->
+    raise (Parse_error (Option.fold ~none:0 ~some:line_of block, message))

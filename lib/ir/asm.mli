@@ -32,7 +32,10 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val program : string -> Program.t
-(** Parse and validate a whole program. *)
+(** Parse and validate a whole program. A program that parses but that
+    {!Validate} rejects raises {!Parse_error} with the first violation:
+    at the line of the block it names (the last block of that label),
+    or at line 0 if it names none, as for a file with no procedures. *)
 
 val instruction : string -> Bv_isa.Instr.t
 (** Parse a single instruction line (no labels/directives). Control-flow

@@ -143,37 +143,28 @@ let scc_index t name = Hashtbl.find t.scc_of name
    is boolean and monotone, so a round-robin sweep to fixpoint over the
    reachable blocks terminates in O(blocks * diameter). *)
 let call_shadowed proc =
-  let blocks = Cfg.block_index proc in
-  let rpo = Cfg.reverse_postorder_indexed blocks proc in
-  let preds = Cfg.predecessor_map proc in
-  let shadowed_in = Label.Tbl.create 32 in
-  let shadowed_out = Label.Tbl.create 32 in
-  let out_of l =
-    Option.value (Label.Tbl.find_opt shadowed_out l) ~default:false
-  in
+  let g = Cfg.make proc in
+  let shadowed_in = Array.make (Cfg.size g) false in
+  let shadowed_out = Array.make (Cfg.size g) false in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun label ->
-        let b = Label.Tbl.find blocks label in
-        let fact_in =
-          List.exists out_of
-            (Option.value (Label.Tbl.find_opt preds label) ~default:[])
-        in
+    Array.iter
+      (fun b ->
+        let fact_in = Array.exists (fun p -> shadowed_out.(p)) g.Cfg.preds.(b) in
         let fact_out =
-          fact_in || (match b.Block.term with Term.Call _ -> true | _ -> false)
+          fact_in
+          ||
+          match g.Cfg.blocks.(b).Block.term with
+          | Term.Call _ -> true
+          | _ -> false
         in
-        if
-          Option.value (Label.Tbl.find_opt shadowed_in label) ~default:false
-          <> fact_in
-          || out_of label <> fact_out
-        then begin
-          Label.Tbl.replace shadowed_in label fact_in;
-          Label.Tbl.replace shadowed_out label fact_out;
+        if shadowed_in.(b) <> fact_in || shadowed_out.(b) <> fact_out then begin
+          shadowed_in.(b) <- fact_in;
+          shadowed_out.(b) <- fact_out;
           changed := true
         end)
-      rpo
+      g.Cfg.rpo
   done;
   fun label ->
-    Option.value (Label.Tbl.find_opt shadowed_in label) ~default:false
+    match Cfg.find g label with Some b -> shadowed_in.(b) | None -> false

@@ -1,66 +1,80 @@
 open Bv_isa
 
-let successors _proc block = Term.successors block.Block.term
+type t =
+  { proc : Proc.t;
+    blocks : Block.t array;
+    succs : int array array;
+    preds : int array array;
+    rpo : int array;
+    rpo_number : int array;
+    index : int Label.Tbl.t
+  }
 
-let predecessor_map proc =
-  let preds = Label.Tbl.create 64 in
-  List.iter
-    (fun b -> Label.Tbl.replace preds b.Block.label [])
-    proc.Proc.blocks;
-  List.iter
-    (fun b ->
-      List.iter
+let make proc =
+  let blocks = Array.of_list proc.Proc.blocks in
+  let n = Array.length blocks in
+  (* Filled from the last block, so the first block of each label wins,
+     as in [Proc.find_block]. *)
+  let index = Label.Tbl.create (max 16 (2 * n)) in
+  for i = n - 1 downto 0 do
+    Label.Tbl.replace index blocks.(i).Block.label i
+  done;
+  let number ~from l =
+    match Label.Tbl.find_opt index l with
+    | Some i -> i
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Cfg.make: block %s targets unknown label %s"
+           from.Block.label l)
+  in
+  let succs =
+    Array.map
+      (fun b ->
+        Array.of_list
+          (List.map (number ~from:b) (Term.successors b.Block.term)))
+      blocks
+  in
+  (* One entry per edge, the latest block in layout order first. *)
+  let fill = Array.make n 0 in
+  Array.iter (Array.iter (fun s -> fill.(s) <- fill.(s) + 1)) succs;
+  let preds = Array.map (fun k -> Array.make k 0) fill in
+  Array.iteri
+    (fun b ss ->
+      Array.iter
         (fun s ->
-          match Label.Tbl.find_opt preds s with
-          | Some ps -> Label.Tbl.replace preds s (b.Block.label :: ps)
-          | None -> ())
-        (Term.successors b.Block.term))
-    proc.Proc.blocks;
-  preds
-
-let block_position proc =
-  let pos = Label.Tbl.create 64 in
-  List.iteri
-    (fun i b -> Label.Tbl.replace pos b.Block.label i)
-    proc.Proc.blocks;
-  pos
-
-(* The first block of each label wins, as in [Proc.find_block]. *)
-let block_index proc =
-  let index = Label.Tbl.create 64 in
-  List.iter
-    (fun b ->
-      if not (Label.Tbl.mem index b.Block.label) then
-        Label.Tbl.add index b.Block.label b)
-    proc.Proc.blocks;
-  index
-
-let reverse_postorder_indexed index proc =
-  let visited = Label.Tbl.create 64 in
-  let order = ref [] in
-  let rec visit label =
-    if not (Label.Tbl.mem visited label) then begin
-      Label.Tbl.replace visited label ();
-      (match Label.Tbl.find_opt index label with
-      | Some b -> List.iter visit (Term.successors b.Block.term)
-      | None -> ());
-      order := label :: !order
+          fill.(s) <- fill.(s) - 1;
+          preds.(s).(fill.(s)) <- b)
+        ss)
+    succs;
+  let visited = Array.make n false in
+  let post = Array.make n 0 in
+  let finished = ref 0 in
+  let rec visit i =
+    if not visited.(i) then begin
+      visited.(i) <- true;
+      Array.iter visit succs.(i);
+      post.(!finished) <- i;
+      incr finished
     end
   in
-  visit proc.Proc.entry;
-  !order
+  (match Label.Tbl.find_opt index proc.Proc.entry with
+  | Some e -> visit e
+  | None -> ());
+  let reached = !finished in
+  let rpo = Array.init reached (fun k -> post.(reached - 1 - k)) in
+  let rpo_number = Array.make n (-1) in
+  Array.iteri (fun k i -> rpo_number.(i) <- k) rpo;
+  { proc; blocks; succs; preds; rpo; rpo_number; index }
 
-let reverse_postorder proc = reverse_postorder_indexed (block_index proc) proc
+let size g = Array.length g.blocks
+let label g i = g.blocks.(i).Block.label
+let find g l = Label.Tbl.find_opt g.index l
+let number g l = Label.Tbl.find g.index l
+let reachable g i = g.rpo_number.(i) >= 0
 
-let is_forward_branch ~position block =
-  match block.Block.term with
-  | Term.Branch { taken; _ } ->
-    (match
-       ( Label.Tbl.find_opt position block.Block.label,
-         Label.Tbl.find_opt position taken )
-     with
-    | Some here, Some there -> there > here
-    | _ -> false)
+let is_forward_branch g i =
+  match g.blocks.(i).Block.term with
+  | Term.Branch _ -> g.succs.(i).(0) > i
   | Term.Jump _ | Term.Predict _ | Term.Resolve _ | Term.Call _ | Term.Ret
   | Term.Halt ->
     false

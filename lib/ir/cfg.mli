@@ -1,31 +1,55 @@
-(** Control-flow graph utilities over a procedure. *)
+(** A procedure's control-flow graph over block numbers.
+
+    Blocks are numbered in layout order, [0] being the first (the entry,
+    by {!Proc.make}'s invariant). Every analysis reads this one indexed
+    graph instead of rebuilding label tables: build it once per
+    procedure and keep it while the block list and the terminators are
+    unchanged (bodies may be rewritten in place, as the scheduler does).
+
+    The graph assumes {!Validate}'s invariants: labels are unique (the
+    first block of a label wins) and every successor label names a block
+    of the procedure. *)
 
 open Bv_isa
 
-val successors : Proc.t -> Block.t -> Label.t list
-(** Intra-procedural successor labels of a block. *)
+type t = private
+  { proc : Proc.t;
+    blocks : Block.t array;  (** in layout order *)
+    succs : int array array;
+        (** [succs.(i)] is {!Term.successors} of block [i]'s terminator,
+            as block numbers, in the same order *)
+    preds : int array array;
+        (** one entry per edge into the block (an edge listed twice in
+            [succs] appears twice here), the latest block in layout
+            order first *)
+    rpo : int array;
+        (** the blocks reachable from the entry, in reverse postorder of
+            a depth-first walk that visits successors in [succs] order *)
+    rpo_number : int array;
+        (** each block's position in [rpo]; [-1] if unreachable *)
+    index : int Label.Tbl.t  (** label to block number *)
+  }
 
-val predecessor_map : Proc.t -> Label.t list Label.Tbl.t
-(** Map from block label to the labels of its predecessors. *)
+val make : Proc.t -> t
+(** Raises [Invalid_argument] if a terminator targets a label that names
+    no block of the procedure. *)
 
-val block_position : Proc.t -> int Label.Tbl.t
-(** Map from block label to its index in layout order. *)
+val size : t -> int
+(** Number of blocks. *)
 
-val block_index : Proc.t -> Block.t Label.Tbl.t
-(** Map from block label to its block: {!Proc.find_block} in O(1) once
-    built. Build it once per procedure and keep it while the block list
-    is unchanged. *)
+val label : t -> int -> Label.t
 
-val reverse_postorder : Proc.t -> Label.t list
-(** Blocks reachable from the entry, in reverse postorder. *)
+val find : t -> Label.t -> int option
+(** The number of the block with this label. *)
 
-val reverse_postorder_indexed : Block.t Label.Tbl.t -> Proc.t -> Label.t list
-(** [reverse_postorder] over an index from {!block_index} of the same
-    procedure. *)
+val number : t -> Label.t -> int
+(** [find], raising [Not_found] for a label that names no block. *)
 
-val is_forward_branch : position:int Label.Tbl.t -> Block.t -> bool
-(** True if the block ends in a conditional [Branch] whose taken target lies
-    strictly later in layout order (i.e. a non-loop branch; backward-taken
-    branches are loop branches, which the paper leaves to loop
-    transformations). [position] is the {!block_position} table of the
-    block's procedure, built once for all its blocks. *)
+val reachable : t -> int -> bool
+(** Reachable from the entry. *)
+
+val is_forward_branch : t -> int -> bool
+(** True if block [i] ends in a conditional [Branch] whose taken target
+    lies strictly later in layout order (i.e. a non-loop branch;
+    backward-taken branches are loop branches, which the paper leaves to
+    loop transformations). *)

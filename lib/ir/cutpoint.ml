@@ -1,107 +1,69 @@
-open Bv_isa
-
-module Lset = Set.Make (Label)
-
-(* A procedure with its label index and reverse postorder, built once and
-   shared by every pass below. *)
-type graph =
-  { proc : Proc.t;
-    index : Block.t Label.Tbl.t;
-    rpo : Label.t list
-  }
-
-let graph proc =
-  let index = Cfg.block_index proc in
-  { proc; index; rpo = Cfg.reverse_postorder_indexed index proc }
-
-let successors g l = Term.successors (Label.Tbl.find g.index l).Block.term
-
-let joins_of g =
-  let preds = Cfg.predecessor_map g.proc in
-  List.filter
-    (fun l ->
-      match Label.Tbl.find_opt preds l with
-      | Some ps -> List.length (List.sort_uniq Label.compare ps) >= 2
-      | None -> false)
-    g.rpo
-
-let joins proc = joins_of (graph proc)
-
-let back_edge_targets_of g =
-  let dom = Dominators.compute g.proc in
-  let targets = ref Lset.empty in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun v -> if Dominators.dominates dom v u then targets := Lset.add v !targets)
-        (successors g u))
-    g.rpo;
-  Lset.elements !targets
-
-let back_edge_targets proc = back_edge_targets_of (graph proc)
+(* Blocks are numbers of one {!Cfg.t}; the dominators are computed once
+   per call and every set below is a [bool array] over the blocks. *)
 
 (* Retreating edges under a DFS from the entry: catches irreducible cycles
    that dominator-based back edges miss. For reducible CFGs this coincides
-   with [back_edge_targets]. *)
-let retreating_edge_targets g =
-  let on_stack = Label.Tbl.create 16 in
-  let finished = Label.Tbl.create 16 in
-  let targets = ref Lset.empty in
+   with the back-edge targets. *)
+let mark_retreating_targets (g : Cfg.t) cut =
+  let n = Cfg.size g in
+  let on_stack = Array.make n false in
+  let finished = Array.make n false in
   let rec dfs l =
-    if not (Label.Tbl.mem finished l || Label.Tbl.mem on_stack l) then begin
-      Label.Tbl.replace on_stack l ();
-      List.iter
-        (fun s ->
-          if Label.Tbl.mem on_stack s then targets := Lset.add s !targets
-          else dfs s)
-        (successors g l);
-      Label.Tbl.remove on_stack l;
-      Label.Tbl.replace finished l ()
+    if not (finished.(l) || on_stack.(l)) then begin
+      on_stack.(l) <- true;
+      Array.iter
+        (fun s -> if on_stack.(s) then cut.(s) <- true else dfs s)
+        g.Cfg.succs.(l);
+      on_stack.(l) <- false;
+      finished.(l) <- true
     end
   in
-  dfs g.proc.Proc.entry;
-  Lset.elements !targets
+  if Array.length g.Cfg.rpo > 0 then dfs g.Cfg.rpo.(0)
 
-let call_returns_of g =
+let compute ?(include_joins = true) (g : Cfg.t) =
+  let cut = Array.make (Cfg.size g) false in
+  let dom = Dominators.compute g in
+  if Array.length g.Cfg.rpo > 0 then cut.(g.Cfg.rpo.(0)) <- true;
+  mark_retreating_targets g cut;
+  Array.iter
+    (fun u ->
+      (* back-edge targets *)
+      Array.iter
+        (fun v -> if Dominators.dominates_at dom v u then cut.(v) <- true)
+        g.Cfg.succs.(u);
+      (match g.Cfg.blocks.(u).Block.term with
+      | Term.Call _ -> cut.(g.Cfg.succs.(u).(0)) <- true
+      | _ -> ());
+      if include_joins then begin
+        let preds = g.Cfg.preds.(u) in
+        if Array.exists (fun p -> p <> preds.(0)) preds then cut.(u) <- true
+      end)
+    g.Cfg.rpo;
   List.filter_map
-    (fun l ->
-      match (Label.Tbl.find g.index l).Block.term with
-      | Term.Call { return_to; _ } -> Some return_to
-      | _ -> None)
-    g.rpo
+    (fun l -> if cut.(l) then Some (Cfg.label g l) else None)
+    (Array.to_list g.Cfg.rpo)
 
-let call_returns proc = call_returns_of (graph proc)
-
-let compute ?(include_joins = true) proc =
-  let g = graph proc in
-  let cuts =
-    Lset.of_list
-      ((proc.Proc.entry :: back_edge_targets_of g)
-      @ retreating_edge_targets g @ call_returns_of g
-      @ if include_joins then joins_of g else [])
-  in
-  List.filter (fun l -> Lset.mem l cuts) g.rpo
-
-let regions_acyclic proc ~cuts =
-  let g = graph proc in
-  let is_cut = Label.Tbl.create 16 in
-  List.iter (fun l -> Label.Tbl.replace is_cut l ()) cuts;
+let regions_acyclic (g : Cfg.t) ~cuts =
+  let n = Cfg.size g in
+  let is_cut = Array.make n false in
+  List.iter
+    (fun l -> Option.iter (fun i -> is_cut.(i) <- true) (Cfg.find g l))
+    cuts;
   (* DFS over the subgraph of non-cut reachable blocks; a retreating edge
      inside it is a cycle avoiding every cutpoint. *)
-  let on_stack = Label.Tbl.create 16 in
-  let finished = Label.Tbl.create 16 in
+  let on_stack = Array.make n false in
+  let finished = Array.make n false in
   let ok = ref true in
   let rec dfs l =
-    if not (Label.Tbl.mem finished l || Label.Tbl.mem on_stack l) then begin
-      Label.Tbl.replace on_stack l ();
-      List.iter
+    if not (finished.(l) || on_stack.(l)) then begin
+      on_stack.(l) <- true;
+      Array.iter
         (fun s ->
-          if not (Label.Tbl.mem is_cut s) then
-            if Label.Tbl.mem on_stack s then ok := false else dfs s)
-        (successors g l);
-      Label.Tbl.remove on_stack l;
-      Label.Tbl.replace finished l ()
+          if not is_cut.(s) then if on_stack.(s) then ok := false else dfs s)
+        g.Cfg.succs.(l);
+      on_stack.(l) <- false;
+      finished.(l) <- true
     end
   in
-  List.iter (fun l -> if not (Label.Tbl.mem is_cut l) then dfs l) g.rpo;
+  Array.iter (fun l -> if not is_cut.(l) then dfs l) g.Cfg.rpo;
   !ok

@@ -10,23 +10,16 @@
 
 open Bv_isa
 
-val joins : Proc.t -> Label.t list
-(** Reachable blocks with two or more CFG predecessors. *)
+val compute : ?include_joins:bool -> Cfg.t -> Label.t list
+(** The entry ∪ joins (reachable blocks with two or more distinct
+    predecessors; left out when [include_joins] is [false]) ∪ back-edge
+    targets (targets [v] of edges [u -> v] where [v] dominates [u]: loop
+    headers under reducible control flow) ∪ retreating-edge targets of a
+    depth-first walk from the entry (the irreducible safety net) ∪ the
+    [return_to] blocks of reachable [Call]s, restricted to reachable
+    blocks, in reverse postorder. Computes the dominators once. *)
 
-val back_edge_targets : Proc.t -> Label.t list
-(** Targets [v] of edges [u -> v] where [v] dominates [u] — loop
-    headers under reducible control flow. Irreducible loops are covered
-    by {!compute}'s retreating-edge fallback. *)
-
-val call_returns : Proc.t -> Label.t list
-(** The [return_to] labels of [Call] terminators of reachable blocks. *)
-
-val compute : ?include_joins:bool -> Proc.t -> Label.t list
-(** Entry ∪ joins (unless [include_joins] is [false]) ∪ back-edge
-    targets ∪ retreating-edge targets (irreducible safety net) ∪ call
-    returns, restricted to reachable blocks, in reverse postorder. *)
-
-val regions_acyclic : Proc.t -> cuts:Label.t list -> bool
+val regions_acyclic : Cfg.t -> cuts:Label.t list -> bool
 (** True iff every CFG cycle passes through a label in [cuts] — i.e.
     the subgraph induced by non-cut reachable blocks is acyclic, so the
     inter-cutpoint regions have finitely many paths. *)

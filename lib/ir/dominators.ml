@@ -1,95 +1,86 @@
 open Bv_isa
-module Sset = Set.Make (String)
 
+(* [idom.(b)] is the immediate dominator of block [b], the entry's is
+   itself, and [-1] marks a block unreachable from the entry. *)
 type t =
-  { entry : Label.t;
-    doms : Sset.t Label.Tbl.t  (* reachable block -> dominators *)
+  { cfg : Cfg.t;
+    idom : int array
   }
 
-let compute proc =
-  let rpo = Cfg.reverse_postorder proc in
-  let reachable = Sset.of_list rpo in
-  let preds_all = Cfg.predecessor_map proc in
-  let preds l =
-    List.filter
-      (fun p -> Sset.mem p reachable)
-      (Option.value (Label.Tbl.find_opt preds_all l) ~default:[])
+(* Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
+   (2001): iterate over the reverse postorder, setting each block's idom
+   to the nearest common ancestor, in the idom tree built so far, of its
+   processed predecessors. Fingers climb towards lower reverse-postorder
+   numbers, which every idom chain ends in at the entry. *)
+let compute (g : Cfg.t) =
+  let idom = Array.make (Cfg.size g) (-1) in
+  let rpo = g.Cfg.rpo and number = g.Cfg.rpo_number in
+  let intersect a b =
+    let a = ref a and b = ref b in
+    while !a <> !b do
+      while number.(!a) > number.(!b) do a := idom.(!a) done;
+      while number.(!b) > number.(!a) do b := idom.(!b) done
+    done;
+    !a
   in
-  let doms = Label.Tbl.create 64 in
-  let entry = proc.Proc.entry in
-  Label.Tbl.replace doms entry (Sset.singleton entry);
-  List.iter
-    (fun l ->
-      if not (Label.equal l entry) then Label.Tbl.replace doms l reachable)
-    rpo;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun l ->
-        if not (Label.equal l entry) then begin
-          let inter =
-            match preds l with
-            | [] -> Sset.singleton l
-            | p :: rest ->
-              List.fold_left
-                (fun acc q -> Sset.inter acc (Label.Tbl.find doms q))
-                (Label.Tbl.find doms p) rest
-          in
-          let now = Sset.add l inter in
-          if not (Sset.equal now (Label.Tbl.find doms l)) then begin
-            Label.Tbl.replace doms l now;
-            changed := true
-          end
-        end)
-      rpo
-  done;
-  { entry; doms }
+  if Array.length rpo > 0 then begin
+    idom.(rpo.(0)) <- rpo.(0);
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for k = 1 to Array.length rpo - 1 do
+        let b = rpo.(k) in
+        let preds = g.Cfg.preds.(b) in
+        let chosen = ref (-1) in
+        for j = 0 to Array.length preds - 1 do
+          let p = preds.(j) in
+          if idom.(p) >= 0 then
+            chosen := if !chosen < 0 then p else intersect p !chosen
+        done;
+        if !chosen <> idom.(b) then begin
+          idom.(b) <- !chosen;
+          changed := true
+        end
+      done
+    done
+  end;
+  { cfg = g; idom }
+
+let dominates_at t a b =
+  if a = b then true
+  else if t.idom.(a) < 0 || t.idom.(b) < 0 then false
+  else begin
+    let x = ref b in
+    while !x <> a && t.idom.(!x) <> !x do
+      x := t.idom.(!x)
+    done;
+    !x = a
+  end
 
 let dominates t a b =
-  if Label.equal a b then true
-  else
-    match Label.Tbl.find_opt t.doms b with
-    | Some s -> Sset.mem a s
-    | None -> false
+  Label.equal a b
+  ||
+  match (Cfg.find t.cfg a, Cfg.find t.cfg b) with
+  | Some a, Some b -> dominates_at t a b
+  | _ -> false
 
 let idom t b =
-  match Label.Tbl.find_opt t.doms b with
-  | None -> None
-  | Some s ->
-    if Label.equal b t.entry then None
-    else
-      (* the strict dominator dominated by every other strict dominator *)
-      let strict = Sset.remove b s in
-      Sset.fold
-        (fun cand acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            if
-              Sset.for_all
-                (fun other ->
-                  Label.equal other cand || dominates t other cand)
-                strict
-            then Some cand
-            else None)
-        strict None
+  match Cfg.find t.cfg b with
+  | Some i when t.idom.(i) >= 0 && t.idom.(i) <> i ->
+    Some (Cfg.label t.cfg t.idom.(i))
+  | _ -> None
 
 let dominator_tree t =
-  let children = Hashtbl.create 16 in
-  Label.Tbl.iter
-    (fun b _ ->
-      match idom t b with
-      | Some p ->
-        let existing =
-          Option.value (Hashtbl.find_opt children p) ~default:[]
-        in
-        Hashtbl.replace children p (b :: existing)
-      | None -> ())
-    t.doms;
-  Label.Tbl.fold
-    (fun b _ acc ->
-      (b, List.sort compare (Option.value (Hashtbl.find_opt children b) ~default:[]))
-      :: acc)
-    t.doms []
-  |> List.sort compare
+  let g = t.cfg in
+  let children = Array.make (Cfg.size g) [] in
+  Array.iter
+    (fun b ->
+      let d = t.idom.(b) in
+      if d <> b then children.(d) <- Cfg.label g b :: children.(d))
+    g.Cfg.rpo;
+  List.sort
+    (fun (a, _) (b, _) -> Label.compare a b)
+    (Array.to_list
+       (Array.map
+          (fun b -> (Cfg.label g b, List.sort Label.compare children.(b)))
+          g.Cfg.rpo))

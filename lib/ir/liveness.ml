@@ -2,8 +2,9 @@ open Bv_isa
 module Regset = Regset
 
 type t =
-  { live_in : Regset.t Label.Tbl.t;
-    live_out : Regset.t Label.Tbl.t
+  { cfg : Cfg.t;
+    live_in : Regset.t array;
+    live_out : Regset.t array
   }
 
 let all_regs = Regset.all
@@ -29,59 +30,43 @@ let block_use_def block =
     (term_uses block.Block.term);
   (!use, !def)
 
-let compute ?(exit_live = all_regs) proc =
-  let blocks = proc.Proc.blocks in
-  let use_def = Label.Tbl.create 64 in
-  List.iter
-    (fun b -> Label.Tbl.replace use_def b.Block.label (block_use_def b))
-    blocks;
-  let live_in = Label.Tbl.create 64 in
-  let live_out = Label.Tbl.create 64 in
-  List.iter
-    (fun b ->
-      Label.Tbl.replace live_in b.Block.label Regset.empty;
-      Label.Tbl.replace live_out b.Block.label Regset.empty)
-    blocks;
-  let lookup_in l =
-    Option.value (Label.Tbl.find_opt live_in l) ~default:Regset.empty
-  in
+let compute ?(exit_live = all_regs) (g : Cfg.t) =
+  let n = Cfg.size g in
+  let use_def = Array.map block_use_def g.Cfg.blocks in
+  let live_in = Array.make n Regset.empty in
+  let live_out = Array.make n Regset.empty in
   let changed = ref true in
   while !changed do
     changed := false;
-    (* reverse order converges faster for mostly-forward CFGs *)
-    List.iter
-      (fun b ->
-        let l = b.Block.label in
-        let out =
-          match b.Block.term with
-          | Term.Ret | Term.Halt -> exit_live
-          | Term.Call _ ->
-            (* conservative: the callee may read anything, and control
-               returns to the successor *)
-            Regset.union exit_live
-              (List.fold_left
-                 (fun acc s -> Regset.union acc (lookup_in s))
-                 Regset.empty
-                 (Term.successors b.Block.term))
-          | _ ->
-            List.fold_left
-              (fun acc s -> Regset.union acc (lookup_in s))
-              Regset.empty
-              (Term.successors b.Block.term)
-        in
-        let use, def = Label.Tbl.find use_def l in
-        let inn = Regset.union use (Regset.diff out def) in
-        if not (Regset.equal inn (lookup_in l)) then begin
-          Label.Tbl.replace live_in l inn;
-          changed := true
-        end;
-        Label.Tbl.replace live_out l out)
-      (List.rev blocks)
+    (* reverse layout order converges faster for mostly-forward CFGs *)
+    for i = n - 1 downto 0 do
+      let succs = g.Cfg.succs.(i) in
+      let out = ref Regset.empty in
+      for k = 0 to Array.length succs - 1 do
+        out := Regset.union !out live_in.(succs.(k))
+      done;
+      let out =
+        match g.Cfg.blocks.(i).Block.term with
+        | Term.Ret | Term.Halt -> exit_live
+        | Term.Call _ ->
+          (* conservative: the callee may read anything, and control
+             returns to the successor *)
+          Regset.union exit_live !out
+        | _ -> !out
+      in
+      let use, def = use_def.(i) in
+      let inn = Regset.union use (Regset.diff out def) in
+      if not (Regset.equal inn live_in.(i)) then begin
+        live_in.(i) <- inn;
+        changed := true
+      end;
+      live_out.(i) <- out
+    done
   done;
-  { live_in; live_out }
+  { cfg = g; live_in; live_out }
 
 let live_in t l =
-  Option.value (Label.Tbl.find_opt t.live_in l) ~default:all_regs
+  match Cfg.find t.cfg l with Some i -> t.live_in.(i) | None -> all_regs
 
 let live_out t l =
-  Option.value (Label.Tbl.find_opt t.live_out l) ~default:all_regs
+  match Cfg.find t.cfg l with Some i -> t.live_out.(i) | None -> all_regs

@@ -13,10 +13,11 @@ module Regset = Regset
 
 type t
 
-val compute : ?exit_live:Regset.t -> Proc.t -> t
-(** [exit_live] is the set assumed live at [Ret]/[Halt] (defaults to every
-    register — conservative for procedures whose results flow to a caller
-    through registers). *)
+val compute : ?exit_live:Regset.t -> Cfg.t -> t
+(** Round-robin over the blocks in reverse layout order, with the facts
+    in arrays indexed by block number. [exit_live] is the set assumed
+    live at [Ret]/[Halt] (defaults to every register — conservative for
+    procedures whose results flow to a caller through registers). *)
 
 val live_in : t -> Label.t -> Regset.t
 (** Registers live at block entry. Unknown labels are treated as having

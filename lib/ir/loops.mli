@@ -13,7 +13,8 @@ open Bv_isa
 
 type t
 
-val compute : Proc.t -> t
+val compute : Cfg.t -> t
+(** Computes the graph's dominators once. *)
 
 val back_edges : t -> (Label.t * Label.t) list
 (** [(latch, header)] pairs, in layout order of the latch. *)

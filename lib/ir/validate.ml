@@ -1,8 +1,10 @@
 open Bv_isa
 
-let check program =
+let errors program =
   let errors = ref [] in
-  let error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+  let error ?block fmt =
+    Printf.ksprintf (fun s -> errors := (block, s) :: !errors) fmt
+  in
   let block_owner = Hashtbl.create 256 in
   let proc_names = Hashtbl.create 16 in
   List.iter
@@ -13,14 +15,15 @@ let check program =
       List.iter
         (fun b ->
           let l = b.Block.label in
-          if Hashtbl.mem block_owner l then error "duplicate block label %s" l
+          if Hashtbl.mem block_owner l then
+            error ~block:l "duplicate block label %s" l
           else Hashtbl.replace block_owner l name)
         p.Proc.blocks)
     program.Program.procs;
   Hashtbl.iter
     (fun l _ ->
       if Hashtbl.mem proc_names l then
-        error "label %s is both a block and a procedure" l)
+        error ~block:l "label %s is both a block and a procedure" l)
     block_owner;
   let branch_ids = Hashtbl.create 256 in
   let predict_ids = Hashtbl.create 64 in
@@ -36,9 +39,11 @@ let check program =
         match Hashtbl.find_opt block_owner target with
         | Some owner when Label.equal owner p.Proc.name -> ()
         | Some owner ->
-          error "block %s targets %s, which belongs to proc %s" b.Block.label
-            target owner
-        | None -> error "block %s targets unknown label %s" b.Block.label target
+          error ~block:b.Block.label "block %s targets %s, which belongs to \
+            proc %s" b.Block.label target owner
+        | None ->
+          error ~block:b.Block.label "block %s targets unknown label %s"
+            b.Block.label target
       in
       let rec check_blocks = function
         | [] -> ()
@@ -49,13 +54,15 @@ let check program =
             check_local b taken;
             check_local b not_taken;
             if Hashtbl.mem branch_ids id then
-              error "duplicate branch site id %d (block %s)" id b.Block.label;
+              error ~block:b.Block.label "duplicate branch site id %d (block %s)"
+                id b.Block.label;
             Hashtbl.replace branch_ids id ()
           | Term.Predict { taken; not_taken; id } ->
             check_local b taken;
             check_local b not_taken;
             if Hashtbl.mem predict_ids id then
-              error "duplicate predict site id %d (block %s)" id b.Block.label;
+              error ~block:b.Block.label
+                "duplicate predict site id %d (block %s)" id b.Block.label;
             Hashtbl.replace predict_ids id ()
           | Term.Resolve { mispredict; fallthrough; predicted_taken; id; _ }
             ->
@@ -68,7 +75,7 @@ let check program =
               Option.value (Hashtbl.find_opt resolve_ids id) ~default:[]
             in
             if List.mem predicted_taken arms then
-              error
+              error ~block:b.Block.label
                 "duplicate resolve site id %d for the predicted-%s arm \
                  (block %s)"
                 id
@@ -77,13 +84,15 @@ let check program =
             Hashtbl.replace resolve_ids id (predicted_taken :: arms)
           | Term.Call { target; return_to } ->
             if not (Hashtbl.mem proc_names target) then
-              error "block %s calls unknown procedure %s" b.Block.label target;
+              error ~block:b.Block.label "block %s calls unknown procedure %s"
+                b.Block.label target;
             Hashtbl.replace call_targets target ();
             check_local b return_to;
             (match rest with
             | next :: _ when Label.equal next.Block.label return_to -> ()
             | _ ->
-              error "block %s: call return_to %s is not the next block"
+              error ~block:b.Block.label
+                "block %s: call return_to %s is not the next block"
                 b.Block.label return_to)
           | Term.Ret -> rets := (p.Proc.name, b.Block.label) :: !rets
           | Term.Halt -> ());
@@ -97,8 +106,8 @@ let check program =
   List.iter
     (fun (proc, block) ->
       if not (Hashtbl.mem call_targets proc) then
-        error "block %s returns from proc %s, which is never called" block
-          proc)
+        error ~block "block %s returns from proc %s, which is never called"
+          block proc)
     (List.rev !rets);
   Hashtbl.iter
     (fun id _ ->
@@ -117,9 +126,12 @@ let check program =
         error "resolve site id %d has %d arms but no matching predict" id
           (List.length arms))
     resolve_ids;
-  match !errors with
+  List.rev !errors
+
+let check program =
+  match errors program with
   | [] -> Ok ()
-  | es -> Error (List.rev es)
+  | es -> Error (List.map snd es)
 
 let check_exn program =
   match check program with

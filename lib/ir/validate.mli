@@ -22,6 +22,10 @@
       could only ever execute with an empty call stack, a guaranteed
       runtime fault. *)
 
+val errors : Program.t -> (Bv_isa.Label.t option * string) list
+(** Every violation, in the order {!check} reports them, each with the
+    label of the block it names, if it names one. *)
+
 val check : Program.t -> (unit, string list) result
 (** [check p] is [Ok ()] or [Error messages]. *)
 

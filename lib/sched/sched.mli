@@ -1,15 +1,22 @@
 (** Latency-aware list scheduling of basic-block bodies for an in-order
     target.
 
-    The scheduler builds a register/memory dependence DAG over the body,
-    assigns each instruction a critical-path height (distance in cycles to
-    the end of the block, counting the terminator's operands as consumed at
-    the end), then issues greedily in time order: at each simulated cycle it
-    picks, among instructions whose predecessors have completed, the ones
-    with the greatest height. For an in-order machine this pushes loads as
-    early as their dependences allow and sinks their consumers (e.g. the
-    compare feeding a resolve) towards the end — exactly the schedule shape
-    the paper's transformation exists to enable.
+    The scheduler builds a register/memory dependence DAG over the body
+    (the last writer and readers of each register in arrays indexed by
+    register, each memory op checked against the earlier memory ops
+    only), assigns each instruction a critical-path height (distance in
+    cycles to the end of the block, counting the terminator's operands as
+    consumed at the end), then issues greedily in time order: at each
+    simulated cycle it picks, among instructions whose predecessors all
+    started early enough ([start + delay <= cycle], and in an earlier
+    cycle), the ones with the greatest height, the earliest in the body
+    first among equals. A ready list does the picking: each instruction
+    keeps its count of unscheduled predecessors and its earliest start,
+    and is released once the last of them is placed, after that cycle's
+    placements. For an in-order machine this pushes loads as early as
+    their dependences allow and sinks their consumers (e.g. the compare
+    feeding a resolve) towards the end — exactly the schedule shape the
+    paper's transformation exists to enable.
 
     Memory ordering is conservative by default: stores are ordered against
     all other memory operations; load/load pairs are free to reorder. When
@@ -32,7 +39,8 @@ val schedule_body :
   Instr.t list ->
   Instr.t list
 (** Reorder a block body. [width] (default 4) bounds how many instructions
-    the greedy pass places per simulated cycle. The result is a permutation
+    the greedy pass places per simulated cycle; below 1 it raises
+    [Invalid_argument], whatever the body. The result is a permutation
     of the input that respects all dependences. [may_alias] relaxes the
     store-barrier rule: a memory pair is left unordered when it returns
     [false]; it must be conservative (queried on the occurrences of this

@@ -111,7 +111,7 @@ let test_classes_and_loops () =
         block "join" [] Term.Halt
       ]
   in
-  let loops = Loops.compute proc in
+  let loops = Loops.compute (Cfg.make proc) in
   Alcotest.(check (list (pair string string)))
     "one back edge" [ ("body", "head") ] (Loops.back_edges loops);
   Alcotest.(check (list string)) "loop body" [ "body"; "head" ]

@@ -64,13 +64,14 @@ let looped_proc () =
 
 let test_engine_matches_liveness () =
   let p = looped_proc () in
-  let live = Liveness.compute ~exit_live:Liveness.Regset.empty p in
+  let g = Cfg.make p in
+  let live = Liveness.compute ~exit_live:Liveness.Regset.empty g in
   let sol =
     Live.solve ~direction:Dataflow.Backward ~boundary:Liveness.Regset.empty
       ~transfer:(fun b out ->
         let use, def = Liveness.block_use_def b in
         Liveness.Regset.union use (Liveness.Regset.diff out def))
-      p
+      g
   in
   List.iter
     (fun label ->
@@ -81,7 +82,7 @@ let test_engine_matches_liveness () =
           (label ^ " live-in matches") true
           (Liveness.Regset.equal expect got)
       | None -> Alcotest.fail (label ^ ": engine computed no fact"))
-    (Cfg.reverse_postorder p)
+    (List.map (Cfg.label g) (Array.to_list g.Cfg.rpo))
 
 module SS = Set.Make (String)
 
@@ -111,7 +112,7 @@ let test_engine_backward_irreducible () =
   let sol =
     Reach.solve ~direction:Dataflow.Backward ~boundary:SS.empty
       ~transfer:(fun b s -> SS.add b.Block.label s)
-      p
+      (Cfg.make p)
   in
   let check label expect =
     match Reach.fact_in sol label with
@@ -133,12 +134,112 @@ let test_engine_skips_unreachable () =
   let sol =
     Live.solve ~direction:Dataflow.Forward ~boundary:Liveness.Regset.empty
       ~transfer:(fun _ s -> s)
-      p
+      (Cfg.make p)
   in
   Alcotest.(check bool) "island has no fact" true
     (Live.fact_in sol "island" = None);
   Alcotest.(check bool) "entry has a fact" true
     (Live.fact_in sol "entry" <> None)
+
+(* The indexed engine against the label-table engine it replaced: the
+   fact at entry and exit of every label, for lattices shaped like the
+   three clients' (register sets, per-register constants joined to top,
+   outstanding predict sites under union and under intersection), each
+   solved forwards and backwards on arbitrary small procedures. *)
+module Same_solution (L : sig
+  include Dataflow.LATTICE
+
+  val boundary : t
+  val transfer : Block.t -> t -> t
+end) =
+struct
+  module New = Dataflow.Make (L)
+  module Old = Cfg_ref.Dataflow (L)
+
+  let check proc =
+    List.for_all
+      (fun direction ->
+        let got =
+          New.solve ~direction ~boundary:L.boundary ~transfer:L.transfer
+            (Cfg.make proc)
+        in
+        let want =
+          Old.solve ~direction ~boundary:L.boundary ~transfer:L.transfer proc
+        in
+        List.for_all
+          (fun l ->
+            Option.equal L.equal (New.fact_in got l) (Old.fact_in want l)
+            && Option.equal L.equal (New.fact_out got l) (Old.fact_out want l))
+          ("nowhere" :: Proc.block_labels proc))
+      [ Dataflow.Forward; Dataflow.Backward ]
+end
+
+module Live_check = Same_solution (struct
+  include Liveness.Regset
+
+  let boundary = Liveness.Regset.empty
+  let join = Liveness.Regset.union
+
+  let transfer b s =
+    let use, def = Liveness.block_use_def b in
+    Liveness.Regset.union use (Liveness.Regset.diff s def)
+end)
+
+module Const_check = Same_solution (struct
+  type t = int option array
+
+  let equal = Array.for_all2 (Option.equal Int.equal)
+
+  let join a b =
+    Array.map2 (fun x y -> if Option.equal Int.equal x y then x else None) a b
+
+  let boundary = Array.make 8 (Some 0)
+
+  let transfer b s =
+    let s = Array.copy s in
+    List.iter
+      (fun i ->
+        match i with
+        | Instr.Mov { dst; src = Instr.Imm k } -> s.(Reg.index dst) <- Some k
+        | Instr.Alu { dst; src1; src2 = Instr.Reg r; _ } ->
+          s.(Reg.index dst) <-
+            (match (s.(Reg.index src1), s.(Reg.index r)) with
+            | Some x, Some y -> Some ((x + y) land 7)
+            | _ -> None)
+        | i -> List.iter (fun r -> s.(Reg.index r) <- None) (Instr.defs i))
+      b.Block.body;
+    s
+end)
+
+module Intset = Set.Make (Int)
+
+let sites_transfer b s =
+  match b.Block.term with
+  | Term.Predict { id; _ } -> Intset.add id s
+  | Term.Resolve { id; _ } -> Intset.remove id s
+  | _ -> s
+
+module May_check = Same_solution (struct
+  include Intset
+
+  let join = Intset.union
+  let boundary = Intset.empty
+  let transfer = sites_transfer
+end)
+
+module Must_check = Same_solution (struct
+  include Intset
+
+  let join = Intset.inter
+  let boundary = Intset.singleton 2
+  let transfer = sites_transfer
+end)
+
+let prop_indexed_dataflow =
+  QCheck2.Test.make ~name:"indexed Dataflow = label-table reference"
+    ~count:500 ~print:Cfg_ref.print_proc Cfg_ref.gen_proc (fun proc ->
+      Live_check.check proc && Const_check.check proc && May_check.check proc
+      && Must_check.check proc)
 
 (* ------------------------------------------- seeded lint violations -- *)
 
@@ -556,7 +657,8 @@ let () =
           Alcotest.test_case "backward over an irreducible cycle" `Quick
             test_engine_backward_irreducible;
           Alcotest.test_case "no facts for unreachable blocks" `Quick
-            test_engine_skips_unreachable
+            test_engine_skips_unreachable;
+          QCheck_alcotest.to_alcotest prop_indexed_dataflow
         ] );
       ( "speculation verifier",
         [ Alcotest.test_case "clean hammock lints clean" `Quick

@@ -169,7 +169,7 @@ let test_alias_verdicts () =
           Term.Halt
       ]
   in
-  let t = Alias.analyze proc in
+  let t = Alias.analyze (Cfg.make proc) in
   Alcotest.(check bool) "r0+0 vs r0+8 disjoint" false (Alias.may_alias t ld0 st8);
   Alcotest.(check bool) "r0+0 vs r0+0 alias" true (Alias.may_alias t ld0 st0);
   Alcotest.(check bool) "r0+8 vs r0+0 disjoint" false (Alias.may_alias t st8 st0);
@@ -188,7 +188,7 @@ let test_alias_call_havoc () =
         block "after" [ ld; st ] Term.Halt
       ]
   in
-  let t = Alias.analyze proc in
+  let t = Alias.analyze (Cfg.make proc) in
   (* r1 was havocked by the call: both ops are Unknown, so may-alias *)
   Alcotest.(check bool) "post-call addresses unknown" true
     (Alias.may_alias t ld st);
@@ -212,7 +212,7 @@ let test_alias_join () =
         block "join" [ st; ld ] Term.Halt
       ]
   in
-  let t = Alias.analyze proc in
+  let t = Alias.analyze (Cfg.make proc) in
   (* r2 is 0 or 16 at the join — Top — so the pair may alias *)
   Alcotest.(check bool) "conflicting defs join to Top" true
     (Alias.may_alias t st ld)
@@ -238,7 +238,7 @@ let test_alias_top_meets_anchor () =
         block "join" [ st; ld ] Term.Halt
       ]
   in
-  let t = Alias.analyze proc in
+  let t = Alias.analyze (Cfg.make proc) in
   (match Alias.address_of t st with
   | Alias.Unknown -> ()
   | _ -> Alcotest.fail "anchored-meets-absolute join must be Unknown");
@@ -264,7 +264,7 @@ let test_alias_havoc_rejoin () =
         block "join" [ st; ld ] Term.Halt
       ]
   in
-  let t = Alias.analyze proc in
+  let t = Alias.analyze (Cfg.make proc) in
   (match Alias.address_of t ld with
   | Alias.Unknown -> ()
   | _ -> Alcotest.fail "call havoc must survive the rejoin");
@@ -284,7 +284,7 @@ let test_alias_sched () =
   let use = Instr.Alu { op = Instr.Add; dst = r 8; src1 = r 6; src2 = Instr.Imm 1 } in
   let body = [ st; ld; use ] in
   let proc = Proc.make ~name:"p" [ block "entry" body Term.Halt ] in
-  let t = Alias.analyze proc in
+  let t = Alias.analyze (Cfg.make proc) in
   let default = Bv_sched.Sched.schedule_body ~term:Term.Halt body in
   Alcotest.(check bool) "store barrier holds by default" true
     (pos_of default st < pos_of default ld);
@@ -298,7 +298,7 @@ let test_alias_sched () =
   let st0 = Instr.Store { src = r 7; base = r 0; offset = 8 } in
   let body2 = [ st0; ld; use ] in
   let proc2 = Proc.make ~name:"p" [ block "entry" body2 Term.Halt ] in
-  let t2 = Alias.analyze proc2 in
+  let t2 = Alias.analyze (Cfg.make proc2) in
   let relaxed2 =
     Bv_sched.Sched.schedule_body ~may_alias:(Alias.may_alias t2)
       ~term:Term.Halt body2

@@ -173,6 +173,28 @@ let test_full_disk () =
 let has_line ~prefix text =
   List.exists (String.starts_with ~prefix) (String.split_on_char '\n' text)
 
+(* A source file that parses but fails validation is an input error at
+   the offending block's line, as a parse error is: exit 1, not an
+   uncaught exception. *)
+let test_invalid_program () =
+  let path = Filename.temp_file "bv_invalid" ".s" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "proc m\nentry:\n  mov r1, #0\n  bnz r1, nowhere\nrest:\n  halt\n");
+  List.iter
+    (fun command ->
+      let code, _, stderr = Cli.run ~env:[] [ command; path ] in
+      Alcotest.(check int) (Printf.sprintf "%s exits 1 (%S)" command stderr) 1
+        code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the line (%S)" command stderr)
+        true
+        (has_line
+           ~prefix:(path ^ ":2: block entry targets unknown label nowhere")
+           stderr))
+    [ "assemble"; "lint"; "prove" ];
+  Sys.remove path
+
 (* A report on a full stdout is the same named error as one to a full
    file, not an exception escaping at exit. *)
 let test_full_stdout () =
@@ -275,6 +297,8 @@ let () =
           Alcotest.test_case "BV_CSV export to a full disk" `Quick
             test_csv_full_disk;
           Alcotest.test_case "experiment ids checked first" `Quick
-            test_experiment_ids_checked_first
+            test_experiment_ids_checked_first;
+          Alcotest.test_case "program that fails validation" `Quick
+            test_invalid_program
         ] )
     ]

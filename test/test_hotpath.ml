@@ -264,8 +264,9 @@ let test_cycle_allocation () =
 (* ------------------------------------------------ analysis allocation *)
 
 (* The 55 TRAIN programs at a quarter of their repetitions (as the
-   toolchain benchmark runs them), each with its decomposed-branch
-   transform: profile with the tournament predictor, select, transform. *)
+   toolchain benchmark runs them), each with its selected candidates and
+   its decomposed-branch transform: profile with the tournament
+   predictor, select, transform. *)
 let analysis_corpus =
   lazy
     (List.map
@@ -291,17 +292,28 @@ let analysis_corpus =
               ~candidates prog)
              .Vanguard.Transform.program
          in
-         (prog, transformed))
+         (prog, candidates, transformed))
        Bv_workloads.Suites.all)
 
-(* Minor words the translation validator ([Equiv.verify] + [verify_self])
-   and [Liveness.compute] allocate over that corpus, in millions, pinned
-   just above their values when the gate was set (27.69 M and 1.57 M;
-   91.33 M and 6.23 M before register sets became bitsets, entry symbols
-   int-keyed and label lookups indexed). For a fixed binary the counts
-   are deterministic. *)
-let equiv_words_when_set = 28.0
-let liveness_words_when_set = 1.6
+(* Minor words the analyses allocate over that corpus, in millions,
+   pinned just above their values when each gate was set. For a fixed
+   binary the counts are deterministic.
+   - The translation validator ([Equiv.verify] + [verify_self]): 21.25 M
+     (27.69 M before the indexed CFG; 91.33 M before register sets
+     became bitsets, entry symbols int-keyed and label lookups indexed).
+   - [Liveness.compute], building its graph included: 1.55 M (1.57 M;
+     6.23 M).
+   - [Transform.apply], its scheduling and speculation post-pass
+     included: 15.09 M (29.78 M before the indexed CFG, the array
+     dataflow engine and the ready-list scheduler).
+   - [Costmodel.analyze] without and with interprocedural summaries (the
+     summaries computed outside the count): 12.79 M and 12.86 M
+     (18.05 M and 18.11 M). *)
+let equiv_words_when_set = 21.3
+let liveness_words_when_set = 1.56
+let transform_words_when_set = 15.2
+let costmodel_words_when_set = 12.9
+let costmodel_interproc_words_when_set = 13.0
 
 let test_analysis_allocation () =
   let corpus = Lazy.force analysis_corpus in
@@ -310,7 +322,7 @@ let test_analysis_allocation () =
   let equiv =
     minor_words (fun () ->
         List.iter
-          (fun (original, transformed) ->
+          (fun (original, _, transformed) ->
             ignore
               (Bv_analysis.Equiv.verify ~scratch ~exit_live ~original
                  transformed);
@@ -319,13 +331,36 @@ let test_analysis_allocation () =
                  transformed))
           corpus)
   in
+  let transform =
+    minor_words (fun () ->
+        List.iter
+          (fun (original, candidates, _) ->
+            ignore (Vanguard.Transform.apply ~exit_live ~candidates original))
+          corpus)
+  in
+  let costmodel summaries =
+    let inputs =
+      List.map (fun (original, _, _) -> (original, summaries original)) corpus
+    in
+    minor_words (fun () ->
+        List.iter
+          (fun (original, summaries) ->
+            ignore
+              (Bv_analysis.Costmodel.analyze ~exit_live ?summaries original))
+          inputs)
+  in
+  let costmodel_plain = costmodel (fun _ -> None) in
+  let costmodel_interproc =
+    costmodel (fun p -> Some (Bv_analysis.Summary.compute p))
+  in
   let exit_live = Bv_ir.Liveness.Regset.of_list exit_live in
   let liveness =
     minor_words (fun () ->
         List.iter
-          (fun (original, _) ->
+          (fun (original, _, _) ->
             List.iter
-              (fun proc -> ignore (Bv_ir.Liveness.compute ~exit_live proc))
+              (fun proc ->
+                ignore (Bv_ir.Liveness.compute ~exit_live (Bv_ir.Cfg.make proc)))
               original.Bv_ir.Program.procs)
           corpus)
   in
@@ -339,7 +374,12 @@ let test_analysis_allocation () =
         print_endline reading;
         if words /. 1e6 <= ceiling then None else Some reading)
       [ ("Equiv.verify + verify_self", equiv, equiv_words_when_set);
-        ("Liveness.compute", liveness, liveness_words_when_set)
+        ("Liveness.compute", liveness, liveness_words_when_set);
+        ("Transform.apply", transform, transform_words_when_set);
+        ("Costmodel.analyze", costmodel_plain, costmodel_words_when_set);
+        ( "Costmodel.analyze ~summaries",
+          costmodel_interproc,
+          costmodel_interproc_words_when_set )
       ]
   in
   Alcotest.(check (list string))

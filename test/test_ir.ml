@@ -352,16 +352,17 @@ let test_cfg () =
         block "d" Term.Halt
       ]
   in
-  let a = Proc.find_block p "a" in
-  Alcotest.(check (list string)) "succs" [ "c"; "b" ] (Cfg.successors p a);
-  let preds = Cfg.predecessor_map p in
+  let g = Cfg.make p in
+  let a = Cfg.number g "a" in
+  let labels = Array.map (Cfg.label g) in
+  Alcotest.(check (array string)) "succs" [| "c"; "b" |]
+    (labels g.Cfg.succs.(a));
   Alcotest.(check (list string)) "preds of d" [ "b"; "c" ]
-    (List.sort compare (Label.Tbl.find preds "d"));
-  let rpo = Cfg.reverse_postorder p in
-  Alcotest.(check string) "rpo starts at entry" "a" (List.hd rpo);
-  Alcotest.(check int) "rpo complete" 4 (List.length rpo);
-  Alcotest.(check bool) "forward" true
-    (Cfg.is_forward_branch ~position:(Cfg.block_position p) a);
+    (List.sort compare (Array.to_list (labels g.Cfg.preds.(Cfg.number g "d"))));
+  let rpo = g.Cfg.rpo in
+  Alcotest.(check string) "rpo starts at entry" "a" (Cfg.label g rpo.(0));
+  Alcotest.(check int) "rpo complete" 4 (Array.length rpo);
+  Alcotest.(check bool) "forward" true (Cfg.is_forward_branch g a);
   (* backward branch *)
   let p2 =
     Proc.make ~name:"m"
@@ -372,9 +373,26 @@ let test_cfg () =
         block "out" Term.Halt
       ]
   in
+  let g2 = Cfg.make p2 in
   Alcotest.(check bool) "backward" false
-    (Cfg.is_forward_branch ~position:(Cfg.block_position p2)
-       (Proc.find_block p2 "loop"))
+    (Cfg.is_forward_branch g2 (Cfg.number g2 "loop"))
+
+(* The graph against the label-table helpers it replaced: successors in
+   terminator order, one predecessor entry per edge in their order (the
+   latest block first), and the same reverse postorder. *)
+let prop_cfg_matches_reference =
+  QCheck2.Test.make ~name:"Cfg.make = label-table reference" ~count:500
+    ~print:Cfg_ref.print_proc Cfg_ref.gen_proc (fun p ->
+      let g = Cfg.make p in
+      let labels a = List.map (Cfg.label g) (Array.to_list a) in
+      let preds = Cfg_ref.predecessor_map p in
+      List.for_all
+        (fun b ->
+          let i = Cfg.number g b.Block.label in
+          labels g.Cfg.succs.(i) = Term.successors b.Block.term
+          && labels g.Cfg.preds.(i) = Label.Tbl.find preds b.Block.label)
+        p.Proc.blocks
+      && labels g.Cfg.rpo = Cfg_ref.reverse_postorder p)
 
 let test_liveness () =
   (* diamond: r1 read on one side only, r2 written both sides *)
@@ -387,7 +405,7 @@ let test_liveness () =
         block ~body:[ add 3 2 2 ] "d" Term.Halt
       ]
   in
-  let live = Liveness.compute ~exit_live:Liveness.Regset.empty p in
+  let live = Liveness.compute ~exit_live:Liveness.Regset.empty (Cfg.make p) in
   let mem l reg = Liveness.Regset.mem (r reg) (Liveness.live_in live l) in
   Alcotest.(check bool) "r1 live into b" true (mem "b" 1);
   Alcotest.(check bool) "r1 dead into c" false (mem "c" 1);
@@ -396,7 +414,7 @@ let test_liveness () =
   Alcotest.(check bool) "r5 live into a" false (mem "a" 5);
   (* exit_live makes r3 matter *)
   let live2 =
-    Liveness.compute ~exit_live:(Liveness.Regset.singleton (r 9)) p
+    Liveness.compute ~exit_live:(Liveness.Regset.singleton (r 9)) (Cfg.make p)
   in
   Alcotest.(check bool) "exit live propagates" true
     (Liveness.Regset.mem (r 9) (Liveness.live_in live2 "a"))
@@ -412,7 +430,7 @@ let test_liveness_loop () =
         block "out" Term.Halt
       ]
   in
-  let live = Liveness.compute ~exit_live:Liveness.Regset.empty p in
+  let live = Liveness.compute ~exit_live:Liveness.Regset.empty (Cfg.make p) in
   Alcotest.(check bool) "loop-carried r1" true
     (Liveness.Regset.mem (r 1) (Liveness.live_in live "loop"))
 
@@ -445,7 +463,10 @@ let () =
             test_validate_entry_not_first;
           Alcotest.test_case "targets = resolve" `Quick test_layout_targets
         ] );
-      ( "cfg", [ Alcotest.test_case "basics" `Quick test_cfg ] );
+      ( "cfg",
+        [ Alcotest.test_case "basics" `Quick test_cfg;
+          QCheck_alcotest.to_alcotest prop_cfg_matches_reference
+        ] );
       ( "liveness",
         [ Alcotest.test_case "diamond" `Quick test_liveness;
           Alcotest.test_case "loop-carried" `Quick test_liveness_loop

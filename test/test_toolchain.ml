@@ -123,7 +123,7 @@ d:
 
 let test_dominators_diamond () =
   let p = Program.find_proc (diamond ()) "m" in
-  let t = Dominators.compute p in
+  let t = Dominators.compute (Cfg.make p) in
   Alcotest.(check bool) "a dom d" true (Dominators.dominates t "a" "d");
   Alcotest.(check bool) "b !dom d" false (Dominators.dominates t "b" "d");
   Alcotest.(check bool) "reflexive" true (Dominators.dominates t "c" "c");
@@ -172,7 +172,7 @@ out:
   in
   let result = Vanguard.Transform.apply ~candidates:[ cand ] prog in
   let p = Program.find_proc result.Vanguard.Transform.program "m" in
-  let t = Dominators.compute p in
+  let t = Dominators.compute (Cfg.make p) in
   Alcotest.(check bool) "predict dominates A'nt" true
     (Dominators.dominates t "head" "head@rnt.1");
   Alcotest.(check bool) "predict dominates A't" true
@@ -190,12 +190,78 @@ let test_dominators_unreachable () =
       "proc m\na:\n  jmp c\ndead:\n  jmp c\nc:\n  halt\n"
   in
   let p = Program.find_proc prog "m" in
-  let t = Dominators.compute p in
+  let t = Dominators.compute (Cfg.make p) in
   Alcotest.(check bool) "unreachable not dominated" false
     (Dominators.dominates t "a" "dead");
   Alcotest.(check bool) "unreachable self" true
     (Dominators.dominates t "dead" "dead");
   Alcotest.(check (option string)) "no idom" None (Dominators.idom t "dead")
+
+(* Cooper-Harvey-Kennedy against the [Set.Make (String)] fixpoint it
+   replaced: [dominates] on every pair of labels, [idom] of every label
+   and the whole dominator tree, on arbitrary small procedures. *)
+let same_dominators proc =
+  let want = Cfg_ref.Dominators.compute proc in
+  let got = Dominators.compute (Cfg.make proc) in
+  let labels = "nowhere" :: Proc.block_labels proc in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          Bool.equal
+            (Cfg_ref.Dominators.dominates want a b)
+            (Dominators.dominates got a b))
+        labels)
+    labels
+  && List.for_all
+       (fun b ->
+         Option.equal String.equal
+           (Cfg_ref.Dominators.idom want b)
+           (Dominators.idom got b))
+       labels
+  && Cfg_ref.Dominators.dominator_tree want = Dominators.dominator_tree got
+
+let prop_chk_dominators =
+  QCheck2.Test.make ~name:"CHK dominators = Set.Make (String) reference"
+    ~count:1000 ~print:Cfg_ref.print_proc Cfg_ref.gen_proc same_dominators
+
+(* The shapes the property must meet, counted over the generator's first
+   1000 procedures at a fixed seed: blocks unreachable from the entry,
+   edges into the entry, and irreducible cycles (a retreating edge whose
+   target does not dominate its source). *)
+let test_generator_shapes () =
+  let rand = Random.State.make [| 20 |] in
+  let unreachable = ref 0 and entry_preds = ref 0 and irreducible = ref 0 in
+  for _ = 1 to 1000 do
+    let proc = QCheck2.Gen.generate1 ~rand Cfg_ref.gen_proc in
+    let g = Cfg.make proc in
+    let dom = Dominators.compute g in
+    if Array.length g.Cfg.rpo < Cfg.size g then incr unreachable;
+    if g.Cfg.preds.(0) <> [||] then incr entry_preds;
+    let on_stack = Array.make (Cfg.size g) false in
+    let seen = Array.make (Cfg.size g) false in
+    let found = ref false in
+    let rec dfs u =
+      seen.(u) <- true;
+      on_stack.(u) <- true;
+      Array.iter
+        (fun v ->
+          if on_stack.(v) && not (Dominators.dominates_at dom v u) then
+            found := true
+          else if not seen.(v) then dfs v)
+        g.Cfg.succs.(u);
+      on_stack.(u) <- false
+    in
+    dfs 0;
+    if !found then incr irreducible
+  done;
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %d / 1000" what n) true (n >= 10))
+    [ ("unreachable blocks", !unreachable);
+      ("edges into the entry", !entry_preds);
+      ("irreducible cycles", !irreducible)
+    ]
 
 (* ------------------------------------------------------------------ dot *)
 
@@ -222,8 +288,8 @@ let test_dot_output () =
 (* The JSON reports of [prove], [lint] and [advise] on four benchmarks,
    pinned byte for byte so that a change to the analyses' data
    structures cannot move a verdict, a diagnostic or a cost figure
-   unseen. The DAG counters are dropped: they describe the run, not its
-   result.
+   unseen. The DAG counters and timings are dropped: they describe the
+   run, not its result.
 
    Regenerating (only after an intentional analysis change):
 
@@ -232,13 +298,15 @@ let test_dot_output () =
    from the repository root rewrites the files in place (the first step
    builds the CLI the cases run). *)
 
-let rec drop_dag = function
+let rec drop_run_fields = function
   | Bv_obs.Json.Obj fields ->
     Bv_obs.Json.Obj
       (List.filter_map
-         (fun (k, v) -> if k = "dag" then None else Some (k, drop_dag v))
+         (fun (k, v) ->
+           if k = "dag" || k = "seconds" then None
+           else Some (k, drop_run_fields v))
          fields)
-  | Bv_obs.Json.List items -> Bv_obs.Json.List (List.map drop_dag items)
+  | Bv_obs.Json.List items -> Bv_obs.Json.List (List.map drop_run_fields items)
   | v -> v
 
 let test_report_golden (command, bench) () =
@@ -252,7 +320,92 @@ let test_report_golden (command, bench) () =
     Golden.check
       ~file:(Printf.sprintf "toolchain_%s_%s.json" command bench)
       ~what:(Printf.sprintf "%s -b %s report" command bench)
-      (Bv_obs.Json.to_string ~indent:true (drop_dag json) ^ "\n")
+      (Bv_obs.Json.to_string ~indent:true (drop_run_fields json) ^ "\n")
+
+(* Digests of every benchmark's compiled code and analysis reports at
+   BV_SCALE=0.25: the scheduled baseline and the transformed disassembly
+   of REF input 1, and the JSON of [prove], [lint] and [advise], without
+   and with --interproc. One file pins the whole suite, so a change to
+   the scheduler or to an analysis kernel that moves any output on any
+   benchmark fails here with the benchmark and the artifact named.
+   Regenerate as the report goldens above. *)
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let bench_digests spec =
+  let name = spec.Bv_workloads.Spec.name in
+  let b = Bv_harness.Runner.prepare spec in
+  let disasm image = digest (Format.asprintf "%a" Layout.pp_disassembly image) in
+  let report command interproc =
+    let args =
+      [ command; "-b"; name; "--json"; "-" ]
+      @ if interproc then [ "--interproc" ] else []
+    in
+    let code, out, _ = Cli.run ~env:[ "BV_SCALE=0.25" ] args in
+    if code <> 0 then
+      Alcotest.failf "%s exits %d" (String.concat " " args) code;
+    match Bv_obs.Json.of_string out with
+    | Error e -> Alcotest.failf "%s: bad JSON: %s" (String.concat " " args) e
+    | Ok json -> digest (Bv_obs.Json.to_string (drop_run_fields json))
+  in
+  ( name,
+    [ ("baseline_disasm",
+       disasm (Bv_harness.Runner.baseline_program b ~input:1));
+      ("transformed_disasm",
+       disasm (Bv_harness.Runner.experimental_program b ~input:1))
+    ]
+    @ List.concat_map
+        (fun command ->
+          [ (command, report command false);
+            (command ^ "_interproc", report command true)
+          ])
+        [ "prove"; "lint"; "advise" ] )
+
+let test_suite_digests () =
+  (* the in-process half reads the scale the CLI half is given *)
+  Unix.putenv "BV_SCALE" "0.25";
+  let got = List.map bench_digests Bv_workloads.Suites.all in
+  let to_json digests =
+    Bv_obs.Json.Obj
+      (List.map
+         (fun (bench, ds) ->
+           ( bench,
+             Bv_obs.Json.Obj
+               (List.map (fun (k, d) -> (k, Bv_obs.Json.String d)) ds) ))
+         digests)
+  in
+  let file = "toolchain_digests.json" in
+  match Sys.getenv_opt "BV_GOLDEN_DIR" with
+  | Some _ ->
+    Golden.check ~file ~what:"suite digests"
+      (Bv_obs.Json.to_string ~indent:true (to_json got) ^ "\n")
+  | None ->
+    let want =
+      match
+        Bv_obs.Json.of_string
+          (In_channel.with_open_text (Filename.concat "goldens" file)
+             In_channel.input_all)
+      with
+      | Ok json -> json
+      | Error e -> Alcotest.failf "%s: %s" file e
+    in
+    let stale =
+      List.concat_map
+        (fun (bench, ds) ->
+          List.filter_map
+            (fun (k, d) ->
+              match
+                Option.bind (Bv_obs.Json.member bench want)
+                  (Bv_obs.Json.member k)
+              with
+              | Some (Bv_obs.Json.String w) when String.equal w d -> None
+              | _ -> Some (bench ^ " " ^ k))
+            ds)
+        got
+    in
+    Alcotest.(check (list string)) "artifacts whose digest moved" [] stale;
+    Alcotest.(check int) "benchmarks pinned" (List.length got)
+      (match want with Bv_obs.Json.Obj fields -> List.length fields | _ -> 0)
 
 let report_cases =
   List.concat_map
@@ -279,8 +432,12 @@ let () =
         [ Alcotest.test_case "diamond" `Quick test_dominators_diamond;
           Alcotest.test_case "transform invariants" `Quick
             test_dominators_after_transform;
-          Alcotest.test_case "unreachable" `Quick test_dominators_unreachable
+          Alcotest.test_case "unreachable" `Quick test_dominators_unreachable;
+          Alcotest.test_case "generator shapes" `Quick test_generator_shapes;
+          QCheck_alcotest.to_alcotest prop_chk_dominators
         ] );
       ( "dot", [ Alcotest.test_case "output" `Quick test_dot_output ] );
-      ("report goldens", report_cases)
+      ("report goldens", report_cases);
+      ( "suite digests",
+        [ Alcotest.test_case "55 benchmarks" `Quick test_suite_digests ] )
     ]
