@@ -19,9 +19,25 @@ let bench_arg =
   let doc = "Benchmark name (see `vanguard_cli list`)." in
   Arg.(required & opt (some string) None & info [ "b"; "benchmark" ] ~doc)
 
+(* Integer option converters that reject a value before any work, so it
+   is a usage error naming the value rather than a failure mid-run. *)
+let int_conv ~expected accept =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when accept n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_conv ~expected:"a positive integer" (fun n -> n > 0)
+let non_negative = int_conv ~expected:"an integer >= 0" (fun n -> n >= 0)
+
 let width_arg =
   let doc = "Machine width: 2, 4 or 8." in
-  Arg.(value & opt int 4 & info [ "w"; "width" ] ~doc)
+  Arg.(
+    value
+    & opt (int_conv ~expected:"2, 4 or 8" (fun w -> List.mem w [ 2; 4; 8 ])) 4
+    & info [ "w"; "width" ] ~doc)
 
 let input_arg =
   let doc = "REF input index (1-based; 0 is the TRAIN input)." in
@@ -54,55 +70,12 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
 
-let positive =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let sample_interval_arg =
   let doc = "Interval-sampler window in cycles (for --json)." in
   Arg.(
     value
     & opt (some positive) None
     & info [ "sample-interval" ] ~doc ~docv:"CYCLES")
-
-(* ------------------------------------------------------------- sampling *)
-
-let sample_mode_arg =
-  let doc =
-    "SMARTS-style interval sampling: simulate short detailed windows, \
-     functionally fast-forward between them (predictors and caches stay \
-     warm), and report whole-run estimates with 95% confidence \
-     intervals. Architectural results stay exact."
-  in
-  Arg.(value & flag & info [ "sample-mode" ] ~doc)
-
-let sample_period_arg =
-  let doc = "Sampling period in instructions (with --sample-mode)." in
-  Arg.(
-    value
-    & opt positive Machine.default_sample_params.Machine.sp_period
-    & info [ "sample-period" ] ~doc ~docv:"INSTRS")
-
-let sample_detail_arg =
-  let doc = "Detailed (measured) instructions per period." in
-  Arg.(
-    value
-    & opt positive Machine.default_sample_params.Machine.sp_detail
-    & info [ "sample-detail" ] ~doc ~docv:"INSTRS")
-
-let sample_warmup_arg =
-  let doc = "Detailed warmup instructions before each measured window." in
-  Arg.(
-    value
-    & opt positive Machine.default_sample_params.Machine.sp_warmup
-    & info [ "sample-warmup" ] ~doc ~docv:"INSTRS")
-
-let sample_params_of ~period ~detail ~warmup =
-  { Machine.sp_period = period; sp_detail = detail; sp_warmup = warmup }
 
 let write_json path json =
   try
@@ -194,48 +167,61 @@ let list_cmd =
 (* ------------------------------------------------------------------ run *)
 
 let run_cmd =
-  let run name width input predictor json trace sample_interval sample_mode
-      sample_period sample_detail sample_warmup =
+  let run name width input predictor json trace sample_interval =
     match spec_of_name name with
     | Error e -> prerr_endline e; 1
-    | Ok spec when sample_mode ->
-      let b = Sim.prepare ~predictor (Sim.the ()) spec in
-      let params =
-        sample_params_of ~period:sample_period ~detail:sample_detail
-          ~warmup:sample_warmup
+    | Ok spec ->
+      let sim = Sim.the () in
+      let b = Sim.prepare ~predictor sim spec in
+      let config = Config.make ~predictor ~width () in
+      let telemetry = json <> None || trace <> None in
+      (* With telemetry each side is a fresh, stepped run with a sampler
+         over its cycle accounting and (when --trace) a Perfetto
+         collector; pids 1/2 keep the two runs side by side in one trace
+         document. Otherwise each side is its DAG node. *)
+      let side pid process_name img =
+        if telemetry then begin
+          let tr =
+            if trace = None then None
+            else Some (Perfetto.create ~pid ~process_name ())
+          in
+          let observer =
+            Runner.observer ?interval:sample_interval
+              ?on_event:(Option.map Perfetto.on_event tr)
+              img
+          in
+          (Runner.simulate ~observer ~config img, Some (observer, tr))
+        end
+        else (Sim.simulate sim ~config img, None)
       in
-      let sp = Runner.simulate_sampled ~predictor ~params b ~input ~width in
+      let base, base_obs = side 1 "baseline" (Runner.baseline b ~input) in
+      let exp, exp_obs = side 2 "vanguard" (Runner.experimental b ~input) in
+      let speedup =
+        Runner.speedup_pct ~base:base.Runner.stats.Stats.cycles
+          ~exp:exp.Runner.stats.Stats.cycles
+      in
+      (* With --json - the report owns stdout; the text goes to stderr. *)
       let ppf =
         if json = Some "-" then Format.err_formatter else Format.std_formatter
       in
-      Format.fprintf ppf
-        "%s, %d-wide, %s, input %d, sampled (period %d, detail %d, warmup \
-         %d)@.@."
-        name width (Kind.name predictor) input sample_period sample_detail
-        sample_warmup;
-      let show tag (s : Machine.sampled) =
-        let e = s.Machine.sam_estimate in
-        Format.fprintf ppf "--- %s ---@." tag;
-        Format.fprintf ppf "windows %d, coverage %.2f%% of %d instructions@."
-          (List.length e.Smarts.est_windows)
-          e.Smarts.est_coverage_pct e.Smarts.est_total_instrs;
-        Format.fprintf ppf
-          "estimated cycles %.0f, CPI %.4f \xc2\xb1 %.4f (95%% CI, \xc2\xb1 \
-           %.2f%%)@.@."
-          e.Smarts.est_cycles e.Smarts.est_cpi.Smarts.mean
-          (e.Smarts.est_cpi.Smarts.ci_high -. e.Smarts.est_cpi.Smarts.mean)
-          e.Smarts.est_cpi.Smarts.rel_err_pct
+      let show tag (r : Runner.run) =
+        Format.fprintf ppf "--- %s ---@.%a@.L1-D miss rate %.3f@.@." tag
+          Stats.pp r.Runner.stats
+          (Bv_cache.Sa_cache.stats_miss_rate r.Runner.l1d)
       in
-      show "baseline" sp.Runner.samp_base;
-      show "decomposed-branch (vanguard)" sp.Runner.samp_exp;
-      Format.fprintf ppf "estimated speedup: %+.2f%%@."
-        sp.Runner.samp_speedup_pct;
-      (match json with
-      | None -> ()
-      | Some path ->
-        let side (s : Machine.sampled) =
-          Machine.result_to_json ~sampled:s.Machine.sam_estimate
-            s.Machine.sam_result
+      Format.fprintf ppf "%s, %d-wide, %s, input %d@.@." name width
+        (Kind.name predictor) input;
+      show "baseline" base;
+      show "decomposed-branch (vanguard)" exp;
+      Format.fprintf ppf "speedup: %+.2f%%@." speedup;
+      (match (json, base_obs, exp_obs) with
+      | Some path, Some (bo, _), Some (eo, _) ->
+        let side (r : Runner.run) o =
+          obj_add (Runner.run_to_json r)
+            [ ("samples", Sampler.to_json (Runner.samples o));
+              ("cpi_stack", Acct.cpi_stack_json r.Runner.acct);
+              ("top_branches", Acct.top_branches_json r.Runner.acct)
+            ]
         in
         write_json path
           (Bv_obs.Json.Obj
@@ -246,114 +232,25 @@ let run_cmd =
                ("predictor", Bv_obs.Json.String (Kind.name predictor));
                ("input", Bv_obs.Json.Int input);
                ("scale", Bv_obs.Json.float (Runner.scale ()));
-               ( "sample_params",
-                 Bv_obs.Json.Obj
-                   [ ("period", Bv_obs.Json.Int sample_period);
-                     ("detail", Bv_obs.Json.Int sample_detail);
-                     ("warmup", Bv_obs.Json.Int sample_warmup)
-                   ] );
-               ("speedup_pct", Bv_obs.Json.float sp.Runner.samp_speedup_pct);
-               ("baseline", side sp.Runner.samp_base);
-               ("experimental", side sp.Runner.samp_exp);
                summary_stats_field name (Gen.generate ~input spec);
-               dag_field ()
-             ]));
-      0
-    | Ok spec ->
-      let b = Sim.prepare ~predictor (Sim.the ()) spec in
-      let telemetry = json <> None || trace <> None in
-      let pair, inst, traces =
-        if telemetry then begin
-          (* The instrumented path re-simulates with samplers, cycle
-             accounting and (when --trace) Perfetto collectors attached;
-             pids 1/2 keep the two runs side by side in one trace
-             document. *)
-          let collector pid process_name =
-            if trace = None then None
-            else Some (Perfetto.create ~pid ~process_name ())
-          in
-          let base_tr = collector 1 "baseline" in
-          let exp_tr = collector 2 "vanguard" in
-          let tap = Option.map (fun t ev -> Perfetto.on_event t ev) in
-          let inst =
-            Runner.simulate_instrumented ~predictor ?sample_interval
-              ?on_base_event:(tap base_tr) ?on_exp_event:(tap exp_tr) b
-              ~input ~width
-          in
-          ( inst.Runner.pair,
-            Some inst,
-            (match (base_tr, exp_tr) with
-            | Some bt, Some et -> Some (bt, et)
-            | _ -> None) )
-        end
-        else (Runner.simulate ~predictor b ~input ~width, None, None)
-      in
-      (* With --json - the report owns stdout; the text goes to stderr. *)
-      let ppf =
-        if json = Some "-" then Format.err_formatter else Format.std_formatter
-      in
-      let show tag (r : Machine.result) =
-        Format.fprintf ppf "--- %s ---@.%a@.L1-D miss rate %.3f@.@." tag
-          Stats.pp r.Machine.stats
-          (Bv_cache.Sa_cache.miss_rate (Bv_cache.Hierarchy.l1d r.Machine.hierarchy))
-      in
-      Format.fprintf ppf "%s, %d-wide, %s, input %d@.@." name width
-        (Kind.name predictor) input;
-      show "baseline" pair.Runner.base;
-      show "decomposed-branch (vanguard)" pair.Runner.exp;
-      Format.fprintf ppf "speedup: %+.2f%%@." pair.Runner.speedup_pct;
-      (match (json, inst) with
-      | Some path, Some i ->
-        let side acct samples v =
-          obj_add v
-            [ ("samples", Sampler.to_json samples);
-              ("cpi_stack", Acct.cpi_stack_json acct);
-              ("top_branches", Acct.top_branches_json acct)
-            ]
-        in
-        let report =
-          match Runner.pair_to_json pair with
-          | Bv_obs.Json.Obj fields ->
-            Bv_obs.Json.Obj
-              (List.map
-                 (function
-                   | "baseline", v ->
-                     ( "baseline",
-                       side i.Runner.base_acct i.Runner.base_samples v )
-                   | "experimental", v ->
-                     ( "experimental",
-                       side i.Runner.exp_acct i.Runner.exp_samples v )
-                   | field -> field)
-                 fields)
-          | other -> other
-        in
-        write_json path
-          (obj_add
-             (Bv_obs.Json.Obj
-                [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-                  ("benchmark", Bv_obs.Json.String name);
-                  ("suite", Bv_obs.Json.String (Spec.suite_name spec.Spec.suite));
-                  ("width", Bv_obs.Json.Int width);
-                  ("predictor", Bv_obs.Json.String (Kind.name predictor));
-                  ("input", Bv_obs.Json.Int input);
-                  ("scale", Bv_obs.Json.float (Runner.scale ()));
-                  summary_stats_field name (Gen.generate ~input spec);
-                  dag_field ()
-                ])
-             (match report with Bv_obs.Json.Obj f -> f | _ -> []))
+               dag_field ();
+               ("speedup_pct", Bv_obs.Json.float speedup);
+               ("baseline", side base bo);
+               ("experimental", side exp eo)
+             ])
       | _ -> ());
-      (match (trace, traces, inst) with
-      | Some path, Some (base_tr, exp_tr), Some i ->
+      (match (trace, base_obs, exp_obs) with
+      | Some path, Some (bo, Some bt), Some (eo, Some et) ->
         (* counter tracks ride the same pids as the span lanes, so the
            CPI stack overlays each run's instruction view *)
         write_json path
           (Bv_obs.Trace_event.document
-             (Perfetto.events base_tr
+             (Perfetto.events bt
              @ Perfetto.cpi_counter_events ~pid:1
-                 (Sampler.windows i.Runner.base_samples)
-             @ Perfetto.events exp_tr
+                 (Sampler.windows (Runner.samples bo))
+             @ Perfetto.events et
              @ Perfetto.cpi_counter_events ~pid:2
-                 (Sampler.windows i.Runner.exp_samples)))
+                 (Sampler.windows (Runner.samples eo))))
       | _ -> ());
       0
   in
@@ -364,115 +261,7 @@ let run_cmd =
           (optionally as JSON and a Perfetto trace).")
     Term.(
       const run $ bench_arg $ width_arg $ input_arg $ predictor_arg
-      $ json_arg $ trace_arg $ sample_interval_arg $ sample_mode_arg
-      $ sample_period_arg $ sample_detail_arg $ sample_warmup_arg)
-
-(* ------------------------------------------------------ sample-validate *)
-
-(* The accuracy gate behind --sample-mode: estimated CPI vs the exact
-   full-run CPI on every benchmark, both sides of the transform. CI
-   greps the ok:/error: lines. *)
-let sample_validate_cmd =
-  let run width predictor input max_cpi_err sample_period sample_detail
-      sample_warmup json =
-    let t = Sim.the () in
-    let params =
-      sample_params_of ~period:sample_period ~detail:sample_detail
-        ~warmup:sample_warmup
-    in
-    let cpi (s : Stats.t) =
-      Float.of_int s.Stats.cycles /. Float.of_int (max 1 (Stats.retired s))
-    in
-    let err est full =
-      if full = 0.0 then 0.0 else 100.0 *. Float.abs (est -. full) /. full
-    in
-    let rows =
-      List.map
-        (fun spec ->
-          let full = Sim.summary ~predictor t spec ~input ~width in
-          let samp = Sim.sampled ~predictor ~params t spec ~input ~width in
-          let base_err =
-            err samp.Runner.ss_base.Smarts.est_cpi.Smarts.mean
-              (cpi full.Runner.sum_base)
-          in
-          let exp_err =
-            err samp.Runner.ss_exp.Smarts.est_cpi.Smarts.mean
-              (cpi full.Runner.sum_exp)
-          in
-          (spec.Spec.name, base_err, exp_err))
-        Suites.all
-    in
-    let failures = ref 0 in
-    List.iter
-      (fun (name, base_err, exp_err) ->
-        let worst = Float.max base_err exp_err in
-        if worst > max_cpi_err then begin
-          incr failures;
-          Printf.printf
-            "sample-validate error: %s CPI error %.2f%% exceeds bound %.2f%% \
-             (base %.2f%%, exp %.2f%%)\n"
-            name worst max_cpi_err base_err exp_err
-        end
-        else
-          Printf.printf
-            "sample-validate ok: %s base %.2f%% exp %.2f%% (bound %.2f%%)\n"
-            name base_err exp_err max_cpi_err)
-      rows;
-    let worst =
-      List.fold_left
-        (fun acc (_, b, e) -> Float.max acc (Float.max b e))
-        0.0 rows
-    in
-    Printf.printf
-      "sample-validate summary: %d benchmarks, worst CPI error %.2f%%, bound \
-       %.2f%%, %d violation(s)\n"
-      (List.length rows) worst max_cpi_err !failures;
-    (match json with
-    | None -> ()
-    | Some path ->
-      write_json path
-        (Bv_obs.Json.Obj
-           [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-             ("width", Bv_obs.Json.Int width);
-             ("predictor", Bv_obs.Json.String (Kind.name predictor));
-             ("input", Bv_obs.Json.Int input);
-             ("scale", Bv_obs.Json.float (Runner.scale ()));
-             ( "sample_params",
-               Bv_obs.Json.Obj
-                 [ ("period", Bv_obs.Json.Int sample_period);
-                   ("detail", Bv_obs.Json.Int sample_detail);
-                   ("warmup", Bv_obs.Json.Int sample_warmup)
-                 ] );
-             ("max_cpi_err_pct", Bv_obs.Json.float max_cpi_err);
-             ("worst_cpi_err_pct", Bv_obs.Json.float worst);
-             ("violations", Bv_obs.Json.Int !failures);
-             ( "benchmarks",
-               Bv_obs.Json.List
-                 (List.map
-                    (fun (name, base_err, exp_err) ->
-                      Bv_obs.Json.Obj
-                        [ ("benchmark", Bv_obs.Json.String name);
-                          ("base_cpi_err_pct", Bv_obs.Json.float base_err);
-                          ("exp_cpi_err_pct", Bv_obs.Json.float exp_err)
-                        ])
-                    rows) );
-             dag_field ()
-           ]));
-    if !failures > 0 then 1 else 0
-  in
-  let max_cpi_err_arg =
-    let doc = "Maximum tolerated |sampled - full| CPI error, in percent." in
-    Arg.(value & opt float 10.0 & info [ "max-cpi-err" ] ~doc ~docv:"PCT")
-  in
-  Cmd.v
-    (Cmd.info "sample-validate"
-       ~doc:
-         "Validate interval sampling against exact full runs on every \
-          benchmark: compare estimated vs measured CPI on both sides and \
-          fail if any error exceeds the bound.")
-    Term.(
-      const run $ width_arg $ predictor_arg $ input_arg $ max_cpi_err_arg
-      $ sample_period_arg $ sample_detail_arg $ sample_warmup_arg $ json_arg)
+      $ json_arg $ trace_arg $ sample_interval_arg)
 
 (* --------------------------------------------------------------- report *)
 
@@ -485,16 +274,17 @@ let report_cmd =
     | Error e -> prerr_endline e; 1
     | Ok spec ->
       let sim = Sim.the () in
+      let b = Sim.prepare ~predictor sim spec in
       let inputs = if all then Runner.input_indices () else [ input ] in
-      let acc =
-        (* each accounted per-input run is a DAG node (flat tables, so
-           the store holds them whole); they fan out across the fork
-           pool with claim arbitration and merge pointwise *)
-        match Sim.accounted_list ~predictor sim spec ~inputs ~width with
-        | [] -> assert false
-        | first :: rest -> List.fold_left Runner.merge_accounted first rest
+      (* each side of each input is its DAG node; the accounting merges
+         pointwise across inputs *)
+      let runs =
+        List.map (fun input -> Sim.pair ~predictor sim b ~input ~width) inputs
       in
-      let base = acc.Runner.acc_base and exp = acc.Runner.acc_exp in
+      let base = Runner.merged_acct (List.map fst runs)
+      and exp = Runner.merged_acct (List.map snd runs) in
+      let btotal = Acct.total base and etotal = Acct.total exp in
+      let speedup = Runner.speedup_pct ~base:btotal ~exp:etotal in
       let ppf =
         if json = Some "-" then Format.err_formatter else Format.std_formatter
       in
@@ -502,9 +292,7 @@ let report_cmd =
         name width (Kind.name predictor)
         (if List.length inputs > 1 then "s" else "")
         (String.concat "," (List.map string_of_int inputs));
-      Format.fprintf ppf "speedup: %+.2f%%@.@." acc.Runner.acc_speedup_pct;
-      let btotal = acc.Runner.acc_base_cycles
-      and etotal = acc.Runner.acc_exp_cycles in
+      Format.fprintf ppf "speedup: %+.2f%%@.@." speedup;
       let pct total n =
         if total > 0 then Text.f1 (100.0 *. Float.of_int n /. Float.of_int total)
         else "-"
@@ -611,7 +399,7 @@ let report_cmd =
                ("predictor", String (Kind.name predictor));
                ("inputs", List (List.map (fun i -> Int i) inputs));
                ("scale", float (Runner.scale ()));
-               ("speedup_pct", float acc.Runner.acc_speedup_pct);
+               ("speedup_pct", float speedup);
                ("baseline", Acct.to_json base);
                ("vanguard", Acct.to_json exp);
                ("sites", List (List.map site_json ranked));
@@ -1172,7 +960,7 @@ let prove_cmd =
   let fuzz_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative) None
       & info [ "fuzz" ] ~docv:"N"
           ~doc:
             "Generate N seeded fuzz programs, transform each, and prove \
@@ -1327,13 +1115,13 @@ let advise_cmd =
           let checked =
             if validate then
               Some
-                (Runner.advise_validate ~predictor ~config ~interproc ~inputs
+                (Sim.advise_validate ~predictor ~config ~interproc ~inputs sim
                    b ~width)
             else None
           in
           let advice =
             match checked with
-            | Some c -> c.Runner.ac_advice
+            | Some c -> c.Sim.ac_advice
             | None -> Runner.advise ~config ~interproc b
           in
           let gains =
@@ -1446,12 +1234,12 @@ let advise_cmd =
         match checked with
         | None -> ()
         | Some c ->
-          let v = c.Runner.ac_validation in
+          let v = c.Sim.ac_validation in
           let joined = List.length v.Advisor.joined in
           Format.fprintf ppf
             "%s: validation over %d input(s): %d site(s) joined, peak DBB \
              occupancy %d@."
-            name c.Runner.ac_inputs joined c.Runner.ac_max_outstanding;
+            name c.Sim.ac_inputs joined c.Sim.ac_max_outstanding;
           if Float.is_nan v.Advisor.spearman then
             Format.fprintf ppf
               "%s: too few joined sites for a rank correlation@." name
@@ -1521,9 +1309,9 @@ let advise_cmd =
                         | Some c ->
                           [ ( "validation",
                               Advisor.validation_to_json
-                                c.Runner.ac_validation );
+                                c.Sim.ac_validation );
                             ( "max_outstanding",
-                              Int c.Runner.ac_max_outstanding )
+                              Int c.Sim.ac_max_outstanding )
                           ]))
                     results) )
            ]));
@@ -1584,7 +1372,7 @@ let advise_cmd =
   let fuzz_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative) None
       & info [ "fuzz" ] ~docv:"N"
           ~doc:
             "Also advise on N seeded fuzz programs (selection-style \
@@ -1928,7 +1716,7 @@ let main =
      reproduction."
   in
   Cmd.group (Cmd.info "vanguard_cli" ~doc)
-    [ list_cmd; run_cmd; sample_validate_cmd; report_cmd; profile_cmd;
+    [ list_cmd; run_cmd; report_cmd; profile_cmd;
       transform_cmd; experiment_cmd; disasm_cmd; dot_cmd; lint_cmd;
       prove_cmd; advise_cmd; summaries_cmd; assemble_cmd; trace_cmd; dag_cmd
     ]

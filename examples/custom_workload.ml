@@ -19,10 +19,13 @@ let base_spec ~name ~eligible ~biased ~hard ~hoist ~loads ~cond_depth =
     ~loads_per_block:loads ~hoist_frac:hoist ~cond_depth ~inner_n:128 ~reps:6
     ()
 
+(* A session of its own, with no store: nothing to clean up afterwards. *)
+let sim = Sim.create ()
+
 let report spec =
-  let b = Runner.prepare spec in
+  let b = Sim.prepare sim spec in
   let sel = Runner.selection b in
-  let spd = Runner.avg_speedup b ~width:4 in
+  let spd = Sim.avg_speedup sim b ~width:4 in
   Printf.printf
     "%-22s PBC %5.1f%%  PISCS %5.1f%%  4-wide speedup %+6.2f%%\n%!"
     spec.Spec.name (Vanguard.Select.pbc sel) (Runner.piscs b) spd

@@ -115,19 +115,26 @@ let reset_stats t =
   Sa_cache.reset_stats t.l2;
   Sa_cache.reset_stats t.l3
 
-let to_json t =
+let stats_to_json c ~l1d ~l1i ~l2 ~l3 =
   let open Bv_obs.Json in
+  let level name size_bytes ways =
+    Sa_cache.stats_to_json ~name ~size_bytes ~ways ~line_bytes:c.line_bytes
+  in
   Obj
     [ ( "config",
         Obj
-          [ ("line_bytes", Int t.cfg.line_bytes);
-            ("l1_latency", Int t.cfg.l1_latency);
-            ("l2_latency", Int t.cfg.l2_latency);
-            ("l3_latency", Int t.cfg.l3_latency);
-            ("mem_latency", Int t.cfg.mem_latency)
+          [ ("line_bytes", Int c.line_bytes);
+            ("l1_latency", Int c.l1_latency);
+            ("l2_latency", Int c.l2_latency);
+            ("l3_latency", Int c.l3_latency);
+            ("mem_latency", Int c.mem_latency)
           ] );
-      ("l1d", Sa_cache.to_json t.l1d);
-      ("l1i", Sa_cache.to_json t.l1i);
-      ("l2", Sa_cache.to_json t.l2);
-      ("l3", Sa_cache.to_json t.l3)
+      ("l1d", level "L1-D" c.l1d_bytes c.l1d_ways l1d);
+      ("l1i", level "L1-I" c.l1i_bytes c.l1i_ways l1i);
+      ("l2", level "L2" c.l2_bytes c.l2_ways l2);
+      ("l3", level "L3" c.l3_bytes c.l3_ways l3)
     ]
+
+let to_json t =
+  stats_to_json t.cfg ~l1d:(Sa_cache.stats t.l1d) ~l1i:(Sa_cache.stats t.l1i)
+    ~l2:(Sa_cache.stats t.l2) ~l3:(Sa_cache.stats t.l3)

@@ -58,3 +58,14 @@ val reset_stats : t -> unit
 
 val to_json : t -> Bv_obs.Json.t
 (** Latency configuration plus per-level {!Sa_cache.to_json} stats. *)
+
+val stats_to_json :
+  config ->
+  l1d:Sa_cache.stats ->
+  l1i:Sa_cache.stats ->
+  l2:Sa_cache.stats ->
+  l3:Sa_cache.stats ->
+  Bv_obs.Json.t
+(** {!to_json} of a hierarchy of this configuration holding these
+    per-level counters: a finished run's cache report without the
+    hierarchy itself. *)

@@ -127,21 +127,29 @@ let reset_stats t =
   t.evictions <- 0;
   t.writebacks <- 0
 
-let miss_rate t =
-  if t.accesses = 0 then 0.0
-  else Float.of_int t.misses /. Float.of_int t.accesses
+let stats_miss_rate (s : stats) =
+  if s.accesses = 0 then 0.0
+  else Float.of_int s.misses /. Float.of_int s.accesses
 
-let to_json t =
+let miss_rate t = stats_miss_rate (stats t)
+
+let stats_to_json ~name ~size_bytes ~ways ~line_bytes (s : stats) =
   let open Bv_obs.Json in
   Obj
-    [ ("name", String t.name);
-      ("sets", Int t.set_count);
-      ("ways", Int t.ways);
-      ("line_bytes", Int (1 lsl t.line_bits));
-      ("size_bytes", Int (t.set_count * t.ways * (1 lsl t.line_bits)));
-      ("accesses", Int t.accesses);
-      ("misses", Int t.misses);
-      ("evictions", Int t.evictions);
-      ("writebacks", Int t.writebacks);
-      ("miss_rate", float (miss_rate t))
+    [ ("name", String name);
+      ("sets", Int (size_bytes / (ways * line_bytes)));
+      ("ways", Int ways);
+      ("line_bytes", Int line_bytes);
+      ("size_bytes", Int size_bytes);
+      ("accesses", Int s.accesses);
+      ("misses", Int s.misses);
+      ("evictions", Int s.evictions);
+      ("writebacks", Int s.writebacks);
+      ("miss_rate", float (stats_miss_rate s))
     ]
+
+let to_json t =
+  let line_bytes = 1 lsl t.line_bits in
+  stats_to_json ~name:t.name
+    ~size_bytes:(t.set_count * t.ways * line_bytes)
+    ~ways:t.ways ~line_bytes (stats t)

@@ -31,6 +31,12 @@ val invalidate_all : t -> unit
 val stats : t -> stats
 val reset_stats : t -> unit
 val miss_rate : t -> float
+val stats_miss_rate : stats -> float
 
 val to_json : t -> Bv_obs.Json.t
 (** Geometry plus the current stats and miss rate. *)
+
+val stats_to_json :
+  name:string -> size_bytes:int -> ways:int -> line_bytes:int -> stats ->
+  Bv_obs.Json.t
+(** {!to_json} of a cache of this geometry holding these counters. *)

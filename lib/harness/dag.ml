@@ -7,8 +7,10 @@
    indexed by site id to sorted ids plus one fixed slot per id; format 5
    put a length-and-digest header in front of every node's payload;
    format 6 changed the register sets of [Summary.t], which [summary]
-   nodes marshal, from balanced trees to two-word bitsets.) *)
-let code_format = 6
+   nodes marshal, from balanced trees to two-word bitsets; format 7 made
+   [sim] one accounted run of one image keyed by its content and config,
+   and retired the paired [sim], [account] and [sample] payloads.) *)
+let code_format = 7
 
 type counters =
   { hits : int;

@@ -1,5 +1,5 @@
 (** The memoized experiment DAG: every stage of every run path —
-    prepare (profile/select/transform), simulate, account, prove, advise,
+    prepare (profile/select/transform), simulate, prove, advise,
     experiment rows — is a {!node} whose key content-hashes its inputs,
     its dependencies' keys and the engine's code-format stamp. A node is
     evaluated at most once per store: results persist atomically into the

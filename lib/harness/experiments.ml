@@ -15,12 +15,27 @@ let progress fmt =
    every stage is a node of its memoized experiment DAG, persisted in
    the content-hashed BV_CACHE store, and [rows] fans row-level work out
    across the session's workers (BV_JOBS / --jobs) with claim-file work
-   stealing. Worker results are reassembled by index, so a parallel run
-   emits byte-identical tables to a serial one — and a re-run with
-   unchanged inputs recomputes nothing. *)
+   stealing. Every timing run is one [sim] node keyed by its image and
+   machine config, so experiments that time the same side share it.
+   Worker results are reassembled by index, so a parallel run emits
+   byte-identical tables to a serial one — and a re-run with unchanged
+   inputs recomputes nothing. *)
 let sim = lazy (Sim.the ())
 
-let bench spec = Sim.bench (Lazy.force sim) spec
+let prepare ?threshold ?max_hoist spec =
+  Sim.prepare ?threshold ?max_hoist (Lazy.force sim) spec
+
+let bench spec = prepare spec
+let simulate ~config img = Sim.simulate (Lazy.force sim) ~config img
+
+let pair ?predictor ?cache spec ~input ~width =
+  Sim.pair ?predictor ?cache (Lazy.force sim) (bench spec) ~input ~width
+
+let avg_speedup b ~width = Sim.avg_speedup (Lazy.force sim) b ~width
+
+let cycles (r : Runner.run) = r.Runner.stats.Stats.cycles
+
+let speedup ~base ~exp = Runner.speedup_pct ~base:(cycles base) ~exp:(cycles exp)
 
 (* One DAG node per table row: kind ["row:<experiment>"], keyed by the
    item and the workload scale. The worker body must be a pure function
@@ -179,10 +194,11 @@ let table2 ppf =
       ~label:(fun spec -> spec.Spec.name)
       (fun spec ->
         progress "table2 %s" spec.Spec.name;
-        (* avg speedup via the shared summary nodes — table2 and the
-           speedup figures then reuse each other's simulations *)
-        let spd = Sim.avg_speedup (Lazy.force sim) spec ~width:4 in
-        Metrics.table2_row ~spd (bench spec))
+        (* the speedup figures' sim nodes: table2 and fig8/fig12 reuse
+           each other's runs *)
+        let spd = avg_speedup (bench spec) ~width:4 in
+        let base, _ = pair spec ~input:1 ~width:4 in
+        Metrics.table2_row ~spd ~base (bench spec))
       (Suites.int_2006 @ Suites.fp_2006)
   in
   let rows =
@@ -244,8 +260,8 @@ let speedup_figure ?csv ppf ~title ~suite ~pick =
     ~headers:[ "Benchmark"; "2-wide"; "4-wide"; "8-wide"; "(4-wide bar)" ]
     (rows @ [ ("GEOMEAN" :: geos) @ [ "" ] ])
 
-let avg spec ~width = Sim.avg_speedup (Lazy.force sim) spec ~width
-let best spec ~width = Sim.best_speedup (Lazy.force sim) spec ~width
+let avg spec ~width = avg_speedup (bench spec) ~width
+let best spec ~width = Sim.best_speedup (Lazy.force sim) (bench spec) ~width
 
 let fig8 ppf =
   speedup_figure ~csv:"fig8" ppf
@@ -281,12 +297,12 @@ let fig13 ppf =
 
 let issued_increase spec =
   let per_input input =
-    let s = Sim.summary (Lazy.force sim) spec ~input ~width:4 in
-    let bi = s.Runner.sum_base.Stats.issued in
-    let ei = s.Runner.sum_exp.Stats.issued in
+    let base, exp = pair spec ~input ~width:4 in
+    let bi = base.Runner.stats.Stats.issued in
+    let ei = exp.Runner.stats.Stats.issued in
     100.0 *. (Float.of_int ei /. Float.of_int (max 1 bi) -. 1.0)
   in
-  Agg.mean (List.map per_input (List.init Suites.ref_inputs (fun k -> k + 1)))
+  Agg.mean (List.map per_input (Runner.input_indices ()))
 
 let fig14 ppf =
   heading ppf
@@ -318,12 +334,9 @@ let sensitivity ppf =
            List.map
              (fun kind ->
                progress "sensitivity %s/%s" name (Kind.name kind);
-            let sum =
-              Sim.summary ~predictor:kind (Lazy.force sim) spec ~input:1
-                ~width:4
-            in
+            let base, exp = pair ~predictor:kind spec ~input:1 ~width:4 in
             let mr =
-              let s = sum.Runner.sum_base in
+              let s = base.Runner.stats in
               100.0
               *. Float.of_int (Stats.mispredicts s)
               /. Float.of_int (max 1 s.Stats.branch_execs)
@@ -331,7 +344,7 @@ let sensitivity ppf =
             [ name;
               Kind.name kind;
               Text.f2 mr;
-              Text.f2 sum.Runner.sum_speedup_pct
+              Text.f2 (speedup ~base ~exp)
             ])
              Kind.sensitivity_ladder)
          names)
@@ -357,19 +370,15 @@ let icache ppf =
       ~label:(fun spec -> spec.Spec.name)
       (fun spec ->
         progress "icache %s" spec.Spec.name;
-        let big = Sim.summary (Lazy.force sim) spec ~input:1 ~width:4 in
-        let small =
-          Sim.summary ~cache:small_cache (Lazy.force sim) spec ~input:1
-            ~width:4
-        in
+        let _, big = pair spec ~input:1 ~width:4 in
+        let _, small = pair ~cache:small_cache spec ~input:1 ~width:4 in
         let delta =
           100.0
-          *. (Float.of_int small.Runner.sum_exp.Stats.cycles
-              /. Float.of_int (max 1 big.Runner.sum_exp.Stats.cycles)
+          *. (Float.of_int (cycles small) /. Float.of_int (max 1 (cycles big))
              -. 1.0)
         in
         let shadow =
-          let s = big.Runner.sum_exp in
+          let s = big.Runner.stats in
           if s.Stats.icache_misses = 0 then 0.0
           else
             100.0
@@ -405,10 +414,7 @@ let dbb ppf =
     (rows ~id:"dbb-occ" ~label:Fun.id
        (fun name ->
          let spec = Option.get (Suites.find name) in
-         let s =
-           (Sim.summary (Lazy.force sim) spec ~input:1 ~width:4)
-             .Runner.sum_exp
-         in
+         let s = (snd (pair spec ~input:1 ~width:4)).Runner.stats in
          ( name,
            Stats.dbb_avg_occupancy s,
            s.Stats.dbb_max_occupancy,
@@ -425,20 +431,12 @@ let dbb ppf =
        (fun entries ->
          progress "dbb sweep %d entries" entries;
          let b = bench (Option.get (Suites.find "h264ref")) in
-         let base_img = Runner.baseline_program b ~input:1 in
-         let exp_img = Runner.experimental_program b ~input:1 in
          let config =
            { (Config.make ~width:4 ()) with Config.dbb_entries = entries }
          in
-         let base = Machine.run ~config base_img in
-         let exp = Machine.run ~config exp_img in
-         let spd =
-           100.0
-           *. (Float.of_int base.Machine.stats.Stats.cycles
-               /. Float.of_int (max 1 exp.Machine.stats.Stats.cycles)
-              -. 1.0)
-         in
-         (entries, spd, exp.Machine.stats.Stats.dbb_full_stalls))
+         let base = simulate ~config (Runner.baseline b ~input:1) in
+         let exp = simulate ~config (Runner.experimental b ~input:1) in
+         (entries, speedup ~base ~exp, exp.Runner.stats.Stats.dbb_full_stalls))
        [ 1; 2; 4; 8; 16; 32 ])
 
 (* ------------------------------------------------------------ ablations *)
@@ -455,8 +453,7 @@ let ablation_hoist ppf =
       (fun (name, cap) ->
         progress "abl-hoist %s cap=%d" name cap;
         let spec = Option.get (Suites.find name) in
-        let b = Sim.prepare ~max_hoist:cap (Lazy.force sim) spec in
-        Text.f1 (Runner.avg_speedup b ~width:4))
+        Text.f1 (avg_speedup (prepare ~max_hoist:cap spec) ~width:4))
       (List.concat_map
          (fun name -> List.map (fun cap -> (name, cap)) caps)
          names)
@@ -486,8 +483,8 @@ let ablation_select ppf =
           List.split
             (List.map
                (fun spec ->
-                 let b = Sim.prepare ~threshold:th (Lazy.force sim) spec in
-                 ( Runner.avg_speedup b ~width:4,
+                 let b = prepare ~threshold:th spec in
+                 ( avg_speedup b ~width:4,
                    Vanguard.Select.pbc (Runner.selection b) ))
                Suites.int_2006)
         in
@@ -522,10 +519,13 @@ let ablation_predication ppf =
         ~inner_n:128 ~reps:6 ~procs:1 ()
     in
     let program = Gen.generate ~input:1 spec in
+    let side tag layout =
+      Runner.image ~name:(Printf.sprintf "%s.i1.%s" spec.Spec.name tag) layout
+    in
     let baseline =
       let p = Bv_ir.Program.copy program in
       Bv_sched.Sched.schedule_program p;
-      Bv_ir.Layout.program p
+      side "base" (Bv_ir.Layout.program p)
     in
     (* all shape-valid forward hammocks, regardless of profile *)
     let image = Bv_ir.Layout.program (Bv_ir.Program.copy program) in
@@ -539,35 +539,34 @@ let ablation_predication ppf =
     in
     let candidates = sel.Vanguard.Select.candidates in
     let vanguard =
-      Bv_ir.Layout.program
-        (Vanguard.Transform.apply ~exit_live:Gen.live_at_exit ~candidates
-           program)
-          .Vanguard.Transform.program
+      side "exp"
+        (Bv_ir.Layout.program
+           (Vanguard.Transform.apply ~exit_live:Gen.live_at_exit ~candidates
+              program)
+             .Vanguard.Transform.program)
     in
     let null_sink = (program.Bv_ir.Program.mem_words - 1) * 8 in
     let predicated =
-      Bv_ir.Layout.program
-        (Vanguard.Predicate.apply ~null_sink ~candidates program)
-          .Vanguard.Predicate.program
+      side "pred"
+        (Bv_ir.Layout.program
+           (Vanguard.Predicate.apply ~null_sink ~candidates program)
+             .Vanguard.Predicate.program)
     in
     let asserted =
-      Bv_ir.Layout.program
-        (Vanguard.Assertconv.apply ~exit_live:Gen.live_at_exit
-           ~candidates:(List.map (fun c -> (c, rate >= 0.5)) candidates)
-           program)
-          .Vanguard.Assertconv.program
+      side "assert"
+        (Bv_ir.Layout.program
+           (Vanguard.Assertconv.apply ~exit_live:Gen.live_at_exit
+              ~candidates:(List.map (fun c -> (c, rate >= 0.5)) candidates)
+              program)
+             .Vanguard.Assertconv.program)
     in
-    let run img = Machine.run ~config img in
-    let rbase = run baseline in
-    let base = rbase.Machine.stats.Stats.cycles in
+    let rbase = simulate ~config baseline in
     let stat img =
-      let r = run img in
-      ( 100.0
-        *. ((Float.of_int base /. Float.of_int r.Machine.stats.Stats.cycles)
-           -. 1.0),
+      let r = simulate ~config img in
+      ( speedup ~base:rbase ~exp:r,
         100.0
-        *. (Float.of_int r.Machine.stats.Stats.issued
-            /. Float.of_int rbase.Machine.stats.Stats.issued
+        *. (Float.of_int r.Runner.stats.Stats.issued
+            /. Float.of_int rbase.Runner.stats.Stats.issued
            -. 1.0) )
     in
     (stat predicated, stat vanguard, stat asserted)
@@ -635,18 +634,16 @@ let runahead ppf =
       (fun name ->
         progress "runahead %s" name;
         let b = bench (Option.get (Suites.find name)) in
-        let base_img = Runner.baseline_program b ~input:1 in
-        let exp_img = Runner.experimental_program b ~input:1 in
-        let cycles ~ra img =
+        let run ~ra img =
           let config = { (Config.make ~width:4 ()) with Config.runahead = ra } in
-          (Machine.run ~config img).Machine.stats.Stats.cycles
+          simulate ~config (img b ~input:1)
         in
-        let base = cycles ~ra:false base_img in
-        let pct c = Text.f1 (100.0 *. ((Float.of_int base /. Float.of_int c) -. 1.0)) in
+        let base = run ~ra:false Runner.baseline in
+        let pct exp = Text.f1 (speedup ~base ~exp) in
         [ name;
-          pct (cycles ~ra:false exp_img);
-          pct (cycles ~ra:true base_img);
-          pct (cycles ~ra:true exp_img)
+          pct (run ~ra:false Runner.experimental);
+          pct (run ~ra:true Runner.baseline);
+          pct (run ~ra:true Runner.experimental)
         ])
       names
   in

@@ -45,18 +45,11 @@ let pdih bench =
 let phi bench =
   Agg.mean (List.map Vanguard.Transform.phi (converted_reports bench))
 
-let avg_load_latency (result : Machine.result) =
-  let h = result.Machine.hierarchy in
-  let cfg = Hierarchy.config h in
-  let srate c =
-    let s = Sa_cache.stats c in
-    if s.Sa_cache.accesses = 0 then 0.0
-    else
-      Float.of_int s.Sa_cache.misses /. Float.of_int s.Sa_cache.accesses
-  in
-  let m1 = srate (Hierarchy.l1d h) in
-  let m2 = srate (Hierarchy.l2 h) in
-  let m3 = srate (Hierarchy.l3 h) in
+let avg_load_latency (run : Runner.run) =
+  let cfg = run.Runner.config.Config.cache in
+  let m1 = Sa_cache.stats_miss_rate run.Runner.l1d in
+  let m2 = Sa_cache.stats_miss_rate run.Runner.l2 in
+  let m3 = Sa_cache.stats_miss_rate run.Runner.l3 in
   Float.of_int cfg.Hierarchy.l1_latency
   +. (m1
       *. (Float.of_int cfg.Hierarchy.l2_latency
@@ -99,15 +92,8 @@ type row =
     piscs : float
   }
 
-let table2_row ?spd bench =
+let table2_row ~spd ~base bench =
   let spec = Runner.spec bench in
-  let spd =
-    match spd with
-    | Some spd -> spd
-    | None -> Runner.avg_speedup bench ~width:4
-  in
-  let pair = Runner.simulate bench ~input:1 ~width:4 in
-  let base = pair.Runner.base in
   { name = spec.Spec.name;
     spd;
     pbc = Vanguard.Select.pbc (Runner.selection bench);
@@ -115,7 +101,7 @@ let table2_row ?spd bench =
     alpbb = alpbb (Gen.generate ~input:1 spec);
     aspcb = aspcb bench ~base;
     phi = phi bench;
-    mppki = Stats.mppki base.Machine.stats;
+    mppki = Stats.mppki base.Runner.stats;
     piscs = Runner.piscs bench
   }
 

@@ -1,7 +1,5 @@
 (** Table 2 metric computations for a prepared benchmark. *)
 
-open Bv_pipeline
-
 val alpbb : Bv_ir.Program.t -> float
 (** Average loads per basic block (static, over non-empty blocks). *)
 
@@ -15,13 +13,13 @@ val phi : Runner.bench -> float
 (** Average percent of successor-block instructions hoistable across
     converted sites. *)
 
-val aspcb : Runner.bench -> base:Machine.result -> float
+val aspcb : Runner.bench -> base:Runner.run -> float
 (** Average stall cycles per converted branch: the dynamic critical path
     of the sunk condition slice, with load latency set to the benchmark's
     measured average memory latency (cond-chase workloads resolve on cache
     misses — the paper's high-ASPCB rows). *)
 
-val avg_load_latency : Machine.result -> float
+val avg_load_latency : Runner.run -> float
 (** Effective average data-load latency from the run's hierarchy stats. *)
 
 type row =
@@ -36,11 +34,11 @@ type row =
     piscs : float
   }
 
-val table2_row : ?spd:float -> Runner.bench -> row
-(** Computes all Table 2 columns at the paper's 4-wide configuration,
-    averaged over REF inputs. Pass [spd] when the caller already holds
-    the average speedup (e.g. from {!Sim.avg_speedup}'s cached summary
-    nodes) to avoid recomputing it. *)
+val table2_row : spd:float -> base:Runner.run -> Runner.bench -> row
+(** All Table 2 columns at the paper's 4-wide configuration: [spd] is
+    the speedup averaged over REF inputs ({!Sim.avg_speedup}) and [base]
+    the baseline run of REF input 1, whose hierarchy stats set ASPCB's
+    load latency and whose counters give MPPKI. *)
 
 val row_to_json : row -> Bv_obs.Json.t
 (** The row keyed by its (lowercase) Table 2 column names. *)

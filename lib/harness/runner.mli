@@ -1,6 +1,9 @@
 (** End-to-end per-benchmark pipeline: generate → profile (TRAIN) →
-    select → transform → schedule → simulate (REF inputs), with memoised
-    simulation results so multiple experiments can share runs. *)
+    select → transform → schedule, then timing runs on the REF inputs.
+    A timing run times one {e side}: one laid-out image under one machine
+    {!Config.t}, with cycle accounting on and its architectural result
+    checked against the functional interpreter. {!Sim} persists sides as
+    DAG nodes keyed by image content and config. *)
 
 open Bv_bpred
 open Bv_cache
@@ -19,12 +22,12 @@ val scale : unit -> float
 
 type artifact
 (** The pure (marshal-safe) payload of a prepared bench: spec, profile,
-    selection, transform and static sizes — everything except the memo
-    tables. Persisted by {!Sim}'s artifact cache. *)
+    selection, transform and static sizes — everything except the
+    per-input images. Persisted by {!Sim}'s artifact cache. *)
 
 val export : bench -> artifact
 val import : artifact -> bench
-(** [import (export b)] is an equivalent bench with empty memo tables. *)
+(** [import (export b)] is an equivalent bench with no images built. *)
 
 val prepare :
   ?predictor:Kind.t -> ?threshold:float -> ?max_hoist:int -> Spec.t -> bench
@@ -44,136 +47,85 @@ val experimental_static : bench -> int
 val piscs : bench -> float
 (** Percent increase in static code size. *)
 
-val baseline_program : bench -> input:int -> Bv_ir.Layout.image
-val experimental_program : bench -> input:int -> Bv_ir.Layout.image
-
-type sim_pair =
-  { base : Machine.result;
-    exp : Machine.result;
-    speedup_pct : float  (** 100 * (base cycles / exp cycles - 1) *)
-  }
-
-val simulate :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  bench ->
-  input:int ->
-  width:int ->
-  sim_pair
-(** Simulate one REF input at one width, baseline vs. transformed. Results
-    are memoised per (input, width, predictor, cache geometry). Raises
-    [Failure] if either run diverges from the functional interpreter's
-    architectural digest. *)
-
-val avg_speedup :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> bench -> width:int -> float
-(** Mean over REF inputs of the per-input speedup (the paper's
-    "averaged over all reference inputs"). *)
-
-val best_speedup :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> bench -> width:int -> float
-
 val input_indices : unit -> int list
 (** The REF input indices, [1 .. Suites.ref_inputs]. *)
 
-val pair_to_json : sim_pair -> Bv_obs.Json.t
-(** Speedup plus both runs' {!Machine.result_to_json}. *)
+(** {2 Images} *)
 
-type sim_summary =
-  { sum_speedup_pct : float;
-    sum_base : Stats.t;  (** baseline run's counters *)
-    sum_exp : Stats.t
+type image
+(** A laid-out program ready to time: the image, a digest of everything
+    the timing model reads from it (code, branch targets, entry, data
+    segments, memory size) and the interpreter's architectural digest,
+    computed on first use and at most once. *)
+
+val image : name:string -> Bv_ir.Layout.image -> image
+(** [name] is display-only (e.g. ["mcf.i1.base"]). *)
+
+val name : image -> string
+
+val digest : image -> string
+(** Hex digest of the image's executable content: equal for two images
+    the timing model cannot tell apart. *)
+
+val baseline : bench -> input:int -> image
+(** The scheduled baseline of REF input [input], built once per bench. *)
+
+val experimental : bench -> input:int -> image
+(** The decomposed-branch side of REF input [input]. *)
+
+val baseline_program : bench -> input:int -> Bv_ir.Layout.image
+val experimental_program : bench -> input:int -> Bv_ir.Layout.image
+
+(** {2 Timing runs} *)
+
+type run =
+  { config : Config.t;
+    stats : Stats.t;
+    acct : Acct.t;  (** the run's CPI stack and per-branch attribution *)
+    l1i : Sa_cache.stats;
+    l1d : Sa_cache.stats;
+    l2 : Sa_cache.stats;
+    l3 : Sa_cache.stats;
+    stores_retired : int
   }
-(** The marshal-safe essence of a {!sim_pair}: speedup plus both runs'
-    stat counters — everything the experiment tables read, none of the
-    hierarchy/config state {!Machine.result} drags along. This is the
-    payload {!Sim}'s DAG persists for simulation nodes. *)
+(** One finished, checked side: plain data throughout, so it marshals
+    into the DAG store and back from fork-pool workers. *)
 
-val summarize : sim_pair -> sim_summary
+type observer
+(** Taps on one fresh simulation: an interval {!Sampler} over the run's
+    own cycle accounting and an optional pipeline-event stream. *)
 
-type instrumented =
-  { pair : sim_pair;
-    base_samples : Sampler.t;
-    exp_samples : Sampler.t;
-    base_acct : Acct.t;  (** cycle accounting of the baseline run *)
-    exp_acct : Acct.t
-  }
+val observer :
+  ?interval:int -> ?on_event:(Machine.event -> unit) -> image -> observer
+(** Taps for a run of [image]: sampler windows of [interval] cycles
+    ({!Sampler.create}'s default otherwise) and [on_event] (e.g.
+    {!Perfetto.on_event}). *)
 
-val simulate_instrumented :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  ?sample_interval:int ->
-  ?on_base_event:(Machine.event -> unit) ->
-  ?on_exp_event:(Machine.event -> unit) ->
-  bench ->
-  input:int ->
-  width:int ->
-  instrumented
-(** Like {!simulate}, but with telemetry attached: interval samplers and
-    cycle accounting on both runs (window size [sample_interval],
-    {!Sampler.create}'s default otherwise) and optional pipeline-event
-    taps (e.g. {!Perfetto} collectors). Performs the same digest checks;
-    not memoised — hooks and samplers observe a fresh simulation every
-    call. *)
+val samples : observer -> Sampler.t
+(** The sampler's windows, complete once the observed run returns. *)
 
-type accounted =
-  { acc_base_cycles : int;
-    acc_exp_cycles : int;
-    acc_speedup_pct : float;
-    acc_base : Acct.t;
-    acc_exp : Acct.t
-  }
-(** The marshal-safe subset of an accounted baseline-vs-experimental run:
-    flat tables plus cycle totals, safe to return from a {!Sim.map}
-    fork-pool worker (unlike {!Machine.result}, it drags no cache
-    hierarchy or config along). *)
+val simulate : ?observer:observer -> config:Config.t -> image -> run
+(** Time [image] on [config] with cycle accounting. An [observer] steps
+    every cycle to feed its sampler; without one the run skips stalls,
+    with byte-identical results. Raises [Failure] naming the image when
+    the run hits the cycle limit or its architectural digest differs
+    from the interpreter's, and [Invalid_argument] for an observer made
+    for another image. *)
 
-val simulate_accounted :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  bench ->
-  input:int ->
-  width:int ->
-  accounted
-(** Simulate one REF input at one width with cycle accounting on both
-    sides. Same digest checks as {!simulate}; not memoised. *)
+val speedup_pct : base:int -> exp:int -> float
+(** [100 * (base / exp - 1)]: the speedup of a run taking [exp] cycles
+    over one taking [base]. *)
 
-val merge_accounted : accounted -> accounted -> accounted
-(** Pointwise sum (cycles, attribution tables) with the speedup recomputed
-    from the summed cycle totals — cross-input aggregation. Raises
-    [Invalid_argument] when the two runs cover different code
-    ({!Acct.merge}). *)
+val merged_acct : run list -> Acct.t
+(** The runs' cycle accounting summed pointwise — per-input aggregation
+    over one program's REF inputs. Raises [Invalid_argument] on an empty
+    list or runs over different code ({!Acct.merge}). *)
 
-type sampled_pair =
-  { samp_base : Machine.sampled;
-    samp_exp : Machine.sampled;
-    samp_speedup_pct : float
-        (** from the extrapolated cycle estimates, not detailed cycles *)
-  }
+val run_to_json : run -> Bv_obs.Json.t
+(** Configuration summary, {!Stats.to_json} and cache-hierarchy stats:
+    the shape of {!Machine.result_to_json} for a finished run. *)
 
-val simulate_sampled :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  ?params:Machine.sample_params ->
-  bench ->
-  input:int ->
-  width:int ->
-  sampled_pair
-(** {!Machine.run_sampled} on both sides of one REF input. Fast-forward
-    executes committed semantics, so the architectural digests are
-    checked against the interpreter exactly as {!simulate} does — only
-    the timing is an estimate. Not memoised. *)
-
-type sampled_summary =
-  { ss_speedup_pct : float;
-    ss_base : Smarts.estimate;  (** baseline extrapolation + CIs *)
-    ss_exp : Smarts.estimate
-  }
-(** The marshal-safe essence of a {!sampled_pair}: both whole-run
-    estimates (plain data throughout) and the speedup they imply. The
-    payload {!Sim}'s DAG persists for sample nodes. *)
-
-val summarize_sampled : sampled_pair -> sampled_summary
+(** {2 Static advice} *)
 
 val advise :
   ?config:Bv_analysis.Advisor.config ->
@@ -186,30 +138,3 @@ val advise :
     (default false) costs the sites with interprocedural summaries
     ({!Bv_analysis.Summary}), so condition slices survive calls to
     procedures that provably leave their inputs alone. *)
-
-type advice_checked =
-  { ac_advice : Bv_analysis.Advisor.t;
-    ac_validation : Bv_analysis.Advisor.validation;
-    ac_inputs : int;  (** REF inputs the measured side aggregates *)
-    ac_max_outstanding : int
-        (** peak DBB occupancy {!Bv_analysis.Speculation.max_outstanding}
-            proves for the transformed program — the advisor's static
-            window-pressure estimate must cover it *)
-  }
-(** Marshal-safe (plain data throughout): an advise-and-validate result
-    can come back from a {!Sim.map} fork-pool worker. *)
-
-val advise_validate :
-  ?predictor:Kind.t ->
-  ?cache:Hierarchy.config ->
-  ?config:Bv_analysis.Advisor.config ->
-  ?interproc:bool ->
-  ?inputs:int list ->
-  bench ->
-  width:int ->
-  advice_checked
-(** {!advise}, then join the static cycles-saved ranking against measured
-    per-site recovery cycles from accounted baseline runs of the REF
-    [inputs] (default [[1]]; pass {!input_indices} for all of them,
-    merged) at [width]. The validation reports the Spearman rank
-    correlation and the sites whose static and measured ranks diverge. *)

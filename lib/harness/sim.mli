@@ -4,12 +4,11 @@
     re-implementing prepare/memoise/simulate plumbing.
 
     Every stage is a DAG node content-hashed into the session's
-    [BV_CACHE] store: prepare (profile → select → transform,
-    kind ["prepare"]), paired timing runs ({!summary}, kind ["sim"]),
-    accounted runs ({!accounted}, kind ["account"]) and arbitrary
-    fanned-out row work ({!dag_map}). A node is evaluated at most once
-    per store — re-runs hit, concurrent processes on one store
-    cooperate via claim files, and {!counters_json} reports the
+    [BV_CACHE] store: prepare (profile → select → transform, kind
+    ["prepare"]), one timing run per side ({!simulate}, kind ["sim"])
+    and arbitrary fanned-out row work ({!dag_map}). A node is evaluated
+    at most once per store — re-runs hit, concurrent processes on one
+    store cooperate via claim files, and {!counters_json} reports the
     hit/miss/stolen split for every [--json] emitter.
 
     A [jobs:n] session produces byte-identical results to a [jobs:1]
@@ -50,58 +49,65 @@ val prepare :
     predictor, threshold, hoist cap, workload scale and
     {!Dag.code_format}, so any input change misses cleanly. Live
     benches are interned per node key for the life of the session —
-    equally parameterised prepares share one bench and its simulation
-    memo. Bump {!Dag.code_format} when the compile pipeline's semantics
-    change. *)
+    equally parameterised prepares share one bench and its images. Bump
+    {!Dag.code_format} when the compile pipeline's semantics change. *)
 
 val bench : t -> Spec.t -> Runner.bench
 (** Default-parameter {!prepare}. *)
 
-val simulate :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Runner.bench -> input:int -> width:int -> Runner.sim_pair
-(** Uncached-by-the-DAG passthrough to {!Runner.simulate} (a full
-    {!Machine.result} pair is not marshal-safe); memoised on the bench
-    as always. Use {!summary} when the stat counters suffice. *)
+val simulate : t -> config:Config.t -> Runner.image -> Runner.run
+(** {!Runner.simulate} as a DAG node (kind ["sim"]), the one node kind
+    that simulates: every timing run but an observed one goes through
+    it. The key is the image's content digest and the whole [config],
+    so any two benches, inputs or experiments that time the same image
+    on the same machine share one run. The label names the image, an
+    8-hex prefix of its digest, {!Config.name} and every config field
+    that differs from [Config.make ~predictor ~width ()] (e.g.
+    [l1i=24K/3w], [dbb=4], [runahead]). *)
 
-val summary :
+val pair :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> input:int -> width:int -> Runner.sim_summary
-(** One paired timing run as a DAG node (kind ["sim"], dependent on the
-    default-parameter prepare node): speedup and both stat blocks,
-    persisted. The workhorse behind every experiment table. *)
+  Runner.bench -> input:int -> width:int -> Runner.run * Runner.run
+(** The baseline and decomposed sides of one REF input, each a
+    {!simulate} node on [Config.make ?predictor ?cache ~width ()]. *)
 
 val avg_speedup :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> width:int -> float
-(** Mean over REF inputs of the per-input {!summary} speedup (the
-    paper's "averaged over all reference inputs"). *)
+  Runner.bench -> width:int -> float
+(** Mean over REF inputs of the per-input {!pair} speedup (the paper's
+    "averaged over all reference inputs"). *)
 
 val best_speedup :
   ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> width:int -> float
+  Runner.bench -> width:int -> float
 
-val sampled :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config ->
-  ?params:Machine.sample_params -> t ->
-  Spec.t -> input:int -> width:int -> Runner.sampled_summary
-(** One SMARTS-sampled paired run as a DAG node (kind ["sample"],
-    keyed additionally by the sampling params): both whole-run
-    estimates with confidence intervals, persisted. *)
+type advice_checked =
+  { ac_advice : Bv_analysis.Advisor.t;
+    ac_validation : Bv_analysis.Advisor.validation;
+    ac_inputs : int;  (** REF inputs the measured side aggregates *)
+    ac_max_outstanding : int
+        (** peak DBB occupancy {!Bv_analysis.Speculation.max_outstanding}
+            proves for the transformed program — the advisor's static
+            window-pressure estimate must cover it *)
+  }
+(** Plain data throughout: an advise-and-validate result can come back
+    from a {!dag_map} fork-pool worker. *)
 
-val accounted :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> input:int -> width:int -> Runner.accounted
-(** One accounted paired run as a DAG node (kind ["account"]). The
-    bench is prepared with the same [predictor] it simulates with —
-    the report pipeline's convention. *)
-
-val accounted_list :
-  ?predictor:Kind.t -> ?cache:Hierarchy.config -> t ->
-  Spec.t -> inputs:int list -> width:int -> Runner.accounted list
-(** The same account nodes for several inputs, evaluated cooperatively
-    across the session's workers ({!Dag.eval_list}); results in input
-    order. *)
+val advise_validate :
+  ?predictor:Kind.t ->
+  ?cache:Hierarchy.config ->
+  ?config:Bv_analysis.Advisor.config ->
+  ?interproc:bool ->
+  ?inputs:int list ->
+  t ->
+  Runner.bench ->
+  width:int ->
+  advice_checked
+(** {!Runner.advise}, then join the static cycles-saved ranking against
+    measured per-site recovery cycles of the baseline side of the REF
+    [inputs] (default [[1]]; pass {!Runner.input_indices} for all of
+    them, merged) at [width]. The validation reports the Spearman rank
+    correlation and the sites whose static and measured ranks diverge. *)
 
 val dag_map :
   t -> kind:string -> ?label:('a -> string) -> ('a -> 'b) -> 'a list ->
@@ -113,8 +119,3 @@ val dag_map :
     anything else [f] reads must be captured in the item or frozen in
     {!Dag.code_format}. Results are in input order; byte-identical for
     any [jobs]. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!Pool.map} with the session's worker count — plain fork/join with
-    no caching, for work that must re-run every time. Results must be
-    marshal-safe when [jobs > 1]. *)

@@ -19,3 +19,16 @@ let check ~file ~what got =
         In_channel.input_all
     in
     Alcotest.(check string) what want got
+
+(* A CLI report without the fields that change from run to run: wall
+   times and the DAG's hit/miss counters. *)
+let rec drop_run_fields = function
+  | Bv_obs.Json.Obj fields ->
+    Bv_obs.Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if k = "dag" || k = "seconds" then None
+           else Some (k, drop_run_fields v))
+         fields)
+  | Bv_obs.Json.List items -> Bv_obs.Json.List (List.map drop_run_fields items)
+  | v -> v

@@ -166,26 +166,29 @@ let test_validate_golden_configs () =
   (* The acceptance bar: on the golden workloads the static cycles-saved
      ranking correlates positively with measured per-site recovery. *)
   let check_bench name b ~width ~min_joined =
-    let c = Runner.advise_validate ~inputs:(Runner.input_indices ()) b ~width in
+    let c =
+      Sim.advise_validate ~inputs:(Runner.input_indices ()) (Sim.create ()) b
+        ~width
+    in
     Alcotest.(check bool)
       (name ^ ": enough sites joined")
       true
-      (List.length c.Runner.ac_validation.Advisor.joined >= min_joined);
+      (List.length c.Sim.ac_validation.Advisor.joined >= min_joined);
     Alcotest.(check bool)
       (name ^ ": positive rank correlation")
       true
-      (c.Runner.ac_validation.Advisor.spearman > 0.0);
+      (c.Sim.ac_validation.Advisor.spearman > 0.0);
     (* The static window-pressure estimate is an upper bound on the
        occupancy the verifier proves for the transformed program. *)
     let max_pressure =
       List.fold_left
         (fun acc r -> max acc r.Advisor.cost.Costmodel.window_pressure)
-        0 c.Runner.ac_advice.Advisor.sites
+        0 c.Sim.ac_advice.Advisor.sites
     in
     Alcotest.(check bool)
       (name ^ ": static pressure covers measured occupancy")
       true
-      (max_pressure >= c.Runner.ac_max_outstanding)
+      (max_pressure >= c.Sim.ac_max_outstanding)
   in
   check_bench "golden-int" (Lazy.force bench_int) ~width:4 ~min_joined:5;
   check_bench "golden-mem" (Lazy.force bench_mem) ~width:8 ~min_joined:2

@@ -364,7 +364,10 @@ let test_cond_chase_raises_aspcb () =
         ~reps:4 ()
     in
     let b = Bv_harness.Runner.prepare spec in
-    let base = (Bv_harness.Runner.simulate b ~input:1 ~width:4).Bv_harness.Runner.base in
+    let base =
+      Bv_harness.Runner.simulate ~config:(Config.make ~width:4 ())
+        (Bv_harness.Runner.baseline b ~input:1)
+    in
     Bv_harness.Metrics.aspcb b ~base
   in
   let with_chase = mk true and without = mk false in

@@ -10,6 +10,15 @@ let tiny_spec =
     ~inner_n:64 ~reps:3 ()
 
 let bench = lazy (Runner.prepare tiny_spec)
+let sim = lazy (Sim.create ())
+
+(* Table 2's row of a bench, its simulations through [sim]'s nodes. *)
+let table2_row b =
+  let sim = Lazy.force sim in
+  Metrics.table2_row
+    ~spd:(Sim.avg_speedup sim b ~width:4)
+    ~base:(fst (Sim.pair sim b ~input:1 ~width:4))
+    b
 
 let test_geomean () =
   Alcotest.(check (float 0.0001)) "empty" 1.0 (Agg.geomean []);
@@ -44,7 +53,7 @@ let test_prepare_and_metrics () =
   Alcotest.(check bool) "piscs positive" true (Runner.piscs b > 0.0);
   Alcotest.(check bool) "static grew" true
     (Runner.experimental_static b > Runner.baseline_static b);
-  let row = Metrics.table2_row b in
+  let row = table2_row b in
   Alcotest.(check bool) "pbc in range" true
     (row.Metrics.pbc > 0.0 && row.Metrics.pbc <= 100.0);
   Alcotest.(check bool) "phi in range" true
@@ -53,30 +62,40 @@ let test_prepare_and_metrics () =
   Alcotest.(check bool) "aspcb at least a load+cmp" true
     (row.Metrics.aspcb >= 4.0)
 
-let test_simulate_cross_checked () =
-  let b = Lazy.force bench in
-  let pair = Runner.simulate b ~input:1 ~width:4 in
-  Alcotest.(check bool) "both finished" true
-    (pair.Runner.base.Bv_pipeline.Machine.finished
-    && pair.Runner.exp.Bv_pipeline.Machine.finished);
-  (* memoisation returns the same physical result *)
-  let pair2 = Runner.simulate b ~input:1 ~width:4 in
-  Alcotest.(check bool) "memoised" true (pair == pair2)
+(* Two prepares that differ only in selection threshold compile the same
+   baseline image, so its timing run is one node: computed once, then a
+   hit. *)
+let test_shared_baseline_node () =
+  let t = Sim.create () in
+  let b1 = Sim.prepare ~threshold:0.05 t tiny_spec in
+  let b2 = Sim.prepare ~threshold:0.5 t tiny_spec in
+  let config = Bv_pipeline.Config.make ~width:4 () in
+  let before = Sim.counters t in
+  let r1 = Sim.simulate t ~config (Runner.baseline b1 ~input:1) in
+  let r2 = Sim.simulate t ~config (Runner.baseline b2 ~input:1) in
+  let after = Sim.counters t in
+  Alcotest.(check int) "one miss" 1 (after.Dag.misses - before.Dag.misses);
+  Alcotest.(check int) "one hit" 1 (after.Dag.hits - before.Dag.hits);
+  Alcotest.(check bool) "one run" true (r1 == r2)
 
-let test_summary_compact () =
-  (* the payload every cached sim node marshals: per-site tables sized
-     by the image, not by its largest site id (latches sit at 900_000) *)
-  let b = Lazy.force bench in
-  let summary = Runner.summarize (Runner.simulate b ~input:1 ~width:4) in
-  let bytes = String.length (Marshal.to_string summary []) in
+(* The record every sim node marshals, for the suite's largest image:
+   the decomposed side of cactusADM. *)
+let test_record_size () =
+  let b = Runner.prepare (Option.get (Suites.find "cactusADM")) in
+  let img = Runner.experimental b ~input:1 in
+  let run =
+    Runner.simulate ~config:(Bv_pipeline.Config.make ~width:4 ()) img
+  in
+  let bytes = String.length (Marshal.to_string run []) in
   Alcotest.(check bool)
-    (Printf.sprintf "sim_summary %d bytes < 64 KiB" bytes)
-    true (bytes < 65536)
+    (Printf.sprintf "run record %d bytes < 128 KiB" bytes)
+    true (bytes < 128 * 1024)
 
 let test_best_ge_avg () =
   let b = Lazy.force bench in
+  let sim = Lazy.force sim in
   Alcotest.(check bool) "best >= avg" true
-    (Runner.best_speedup b ~width:4 >= Runner.avg_speedup b ~width:4 -. 1e-9)
+    (Sim.best_speedup sim b ~width:4 >= Sim.avg_speedup sim b ~width:4 -. 1e-9)
 
 let test_alpbb_known () =
   let open Bv_ir in
@@ -250,12 +269,124 @@ let test_csv_full_disk () =
     true
     (has_line ~prefix:"  [bench] csv export failed: results/fig2.csv: " stderr)
 
+let contains ~sub text =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A width the machine does not come in, or a negative fuzz count, is a
+   usage error (exit 124) that names the value, not an uncaught
+   exception. *)
+let test_numeric_options_rejected () =
+  List.iter
+    (fun (args, value) ->
+      let what = String.concat " " args in
+      let code, stdout, stderr = Cli.run ~env:[ "BV_SCALE=0.05" ] args in
+      Alcotest.(check int) (Printf.sprintf "%s exits 124 (%S)" what stderr)
+        124 code;
+      Alcotest.(check string) (what ^ ": no output") "" stdout;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: names %s (%S)" what value stderr)
+        true
+        (contains ~sub:("got " ^ value) stderr))
+    [ ([ "run"; "-b"; "gobmk"; "-w"; "3" ], "3");
+      ([ "report"; "-b"; "gobmk"; "-w"; "5" ], "5");
+      ([ "trace"; "-b"; "gobmk"; "-w"; "16" ], "16");
+      ([ "advise"; "-b"; "gobmk"; "--validate"; "-w"; "1" ], "1");
+      ([ "prove"; "--fuzz=-1" ], "-1");
+      ([ "advise"; "--fuzz=-2" ], "-2")
+    ];
+  let code, _, stderr =
+    Cli.run ~env:[ "BV_SCALE=0.05" ]
+      [ "trace"; "-b"; "gobmk"; "-w"; "2"; "-n"; "5" ]
+  in
+  Alcotest.(check int) (Printf.sprintf "-w 2 accepted (%S)" stderr) 0 code;
+  let code, _, stderr = Cli.run ~env:[] [ "prove"; "--fuzz=1" ] in
+  Alcotest.(check int) (Printf.sprintf "--fuzz=1 accepted (%S)" stderr) 0 code
+
 (* An unknown id anywhere in the list stops the command before the
    experiments ahead of it run. *)
 let test_experiment_ids_checked_first () =
   check_rejected "experiment table1 zzz"
     (Cli.run ~env:[] [ "experiment"; "table1"; "zzz" ])
     ~error:"unknown experiment zzz"
+
+(* ---------------------------------------------------------- cli goldens *)
+
+(* The simulation CLI's reports at BV_SCALE=0.05, pinned byte for byte
+   without their run-dependent fields. Regenerate as Golden says, only
+   after an intentional change of simulated numbers. *)
+
+let json_of what out =
+  match Bv_obs.Json.of_string out with
+  | Ok json -> Golden.drop_run_fields json
+  | Error e -> Alcotest.failf "%s: bad JSON: %s" what e
+
+let cli_report args =
+  let what = String.concat " " args in
+  let code, out, err =
+    Cli.run ~env:[ "BV_SCALE=0.05" ] (args @ [ "--json"; "-" ])
+  in
+  Alcotest.(check int) (Printf.sprintf "%s exits 0 (%s)" what err) 0 code;
+  json_of what out
+
+let check_golden ~file ~what json =
+  Golden.check ~file ~what (Bv_obs.Json.to_string ~indent:true json ^ "\n")
+
+(* [run --json] with the Perfetto trace beside it: the trace is large,
+   so the golden holds its MD5. *)
+let test_run_golden () =
+  let trace = Filename.temp_file "bv_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      check_golden ~file:"cli_run_gobmk_tage.json" ~what:"run --json"
+        (cli_report [ "run"; "-b"; "gobmk"; "-p"; "tage"; "--trace"; trace ]);
+      check_golden ~file:"cli_run_gobmk_tage_trace.json"
+        ~what:"run --trace MD5"
+        (Bv_obs.Json.Obj
+           [ ("md5", Bv_obs.Json.String (Digest.to_hex (Digest.file trace))) ]))
+
+let test_report_golden () =
+  check_golden ~file:"cli_report_mcf_all.json" ~what:"report --all --json"
+    (cli_report [ "report"; "-b"; "mcf"; "--all" ])
+
+let test_advise_validate_golden () =
+  check_golden ~file:"cli_advise_validate_perlbench.json"
+    ~what:"advise --validate --json"
+    (cli_report [ "advise"; "-b"; "perlbench"; "-w"; "4"; "--validate" ])
+
+(* The dbb sweep prints no structured table, so the golden keeps the
+   printed text beside the report. *)
+let test_experiment_golden () =
+  let report = Filename.temp_file "bv_experiment" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove report)
+    (fun () ->
+      let code, text, err =
+        Cli.run ~env:[ "BV_SCALE=0.05" ]
+          [ "experiment"; "dbb"; "runahead"; "abl-pred"; "--json"; report ]
+      in
+      Alcotest.(check int) (Printf.sprintf "experiment exits 0 (%s)" err) 0
+        code;
+      check_golden ~file:"cli_experiment_dbb_runahead_abl-pred.json"
+        ~what:"experiment dbb runahead abl-pred"
+        (Bv_obs.Json.Obj
+           [ ( "report",
+               json_of "experiment"
+                 (In_channel.with_open_text report In_channel.input_all) );
+             ( "text",
+               Bv_obs.Json.List
+                 (List.map
+                    (fun l -> Bv_obs.Json.String l)
+                    (String.split_on_char '\n' text)) )
+           ]))
+
+let test_table2_row_golden () =
+  check_golden ~file:"table2_row_tiny.json" ~what:"Table 2 row"
+    (Metrics.row_to_json (table2_row (Lazy.force bench)))
 
 let prop_geomean_between_min_max =
   QCheck2.Test.make ~name:"geomean between min and max" ~count:200
@@ -278,12 +409,21 @@ let () =
         ] );
       ( "runner",
         [ Alcotest.test_case "prepare/metrics" `Slow test_prepare_and_metrics;
-          Alcotest.test_case "simulate + memo" `Slow
-            test_simulate_cross_checked;
-          Alcotest.test_case "summary size" `Slow test_summary_compact;
+          Alcotest.test_case "shared baseline node" `Slow
+            test_shared_baseline_node;
+          Alcotest.test_case "record size" `Slow test_record_size;
           Alcotest.test_case "best >= avg" `Slow test_best_ge_avg
         ] );
       ( "metrics", [ Alcotest.test_case "alpbb" `Quick test_alpbb_known ] );
+      ( "cli goldens",
+        [ Alcotest.test_case "run --json --trace" `Slow test_run_golden;
+          Alcotest.test_case "report --all" `Slow test_report_golden;
+          Alcotest.test_case "advise --validate" `Slow
+            test_advise_validate_golden;
+          Alcotest.test_case "experiment dbb runahead abl-pred" `Slow
+            test_experiment_golden;
+          Alcotest.test_case "table2 row" `Slow test_table2_row_golden
+        ] );
       ( "experiments",
         [ Alcotest.test_case "registry" `Quick test_experiments_registry ] );
       ( "run inputs",
@@ -299,6 +439,8 @@ let () =
           Alcotest.test_case "experiment ids checked first" `Quick
             test_experiment_ids_checked_first;
           Alcotest.test_case "program that fails validation" `Quick
-            test_invalid_program
+            test_invalid_program;
+          Alcotest.test_case "out-of-range width and fuzz count" `Quick
+            test_numeric_options_rejected
         ] )
     ]

@@ -298,17 +298,6 @@ let test_dot_output () =
    from the repository root rewrites the files in place (the first step
    builds the CLI the cases run). *)
 
-let rec drop_run_fields = function
-  | Bv_obs.Json.Obj fields ->
-    Bv_obs.Json.Obj
-      (List.filter_map
-         (fun (k, v) ->
-           if k = "dag" || k = "seconds" then None
-           else Some (k, drop_run_fields v))
-         fields)
-  | Bv_obs.Json.List items -> Bv_obs.Json.List (List.map drop_run_fields items)
-  | v -> v
-
 let test_report_golden (command, bench) () =
   let code, out, _ =
     Cli.run ~env:[ "BV_SCALE=0.25" ] [ command; "-b"; bench; "--json"; "-" ]
@@ -320,7 +309,7 @@ let test_report_golden (command, bench) () =
     Golden.check
       ~file:(Printf.sprintf "toolchain_%s_%s.json" command bench)
       ~what:(Printf.sprintf "%s -b %s report" command bench)
-      (Bv_obs.Json.to_string ~indent:true (drop_run_fields json) ^ "\n")
+      (Bv_obs.Json.to_string ~indent:true (Golden.drop_run_fields json) ^ "\n")
 
 (* Digests of every benchmark's compiled code and analysis reports at
    BV_SCALE=0.25: the scheduled baseline and the transformed disassembly
@@ -346,7 +335,7 @@ let bench_digests spec =
       Alcotest.failf "%s exits %d" (String.concat " " args) code;
     match Bv_obs.Json.of_string out with
     | Error e -> Alcotest.failf "%s: bad JSON: %s" (String.concat " " args) e
-    | Ok json -> digest (Bv_obs.Json.to_string (drop_run_fields json))
+    | Ok json -> digest (Bv_obs.Json.to_string (Golden.drop_run_fields json))
   in
   ( name,
     [ ("baseline_disasm",
