@@ -7,20 +7,13 @@ open Bv_ir
 open Bv_pipeline
 open Bv_workloads
 open Cmdliner
+module Json = Bv_obs.Json
+module Diagnostic = Bv_analysis.Diagnostic
 
-let spec_of_name name =
-  match Suites.find name with
-  | Some s -> Ok s
-  | None ->
-    Error
-      (Printf.sprintf "unknown benchmark %s (try `vanguard_cli list`)" name)
+(* -------------------------------------------------------------- options *)
 
-let bench_arg =
-  let doc = "Benchmark name (see `vanguard_cli list`)." in
-  Arg.(required & opt (some string) None & info [ "b"; "benchmark" ] ~doc)
-
-(* Integer option converters that reject a value before any work, so it
-   is a usage error naming the value rather than a failure mid-run. *)
+(* Converters that reject a value before any work, so it is a usage
+   error (exit 124) naming the value rather than a failure mid-run. *)
 let int_conv ~expected accept =
   let parse s =
     match int_of_string_opt s with
@@ -32,6 +25,40 @@ let int_conv ~expected accept =
 let positive = int_conv ~expected:"a positive integer" (fun n -> n > 0)
 let non_negative = int_conv ~expected:"an integer >= 0" (fun n -> n >= 0)
 
+let spec_conv =
+  let parse name =
+    match Suites.find name with
+    | Some spec -> Ok spec
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown benchmark %s (try `vanguard_cli list`)"
+             name))
+  in
+  Arg.conv (parse, fun ppf spec -> Format.pp_print_string ppf spec.Spec.name)
+
+let bench_arg =
+  let doc = "Benchmark name (see `vanguard_cli list`)." in
+  Arg.(required & opt (some spec_conv) None & info [ "b"; "benchmark" ] ~doc)
+
+(* The options of the commands that take any number of targets. *)
+let benches_arg doc =
+  Arg.(value & opt_all spec_conv [] & info [ "b"; "benchmark" ] ~doc)
+
+let files_arg doc = Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc)
+let flag_arg names doc = Arg.(value & flag & info names ~doc)
+let suites_arg = flag_arg [ "suites" ]
+let all_arg = flag_arg [ "all" ]
+let transformed_arg = flag_arg [ "transformed" ]
+
+let fuzz_arg doc =
+  Arg.(value & opt (some non_negative) None & info [ "fuzz" ] ~docv:"N" ~doc)
+
+let dbb_arg doc =
+  Arg.(value & opt int 16 & info [ "dbb" ] ~docv:"ENTRIES" ~doc)
+
+let top_arg doc = Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+
 let width_arg =
   let doc = "Machine width: 2, 4 or 8." in
   Arg.(
@@ -41,7 +68,11 @@ let width_arg =
 
 let input_arg =
   let doc = "REF input index (1-based; 0 is the TRAIN input)." in
-  Arg.(value & opt int 1 & info [ "i"; "input" ] ~doc)
+  let expected = Printf.sprintf "an input from 0 to %d" Suites.ref_inputs in
+  Arg.(
+    value
+    & opt (int_conv ~expected (fun i -> i >= 0 && i <= Suites.ref_inputs)) 1
+    & info [ "i"; "input" ] ~doc)
 
 let predictor_arg =
   let doc = "Branch predictor (bimodal, gshare, tournament, tage, isl-tage, \
@@ -56,6 +87,22 @@ let predictor_arg =
     value
     & opt (conv (parse, print)) Kind.Tournament
     & info [ "p"; "predictor" ] ~doc)
+
+let interproc_arg =
+  let doc =
+    "Interprocedural mode: compute per-procedure summaries (register mod \
+     sets, memory-write footprints, purity classes) bottom-up over the \
+     call-graph SCCs and let the analyses use them at calls instead of \
+     worst-case havoc."
+  in
+  Arg.(
+    value & flag
+    & info [ "interproc" ] ~doc ~env:(Cmd.Env.info "BV_INTERPROC"))
+
+let werror_arg =
+  flag_arg [ "werror" ]
+    "Treat warning-severity diagnostics as errors for the exit status. \
+     Info diagnostics never affect it."
 
 (* ------------------------------------------------------------ telemetry *)
 
@@ -80,14 +127,14 @@ let sample_interval_arg =
 let write_json path json =
   try
     if path = "-" then begin
-      Bv_obs.Json.to_channel ~indent:true stdout json;
+      Json.to_channel ~indent:true stdout json;
       (* a full stdout fails here, not in the flush at exit, which
          would end the process with an uncaught exception *)
       flush stdout
     end
     else
       Out_channel.with_open_text path (fun oc ->
-          Bv_obs.Json.to_channel ~indent:true oc json;
+          Json.to_channel ~indent:true oc json;
           (* reports a failing final flush (a full disk), which the
              implicit close drops: the report would be lost silently *)
           Out_channel.close oc)
@@ -99,29 +146,105 @@ let write_json path json =
     if path = "-" then close_out_noerr stdout;
     exit 1
 
-let obj_add json fields =
-  match json with
-  | Bv_obs.Json.Obj base -> Bv_obs.Json.Obj (base @ fields)
-  | other -> other
+(* Every --json report: the schema version, the command's [fields], and
+   last the run's DAG provenance — how many pipeline nodes were
+   memo/store hits, computed here, or computed by a cooperating process.
+   The counters are read here, once every field is computed, so they
+   count every node the report evaluated. *)
+let write_report path fields =
+  write_json path
+    (Json.Obj
+       ((("schema_version", Json.Int Json.schema_version) :: fields)
+       @ [ ("dag", Sim.counters_json (Sim.the ())) ]))
 
-(* Every --json emitter reports the run's DAG provenance: how many
-   pipeline nodes were memo/store hits, computed here, or computed by a
-   cooperating process. Read at report-construction time — i.e. after
-   the command's work is done. *)
-let dag_field () = ("dag", Sim.counters_json (Sim.the ()))
+let obj_fields = function Json.Obj fields -> fields | _ -> []
+
+(* With --json - the report owns stdout; the text goes to stderr. *)
+let text_ppf json =
+  if json = Some "-" then Format.err_formatter else Format.std_formatter
+
+(* ------------------------------------------------------------- targets *)
+
+(* A hidden-ISA source file, or why it cannot be loaded: the read
+   error, or the parse or validation error at its line. *)
+let read_program path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+    match Asm.program text with
+    | exception Asm.Parse_error (line, msg) ->
+      Error (Printf.sprintf "%s:%d: %s" path line msg)
+    | prog -> Ok prog)
+
+(* The programs of [files] that load, each named by its path; one that
+   does not is reported and sets [failed]. *)
+let load_files failed files =
+  List.filter_map
+    (fun path ->
+      match read_program path with
+      | Ok prog -> Some (path, prog)
+      | Error e ->
+        prerr_endline e;
+        failed := true;
+        None)
+    files
+
+(* A command left with no target says what it takes and fails, unless
+   a file that did not load has said why already. *)
+let no_targets failed message =
+  if not !failed then begin
+    prerr_endline message;
+    failed := true
+  end
+
+let transformed_program spec =
+  (Runner.transform (Sim.bench (Sim.the ()) spec)).Vanguard.Transform.program
+
+let summaries_if interproc prog =
+  if interproc then Some (Bv_analysis.Summary.compute prog) else None
+
+(* The --fuzz N corpus: N seeded programs (none without --fuzz), each a
+   [kind] DAG node keyed by its seed and [params], which must hold
+   everything [f] reads. [f] gets the seed, the params, the program and
+   its profile under an always-not-taken predictor, which makes every
+   branch a candidate. *)
+let fuzz_corpus ~kind fuzz params f =
+  Sim.dag_map (Sim.the ()) ~kind
+    ~label:(fun (seed, _) -> Printf.sprintf "seed%d" seed)
+    (fun (seed, params) ->
+      let prog = Fuzzgen.generate ~seed in
+      let profile =
+        Bv_profile.Profile.collect
+          ~predictor:(Kind.create Kind.Always_not_taken)
+          (Layout.program (Program.copy prog))
+      in
+      f seed params prog profile)
+    (List.init (Option.value fuzz ~default:0) (fun seed -> (seed, params)))
+
+(* ---------------------------------------------------------- diagnostics *)
+
+(* Error, warning and info totals over (target, diagnostics) pairs. *)
+let tallies results =
+  let count sev =
+    List.fold_left (fun n (_, ds) -> n + Diagnostic.count sev ds) 0 results
+  in
+  (count Diagnostic.Error, count Diagnostic.Warning, count Diagnostic.Info)
+
+(* One target's diagnostics report, led by its name and [fields]. *)
+let target_json name fields diags =
+  Json.Obj
+    ((("target", Json.String name) :: fields)
+    @ obj_fields (Diagnostic.report_to_json diags))
+
+let print_diagnostics name diags =
+  List.iter
+    (fun d -> Format.printf "%s: %a@." name Diagnostic.pp d)
+    (Diagnostic.sort diags)
+
+let diagnostics_status ~failed ~werror (errors, warnings, _) =
+  if failed || errors > 0 || (werror && warnings > 0) then 1 else 0
 
 (* ------------------------------------------------------- interprocedural *)
-
-let interproc_arg =
-  let doc =
-    "Interprocedural mode: compute per-procedure summaries (register mod \
-     sets, memory-write footprints, purity classes) bottom-up over the \
-     call-graph SCCs and let the analyses use them at calls instead of \
-     worst-case havoc."
-  in
-  Arg.(
-    value & flag
-    & info [ "interproc" ] ~doc ~env:(Cmd.Env.info "BV_INTERPROC"))
 
 (* Summaries are content-hash cached in the session's DAG store under
    the "summary" kind, keyed by the whole program: the summaries
@@ -142,9 +265,19 @@ let summary_node name prog =
   | [ node ] -> node
   | _ -> assert false
 
-let summary_stats_field name prog =
+let summary_stats name prog =
   let _, stats, _ = summary_node name prog in
-  ("summary_stats", stats)
+  stats
+
+(* ["summary_stats"] of each benchmark's TRAIN program, by name. *)
+let bench_summary_stats specs =
+  ( "summary_stats",
+    Json.Obj
+      (List.map
+         (fun spec ->
+           let name = spec.Spec.name in
+           (name, summary_stats name (Gen.generate ~input:0 spec)))
+         specs) )
 
 (* ----------------------------------------------------------------- list *)
 
@@ -166,93 +299,92 @@ let list_cmd =
 
 (* ------------------------------------------------------------------ run *)
 
+(* A simulation report's opening fields, [inputs] being the field that
+   names the input or inputs it ran. *)
+let bench_fields spec ~width predictor inputs =
+  [ ("benchmark", Json.String spec.Spec.name);
+    ("suite", Json.String (Spec.suite_name spec.Spec.suite));
+    ("width", Json.Int width);
+    ("predictor", Json.String (Kind.name predictor));
+    inputs;
+    ("scale", Json.float (Runner.scale ()))
+  ]
+
 let run_cmd =
-  let run name width input predictor json trace sample_interval =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let sim = Sim.the () in
-      let b = Sim.prepare ~predictor sim spec in
-      let config = Config.make ~predictor ~width () in
-      let telemetry = json <> None || trace <> None in
-      (* With telemetry each side is a fresh, stepped run with a sampler
-         over its cycle accounting and (when --trace) a Perfetto
-         collector; pids 1/2 keep the two runs side by side in one trace
-         document. Otherwise each side is its DAG node. *)
-      let side pid process_name img =
-        if telemetry then begin
-          let tr =
-            if trace = None then None
-            else Some (Perfetto.create ~pid ~process_name ())
-          in
-          let observer =
-            Runner.observer ?interval:sample_interval
-              ?on_event:(Option.map Perfetto.on_event tr)
-              img
-          in
-          (Runner.simulate ~observer ~config img, Some (observer, tr))
-        end
-        else (Sim.simulate sim ~config img, None)
-      in
-      let base, base_obs = side 1 "baseline" (Runner.baseline b ~input) in
-      let exp, exp_obs = side 2 "vanguard" (Runner.experimental b ~input) in
-      let speedup =
-        Runner.speedup_pct ~base:base.Runner.stats.Stats.cycles
-          ~exp:exp.Runner.stats.Stats.cycles
-      in
-      (* With --json - the report owns stdout; the text goes to stderr. *)
-      let ppf =
-        if json = Some "-" then Format.err_formatter else Format.std_formatter
-      in
-      let show tag (r : Runner.run) =
-        Format.fprintf ppf "--- %s ---@.%a@.L1-D miss rate %.3f@.@." tag
-          Stats.pp r.Runner.stats
-          (Bv_cache.Sa_cache.stats_miss_rate r.Runner.l1d)
-      in
-      Format.fprintf ppf "%s, %d-wide, %s, input %d@.@." name width
-        (Kind.name predictor) input;
-      show "baseline" base;
-      show "decomposed-branch (vanguard)" exp;
-      Format.fprintf ppf "speedup: %+.2f%%@." speedup;
-      (match (json, base_obs, exp_obs) with
-      | Some path, Some (bo, _), Some (eo, _) ->
-        let side (r : Runner.run) o =
-          obj_add (Runner.run_to_json r)
-            [ ("samples", Sampler.to_json (Runner.samples o));
+  let run spec width input predictor json trace sample_interval =
+    let sim = Sim.the () in
+    let b = Sim.prepare ~predictor sim spec in
+    let config = Config.make ~predictor ~width () in
+    let telemetry = json <> None || trace <> None in
+    (* With telemetry each side is a fresh, stepped run with a sampler
+       over its cycle accounting and (when --trace) a Perfetto collector;
+       pids 1/2 keep the two runs side by side in one trace document.
+       Otherwise each side is its DAG node. *)
+    let side pid process_name img =
+      if telemetry then begin
+        let tr =
+          if trace = None then None
+          else Some (Perfetto.create ~pid ~process_name ())
+        in
+        let observer =
+          Runner.observer ?interval:sample_interval
+            ?on_event:(Option.map Perfetto.on_event tr)
+            img
+        in
+        (Runner.simulate ~observer ~config img, Some (observer, tr))
+      end
+      else (Sim.simulate sim ~config img, None)
+    in
+    let base, base_obs = side 1 "baseline" (Runner.baseline b ~input) in
+    let exp, exp_obs = side 2 "vanguard" (Runner.experimental b ~input) in
+    let speedup =
+      Runner.speedup_pct ~base:base.Runner.stats.Stats.cycles
+        ~exp:exp.Runner.stats.Stats.cycles
+    in
+    let ppf = text_ppf json in
+    let show tag (r : Runner.run) =
+      Format.fprintf ppf "--- %s ---@.%a@.L1-D miss rate %.3f@.@." tag
+        Stats.pp r.Runner.stats
+        (Bv_cache.Sa_cache.stats_miss_rate r.Runner.l1d)
+    in
+    Format.fprintf ppf "%s, %d-wide, %s, input %d@.@." spec.Spec.name width
+      (Kind.name predictor) input;
+    show "baseline" base;
+    show "decomposed-branch (vanguard)" exp;
+    Format.fprintf ppf "speedup: %+.2f%%@." speedup;
+    (match (json, base_obs, exp_obs) with
+    | Some path, Some (bo, _), Some (eo, _) ->
+      let side (r : Runner.run) o =
+        Json.Obj
+          (obj_fields (Runner.run_to_json r)
+          @ [ ("samples", Sampler.to_json (Runner.samples o));
               ("cpi_stack", Acct.cpi_stack_json r.Runner.acct);
               ("top_branches", Acct.top_branches_json r.Runner.acct)
-            ]
-        in
-        write_json path
-          (Bv_obs.Json.Obj
-             [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-               ("benchmark", Bv_obs.Json.String name);
-               ("suite", Bv_obs.Json.String (Spec.suite_name spec.Spec.suite));
-               ("width", Bv_obs.Json.Int width);
-               ("predictor", Bv_obs.Json.String (Kind.name predictor));
-               ("input", Bv_obs.Json.Int input);
-               ("scale", Bv_obs.Json.float (Runner.scale ()));
-               summary_stats_field name (Gen.generate ~input spec);
-               dag_field ();
-               ("speedup_pct", Bv_obs.Json.float speedup);
-               ("baseline", side base bo);
-               ("experimental", side exp eo)
-             ])
-      | _ -> ());
-      (match (trace, base_obs, exp_obs) with
-      | Some path, Some (bo, Some bt), Some (eo, Some et) ->
-        (* counter tracks ride the same pids as the span lanes, so the
-           CPI stack overlays each run's instruction view *)
-        write_json path
-          (Bv_obs.Trace_event.document
-             (Perfetto.events bt
-             @ Perfetto.cpi_counter_events ~pid:1
-                 (Sampler.windows (Runner.samples bo))
-             @ Perfetto.events et
-             @ Perfetto.cpi_counter_events ~pid:2
-                 (Sampler.windows (Runner.samples eo))))
-      | _ -> ());
-      0
+            ])
+      in
+      write_report path
+        (bench_fields spec ~width predictor ("input", Json.Int input)
+        @ [ ( "summary_stats",
+              summary_stats spec.Spec.name (Gen.generate ~input spec) );
+            ("speedup_pct", Json.float speedup);
+            ("baseline", side base bo);
+            ("experimental", side exp eo)
+          ])
+    | _ -> ());
+    (match (trace, base_obs, exp_obs) with
+    | Some path, Some (bo, Some bt), Some (eo, Some et) ->
+      (* counter tracks ride the same pids as the span lanes, so the CPI
+         stack overlays each run's instruction view *)
+      write_json path
+        (Bv_obs.Trace_event.document
+           (Perfetto.events bt
+           @ Perfetto.cpi_counter_events ~pid:1
+               (Sampler.windows (Runner.samples bo))
+           @ Perfetto.events et
+           @ Perfetto.cpi_counter_events ~pid:2
+               (Sampler.windows (Runner.samples eo))))
+    | _ -> ());
+    0
   in
   Cmd.v
     (Cmd.info "run"
@@ -269,152 +401,128 @@ let run_cmd =
    side, plus the per-site attribution join that shows which branches
    the transform actually helped. *)
 let report_cmd =
-  let run name width input all predictor top json =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let sim = Sim.the () in
-      let b = Sim.prepare ~predictor sim spec in
-      let inputs = if all then Runner.input_indices () else [ input ] in
-      (* each side of each input is its DAG node; the accounting merges
-         pointwise across inputs *)
-      let runs =
-        List.map (fun input -> Sim.pair ~predictor sim b ~input ~width) inputs
-      in
-      let base = Runner.merged_acct (List.map fst runs)
-      and exp = Runner.merged_acct (List.map snd runs) in
-      let btotal = Acct.total base and etotal = Acct.total exp in
-      let speedup = Runner.speedup_pct ~base:btotal ~exp:etotal in
-      let ppf =
-        if json = Some "-" then Format.err_formatter else Format.std_formatter
-      in
-      Format.fprintf ppf "%s, %d-wide, %s, input%s %s@."
-        name width (Kind.name predictor)
-        (if List.length inputs > 1 then "s" else "")
-        (String.concat "," (List.map string_of_int inputs));
-      Format.fprintf ppf "speedup: %+.2f%%@.@." speedup;
-      let pct total n =
-        if total > 0 then Text.f1 (100.0 *. Float.of_int n /. Float.of_int total)
-        else "-"
-      in
-      let stack_rows =
-        List.init Acct.n_components (fun c ->
-            let bn = base.Acct.components.(c)
-            and en = exp.Acct.components.(c) in
-            [ Acct.component_names.(c);
-              string_of_int bn; pct btotal bn;
-              string_of_int en; pct etotal en;
-              Printf.sprintf "%+d" (en - bn)
-            ])
-        @ [ [ "total"; string_of_int btotal; "100.0"; string_of_int etotal;
-              "100.0"; Printf.sprintf "%+d" (etotal - btotal) ]
-          ]
-      in
-      Format.fprintf ppf "%s@."
+  let run spec width input all predictor top json =
+    let sim = Sim.the () in
+    let b = Sim.prepare ~predictor sim spec in
+    let inputs = if all then Runner.input_indices () else [ input ] in
+    (* each side of each input is its DAG node; the accounting merges
+       pointwise across inputs *)
+    let runs =
+      List.map (fun input -> Sim.pair ~predictor sim b ~input ~width) inputs
+    in
+    let base = Runner.merged_acct (List.map fst runs)
+    and exp = Runner.merged_acct (List.map snd runs) in
+    let btotal = Acct.total base and etotal = Acct.total exp in
+    let speedup = Runner.speedup_pct ~base:btotal ~exp:etotal in
+    let ppf = text_ppf json in
+    Format.fprintf ppf "%s, %d-wide, %s, input%s %s@." spec.Spec.name width
+      (Kind.name predictor)
+      (if List.length inputs > 1 then "s" else "")
+      (String.concat "," (List.map string_of_int inputs));
+    Format.fprintf ppf "speedup: %+.2f%%@.@." speedup;
+    let pct total n =
+      if total > 0 then Text.f1 (100.0 *. Float.of_int n /. Float.of_int total)
+      else "-"
+    in
+    let stack_rows =
+      List.init Acct.n_components (fun c ->
+          let bn = base.Acct.components.(c)
+          and en = exp.Acct.components.(c) in
+          [ Acct.component_names.(c);
+            string_of_int bn; pct btotal bn;
+            string_of_int en; pct etotal en;
+            Printf.sprintf "%+d" (en - bn)
+          ])
+      @ [ [ "total"; string_of_int btotal; "100.0"; string_of_int etotal;
+            "100.0"; Printf.sprintf "%+d" (etotal - btotal) ]
+        ]
+    in
+    Format.fprintf ppf "%s@."
+      (Text.render
+         ~headers:[ "component"; "baseline"; "%"; "vanguard"; "%"; "delta" ]
+         stack_rows);
+    (* Per-site join: a baseline branch and the resolve that replaced it
+       share a site id, so rows line up across the transform. *)
+    let base_sites = Acct.by_site base and exp_sites = Acct.by_site exp in
+    let find sites site =
+      List.find_opt (fun sa -> sa.Acct.sa_site = site) sites
+    in
+    let sites =
+      List.sort_uniq compare
+        (List.map (fun sa -> sa.Acct.sa_site) (base_sites @ exp_sites))
+    in
+    let recovery = function Some sa -> sa.Acct.sa_recovery | None -> 0 in
+    (* most recovery cycles over both sides first *)
+    let ranked =
+      List.stable_sort
+        (fun (_, b1, e1) (_, b2, e2) ->
+          compare (recovery b2 + recovery e2) (recovery b1 + recovery e1))
+        (List.map
+           (fun site -> (site, find base_sites site, find exp_sites site))
+           sites)
+    in
+    let shown =
+      List.filteri (fun i _ -> i < top)
+        (List.filter
+           (fun (_, b_, e_) -> recovery b_ > 0 || recovery e_ > 0)
+           ranked)
+    in
+    let misp_rate = function
+      | Some sa when sa.Acct.sa_execs > 0 ->
+        Text.f3
+          (Float.of_int sa.Acct.sa_mispredicts /. Float.of_int sa.Acct.sa_execs)
+      | _ -> "-"
+    in
+    let execs = function Some sa -> sa.Acct.sa_execs | None -> 0 in
+    if shown <> [] then
+      Format.fprintf ppf
+        "top branch sites by recovery cycles (baseline vs vanguard):@.%s@."
         (Text.render
-           ~headers:[ "component"; "baseline"; "%"; "vanguard"; "%"; "delta" ]
-           stack_rows);
-      (* Per-site join: a baseline branch and the resolve that replaced
-         it share a site id, so rows line up across the transform. *)
-      let base_sites = Acct.by_site base and exp_sites = Acct.by_site exp in
-      let find sites site =
-        List.find_opt (fun sa -> sa.Acct.sa_site = site) sites
-      in
-      let sites =
-        List.sort_uniq compare
-          (List.map (fun sa -> sa.Acct.sa_site) (base_sites @ exp_sites))
-      in
-      let joined =
-        List.map
-          (fun site -> (site, find base_sites site, find exp_sites site))
-          sites
-      in
-      let recovery = function Some sa -> sa.Acct.sa_recovery | None -> 0 in
-      let ranked =
-        List.sort
-          (fun (_, b1, e1) (_, b2, e2) ->
-            compare
-              (recovery b2 + recovery e2, recovery b1 + recovery e1)
-              (recovery b1 + recovery e1, recovery b2 + recovery e2))
-          joined
-      in
-      let shown =
-        List.filteri (fun i _ -> i < top)
-          (List.filter
-             (fun (_, b_, e_) -> recovery b_ > 0 || recovery e_ > 0)
-             ranked)
-      in
-      let misp_rate = function
-        | Some sa when sa.Acct.sa_execs > 0 ->
-          Text.f3
-            (Float.of_int sa.Acct.sa_mispredicts
-            /. Float.of_int sa.Acct.sa_execs)
-        | _ -> "-"
-      in
-      let execs = function Some sa -> sa.Acct.sa_execs | None -> 0 in
-      if shown <> [] then
-        Format.fprintf ppf
-          "top branch sites by recovery cycles (baseline vs vanguard):@.%s@."
-          (Text.render
-             ~headers:
-               [ "site"; "b.execs"; "b.misp"; "b.recovery"; "v.execs";
-                 "v.misp"; "v.recovery"; "d.recovery"
-               ]
-             (List.map
-                (fun (site, b_, e_) ->
-                  [ string_of_int site;
-                    string_of_int (execs b_); misp_rate b_;
-                    string_of_int (recovery b_);
-                    string_of_int (execs e_); misp_rate e_;
-                    string_of_int (recovery e_);
-                    Printf.sprintf "%+d" (recovery e_ - recovery b_)
-                  ])
-                shown));
-      (match json with
-      | None -> ()
-      | Some path ->
-        let open Bv_obs.Json in
-        let site_json (site, b_, e_) =
-          let side tag = function
-            | None -> []
-            | Some sa ->
-              [ (tag ^ "_execs", Int sa.Acct.sa_execs);
-                (tag ^ "_mispredicts", Int sa.Acct.sa_mispredicts);
-                (tag ^ "_recovery_cycles", Int sa.Acct.sa_recovery)
-              ]
-          in
-          Obj
-            (("site", Int site)
-            :: (side "baseline" b_ @ side "vanguard" e_
-               @ [ ( "delta_recovery_cycles",
-                     Int (recovery e_ - recovery b_) )
-                 ]))
+           ~headers:
+             [ "site"; "b.execs"; "b.misp"; "b.recovery"; "v.execs";
+               "v.misp"; "v.recovery"; "d.recovery"
+             ]
+           (List.map
+              (fun (site, b_, e_) ->
+                [ string_of_int site;
+                  string_of_int (execs b_); misp_rate b_;
+                  string_of_int (recovery b_);
+                  string_of_int (execs e_); misp_rate e_;
+                  string_of_int (recovery e_);
+                  Printf.sprintf "%+d" (recovery e_ - recovery b_)
+                ])
+              shown));
+    (match json with
+    | None -> ()
+    | Some path ->
+      let open Json in
+      let site_json (site, b_, e_) =
+        let side tag = function
+          | None -> []
+          | Some sa ->
+            [ (tag ^ "_execs", Int sa.Acct.sa_execs);
+              (tag ^ "_mispredicts", Int sa.Acct.sa_mispredicts);
+              (tag ^ "_recovery_cycles", Int sa.Acct.sa_recovery)
+            ]
         in
-        write_json path
-          (Obj
-             [ ("schema_version", Int schema_version);
-               ("benchmark", String name);
-               ("suite", String (Spec.suite_name spec.Spec.suite));
-               ("width", Int width);
-               ("predictor", String (Kind.name predictor));
-               ("inputs", List (List.map (fun i -> Int i) inputs));
-               ("scale", float (Runner.scale ()));
-               ("speedup_pct", float speedup);
-               ("baseline", Acct.to_json base);
-               ("vanguard", Acct.to_json exp);
-               ("sites", List (List.map site_json ranked));
-               summary_stats_field name (Gen.generate ~input:(List.hd inputs) spec);
-               dag_field ()
-             ]));
-      0
-  in
-  let all_arg =
-    let doc = "Aggregate over all REF inputs (overrides --input)." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let top_arg =
-    let doc = "Branch sites to show in the attribution table." in
-    Arg.(value & opt int 10 & info [ "top" ] ~doc ~docv:"N")
+        Obj
+          (("site", Int site)
+          :: (side "baseline" b_ @ side "vanguard" e_
+             @ [ ("delta_recovery_cycles", Int (recovery e_ - recovery b_)) ]
+             ))
+      in
+      write_report path
+        (bench_fields spec ~width predictor
+           ("inputs", List (List.map (fun i -> Int i) inputs))
+        @ [ ("speedup_pct", float speedup);
+            ("baseline", Acct.to_json base);
+            ("vanguard", Acct.to_json exp);
+            ("sites", List (List.map site_json ranked));
+            ( "summary_stats",
+              summary_stats spec.Spec.name
+                (Gen.generate ~input:(List.hd inputs) spec) )
+          ]));
+    0
   in
   Cmd.v
     (Cmd.info "report"
@@ -422,19 +530,19 @@ let report_cmd =
          "Cycle-accounting report: baseline-vs-decomposed CPI stacks and \
           per-branch-site attribution of recovery cycles.")
     Term.(
-      const run $ bench_arg $ width_arg $ input_arg $ all_arg $ predictor_arg
-      $ top_arg $ json_arg)
+      const run $ bench_arg $ width_arg $ input_arg
+      $ all_arg "Aggregate over all REF inputs (overrides --input)."
+      $ predictor_arg
+      $ top_arg "Branch sites to show in the attribution table."
+      $ json_arg)
 
 (* -------------------------------------------------------------- profile *)
 
 let profile_cmd =
-  let run name predictor =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let b = Sim.prepare ~predictor (Sim.the ()) spec in
-      Format.printf "%a@." Bv_profile.Profile.pp (Runner.profile b);
-      0
+  let run spec predictor =
+    let b = Sim.prepare ~predictor (Sim.the ()) spec in
+    Format.printf "%a@." Bv_profile.Profile.pp (Runner.profile b);
+    0
   in
   Cmd.v
     (Cmd.info "profile"
@@ -445,59 +553,50 @@ let profile_cmd =
 (* ------------------------------------------------------------ transform *)
 
 let transform_cmd =
-  let run name disasm =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let b = Sim.bench (Sim.the ()) spec in
-      let sel = Runner.selection b in
-      let tr = Runner.transform b in
-      Format.printf
-        "%s: %d/%d forward branches selected (PBC %.1f%%), %d skipped@."
-        name
-        (List.length sel.Vanguard.Select.candidates)
-        sel.Vanguard.Select.static_forward_branches
-        (Vanguard.Select.pbc sel)
-        (List.length tr.Vanguard.Transform.skipped);
-      List.iter
-        (fun (id, why) -> Format.printf "  skipped site %d: %s@." id why)
-        tr.Vanguard.Transform.skipped;
-      List.iter
-        (fun r ->
-          Format.printf
-            "  site %3d: slice %d, hoisted %d/%d (nt/t), PHI %.0f%%@."
-            r.Vanguard.Transform.site r.Vanguard.Transform.slice_size
-            r.Vanguard.Transform.hoisted_not_taken
-            r.Vanguard.Transform.hoisted_taken
-            (Vanguard.Transform.phi r))
-        tr.Vanguard.Transform.reports;
-      Format.printf "static instructions: %d -> %d (PISCS %.1f%%)@."
-        tr.Vanguard.Transform.static_instrs_before
-        tr.Vanguard.Transform.static_instrs_after (Runner.piscs b);
-      if disasm then
-        Format.printf "@.%a@." Layout.pp_disassembly
-          (Runner.experimental_program b ~input:1);
-      0
-  in
-  let disasm_arg =
-    Arg.(value & flag & info [ "disasm" ] ~doc:"Print the transformed code.")
+  let run spec disasm =
+    let b = Sim.bench (Sim.the ()) spec in
+    let sel = Runner.selection b in
+    let tr = Runner.transform b in
+    Format.printf
+      "%s: %d/%d forward branches selected (PBC %.1f%%), %d skipped@."
+      spec.Spec.name
+      (List.length sel.Vanguard.Select.candidates)
+      sel.Vanguard.Select.static_forward_branches
+      (Vanguard.Select.pbc sel)
+      (List.length tr.Vanguard.Transform.skipped);
+    List.iter
+      (fun (id, why) -> Format.printf "  skipped site %d: %s@." id why)
+      tr.Vanguard.Transform.skipped;
+    List.iter
+      (fun r ->
+        Format.printf
+          "  site %3d: slice %d, hoisted %d/%d (nt/t), PHI %.0f%%@."
+          r.Vanguard.Transform.site r.Vanguard.Transform.slice_size
+          r.Vanguard.Transform.hoisted_not_taken
+          r.Vanguard.Transform.hoisted_taken
+          (Vanguard.Transform.phi r))
+      tr.Vanguard.Transform.reports;
+    Format.printf "static instructions: %d -> %d (PISCS %.1f%%)@."
+      tr.Vanguard.Transform.static_instrs_before
+      tr.Vanguard.Transform.static_instrs_after (Runner.piscs b);
+    if disasm then
+      Format.printf "@.%a@." Layout.pp_disassembly
+        (Runner.experimental_program b ~input:1);
+    0
   in
   Cmd.v
     (Cmd.info "transform"
        ~doc:"Show candidate selection and transformation details.")
-    Term.(const run $ bench_arg $ disasm_arg)
+    Term.(
+      const run $ bench_arg
+      $ flag_arg [ "disasm" ] "Print the transformed code.")
 
 (* ----------------------------------------------------------- experiment *)
 
 let experiment_cmd =
   let run ids json jobs =
-    (match jobs with
-    | Some n -> Sim.set_jobs (Sim.the ()) n
-    | None -> ());
-    (* With --json - the report owns stdout; the tables go to stderr. *)
-    let ppf =
-      if json = Some "-" then Format.err_formatter else Format.std_formatter
-    in
+    Option.iter (Sim.set_jobs (Sim.the ())) jobs;
+    let ppf = text_ppf json in
     let ids = if ids = [ "all" ] then List.map (fun (i, _, _) -> i)
                   Experiments.all
               else ids in
@@ -516,11 +615,11 @@ let experiment_cmd =
             let t0 = Unix.gettimeofday () in
             Option.get (Experiments.find id) ppf;
             let seconds = Unix.gettimeofday () -. t0 in
-            Bv_obs.Json.Obj
-              [ ("id", Bv_obs.Json.String id);
-                ("seconds", Bv_obs.Json.float seconds);
+            Json.Obj
+              [ ("id", Json.String id);
+                ("seconds", Json.float seconds);
                 ( "tables",
-                  Bv_obs.Json.List
+                  Json.List
                     (List.map Experiments.table_to_json
                        (Experiments.drain_tables ())) )
               ])
@@ -528,13 +627,10 @@ let experiment_cmd =
       in
       Option.iter
         (fun path ->
-          write_json path
-            (Bv_obs.Json.Obj
-               [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-                 ("scale", Bv_obs.Json.float (Runner.scale ()));
-                 ("experiments", Bv_obs.Json.List entries);
-                 dag_field ()
-               ]))
+          write_report path
+            [ ("scale", Json.float (Runner.scale ()));
+              ("experiments", Json.List entries)
+            ])
         json;
       (* every table and the report are out; a stale results/*.csv is
          still a failure *)
@@ -559,209 +655,116 @@ let experiment_cmd =
 (* ------------------------------------------------------------------ dot *)
 
 let dot_cmd =
-  let run name transformed callgraph =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let program =
-        if transformed then
-          (Runner.transform (Sim.bench (Sim.the ()) spec))
-            .Vanguard.Transform.program
-        else Gen.generate ~input:1 spec
-      in
-      if callgraph then Format.printf "%a@." Bv_ir.Dot.callgraph program
-      else Format.printf "%a@." (Bv_ir.Dot.program ~bodies:false) program;
-      0
-  in
-  let transformed_arg =
-    Arg.(value & flag & info [ "transformed" ]
-           ~doc:"Export the decomposed-branch version.")
-  in
-  let callgraph_arg =
-    Arg.(value & flag & info [ "callgraph" ]
-           ~doc:
-             "Export the SCC-condensed call graph instead of the CFG \
-              (recursive components highlighted).")
+  let run spec transformed callgraph =
+    let program =
+      if transformed then transformed_program spec
+      else Gen.generate ~input:1 spec
+    in
+    if callgraph then Format.printf "%a@." Bv_ir.Dot.callgraph program
+    else Format.printf "%a@." (Bv_ir.Dot.program ~bodies:false) program;
+    0
   in
   Cmd.v
     (Cmd.info "dot"
        ~doc:"Export a benchmark's CFG as Graphviz (pipe into `dot -Tsvg`).")
-    Term.(const run $ bench_arg $ transformed_arg $ callgraph_arg)
+    Term.(
+      const run $ bench_arg
+      $ transformed_arg "Export the decomposed-branch version."
+      $ flag_arg [ "callgraph" ]
+          "Export the SCC-condensed call graph instead of the CFG \
+           (recursive components highlighted).")
 
 (* ---------------------------------------------------------------- trace *)
 
 let trace_cmd =
-  let run name width rows transformed =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let b = Sim.bench (Sim.the ()) spec in
-      let image =
-        if transformed then Runner.experimental_program b ~input:1
-        else Runner.baseline_program b ~input:1
-      in
-      let config = Config.make ~width () in
-      let trace, result = Trace.collect ~max_rows:rows ~config image in
-      Format.printf "%a@." Trace.pp trace;
-      Format.printf "@.%a@." Stats.pp result.Machine.stats;
-      0
+  let run spec width rows transformed =
+    let b = Sim.bench (Sim.the ()) spec in
+    let image =
+      if transformed then Runner.experimental_program b ~input:1
+      else Runner.baseline_program b ~input:1
+    in
+    let config = Config.make ~width () in
+    let trace, result = Trace.collect ~max_rows:rows ~config image in
+    Format.printf "%a@." Trace.pp trace;
+    Format.printf "@.%a@." Stats.pp result.Machine.stats;
+    0
   in
   let rows_arg =
     Arg.(value & opt int 60 & info [ "n"; "rows" ]
            ~doc:"Instructions to trace.")
   in
-  let transformed_arg =
-    Arg.(value & flag & info [ "transformed" ]
-           ~doc:"Trace the decomposed-branch version.")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Per-instruction pipeline trace (fetch/issue/complete cycles).")
-    Term.(const run $ bench_arg $ width_arg $ rows_arg $ transformed_arg)
+    Term.(
+      const run $ bench_arg $ width_arg $ rows_arg
+      $ transformed_arg "Trace the decomposed-branch version.")
 
 (* ----------------------------------------------------------------- lint *)
 
-let werror_arg =
-  Arg.(
-    value & flag
-    & info [ "werror" ]
-        ~doc:
-          "Treat warning-severity diagnostics as errors for the exit \
-           status. Info diagnostics never affect it.")
-
 let lint_cmd =
-  let module Diagnostic = Bv_analysis.Diagnostic in
-  let run files bench suites dbb_entries interproc werror json =
-    let targets = ref [] in
+  let run files specs suites dbb_entries interproc werror json =
     let failed = ref false in
-    let add name prog = targets := (name, prog) :: !targets in
-    List.iter
-      (fun path ->
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error e ->
-          prerr_endline e;
-          failed := true
-        | text -> (
-          match Bv_ir.Asm.program text with
-          | exception Bv_ir.Asm.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" path line msg;
-            failed := true
-          | prog -> add path prog))
-      files;
-    (match bench with
-    | None -> ()
-    | Some name -> (
-      match spec_of_name name with
-      | Error e ->
-        prerr_endline e;
-        failed := true
-      | Ok spec ->
-        add (name ^ ":baseline") (Gen.generate ~input:1 spec);
-        add (name ^ ":transformed")
-          (Runner.transform (Sim.bench (Sim.the ()) spec))
-            .Vanguard.Transform.program));
-    if suites then
-      List.iter
-        (fun suite ->
-          match Suites.of_suite suite with
-          | [] -> ()
-          | spec :: _ ->
-            add
-              (Printf.sprintf "%s:%s:transformed" (Spec.suite_name suite)
-                 spec.Spec.name)
-              (Runner.transform (Sim.bench (Sim.the ()) spec))
-                .Vanguard.Transform.program)
-        [ Spec.Int_2006; Spec.Fp_2006; Spec.Int_2000; Spec.Fp_2000 ];
-    let targets = List.rev !targets in
-    if targets = [] && not !failed then begin
-      prerr_endline
+    let loaded = load_files failed files in
+    let bench_targets =
+      List.concat_map
+        (fun spec ->
+          [ (spec.Spec.name ^ ":baseline", Gen.generate ~input:1 spec);
+            (spec.Spec.name ^ ":transformed", transformed_program spec)
+          ])
+        specs
+    in
+    let suite_targets =
+      if not suites then []
+      else
+        List.filter_map
+          (fun suite ->
+            match Suites.of_suite suite with
+            | [] -> None
+            | spec :: _ ->
+              Some
+                ( Printf.sprintf "%s:%s:transformed" (Spec.suite_name suite)
+                    spec.Spec.name,
+                  transformed_program spec ))
+          [ Spec.Int_2006; Spec.Fp_2006; Spec.Int_2000; Spec.Fp_2000 ]
+    in
+    let targets = loaded @ bench_targets @ suite_targets in
+    if targets = [] then
+      no_targets failed
         "nothing to lint: pass FILE arguments, -b BENCH, or --suites";
-      failed := true
-    end;
     let results =
       List.map
-        (fun (name, prog) ->
-          let summaries =
-            if interproc then Some (Bv_analysis.Summary.compute prog)
-            else None
-          in
-          ( name,
-            prog,
+        (fun ((_, prog) as target) ->
+          ( target,
             Bv_analysis.Speculation.verify ~dbb_entries
-              ~scratch:Vanguard.Transform.default_temp_pool ?summaries prog ))
+              ~scratch:Vanguard.Transform.default_temp_pool
+              ?summaries:(summaries_if interproc prog) prog ))
         targets
     in
-    let count sev =
-      List.fold_left
-        (fun n (_, _, ds) -> n + Diagnostic.count sev ds)
-        0 results
-    in
-    let errors = count Diagnostic.Error in
-    let warnings = count Diagnostic.Warning in
+    let ((errors, warnings, infos) as tally) = tallies results in
     (match json with
     | Some path ->
-      write_json path
-        (Bv_obs.Json.Obj
-           [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-             ("dbb_entries", Bv_obs.Json.Int dbb_entries);
-             ("interproc", Bv_obs.Json.Bool interproc);
-             dag_field ();
-             ( "targets",
-               Bv_obs.Json.List
-                 (List.map
-                    (fun (name, prog, diags) ->
-                      obj_add
-                        (Bv_obs.Json.Obj
-                           [ ("target", Bv_obs.Json.String name);
-                             summary_stats_field name prog
-                           ])
-                        (match Diagnostic.report_to_json diags with
-                        | Bv_obs.Json.Obj fields -> fields
-                        | _ -> []))
-                    results) )
-           ])
+      write_report path
+        [ ("dbb_entries", Json.Int dbb_entries);
+          ("interproc", Json.Bool interproc);
+          ( "targets",
+            Json.List
+              (List.map
+                 (fun ((name, prog), diags) ->
+                   target_json name
+                     [ ("summary_stats", summary_stats name prog) ]
+                     diags)
+                 results) )
+        ]
     | None ->
       List.iter
-        (fun (name, _, diags) ->
+        (fun ((name, _), diags) ->
           if diags = [] then Format.printf "%s: clean@." name
-          else
-            List.iter
-              (fun d -> Format.printf "%s: %a@." name Diagnostic.pp d)
-              (Diagnostic.sort diags))
+          else print_diagnostics name diags)
         results;
       Format.printf "%d target(s): %d error(s), %d warning(s), %d info(s)@."
-        (List.length results) errors warnings
-        (count Diagnostic.Info));
-    if !failed || errors > 0 || (werror && warnings > 0) then 1 else 0
-  in
-  let files_arg =
-    Arg.(
-      value & pos_all file []
-      & info [] ~docv:"FILE"
-          ~doc:"Hidden-ISA source files (see `vanguard_cli assemble`).")
-  in
-  let bench_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "benchmark" ]
-          ~doc:
-            "Lint a benchmark's baseline and decomposed-branch programs \
-             (see `vanguard_cli list`).")
-  in
-  let suites_arg =
-    Arg.(
-      value & flag
-      & info [ "suites" ]
-          ~doc:
-            "Lint the transformed program of one workload per benchmark \
-             suite.")
-  in
-  let dbb_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "dbb" ] ~docv:"ENTRIES"
-          ~doc:"Decoupled-branch-buffer capacity for the occupancy check.")
+        (List.length results) errors warnings infos);
+    diagnostics_status ~failed:!failed ~werror tally
   in
   Cmd.v
     (Cmd.info "lint"
@@ -769,202 +772,119 @@ let lint_cmd =
          "Statically verify predict/resolve speculation safety; exits \
           non-zero on any error-severity diagnostic.")
     Term.(
-      const run $ files_arg $ bench_opt_arg $ suites_arg $ dbb_arg
+      const run
+      $ files_arg "Hidden-ISA source files (see `vanguard_cli assemble`)."
+      $ benches_arg
+          "Lint a benchmark's baseline and decomposed-branch programs \
+           (repeatable; see `vanguard_cli list`)."
+      $ suites_arg
+          "Lint the transformed program of one workload per benchmark \
+           suite."
+      $ dbb_arg "Decoupled-branch-buffer capacity for the occupancy check."
       $ interproc_arg $ werror_arg $ json_arg)
 
 (* ---------------------------------------------------------------- prove *)
 
 let prove_cmd =
-  let module Diagnostic = Bv_analysis.Diagnostic in
   let module Equiv = Bv_analysis.Equiv in
   let scratch = Vanguard.Transform.default_temp_pool in
-  let run files benches fuzz max_paths interproc werror json =
+  let run files specs fuzz max_paths interproc werror json =
     let failed = ref false in
-    let results = ref [] in
-    let add name diags = results := (name, diags) :: !results in
-    List.iter
-      (fun path ->
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error e ->
-          prerr_endline e;
-          failed := true
-        | text -> (
-          match Bv_ir.Asm.program text with
-          | exception Bv_ir.Asm.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" path line msg;
-            failed := true
-          | prog ->
-            (* no reference program for a standalone file: check the
-               internal consistency of its predict/resolve regions *)
-            add path (Equiv.verify_self ~scratch ~max_paths prog)))
-      files;
+    (* no reference program for a standalone file: check the internal
+       consistency of its predict/resolve regions *)
+    let file_results =
+      List.map
+        (fun (path, prog) -> (path, Equiv.verify_self ~scratch ~max_paths prog))
+        (load_files failed files)
+    in
     (* Each bench proof and each fuzz seed is a DAG node: proofs fan out
        across the session's workers, persist in the store, and re-prove
        nothing on an unchanged re-run. The verdict diagnostics are plain
        data, so the store holds them whole. *)
-    List.iter
-      (function
-        | Error e ->
-          prerr_endline e;
-          failed := true
-        | Ok pairs -> List.iter (fun (n, ds) -> add n ds) pairs)
-      (Sim.dag_map (Sim.the ()) ~kind:"prove"
-         ~label:(fun (name, _, _) -> name)
-         (fun (name, max_paths, interproc) ->
-           match spec_of_name name with
-           | Error e -> Error e
-           | Ok spec ->
-             (* the harness transforms the TRAIN program of the bench
-                record's (BV_SCALE-scaled) spec; regenerate it from that
-                spec as the reference and validate the transform output
-                against it *)
-             let b = Sim.bench (Sim.the ()) spec in
-             let original = Gen.generate ~input:0 (Runner.spec b) in
-             let transformed =
-               if interproc then
-                 (* re-transform with summaries: newly eligible
-                    cross-call sites must prove out too *)
-                 let summaries = Bv_analysis.Summary.compute original in
-                 (Vanguard.Transform.apply ~summaries
-                    ~exit_live:Gen.live_at_exit
-                    ~candidates:(Runner.selection b).Vanguard.Select.candidates
-                    original)
-                   .Vanguard.Transform.program
-               else (Runner.transform b).Vanguard.Transform.program
-             in
-             Ok
-               [ ( name ^ ":transform",
-                   Equiv.verify ~scratch ~exit_live:Gen.live_at_exit
-                     ~max_paths ~original transformed );
-                 ( name ^ ":self",
-                   Equiv.verify_self ~scratch ~exit_live:Gen.live_at_exit
-                     ~max_paths transformed )
-               ])
-         (List.map (fun name -> (name, max_paths, interproc)) benches));
-    (match fuzz with
-    | None -> ()
-    | Some n ->
-      List.iteri
-        (fun seed diags -> add (Printf.sprintf "fuzz:%d" seed) diags)
-        (Sim.dag_map (Sim.the ()) ~kind:"prove-fuzz"
-           ~label:(fun (seed, _, _) -> Printf.sprintf "seed%d" seed)
-           (fun (seed, max_paths, interproc) ->
-             let prog = Fuzzgen.generate ~seed in
-             let image = Layout.program (Program.copy prog) in
-             let profile =
-               Bv_profile.Profile.collect
-                 ~predictor:(Kind.create Kind.Always_not_taken)
-                 image
-             in
-             let candidates =
-               (Vanguard.Select.select ~threshold:(-2.0) ~min_executed:0
-                  ~profile prog)
-                 .Vanguard.Select.candidates
-             in
-             let summaries =
-               if interproc then Some (Bv_analysis.Summary.compute prog)
-               else None
-             in
-             let result = Vanguard.Transform.apply ?summaries ~candidates prog in
-             Equiv.verify ~scratch ~max_paths ~original:prog
-               result.Vanguard.Transform.program)
-           (List.init n (fun seed -> (seed, max_paths, interproc)))));
-    let results = List.rev !results in
-    if results = [] && not !failed then begin
-      prerr_endline
-        "nothing to prove: pass FILE arguments, -b BENCH, or --fuzz N";
-      failed := true
-    end;
-    let count sev =
-      List.fold_left (fun n (_, ds) -> n + Diagnostic.count sev ds) 0 results
+    let bench_results =
+      Sim.dag_map (Sim.the ()) ~kind:"prove"
+        ~label:(fun (spec, _, _) -> spec.Spec.name)
+        (fun (spec, max_paths, interproc) ->
+          (* the harness transforms the TRAIN program of the bench
+             record's (BV_SCALE-scaled) spec; regenerate it from that
+             spec as the reference and validate the transform output
+             against it *)
+          let b = Sim.bench (Sim.the ()) spec in
+          let original = Gen.generate ~input:0 (Runner.spec b) in
+          let transformed =
+            if interproc then
+              (* re-transform with summaries: newly eligible cross-call
+                 sites must prove out too *)
+              let summaries = Bv_analysis.Summary.compute original in
+              (Vanguard.Transform.apply ~summaries ~exit_live:Gen.live_at_exit
+                 ~candidates:(Runner.selection b).Vanguard.Select.candidates
+                 original)
+                .Vanguard.Transform.program
+            else (Runner.transform b).Vanguard.Transform.program
+          in
+          [ ( spec.Spec.name ^ ":transform",
+              Equiv.verify ~scratch ~exit_live:Gen.live_at_exit ~max_paths
+                ~original transformed );
+            ( spec.Spec.name ^ ":self",
+              Equiv.verify_self ~scratch ~exit_live:Gen.live_at_exit
+                ~max_paths transformed )
+          ])
+        (List.map (fun spec -> (spec, max_paths, interproc)) specs)
     in
-    let errors = count Diagnostic.Error in
-    let warnings = count Diagnostic.Warning in
+    let fuzz_results =
+      fuzz_corpus ~kind:"prove-fuzz" fuzz (max_paths, interproc)
+        (fun _ (max_paths, interproc) prog profile ->
+          let candidates =
+            (Vanguard.Select.select ~threshold:(-2.0) ~min_executed:0
+               ~profile prog)
+              .Vanguard.Select.candidates
+          in
+          let result =
+            Vanguard.Transform.apply
+              ?summaries:(summaries_if interproc prog)
+              ~candidates prog
+          in
+          Equiv.verify ~scratch ~max_paths ~original:prog
+            result.Vanguard.Transform.program)
+    in
+    let results =
+      file_results @ List.concat bench_results
+      @ List.mapi
+          (fun seed diags -> (Printf.sprintf "fuzz:%d" seed, diags))
+          fuzz_results
+    in
+    if results = [] then
+      no_targets failed
+        "nothing to prove: pass FILE arguments, -b BENCH, or --fuzz N";
+    let ((errors, warnings, infos) as tally) = tallies results in
     let flagged =
       List.filter
         (fun (_, ds) ->
-          List.exists
-            (fun d -> d.Diagnostic.severity <> Diagnostic.Info)
-            ds)
+          List.exists (fun d -> d.Diagnostic.severity <> Diagnostic.Info) ds)
         results
     in
     let clean = List.length results - List.length flagged in
     (match json with
     | Some path ->
-      let bench_stats =
-        List.filter_map
-          (fun name ->
-            match spec_of_name name with
-            | Error _ -> None
-            | Ok spec ->
-              let _, stats =
-                summary_stats_field name (Gen.generate ~input:0 spec)
-              in
-              Some (name, stats))
-          benches
-      in
-      write_json path
-        (Bv_obs.Json.Obj
-           [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-             ("interproc", Bv_obs.Json.Bool interproc);
-             ("summary_stats", Bv_obs.Json.Obj bench_stats);
-             ("targets_checked", Bv_obs.Json.Int (List.length results));
-             ("proven_clean", Bv_obs.Json.Int clean);
-             ("errors", Bv_obs.Json.Int errors);
-             ("warnings", Bv_obs.Json.Int warnings);
-             ("infos", Bv_obs.Json.Int (count Diagnostic.Info));
-             dag_field ();
-             ( "targets",
-               Bv_obs.Json.List
-                 (List.map
-                    (fun (name, diags) ->
-                      obj_add
-                        (Bv_obs.Json.Obj
-                           [ ("target", Bv_obs.Json.String name) ])
-                        (match Diagnostic.report_to_json diags with
-                        | Bv_obs.Json.Obj fields -> fields
-                        | _ -> []))
-                    flagged) )
-           ])
+      write_report path
+        [ ("interproc", Json.Bool interproc);
+          bench_summary_stats specs;
+          ("targets_checked", Json.Int (List.length results));
+          ("proven_clean", Json.Int clean);
+          ("errors", Json.Int errors);
+          ("warnings", Json.Int warnings);
+          ("infos", Json.Int infos);
+          ( "targets",
+            Json.List
+              (List.map (fun (name, ds) -> target_json name [] ds) flagged) )
+        ]
     | None ->
-      List.iter
-        (fun (name, diags) ->
-          List.iter
-            (fun d -> Format.printf "%s: %a@." name Diagnostic.pp d)
-            (Diagnostic.sort diags))
-        flagged;
+      List.iter (fun (name, diags) -> print_diagnostics name diags) flagged;
       Format.printf
         "%d target(s) checked, %d proven clean: %d error(s), %d \
          warning(s), %d info(s)@."
-        (List.length results) clean errors warnings
-        (count Diagnostic.Info));
-    if !failed || errors > 0 || (werror && warnings > 0) then 1 else 0
-  in
-  let files_arg =
-    Arg.(
-      value & pos_all file []
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Hidden-ISA source files; with no reference program available \
-             they get the self-consistency check only.")
-  in
-  let bench_opt_arg =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "b"; "benchmark" ]
-          ~doc:
-            "Prove the benchmark's decomposed-branch program equivalent to \
-             its baseline (repeatable; see `vanguard_cli list`).")
-  in
-  let fuzz_arg =
-    Arg.(
-      value
-      & opt (some non_negative) None
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Generate N seeded fuzz programs, transform each, and prove \
-             every transform output equivalent to its original.")
+        (List.length results) clean errors warnings infos);
+    diagnostics_status ~failed:!failed ~werror tally
   in
   let max_paths_arg =
     Arg.(
@@ -981,8 +901,17 @@ let prove_cmd =
           programs equivalent to their originals; exits non-zero on any \
           counterexample.")
     Term.(
-      const run $ files_arg $ bench_opt_arg $ fuzz_arg $ max_paths_arg
-      $ interproc_arg $ werror_arg $ json_arg)
+      const run
+      $ files_arg
+          "Hidden-ISA source files; with no reference program available \
+           they get the self-consistency check only."
+      $ benches_arg
+          "Prove the benchmark's decomposed-branch program equivalent to \
+           its baseline (repeatable; see `vanguard_cli list`)."
+      $ fuzz_arg
+          "Generate N seeded fuzz programs, transform each, and prove \
+           every transform output equivalent to its original."
+      $ max_paths_arg $ interproc_arg $ werror_arg $ json_arg)
 
 (* --------------------------------------------------------------- advise *)
 
@@ -1061,7 +990,7 @@ let interproc_gains ?max_hoist ?exit_live ~config ~profile program =
     gained
 
 let gain_json (site, proc, blockl, reason, saved, proved) =
-  let open Bv_obs.Json in
+  let open Json in
   Obj
     [ ("site", Int site);
       ("proc", String proc);
@@ -1077,29 +1006,18 @@ let advise_cmd =
   let module Costmodel = Bv_analysis.Costmodel in
   (* Correlation gating needs enough joined sites to mean anything. *)
   let min_joined = 5 in
-  let run benches suites validate width all predictor top corr_floor
+  let run specs suites validate width all predictor top corr_floor
       warn_only dbb fuzz interproc werror json =
     let failed = ref false in
     let warned = ref false in
     let specs =
-      List.filter_map
-        (fun name ->
-          match spec_of_name name with
-          | Ok spec -> Some spec
-          | Error e ->
-            prerr_endline e;
-            failed := true;
-            None)
-        benches
-      @ (if suites then Suites.all else [])
+      List.sort_uniq
+        (fun a b -> compare a.Spec.name b.Spec.name)
+        (specs @ if suites then Suites.all else [])
     in
-    let specs =
-      List.sort_uniq (fun a b -> compare a.Spec.name b.Spec.name) specs
-    in
-    if specs = [] && fuzz = None && not !failed then begin
-      prerr_endline "nothing to advise: pass -b BENCH, --suites, or --fuzz N";
-      failed := true
-    end;
+    if specs = [] && fuzz = None then
+      no_targets failed
+        "nothing to advise: pass -b BENCH, --suites, or --fuzz N";
     let config = { Advisor.default_config with Advisor.dbb_entries = dbb } in
     let sim = Sim.the () in
     let inputs = if all then Runner.input_indices () else [ 1 ] in
@@ -1150,38 +1068,19 @@ let advise_cmd =
       }
     in
     let fuzz_results =
-      match fuzz with
-      | None -> []
-      | Some n ->
-        Sim.dag_map sim ~kind:"advise-fuzz"
-          ~label:(fun (seed, _) -> Printf.sprintf "seed%d" seed)
-          (fun (seed, (config, interproc)) ->
-            let prog = Fuzzgen.generate ~seed in
-            let image = Layout.program (Program.copy prog) in
-            let profile =
-              Bv_profile.Profile.collect
-                ~predictor:(Kind.create Kind.Always_not_taken)
-                image
-            in
-            let summaries =
-              if interproc then Some (Bv_analysis.Summary.compute prog)
-              else None
-            in
-            let advice =
-              Advisor.advise ~config ~profile
-                (Costmodel.analyze ?summaries prog)
-            in
-            let gains =
-              if interproc then interproc_gains ~config ~profile prog
-              else []
-            in
-            (Printf.sprintf "fuzz:%d" seed, advice, None, gains))
-          (List.init n (fun seed -> (seed, (fuzz_config, interproc))))
+      fuzz_corpus ~kind:"advise-fuzz" fuzz (fuzz_config, interproc)
+        (fun seed (config, interproc) prog profile ->
+          let advice =
+            Advisor.advise ~config ~profile
+              (Costmodel.analyze ?summaries:(summaries_if interproc prog) prog)
+          in
+          let gains =
+            if interproc then interproc_gains ~config ~profile prog else []
+          in
+          (Printf.sprintf "fuzz:%d" seed, advice, None, gains))
     in
     let results = results @ fuzz_results in
-    let ppf =
-      if json = Some "-" then Format.err_formatter else Format.std_formatter
-    in
+    let ppf = text_ppf json in
     let gate severity fmt =
       Printf.ksprintf
         (fun msg ->
@@ -1263,91 +1162,46 @@ let advise_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      let open Bv_obs.Json in
+      let open Json in
       let all_gains = List.concat_map (fun (_, _, _, g) -> g) results in
-      let proved =
-        List.filter (fun (_, _, _, _, _, p) -> p) all_gains
-      in
-      let bench_stats =
-        List.map
-          (fun spec ->
-            let _, stats =
-              summary_stats_field spec.Spec.name (Gen.generate ~input:0 spec)
-            in
-            (spec.Spec.name, stats))
-          specs
-      in
-      write_json path
-        (Obj
-           [ ("schema_version", Int schema_version);
-             ("width", Int width);
-             ("predictor", String (Kind.name predictor));
-             ("dbb_entries", Int dbb);
-             ("corr_floor", float corr_floor);
-             ("interproc", Bool interproc);
-             ("summary_stats", Obj bench_stats);
-             ("gains_total", Int (List.length all_gains));
-             ("gains_proved", Int (List.length proved));
-             ("inputs", List (List.map (fun i -> Int i) inputs));
-             ("scale", float (Runner.scale ()));
-             dag_field ();
-             ( "targets",
-               List
-                 (List.map
-                    (fun (name, advice, checked, gains) ->
-                      obj_add
-                        (Obj
-                           [ ("target", String name);
-                             ("gains", List (List.map gain_json gains))
-                           ])
-                        ((match Advisor.to_json advice with
-                         | Obj fields -> fields
-                         | _ -> [])
-                        @
-                        match checked with
-                        | None -> []
-                        | Some c ->
-                          [ ( "validation",
-                              Advisor.validation_to_json
-                                c.Sim.ac_validation );
-                            ( "max_outstanding",
-                              Int c.Sim.ac_max_outstanding )
-                          ]))
-                    results) )
-           ]));
+      let proved = List.filter (fun (_, _, _, _, _, p) -> p) all_gains in
+      write_report path
+        [ ("width", Int width);
+          ("predictor", String (Kind.name predictor));
+          ("dbb_entries", Int dbb);
+          ("corr_floor", float corr_floor);
+          ("interproc", Bool interproc);
+          bench_summary_stats specs;
+          ("gains_total", Int (List.length all_gains));
+          ("gains_proved", Int (List.length proved));
+          ("inputs", List (List.map (fun i -> Int i) inputs));
+          ("scale", float (Runner.scale ()));
+          ( "targets",
+            List
+              (List.map
+                 (fun (name, advice, checked, gains) ->
+                   Obj
+                     ([ ("target", String name);
+                        ("gains", List (List.map gain_json gains))
+                      ]
+                     @ obj_fields (Advisor.to_json advice)
+                     @
+                     match checked with
+                     | None -> []
+                     | Some c ->
+                       [ ( "validation",
+                           Advisor.validation_to_json c.Sim.ac_validation );
+                         ("max_outstanding", Int c.Sim.ac_max_outstanding)
+                       ]))
+                 results) )
+        ]);
     if !failed || (werror && !warned) then 1 else 0
   in
-  let bench_opt_arg =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "b"; "benchmark" ]
-          ~doc:"Advise on a benchmark (repeatable; see `vanguard_cli list`).")
-  in
-  let suites_arg =
-    Arg.(
-      value & flag
-      & info [ "suites" ] ~doc:"Advise on every benchmark of every suite.")
-  in
   let validate_arg =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Join the static cycles-saved ranking against measured per-site \
-             recovery cycles from an accounted baseline simulation, and \
-             report the Spearman rank correlation.")
-  in
-  let all_arg =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:"Validate against all REF inputs, merged (default: input 1).")
-  in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Sites to show per target.")
+    flag_arg [ "validate" ]
+      "Join the static cycles-saved ranking against measured per-site \
+       recovery cycles from an accounted baseline simulation, and report \
+       the Spearman rank correlation."
   in
   let corr_floor_arg =
     Arg.(
@@ -1357,28 +1211,6 @@ let advise_cmd =
             "Fail validation when the rank correlation falls below $(docv) \
              (with at least 5 joined sites).")
   in
-  let warn_only_arg =
-    Arg.(
-      value & flag
-      & info [ "warn-only" ]
-          ~doc:"Downgrade a correlation-floor failure to a warning.")
-  in
-  let dbb_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "dbb" ] ~docv:"ENTRIES"
-          ~doc:"Decoupled-branch-buffer capacity for the pressure gate.")
-  in
-  let fuzz_arg =
-    Arg.(
-      value
-      & opt (some non_negative) None
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Also advise on N seeded fuzz programs (selection-style \
-             gating: no heat or margin requirement). With --interproc \
-             this is where cross-call gains are expected.")
-  in
   Cmd.v
     (Cmd.info "advise"
        ~doc:
@@ -1386,67 +1218,58 @@ let advise_cmd =
           estimated decomposition savings; optionally cross-validate the \
           ranking against measured cycle attribution.")
     Term.(
-      const run $ bench_opt_arg $ suites_arg $ validate_arg $ width_arg
-      $ all_arg $ predictor_arg $ top_arg $ corr_floor_arg $ warn_only_arg
-      $ dbb_arg $ fuzz_arg $ interproc_arg $ werror_arg $ json_arg)
+      const run
+      $ benches_arg
+          "Advise on a benchmark (repeatable; see `vanguard_cli list`)."
+      $ suites_arg "Advise on every benchmark of every suite."
+      $ validate_arg $ width_arg
+      $ all_arg "Validate against all REF inputs, merged (default: input 1)."
+      $ predictor_arg
+      $ top_arg "Sites to show per target."
+      $ corr_floor_arg
+      $ flag_arg [ "warn-only" ]
+          "Downgrade a correlation-floor failure to a warning."
+      $ dbb_arg "Decoupled-branch-buffer capacity for the pressure gate."
+      $ fuzz_arg
+          "Also advise on N seeded fuzz programs (selection-style gating: \
+           no heat or margin requirement). With --interproc this is where \
+           cross-call gains are expected."
+      $ interproc_arg $ werror_arg $ json_arg)
 
 (* ------------------------------------------------------------ summaries *)
 
 let summaries_cmd =
-  let run files bench transformed json =
-    let targets = ref [] in
+  let run files specs transformed json =
     let failed = ref false in
-    let add name prog = targets := (name, prog) :: !targets in
-    List.iter
-      (fun path ->
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error e ->
-          prerr_endline e;
-          failed := true
-        | text -> (
-          match Bv_ir.Asm.program text with
-          | exception Bv_ir.Asm.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" path line msg;
-            failed := true
-          | prog -> add path prog))
-      files;
-    (match bench with
-    | None -> ()
-    | Some name -> (
-      match spec_of_name name with
-      | Error e ->
-        prerr_endline e;
-        failed := true
-      | Ok spec ->
-        if transformed then
-          add (name ^ ":transformed")
-            (Runner.transform (Sim.bench (Sim.the ()) spec))
-              .Vanguard.Transform.program
-        else add (name ^ ":baseline") (Gen.generate ~input:1 spec)));
-    let targets = List.rev !targets in
-    if targets = [] && not !failed then begin
-      prerr_endline
-        "nothing to summarize: pass FILE arguments or -b BENCH";
-      failed := true
-    end;
-    let results = List.map (fun (name, prog) -> (name, summary_node name prog)) targets in
+    let loaded = load_files failed files in
+    let targets =
+      loaded
+      @ List.map
+          (fun spec ->
+            if transformed then
+              (spec.Spec.name ^ ":transformed", transformed_program spec)
+            else (spec.Spec.name ^ ":baseline", Gen.generate ~input:1 spec))
+          specs
+    in
+    if targets = [] then
+      no_targets failed "nothing to summarize: pass FILE arguments or -b BENCH";
+    let results =
+      List.map (fun (name, prog) -> (name, summary_node name prog)) targets
+    in
     (match json with
     | Some path ->
-      write_json path
-        (Bv_obs.Json.Obj
-           [ ("schema_version", Bv_obs.Json.Int Bv_obs.Json.schema_version);
-             dag_field ();
-             ( "targets",
-               Bv_obs.Json.List
-                 (List.map
-                    (fun (name, (_, stats, full)) ->
-                      Bv_obs.Json.Obj
-                        [ ("target", Bv_obs.Json.String name);
-                          ("summary_stats", stats);
-                          ("summaries", full)
-                        ])
-                    results) )
-           ])
+      write_report path
+        [ ( "targets",
+            Json.List
+              (List.map
+                 (fun (name, (_, stats, full)) ->
+                   Json.Obj
+                     [ ("target", Json.String name);
+                       ("summary_stats", stats);
+                       ("summaries", full)
+                     ])
+                 results) )
+        ]
     | None ->
       List.iter
         (fun (name, (procs, _, _)) ->
@@ -1457,25 +1280,6 @@ let summaries_cmd =
         results);
     if !failed then 1 else 0
   in
-  let files_arg =
-    Arg.(
-      value & pos_all file []
-      & info [] ~docv:"FILE"
-          ~doc:"Hidden-ISA source files (see `vanguard_cli assemble`).")
-  in
-  let bench_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "benchmark" ]
-          ~doc:"Summarize a benchmark's baseline program.")
-  in
-  let transformed_arg =
-    Arg.(
-      value & flag
-      & info [ "transformed" ]
-          ~doc:"Summarize the decomposed-branch version instead.")
-  in
   Cmd.v
     (Cmd.info "summaries"
        ~doc:
@@ -1483,41 +1287,43 @@ let summaries_cmd =
           (register mod/use sets, memory footprints, purity), cached as \
           \"summary\" nodes in the DAG store.")
     Term.(
-      const run $ files_arg $ bench_opt_arg $ transformed_arg $ json_arg)
+      const run
+      $ files_arg "Hidden-ISA source files (see `vanguard_cli assemble`)."
+      $ benches_arg
+          "Summarize a benchmark's baseline program (repeatable; see \
+           `vanguard_cli list`)."
+      $ transformed_arg "Summarize the decomposed-branch version instead."
+      $ json_arg)
 
 (* ------------------------------------------------------------- assemble *)
 
 let assemble_cmd =
   let run path simulate =
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error e -> prerr_endline e; 1
-    | text -> (
-      match Bv_ir.Asm.program text with
-      | exception Bv_ir.Asm.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        1
-      | prog ->
-        let image = Layout.program prog in
-        Format.printf "%a@." Layout.pp_disassembly image;
-        if simulate then begin
-          let st = Bv_exec.Interp.run image in
-          Format.printf "interpreter: %d instructions, halted=%b@."
-            st.Bv_exec.Interp.instr_count st.Bv_exec.Interp.halted;
-          let res = Machine.run ~config:Config.four_wide image in
-          Format.printf "%a@." Stats.pp res.Machine.stats
-        end;
-        0)
+    match read_program path with
+    | Error e ->
+      prerr_endline e;
+      1
+    | Ok prog ->
+      let image = Layout.program prog in
+      Format.printf "%a@." Layout.pp_disassembly image;
+      if simulate then begin
+        let st = Bv_exec.Interp.run image in
+        Format.printf "interpreter: %d instructions, halted=%b@."
+          st.Bv_exec.Interp.instr_count st.Bv_exec.Interp.halted;
+        let res = Machine.run ~config:Config.four_wide image in
+        Format.printf "%a@." Stats.pp res.Machine.stats
+      end;
+      0
   in
   let path_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
   in
-  let simulate_arg =
-    Arg.(value & flag & info [ "run" ] ~doc:"Also interpret and simulate.")
-  in
   Cmd.v
     (Cmd.info "assemble"
        ~doc:"Assemble a hidden-ISA source file; print its layout.")
-    Term.(const run $ path_arg $ simulate_arg)
+    Term.(
+      const run $ path_arg
+      $ flag_arg [ "run" ] "Also interpret and simulate.")
 
 (* ------------------------------------------------------------------ dag *)
 
@@ -1530,46 +1336,44 @@ let dag_dir_arg =
           "Cache directory to operate on (default: the session's store, \
            \\$(b,BV_CACHE) or .bv-cache).")
 
-let resolve_dag_dir = function
-  | Some dir -> Ok dir
-  | None -> (
-    match Sim.cache_dir (Sim.the ()) with
-    | Some dir -> Ok dir
-    | None -> Error "cache disabled (BV_CACHE=none); pass --dir")
+(* [f] on the store a dag subcommand operates on: --dir, else the
+   session's; with neither, an error. *)
+let with_dag_dir dir f =
+  match if dir = None then Sim.cache_dir (Sim.the ()) else dir with
+  | Some dir -> f dir
+  | None ->
+    prerr_endline "error: cache disabled (BV_CACHE=none); pass --dir";
+    1
 
 let short_key k = if String.length k > 12 then String.sub k 0 12 else k
 
 let dag_status_cmd =
   let run dir json =
-    match resolve_dag_dir dir with
-    | Error e ->
-      prerr_endline ("error: " ^ e);
-      1
-    | Ok dir ->
-      (match json with
-      | Some path -> write_json path (Dag.status_json dir)
-      | None ->
-        let es = Dag.entries dir in
-        let bytes = List.fold_left (fun a e -> a + e.Dag.e_bytes) 0 es in
-        Printf.printf "cache %s: %d node(s), %d bytes, code format %d\n" dir
-          (List.length es) bytes Dag.code_format;
-        let kinds =
-          List.sort_uniq compare (List.map (fun e -> e.Dag.e_kind) es)
-        in
-        List.iter
-          (fun kind ->
-            let of_kind = List.filter (fun e -> e.Dag.e_kind = kind) es in
-            Printf.printf "  %-12s %5d node(s) %12d bytes\n" kind
-              (List.length of_kind)
-              (List.fold_left (fun a e -> a + e.Dag.e_bytes) 0 of_kind))
-          kinds;
-        List.iter
-          (fun c ->
-            Printf.printf "  claim %s pid %d@%s age %.0fs%s\n"
-              (short_key c.Dag.c_key) c.Dag.c_pid c.Dag.c_host c.Dag.c_age
-              (if c.Dag.c_stale then " (stale)" else ""))
-          (Dag.claims dir));
-      0
+    with_dag_dir dir @@ fun dir ->
+    (match json with
+    | Some path -> write_json path (Dag.status_json dir)
+    | None ->
+      let es = Dag.entries dir in
+      let bytes = List.fold_left (fun a e -> a + e.Dag.e_bytes) 0 es in
+      Printf.printf "cache %s: %d node(s), %d bytes, code format %d\n" dir
+        (List.length es) bytes Dag.code_format;
+      let kinds =
+        List.sort_uniq compare (List.map (fun e -> e.Dag.e_kind) es)
+      in
+      List.iter
+        (fun kind ->
+          let of_kind = List.filter (fun e -> e.Dag.e_kind = kind) es in
+          Printf.printf "  %-12s %5d node(s) %12d bytes\n" kind
+            (List.length of_kind)
+            (List.fold_left (fun a e -> a + e.Dag.e_bytes) 0 of_kind))
+        kinds;
+      List.iter
+        (fun c ->
+          Printf.printf "  claim %s pid %d@%s age %.0fs%s\n"
+            (short_key c.Dag.c_key) c.Dag.c_pid c.Dag.c_host c.Dag.c_age
+            (if c.Dag.c_stale then " (stale)" else ""))
+        (Dag.claims dir));
+    0
   in
   Cmd.v
     (Cmd.info "status"
@@ -1578,39 +1382,35 @@ let dag_status_cmd =
 
 let dag_gc_cmd =
   let run dir max_age_days max_size_mb dry_run json =
-    match resolve_dag_dir dir with
-    | Error e ->
-      prerr_endline ("error: " ^ e);
-      1
-    | Ok dir ->
-      let report =
-        Dag.gc
-          ?max_age:(Option.map (fun d -> d *. 86400.0) max_age_days)
-          ?max_bytes:
-            (Option.map (fun mb -> Float.to_int (mb *. 1024.0 *. 1024.0))
-               max_size_mb)
-          ~dry_run dir
-      in
-      (match json with
-      | Some path -> write_json path (Dag.gc_report_to_json report)
-      | None ->
-        let verb = if dry_run then "would remove" else "removed" in
-        Printf.printf
-          "cache %s: %d node(s), %d bytes; %s %d node(s), %d bytes%s\n" dir
-          report.Dag.gcr_examined report.Dag.gcr_bytes verb
-          (List.length report.Dag.gcr_removed)
-          report.Dag.gcr_removed_bytes
-          (if report.Dag.gcr_claims_broken = 0 then ""
-           else
-             Printf.sprintf "; %s %d stale claim(s)"
-               (if dry_run then "would break" else "broke")
-               report.Dag.gcr_claims_broken);
-        List.iter
-          (fun e ->
-            Printf.printf "  %s %s %-10s %s (%d bytes)\n" verb
-              (short_key e.Dag.e_key) e.Dag.e_kind e.Dag.e_label e.Dag.e_bytes)
-          report.Dag.gcr_removed);
-      0
+    with_dag_dir dir @@ fun dir ->
+    let report =
+      Dag.gc
+        ?max_age:(Option.map (fun d -> d *. 86400.0) max_age_days)
+        ?max_bytes:
+          (Option.map (fun mb -> Float.to_int (mb *. 1024.0 *. 1024.0))
+             max_size_mb)
+        ~dry_run dir
+    in
+    (match json with
+    | Some path -> write_json path (Dag.gc_report_to_json report)
+    | None ->
+      let verb = if dry_run then "would remove" else "removed" in
+      Printf.printf
+        "cache %s: %d node(s), %d bytes; %s %d node(s), %d bytes%s\n" dir
+        report.Dag.gcr_examined report.Dag.gcr_bytes verb
+        (List.length report.Dag.gcr_removed)
+        report.Dag.gcr_removed_bytes
+        (if report.Dag.gcr_claims_broken = 0 then ""
+         else
+           Printf.sprintf "; %s %d stale claim(s)"
+             (if dry_run then "would break" else "broke")
+             report.Dag.gcr_claims_broken);
+      List.iter
+        (fun e ->
+          Printf.printf "  %s %s %-10s %s (%d bytes)\n" verb
+            (short_key e.Dag.e_key) e.Dag.e_kind e.Dag.e_label e.Dag.e_bytes)
+        report.Dag.gcr_removed);
+    0
   in
   let max_age_arg =
     Arg.(
@@ -1628,51 +1428,41 @@ let dag_gc_cmd =
             "After age pruning, evict least-recently-used nodes until the \
              store fits in $(docv).")
   in
-  let dry_run_arg =
-    Arg.(
-      value & flag
-      & info [ "dry-run" ] ~doc:"Report what would be pruned; touch nothing.")
-  in
   Cmd.v
     (Cmd.info "gc"
        ~doc:
          "Prune the DAG store by age and size (least-recently-used first); \
           always sweeps stale claims.")
     Term.(
-      const run $ dag_dir_arg $ max_age_arg $ max_size_arg $ dry_run_arg
+      const run $ dag_dir_arg $ max_age_arg $ max_size_arg
+      $ flag_arg [ "dry-run" ] "Report what would be pruned; touch nothing."
       $ json_arg)
 
 let dag_explain_cmd =
   let run dir key json =
-    match resolve_dag_dir dir with
+    with_dag_dir dir @@ fun dir ->
+    match Dag.explain dir key with
     | Error e ->
       prerr_endline ("error: " ^ e);
       1
-    | Ok dir -> (
-      match Dag.explain dir key with
-      | Error e ->
-        prerr_endline ("error: " ^ e);
-        1
-      | Ok x ->
-        (match json with
-        | Some path -> write_json path (Dag.explanation_to_json x)
-        | None ->
-          Printf.printf "node %s\n" x.Dag.x_key;
-          Printf.printf "  kind %s, label %s\n" x.Dag.x_kind x.Dag.x_label;
-          Printf.printf "  hash inputs: format %d, ocaml %s, inputs %s\n"
-            x.Dag.x_format x.Dag.x_ocaml x.Dag.x_inputs;
-          List.iter
-            (fun d -> Printf.printf "  dep %s\n" d)
-            x.Dag.x_deps;
-          Printf.printf "  created %s by pid %d in %.3fs\n" x.Dag.x_created_at
-            x.Dag.x_pid x.Dag.x_compute_seconds;
-          Printf.printf "  %d bytes, last used %.0fs ago\n" x.Dag.x_bytes
-            x.Dag.x_age;
-          if x.Dag.x_events <> [] then begin
-            Printf.printf "  provenance:\n";
-            List.iter (fun e -> Printf.printf "    %s\n" e) x.Dag.x_events
-          end);
-        0)
+    | Ok x ->
+      (match json with
+      | Some path -> write_json path (Dag.explanation_to_json x)
+      | None ->
+        Printf.printf "node %s\n" x.Dag.x_key;
+        Printf.printf "  kind %s, label %s\n" x.Dag.x_kind x.Dag.x_label;
+        Printf.printf "  hash inputs: format %d, ocaml %s, inputs %s\n"
+          x.Dag.x_format x.Dag.x_ocaml x.Dag.x_inputs;
+        List.iter (fun d -> Printf.printf "  dep %s\n" d) x.Dag.x_deps;
+        Printf.printf "  created %s by pid %d in %.3fs\n" x.Dag.x_created_at
+          x.Dag.x_pid x.Dag.x_compute_seconds;
+        Printf.printf "  %d bytes, last used %.0fs ago\n" x.Dag.x_bytes
+          x.Dag.x_age;
+        if x.Dag.x_events <> [] then begin
+          Printf.printf "  provenance:\n";
+          List.iter (fun e -> Printf.printf "    %s\n" e) x.Dag.x_events
+        end);
+      0
   in
   let key_arg =
     Arg.(
@@ -1698,13 +1488,10 @@ let dag_cmd =
 (* --------------------------------------------------------------- disasm *)
 
 let disasm_cmd =
-  let run name =
-    match spec_of_name name with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-      let image = Layout.program (Gen.generate ~input:1 spec) in
-      Format.printf "%a@." Layout.pp_disassembly image;
-      0
+  let run spec =
+    Format.printf "%a@." Layout.pp_disassembly
+      (Layout.program (Gen.generate ~input:1 spec));
+    0
   in
   Cmd.v
     (Cmd.info "disasm" ~doc:"Disassemble a benchmark's baseline code.")

@@ -51,7 +51,9 @@ let float_to_string f =
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"
 
-let to_buffer ?(indent = false) buf v =
+(* [spill buf] runs between the items of a list or an object, so a
+   writer can drain [buf] as the document grows. *)
+let emit ~indent ~spill buf v =
   let pad depth =
     if indent then begin
       Buffer.add_char buf '\n';
@@ -72,6 +74,7 @@ let to_buffer ?(indent = false) buf v =
       List.iteri
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
+          spill buf;
           pad (depth + 1);
           go (depth + 1) item)
         items;
@@ -83,6 +86,7 @@ let to_buffer ?(indent = false) buf v =
       List.iteri
         (fun i (k, item) ->
           if i > 0 then Buffer.add_char buf ',';
+          spill buf;
           pad (depth + 1);
           escape_to buf k;
           Buffer.add_string buf (if indent then ": " else ":");
@@ -93,14 +97,24 @@ let to_buffer ?(indent = false) buf v =
   in
   go 0 v
 
-let to_string ?indent v =
+let to_string ?(indent = false) v =
   let buf = Buffer.create 256 in
-  to_buffer ?indent buf v;
+  emit ~indent ~spill:ignore buf v;
   Buffer.contents buf
 
-let to_channel ?indent oc v =
-  let buf = Buffer.create 4096 in
-  to_buffer ?indent buf v;
+(* Written in chunks of about this many bytes, so a large document (a
+   whole-run trace) never exists twice over as one string. *)
+let chunk = 65536
+
+let to_channel ?(indent = false) oc v =
+  let buf = Buffer.create chunk in
+  let spill buf =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  emit ~indent ~spill buf v;
   Buffer.add_char buf '\n';
   Buffer.output_buffer oc buf
 

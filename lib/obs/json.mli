@@ -27,14 +27,14 @@ val schema_version : int
     Bumped when a document's shape changes: 1 = pre-cycle-accounting,
     2 = [cpi_stack] / [top_branches] / per-window [cpi] sections. *)
 
-val to_buffer : ?indent:bool -> Buffer.t -> t -> unit
-
 val to_string : ?indent:bool -> t -> string
 (** Compact by default; [~indent:true] pretty-prints with 2-space
     indentation (same value, just whitespace). *)
 
 val to_channel : ?indent:bool -> out_channel -> t -> unit
-(** Writes the value followed by a newline. *)
+(** Writes the value followed by a newline: the bytes of
+    [to_string ?indent v ^ "\n"], in chunks of about 64 KiB as the
+    value is rendered. *)
 
 val of_string : string -> (t, string) result
 (** Recursive-descent parse of a complete JSON document (trailing

@@ -1,7 +1,7 @@
 (* Run the CLI built next to the running test, with [env] on top of this
    process's environment minus every BV_* variable, and with the DAG
-   store off. Shared by the suites that check the CLI's exit codes,
-   messages and reports. *)
+   store off unless [env] sets BV_CACHE. Shared by the suites that check
+   the CLI's exit codes, messages and reports. *)
 
 let exe () =
   let exe =
@@ -18,15 +18,23 @@ let environment env =
       (fun kv -> not (String.starts_with ~prefix:"BV_" kv))
       (Array.to_list (Unix.environment ()))
   in
-  Array.of_list (("BV_CACHE=none" :: env) @ inherited)
+  (* the first binding of a variable is the one a lookup finds *)
+  Array.of_list (env @ ("BV_CACHE=none" :: inherited))
 
-(* Exit code, stdout and stderr. *)
-let run ~env args =
+(* [start ()] from the directory [cwd]: a process it starts runs there. *)
+let in_dir cwd start =
+  let here = Sys.getcwd () in
+  Sys.chdir cwd;
+  Fun.protect ~finally:(fun () -> Sys.chdir here) start
+
+(* Exit code, stdout and stderr of a run from [cwd]. *)
+let run ?(cwd = Sys.getcwd ()) ~env args =
   let exe = exe () in
   let ((out, _, err) as proc) =
-    Unix.open_process_args_full exe
-      (Array.of_list (exe :: args))
-      (environment env)
+    in_dir cwd (fun () ->
+        Unix.open_process_args_full exe
+          (Array.of_list (exe :: args))
+          (environment env))
   in
   let stdout = In_channel.input_all out in
   let stderr = In_channel.input_all err in
@@ -42,12 +50,8 @@ let run_redirected ?(cwd = Sys.getcwd ()) ~stdout ~env args =
     Unix.openfile stdout [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let err_r, err_w = Unix.pipe ~cloexec:true () in
-  let here = Sys.getcwd () in
-  Sys.chdir cwd;
   let pid =
-    Fun.protect
-      ~finally:(fun () -> Sys.chdir here)
-      (fun () ->
+    in_dir cwd (fun () ->
         Unix.create_process_env exe
           (Array.of_list (exe :: args))
           (environment env) Unix.stdin out err_w)

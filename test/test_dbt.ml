@@ -1,5 +1,5 @@
-(* Tests for the DBT-facing extensions: binary encoding, control-flow
-   recovery, the cmov primitive, and the predication (if-conversion) pass. *)
+(* Tests for the DBT-facing extensions: control-flow recovery, the cmov
+   primitive, and the predication (if-conversion) pass. *)
 
 open Bv_isa
 open Bv_ir
@@ -11,89 +11,6 @@ let add d a b = Instr.Alu { op = Instr.Add; dst = r d; src1 = r a; src2 = Instr.
 let ld d b o = Instr.Load { dst = r d; base = r b; offset = o; speculative = false }
 let st s b o = Instr.Store { src = r s; base = r b; offset = o }
 let block ?(body = []) label term = Block.make ~label ~body ~term
-
-(* ------------------------------------------------------------- encoding *)
-
-let instr = Alcotest.testable Instr.pp ( = )
-
-let roundtrip i =
-  let resolve = function "far" -> 1234 | _ -> 7 in
-  let label_of = function 1234 -> "far" | 7 -> "near" | _ -> "?" in
-  Encoding.decode ~label_of (Encoding.encode ~resolve i)
-
-let test_encoding_examples () =
-  List.iter
-    (fun i -> Alcotest.check instr (Instr.to_string i) i (roundtrip i))
-    [ Instr.Nop;
-      Instr.Halt;
-      Instr.Ret;
-      addi 5 9 (-123456);
-      add 1 2 3;
-      Instr.Fpu { op = Instr.Mul; dst = r 63; src1 = r 0; src2 = Instr.Reg (r 31) };
-      movi 7 (max_int asr 30);
-      Instr.Mov { dst = r 1; src = Instr.Reg (r 2) };
-      Instr.Load { dst = r 8; base = r 9; offset = 262144; speculative = true };
-      ld 8 9 (-64);
-      st 3 4 8192;
-      Instr.Cmp { op = Instr.Le; dst = r 5; src1 = r 6; src2 = Instr.Imm 0 };
-      Instr.Cmov { on = false; cond = r 5; dst = r 6; src = Instr.Imm 42 };
-      Instr.Cmov { on = true; cond = r 5; dst = r 6; src = Instr.Reg (r 7) };
-      Instr.Branch { on = true; src = r 5; target = "far"; id = 999_999 };
-      Instr.Jump "far";
-      Instr.Call "near";
-      Instr.Predict { target = "far"; id = 12 };
-      Instr.Resolve
-        { on = false; src = r 4; target = "far"; predicted_taken = true;
-          id = 910_000 }
-    ]
-
-let test_encoding_errors () =
-  let resolve _ = 0 in
-  (match Encoding.encode ~resolve (movi 1 (1 lsl 40)) with
-  | exception Encoding.Encoding_error _ -> ()
-  | _ -> Alcotest.fail "oversized immediate accepted");
-  (match
-     Encoding.encode ~resolve
-       (Instr.Branch { on = true; src = r 1; target = "x"; id = 1 lsl 21 })
-   with
-  | exception Encoding.Encoding_error _ -> ()
-  | _ -> Alcotest.fail "oversized site id accepted");
-  Alcotest.(check bool) "encodable" true (Encoding.encodable_imm 1000);
-  Alcotest.(check bool) "not encodable" false (Encoding.encodable_imm (1 lsl 40))
-
-let prop_encoding_roundtrip =
-  let open QCheck2.Gen in
-  let reg = map r (int_bound 63) in
-  let operand =
-    oneof
-      [ map (fun r -> Instr.Reg r) reg;
-        map (fun v -> Instr.Imm v) (int_range (-100000) 100000)
-      ]
-  in
-  let alu_op = oneofl Instr.[ Add; Sub; And; Or; Xor; Shl; Shr; Mul ] in
-  let cmp_op = oneofl Instr.[ Eq; Ne; Lt; Ge; Le; Gt ] in
-  let gen =
-    oneof
-      [ return Instr.Nop;
-        map3 (fun op (d, s1) s2 -> Instr.Alu { op; dst = d; src1 = s1; src2 = s2 })
-          alu_op (pair reg reg) operand;
-        map3 (fun op (d, s1) s2 -> Instr.Fpu { op; dst = d; src1 = s1; src2 = s2 })
-          alu_op (pair reg reg) operand;
-        map2 (fun d s -> Instr.Mov { dst = d; src = s }) reg operand;
-        map3
-          (fun (d, b) o s ->
-            Instr.Load { dst = d; base = b; offset = o * 8; speculative = s })
-          (pair reg reg) (int_range (-1000) 1000) bool;
-        map3 (fun (s, b) o () -> Instr.Store { src = s; base = b; offset = o * 8 })
-          (pair reg reg) (int_range 0 1000) unit;
-        map3 (fun op (d, s1) s2 -> Instr.Cmp { op; dst = d; src1 = s1; src2 = s2 })
-          cmp_op (pair reg reg) operand;
-        map3 (fun (c, d) s on -> Instr.Cmov { on; cond = c; dst = d; src = s })
-          (pair reg reg) operand bool
-      ]
-  in
-  QCheck2.Test.make ~name:"encode/decode roundtrip" ~count:500 gen
-    (fun i -> roundtrip i = i)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -482,12 +399,7 @@ let prop_assertconv_equivalent =
 
 let () =
   Alcotest.run "dbt extensions"
-    [ ( "encoding",
-        [ Alcotest.test_case "examples" `Quick test_encoding_examples;
-          Alcotest.test_case "errors" `Quick test_encoding_errors;
-          QCheck_alcotest.to_alcotest prop_encoding_roundtrip
-        ] );
-      ( "recover",
+    [ ( "recover",
         [ Alcotest.test_case "roundtrip" `Quick test_recover_roundtrip;
           Alcotest.test_case "semantics" `Quick test_recover_preserves_semantics;
           Alcotest.test_case "transformed workload" `Quick

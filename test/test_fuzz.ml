@@ -10,7 +10,6 @@
    - the Decomposed Branch Transformation preserves semantics on every
      shape-valid site at once, both functionally and through the machine. *)
 
-open Bv_isa
 open Bv_ir
 
 let gen_program seed = Bv_workloads.Fuzzgen.generate ~seed
@@ -108,29 +107,6 @@ let prop_transformed_lint_clean =
       lints_clean transformed
       && lints_clean (Recover.image (Layout.program transformed)))
 
-let prop_encoding_whole_images =
-  QCheck2.Test.make ~name:"whole images encode and decode losslessly"
-    ~count:60 seeds
-    (fun seed ->
-      let img = Layout.program (gen_program seed) in
-      let resolve l = Layout.resolve img l in
-      (* invert the label table *)
-      let by_pc = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun l pc -> if not (Hashtbl.mem by_pc pc) then Hashtbl.add by_pc pc l)
-        img.Layout.labels;
-      let label_of pc = Hashtbl.find by_pc pc in
-      Array.for_all
-        (fun i ->
-          let w = Encoding.encode ~resolve i in
-          let back = Encoding.decode ~label_of w in
-          (* compare via resolved targets (labels may alias per pc) *)
-          match (Instr.branch_target i, Instr.branch_target back) with
-          | None, None -> i = back
-          | Some a, Some b -> resolve a = resolve b
-          | _ -> false)
-        img.Layout.code)
-
 let () =
   Alcotest.run "fuzz"
     [ ( "whole-program properties",
@@ -140,7 +116,6 @@ let () =
             prop_scheduler_preserves_programs;
             prop_recover_roundtrip;
             prop_transform_all_sites;
-            prop_transformed_lint_clean;
-            prop_encoding_whole_images
+            prop_transformed_lint_clean
           ] )
     ]

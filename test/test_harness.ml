@@ -276,33 +276,45 @@ let contains ~sub text =
   in
   at 0
 
-(* A width the machine does not come in, or a negative fuzz count, is a
-   usage error (exit 124) that names the value, not an uncaught
-   exception. *)
+(* A width the machine does not come in, an input it has not got, an
+   unknown benchmark or a negative fuzz count is a usage error (exit
+   124) that names the value before any work, not an uncaught exception
+   or a run on made-up input. *)
 let test_numeric_options_rejected () =
   List.iter
-    (fun (args, value) ->
+    (fun (args, names) ->
       let what = String.concat " " args in
       let code, stdout, stderr = Cli.run ~env:[ "BV_SCALE=0.05" ] args in
       Alcotest.(check int) (Printf.sprintf "%s exits 124 (%S)" what stderr)
         124 code;
       Alcotest.(check string) (what ^ ": no output") "" stdout;
       Alcotest.(check bool)
-        (Printf.sprintf "%s: names %s (%S)" what value stderr)
+        (Printf.sprintf "%s: names %s (%S)" what names stderr)
         true
-        (contains ~sub:("got " ^ value) stderr))
-    [ ([ "run"; "-b"; "gobmk"; "-w"; "3" ], "3");
-      ([ "report"; "-b"; "gobmk"; "-w"; "5" ], "5");
-      ([ "trace"; "-b"; "gobmk"; "-w"; "16" ], "16");
-      ([ "advise"; "-b"; "gobmk"; "--validate"; "-w"; "1" ], "1");
-      ([ "prove"; "--fuzz=-1" ], "-1");
-      ([ "advise"; "--fuzz=-2" ], "-2")
+        (contains ~sub:names stderr))
+    [ ([ "run"; "-b"; "gobmk"; "-w"; "3" ], "got 3");
+      ([ "report"; "-b"; "gobmk"; "-w"; "5" ], "got 5");
+      ([ "trace"; "-b"; "gobmk"; "-w"; "16" ], "got 16");
+      ([ "advise"; "-b"; "gobmk"; "--validate"; "-w"; "1" ], "got 1");
+      ([ "prove"; "--fuzz=-1" ], "got -1");
+      ([ "advise"; "--fuzz=-2" ], "got -2");
+      ([ "run"; "-b"; "gcc"; "--input=9" ], "got 9");
+      ([ "run"; "-b"; "gcc"; "--input=-5" ], "got -5");
+      ([ "report"; "-b"; "gcc"; "-i"; "3" ], "got 3");
+      ([ "run"; "-b"; "nosuch" ], "unknown benchmark nosuch");
+      ([ "lint"; "-b"; "nosuch" ], "unknown benchmark nosuch");
+      ([ "prove"; "-b"; "nosuch"; "-b"; "mcf" ], "unknown benchmark nosuch");
+      ([ "summaries"; "-b"; "gcc"; "-b"; "nosuch" ], "unknown benchmark nosuch")
     ];
   let code, _, stderr =
     Cli.run ~env:[ "BV_SCALE=0.05" ]
       [ "trace"; "-b"; "gobmk"; "-w"; "2"; "-n"; "5" ]
   in
   Alcotest.(check int) (Printf.sprintf "-w 2 accepted (%S)" stderr) 0 code;
+  let code, _, stderr =
+    Cli.run ~env:[ "BV_SCALE=0.05" ] [ "run"; "-b"; "gcc"; "-i"; "2" ]
+  in
+  Alcotest.(check int) (Printf.sprintf "-i 2 accepted (%S)" stderr) 0 code;
   let code, _, stderr = Cli.run ~env:[] [ "prove"; "--fuzz=1" ] in
   Alcotest.(check int) (Printf.sprintf "--fuzz=1 accepted (%S)" stderr) 0 code
 
@@ -388,6 +400,101 @@ let test_table2_row_golden () =
   check_golden ~file:"table2_row_tiny.json" ~what:"Table 2 row"
     (Metrics.row_to_json (table2_row (Lazy.force bench)))
 
+(* Every text-mode subcommand and the input errors, pinned by the MD5 of
+   exit code, stdout and stderr at BV_SCALE=0.05 with the store off. The
+   CLI runs from the build tree's root, so the example paths it prints
+   do not depend on where the suite runs. *)
+let text_invocations =
+  let ex file = "examples/" ^ file in
+  let bva = [ ex "assert_straightened.bva"; ex "decomposed.bva" ] in
+  [ [ "list" ];
+    [ "profile"; "-b"; "astar" ];
+    [ "transform"; "-b"; "omnetpp"; "--disasm" ];
+    [ "disasm"; "-b"; "mcf" ];
+    [ "dot"; "-b"; "gcc" ];
+    [ "dot"; "--callgraph"; "--transformed"; "-b"; "gcc" ];
+    [ "trace"; "-b"; "perlbench"; "-n"; "40" ];
+    [ "trace"; "-b"; "perlbench"; "-n"; "40"; "--transformed" ];
+    [ "lint"; "-b"; "gcc" ];
+    [ "lint"; "--suites" ];
+    "lint" :: bva;
+    "prove" :: bva;
+    [ "prove"; ex "decomposed.bva"; "-b"; "mcf"; "--fuzz"; "5" ];
+    [ "summaries"; "-b"; "perlbench" ];
+    [ "summaries"; ex "decomposed.bva" ];
+    [ "assemble"; ex "decomposed.bva"; "--run" ];
+    [ "advise"; "-b"; "gcc"; "--top"; "5" ];
+    [ "report"; "-b"; "gcc" ];
+    [ "run"; "-b"; "perlbench" ];
+    [ "lint" ];
+    [ "prove" ];
+    [ "advise" ];
+    [ "summaries" ];
+    [ "lint"; "examples" ];
+    [ "dag"; "status" ]
+  ]
+
+let test_text_digests () =
+  let root = Filename.dirname (Filename.dirname (Cli.exe ())) in
+  check_golden ~file:"cli_text_digests.json" ~what:"text digests"
+    (Bv_obs.Json.Obj
+       (List.map
+          (fun args ->
+            let code, out, err =
+              Cli.run ~cwd:root ~env:[ "BV_SCALE=0.05" ] args
+            in
+            ( String.concat " " args,
+              Bv_obs.Json.String
+                (Digest.to_hex
+                   (Digest.string
+                      (String.concat "\000" [ string_of_int code; out; err ])))
+            ))
+          text_invocations))
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A report's [dag] object comes last and counts every node the command
+   evaluated: on a fresh store, run --json misses gobmk's prepare and
+   summary nodes, and report mcf's prepare node, one sim node per side
+   and its summary node. *)
+let test_dag_counts_every_node () =
+  List.iter
+    (fun (args, nodes) ->
+      let what = String.concat " " args in
+      let store = Filename.temp_dir "bv_dag" "" in
+      let code, out, err =
+        Fun.protect
+          ~finally:(fun () -> remove_tree store)
+          (fun () ->
+            Cli.run
+              ~env:[ "BV_SCALE=0.05"; "BV_CACHE=" ^ store ]
+              (args @ [ "--json"; "-" ]))
+      in
+      Alcotest.(check int) (Printf.sprintf "%s exits 0 (%s)" what err) 0 code;
+      match Bv_obs.Json.of_string out with
+      | Ok (Bv_obs.Json.Obj fields) ->
+        Alcotest.(check string) (what ^ ": dag last") "dag"
+          (fst (List.nth fields (List.length fields - 1)));
+        let dag = List.assoc "dag" fields in
+        List.iter
+          (fun counter ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "%s: dag %s" what counter)
+              (Some nodes)
+              (match Bv_obs.Json.member counter dag with
+              | Some (Bv_obs.Json.Int n) -> Some n
+              | _ -> None))
+          [ "nodes"; "misses" ]
+      | _ -> Alcotest.failf "%s: not a JSON object: %s" what out)
+    [ ([ "run"; "-b"; "gobmk" ], 2); ([ "report"; "-b"; "mcf" ], 4) ]
+
 let prop_geomean_between_min_max =
   QCheck2.Test.make ~name:"geomean between min and max" ~count:200
     QCheck2.Gen.(list_size (int_range 1 10) (float_range 0.1 10.0))
@@ -422,7 +529,10 @@ let () =
             test_advise_validate_golden;
           Alcotest.test_case "experiment dbb runahead abl-pred" `Slow
             test_experiment_golden;
-          Alcotest.test_case "table2 row" `Slow test_table2_row_golden
+          Alcotest.test_case "table2 row" `Slow test_table2_row_golden;
+          Alcotest.test_case "text digests" `Slow test_text_digests;
+          Alcotest.test_case "dag counts every node" `Slow
+            test_dag_counts_every_node
         ] );
       ( "experiments",
         [ Alcotest.test_case "registry" `Quick test_experiments_registry ] );

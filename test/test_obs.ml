@@ -89,6 +89,38 @@ let test_accessors () =
     (List.length (Json.to_list (Option.get (Json.member "b" v))));
   Alcotest.(check int) "to_list non-list" 0 (List.length (Json.to_list v))
 
+(* A document several chunks long, nested, with one string longer than
+   a chunk, reaches the channel byte for byte as [to_string] renders
+   it. *)
+let test_to_channel_chunks () =
+  let v =
+    Json.Obj
+      [ ( "rows",
+          Json.List
+            (List.init 3000 (fun i ->
+                 Json.Obj
+                   [ ("i", Json.Int i);
+                     ("xs", Json.List [ Json.Float 0.5; Json.String "a\tb" ])
+                   ])) );
+        ("long", Json.String (String.make 100_000 'x'))
+      ]
+  in
+  List.iter
+    (fun indent ->
+      let want = Json.to_string ~indent v ^ "\n" in
+      let path = Filename.temp_file "bv_json" ".json" in
+      Out_channel.with_open_bin path (fun oc -> Json.to_channel ~indent oc v);
+      let got = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      Alcotest.(check bool)
+        (Printf.sprintf "over two chunks (%d bytes)" (String.length want))
+        true
+        (String.length want > 2 * 65536);
+      Alcotest.(check bool)
+        (Printf.sprintf "indent %b: bytes equal" indent)
+        true (got = want))
+    [ true; false ]
+
 (* --------------------------------------------------------- stats golden *)
 
 let test_stats_golden () =
@@ -631,7 +663,9 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_roundtrip;
           Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
-          Alcotest.test_case "accessors" `Quick test_accessors
+          Alcotest.test_case "accessors" `Quick test_accessors;
+          Alcotest.test_case "to_channel in chunks" `Quick
+            test_to_channel_chunks
         ] );
       ( "stats",
         [ Alcotest.test_case "golden to_json" `Quick test_stats_golden;
