@@ -55,9 +55,10 @@ let fuzz_arg doc =
   Arg.(value & opt (some non_negative) None & info [ "fuzz" ] ~docv:"N" ~doc)
 
 let dbb_arg doc =
-  Arg.(value & opt int 16 & info [ "dbb" ] ~docv:"ENTRIES" ~doc)
+  Arg.(value & opt positive 16 & info [ "dbb" ] ~docv:"ENTRIES" ~doc)
 
-let top_arg doc = Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+let top_arg doc =
+  Arg.(value & opt non_negative 10 & info [ "top" ] ~docv:"N" ~doc)
 
 let width_arg =
   let doc = "Machine width: 2, 4 or 8." in
@@ -169,7 +170,9 @@ let text_ppf json =
    error, or the parse or validation error at its line. *)
 let read_program path =
   match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
+  | exception Sys_error e ->
+    (* an open error names the file already; a read error does not *)
+    Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
   | text -> (
     match Asm.program text with
     | exception Asm.Parse_error (line, msg) ->
@@ -690,7 +693,7 @@ let trace_cmd =
     0
   in
   let rows_arg =
-    Arg.(value & opt int 60 & info [ "n"; "rows" ]
+    Arg.(value & opt positive 60 & info [ "n"; "rows" ]
            ~doc:"Instructions to trace.")
   in
   Cmd.v
@@ -762,8 +765,10 @@ let lint_cmd =
           if diags = [] then Format.printf "%s: clean@." name
           else print_diagnostics name diags)
         results;
-      Format.printf "%d target(s): %d error(s), %d warning(s), %d info(s)@."
-        (List.length results) errors warnings infos);
+      if results <> [] then
+        Format.printf
+          "%d target(s): %d error(s), %d warning(s), %d info(s)@."
+          (List.length results) errors warnings infos);
     diagnostics_status ~failed:!failed ~werror tally
   in
   Cmd.v
@@ -880,15 +885,16 @@ let prove_cmd =
         ]
     | None ->
       List.iter (fun (name, diags) -> print_diagnostics name diags) flagged;
-      Format.printf
-        "%d target(s) checked, %d proven clean: %d error(s), %d \
-         warning(s), %d info(s)@."
-        (List.length results) clean errors warnings infos);
+      if results <> [] then
+        Format.printf
+          "%d target(s) checked, %d proven clean: %d error(s), %d \
+           warning(s), %d info(s)@."
+          (List.length results) clean errors warnings infos);
     diagnostics_status ~failed:!failed ~werror tally
   in
   let max_paths_arg =
     Arg.(
-      value & opt int 4096
+      value & opt positive 4096
       & info [ "max-paths" ] ~docv:"N"
           ~doc:
             "Symbolic-path budget per cutpoint region; overflow is \

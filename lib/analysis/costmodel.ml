@@ -50,160 +50,29 @@ type site_cost =
     code_growth : int
   }
 
-(* Backward closure of [src] through the block body — the same slice the
-   transformation sinks into the resolution blocks. *)
-let condition_slice body ~src =
-  let rev = List.rev body in
-  let _, slice_rev, rest_rev =
-    List.fold_left
-      (fun (need, slice, rest) instr ->
-        let defs = Regset.of_list (Instr.defs instr) in
-        if not (Regset.is_empty (Regset.inter defs need)) then
-          let need =
-            Regset.union (Regset.diff need defs)
-              (Regset.of_list (Instr.uses instr))
-          in
-          (need, instr :: slice, rest)
-        else (need, slice, instr :: rest))
-      (Regset.singleton src, [], [])
-      rev
-  in
-  (slice_rev, rest_rev)
+let rec take n = function
+  | x :: tl when n > 0 -> x :: take (n - 1) tl
+  | _ -> []
 
-(* Reason strings match the transformation's Skip messages so an advise
-   report and a transform's skip list agree verbatim. [may_alias]
-   (supplied only in summary mode, where the transform uses the same
-   oracle) relaxes the store-after-slice-load rule to stores that may
-   actually alias a preceding slice load: sinking the slice below the
-   block's remainder reorders each slice load past the stores after it,
-   which is observable only for overlapping accesses. *)
-let check_slice ?may_alias ~slice ~rest body =
-  let regs_of f =
-    List.fold_left
-      (fun s i -> Regset.union s (Regset.of_list (f i)))
-      Regset.empty
-  in
-  let slice_defs = regs_of Instr.defs slice in
-  let slice_uses = regs_of Instr.uses slice in
-  let exception Bad of string in
-  try
-    List.iter
-      (fun i ->
-        if List.exists (fun r -> Regset.mem r slice_defs) (Instr.uses i) then
-          raise
-            (Bad
-               (Printf.sprintf "non-slice instruction uses slice result: %s"
-                  (Instr.to_string i)));
-        if
-          List.exists
-            (fun r -> Regset.mem r slice_uses || Regset.mem r slice_defs)
-            (Instr.defs i)
-        then
-          raise
-            (Bad
-               (Printf.sprintf
-                  "non-slice instruction redefines slice register: %s"
-                  (Instr.to_string i))))
-      rest;
-    let slice_loads = ref [] in
-    List.iter
-      (fun i ->
-        match i with
-        | Instr.Load _ when List.memq i slice -> slice_loads := i :: !slice_loads
-        | Instr.Store _ when !slice_loads <> [] ->
-          let conflicts =
-            match may_alias with
-            | None -> true
-            | Some f -> List.exists (fun l -> f i l) !slice_loads
-          in
-          if conflicts then raise (Bad "store after a slice load")
-        | _ -> ())
-      body;
-    Ok ()
-  with Bad reason -> Error reason
-
-(* Mirror of the transformation's hoistable-prefix walk, counting instead
-   of rewriting: how many leading instructions of a successor body hoist
-   into the resolution block, how many destinations need scratch
-   temporaries (live on the alternate path, or feeding the resolve), and
-   how many conditional moves need a seed copy for a fresh temporary.
-   Stops at the first store, at [max_hoist] placed instructions, or when
-   the scratch pool runs dry — exactly where the transform stops. *)
-let hoist_counts ~max_hoist ~temp_slots ~must_rename body =
-  let renamed = Hashtbl.create 8 in
-  let temps = ref temp_slots in
-  let seeds = ref 0 in
-  let fresh_for r =
-    if Hashtbl.mem renamed (Reg.index r) then Some false
-    else if not (must_rename r) then Some false
-    else if !temps = 0 then None
-    else begin
-      decr temps;
-      Hashtbl.replace renamed (Reg.index r) ();
-      Some true
-    end
-  in
-  let rec go taken prefix = function
-    | instr :: rest when taken < max_hoist -> (
-      let continue dst =
-        match fresh_for dst with
-        | None -> List.rev prefix
-        | Some _ -> go (taken + 1) (instr :: prefix) rest
-      in
-      match instr with
-      | Instr.Store _ -> List.rev prefix
-      | Instr.Alu { dst; _ } | Instr.Fpu { dst; _ } | Instr.Cmp { dst; _ }
-      | Instr.Mov { dst; _ } | Instr.Load { dst; _ } ->
-        continue dst
-      | Instr.Cmov { dst; _ } -> (
-        if Hashtbl.mem renamed (Reg.index dst) then
-          go (taken + 1) (instr :: prefix) rest
-        else
-          match fresh_for dst with
-          | None -> List.rev prefix
-          | Some fresh ->
-            if fresh then incr seeds;
-            go (taken + 1) (instr :: prefix) rest)
-      | Instr.Nop -> go taken (instr :: prefix) rest
-      | Instr.Branch _ | Instr.Jump _ | Instr.Call _ | Instr.Ret
-      | Instr.Predict _ | Instr.Resolve _ | Instr.Halt ->
-        List.rev prefix)
-    | _ -> List.rev prefix
-  in
-  let prefix = go 0 [] body in
-  (prefix, Hashtbl.length renamed, !seeds)
-
-let side_cost ~may_alias ~max_hoist ~temp_slots ~must_rename ~slice body =
-  let prefix, renamed, seeds =
-    hoist_counts ~max_hoist ~temp_slots ~must_rename body
-  in
+(* The rewrite's own hoist decisions, counted: where the prefix stops,
+   how many destinations take scratch registers and how many of those
+   need a seed copy. *)
+let side_cost ~may_alias ~max_hoist ~must_rename ~slice body =
+  let p = Hammock.hoistable_prefix ~max_hoist ~must_rename body in
+  let prefix = take p.Hammock.length body in
   (* Heights are measured on the original registers: renaming is a pure
      substitution and seed moves are zero-height copies, so the shape of
      the dependence DAG is unchanged. *)
-  { prefix = List.length prefix;
-    renamed;
-    seeds;
+  { prefix = p.Hammock.length;
+    renamed = List.length p.Hammock.renames;
+    seeds =
+      List.fold_left
+        (fun n rn -> if rn.Hammock.seeded then n + 1 else n)
+        0 p.Hammock.renames;
     prefix_height = Bv_sched.Sched.critical_path_cycles ~may_alias prefix;
     merged_height =
       Bv_sched.Sched.critical_path_cycles ~may_alias (slice @ prefix)
   }
-
-(* Structural preconditions of the rewrite, mirroring candidate
-   selection: a hammock of distinct, non-entry, single-predecessor
-   successors, neither looping straight back to the branch block. The
-   three are block numbers of [g]. *)
-let shape_reason (g : Cfg.t) ~block ~taken ~not_taken =
-  let is_entry b = Label.equal (Cfg.label g b) g.Cfg.proc.Proc.entry in
-  if taken = not_taken then Some "successors are not distinct"
-  else if taken = block || not_taken = block then
-    Some "successor loops back to the branch block"
-  else if is_entry taken || is_entry not_taken then
-    Some "successor is the procedure entry"
-  else if Array.length g.Cfg.preds.(taken) > 1 then
-    Some "taken successor has multiple predecessors"
-  else if Array.length g.Cfg.preds.(not_taken) > 1 then
-    Some "not-taken successor has multiple predecessors"
-  else None
 
 let classify (g : Cfg.t) ~loops ~cfg_forward ~slice block =
   let lab = block.Block.label in
@@ -252,8 +121,7 @@ let classify (g : Cfg.t) ~loops ~cfg_forward ~slice block =
         else Data_dependent
       end
 
-let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
-    proc =
+let analyze_proc ?(max_hoist = 16) ?exit_live ?summaries proc =
   let g = Cfg.make proc in
   let call_mod = Option.map Summary.call_mod summaries in
   let alias = Alias.analyze ?call_mod g in
@@ -293,29 +161,19 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
       let block = g.Cfg.blocks.(b) in
       match block.Block.term with
       | Term.Branch { src; taken; not_taken; id; _ } ->
-        let slice, rest = condition_slice block.Block.body ~src in
+        let slice, rest = Hammock.condition_slice ~src block.Block.body in
         let forward = Cfg.is_forward_branch g b in
         let ineligible =
-          match
-            shape_reason g ~block:b ~taken:g.Cfg.succs.(b).(0)
-              ~not_taken:g.Cfg.succs.(b).(1)
-          with
+          match Hammock.shape_reason g b with
           | Some r -> Some r
-          | None -> (
-            match
-              check_slice ?may_alias:slice_alias ~slice ~rest block.Block.body
-            with
-            | Ok () -> None
-            | Error r -> Some r)
-        in
-        let must_rename ~alternate r =
-          Liveness.Regset.mem r (Liveness.live_in live alternate)
-          || Reg.equal r src
+          | None ->
+            Hammock.slice_hazard ?may_alias:slice_alias ~slice ~rest
+              block.Block.body
         in
         let side_of ~self ~alternate =
-          side_cost ~may_alias ~max_hoist ~temp_slots
-            ~must_rename:(must_rename ~alternate) ~slice
-            g.Cfg.blocks.(self).Block.body
+          side_cost ~may_alias ~max_hoist
+            ~must_rename:(Hammock.must_rename live ~src ~alternate)
+            ~slice g.Cfg.blocks.(self).Block.body
         in
         let nt = side_of ~self:g.Cfg.succs.(b).(1) ~alternate:taken in
         let t = side_of ~self:g.Cfg.succs.(b).(0) ~alternate:not_taken in
@@ -347,9 +205,9 @@ let analyze_proc ?(max_hoist = 16) ?(temp_slots = 16) ?exit_live ?summaries
       | _ -> None)
     (List.init (Cfg.size g) Fun.id)
 
-let analyze ?max_hoist ?temp_slots ?exit_live ?summaries program =
+let analyze ?max_hoist ?exit_live ?summaries program =
   List.concat_map
-    (analyze_proc ?max_hoist ?temp_slots ?exit_live ?summaries)
+    (analyze_proc ?max_hoist ?exit_live ?summaries)
     program.Program.procs
 
 let side_to_json s =

@@ -10,12 +10,13 @@
       so a provably-disjoint store does not inflate the slice's height.
       The height is the static analogue of the paper's resolution slack:
       how long the resolve trails the predict;
-    - per successor side, the store-free {e hoistable prefix} exactly as
-      {!hoistable} mirrors the transformation's own rules (renamed
-      destinations, conditional-move seed copies, the scratch-pool
-      bound), its standalone dependence height, and the height of the
-      merged resolution-block body (slice plus prefix) — the difference
-      is the overlap a correct prediction buys;
+    - per successor side, the store-free {e hoistable prefix} as
+      {!Hammock.hoistable_prefix} decides it for the rewrite (where it
+      stops, which destinations take scratch registers, which
+      conditional moves need a seed copy), its standalone dependence
+      height, and the height of the merged resolution-block body (slice
+      plus prefix) — the difference is the overlap a correct prediction
+      buys;
     - a {e predictability class} from dominator/loop structure
       ({!Loops}): loop latches, loop exits, loop-invariant guards,
       data-dependent hammocks and straight-line code misbehave very
@@ -26,7 +27,8 @@
 
     Structural or slice-safety violations that would make the
     transformation skip the site are reported per site as an ineligibility
-    reason using the same wording as {!check_slice} / the transform. *)
+    reason: {!Hammock.shape_reason} or {!Hammock.slice_hazard}, the rules
+    {!Vanguard.Select} and the transformation apply. *)
 
 open Bv_isa
 open Bv_ir
@@ -83,34 +85,21 @@ type site_cost =
     code_growth : int  (** net static instructions added by the rewrite *)
   }
 
-val check_slice :
-  ?may_alias:(Instr.t -> Instr.t -> bool) ->
-  slice:Instr.t list -> rest:Instr.t list -> Instr.t list ->
-  (unit, string) result
-(** The transformation's slice-sinking safety test (same reasons,
-    verbatim): the remainder must not read or redefine slice registers,
-    and no store may follow a slice load. [may_alias] (summary mode
-    only) relaxes the last rule to stores that may alias a preceding
-    slice load. *)
-
 val analyze_proc :
-  ?max_hoist:int -> ?temp_slots:int -> ?exit_live:Reg.t list ->
-  ?summaries:Summary.env ->
+  ?max_hoist:int -> ?exit_live:Reg.t list -> ?summaries:Summary.env ->
   Proc.t -> site_cost list
 (** Cost every conditional branch of the procedure, in layout order.
-    [max_hoist] (default 16) and [temp_slots] (default 16, the scratch
-    pool size) bound the mirrored hoist; [exit_live] is the calling
-    convention used for the renaming liveness (default: all registers,
-    matching the transform). [summaries] (default absent — byte-identical
-    to the historical behaviour) feeds {!Alias.analyze}'s [call_mod]
-    hook so register intervals survive calls, and switches the
-    slice-safety test to the alias-checked store rule — the same two
-    relaxations {!Transform.apply}'s [~summaries] mode applies, so
-    eligibility verdicts keep agreeing verbatim. *)
+    [max_hoist] (default 16) caps the hoist as in the transformation;
+    [exit_live] is the calling convention used for the renaming liveness
+    (default: all registers, matching the transform). [summaries]
+    (default absent — byte-identical to the historical behaviour) feeds
+    {!Alias.analyze}'s [call_mod] hook so register intervals survive
+    calls, and switches the slice-safety test to the alias-checked store
+    rule — the same two relaxations {!Transform.apply}'s [~summaries]
+    mode applies, so eligibility verdicts keep agreeing. *)
 
 val analyze :
-  ?max_hoist:int -> ?temp_slots:int -> ?exit_live:Reg.t list ->
-  ?summaries:Summary.env ->
+  ?max_hoist:int -> ?exit_live:Reg.t list -> ?summaries:Summary.env ->
   Program.t -> site_cost list
 
 val to_json : site_cost -> Bv_obs.Json.t

@@ -67,8 +67,9 @@ let upward_exposed_uses b =
     if Regset.mem src defined then exposed else Regset.add src exposed
   | _ -> exposed
 
-(* Same backward closure as Transform.condition_slice: the in-block
-   instructions the resolve condition depends on. *)
+(* The same backward closure as Hammock.condition_slice: the in-block
+   instructions the resolve condition depends on. Derived here on its
+   own, since this pass checks the rewrite's output. *)
 let condition_slice body ~src =
   let _, slice, rest =
     List.fold_left

@@ -37,19 +37,14 @@ type result =
   }
 
 val apply :
-  ?max_hoist:int ->
-  ?temp_pool:Reg.t list ->
-  ?schedule:bool ->
-  ?verify:bool ->
   ?prove:bool ->
   ?exit_live:Reg.t list ->
-  ?summaries:Bv_analysis.Summary.env ->
   candidates:(Select.candidate * bool) list ->
   Program.t ->
   result
 (** Each candidate carries [likely_taken], usually
-    [taken_rate >= 0.5] from the profile. Preconditions match
-    {!Transform.apply} (hammock shape, sinkable slice), as do [verify],
-    [prove] (translation validation against the input program),
-    [summaries] (interprocedural mode — the same relaxations and
-    post-transform summary recomputation) and the other options. *)
+    [taken_rate >= 0.5] from the profile. The pass runs through
+    {!Transform.rewrite} with its defaults: the same scratch-register
+    clash check, site set-up and preconditions (sinkable slice),
+    scheduling and speculation-safety post-pass; [prove] (translation
+    validation against the input program) and [exit_live] as there. *)

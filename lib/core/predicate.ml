@@ -102,7 +102,7 @@ let convert_arm ~temps ~cond ~on ~null_sink body =
   in
   converted @ commits
 
-let transform_site ~temp_pool ~null_sink program candidate =
+let transform_site ~null_sink program candidate =
   let proc = Program.find_proc program candidate.Select.proc in
   let a = Proc.find_block proc candidate.Select.block in
   match a.Block.term with
@@ -114,9 +114,10 @@ let transform_site ~temp_pool ~null_sink program candidate =
       | Term.Jump jb, Term.Jump jc when Label.equal jb jc -> jb
       | _ -> raise (Skip "arms do not join at a common label")
     in
-    let n = List.length temp_pool in
-    let b_temps = List.filteri (fun i _ -> i < n / 2) temp_pool in
-    let c_temps = List.filteri (fun i _ -> i >= n / 2) temp_pool in
+    let pool = Bv_analysis.Hammock.scratch in
+    let n = List.length pool in
+    let b_temps = List.filteri (fun i _ -> i < n / 2) pool in
+    let c_temps = List.filteri (fun i _ -> i >= n / 2) pool in
     let b_conv =
       convert_arm ~temps:b_temps ~cond:src ~on:(not on) ~null_sink
         b.Block.body
@@ -139,21 +140,21 @@ let transform_site ~temp_pool ~null_sink program candidate =
     }
   | _ -> raise (Skip "terminator is not a conditional branch")
 
-let apply ?(temp_pool = Transform.default_temp_pool) ?(schedule = true)
-    ~null_sink ~candidates program =
+let apply ~null_sink ~candidates program =
   if null_sink < 0 || null_sink land 7 <> 0 then
     invalid_arg "Predicate.apply: null_sink must be a non-negative aligned \
                  byte address";
+  Bv_analysis.Hammock.check_scratch_unused ~caller:"Predicate.apply" program;
   let program = Program.copy program in
   let reports = ref [] in
   let skipped = ref [] in
   List.iter
     (fun cand ->
-      match transform_site ~temp_pool ~null_sink program cand with
+      match transform_site ~null_sink program cand with
       | report -> reports := report :: !reports
       | exception Skip reason ->
         skipped := (cand.Select.site, reason) :: !skipped)
     candidates;
-  if schedule then Bv_sched.Sched.schedule_program program;
+  Bv_sched.Sched.schedule_program program;
   Validate.check_exn program;
   { program; reports = List.rev !reports; skipped = List.rev !skipped }

@@ -31,14 +31,15 @@ type result =
   }
 
 val apply :
-  ?temp_pool:Reg.t list ->
-  ?schedule:bool ->
   null_sink:int ->
   candidates:Select.candidate list ->
   Program.t ->
   result
 (** [null_sink] is the byte address of a scratch memory word that absorbs
     stores from losing arms (must be 8-aligned, inside memory and unread by
-    the program). The temp pool is split between the two arms; sites whose
-    arms need more temporaries than available, or whose shape is not a
-    two-arm hammock with a common join, are skipped with a reason. *)
+    the program). Raises [Invalid_argument] when the program already uses
+    the scratch registers ({!Bv_analysis.Hammock.check_scratch_unused},
+    as {!Transform.apply} does). They are split between the two arms;
+    sites whose arms need more temporaries than available, or whose shape
+    is not a two-arm hammock with a common join, are skipped with a
+    reason. The result is list-scheduled (without an alias oracle). *)

@@ -25,20 +25,6 @@ let pbc t =
     *. Float.of_int (List.length t.candidates)
     /. Float.of_int t.static_forward_branches
 
-(* Structural preconditions of the transformation: a hammock-shaped forward
-   branch whose two successors are distinct ordinary blocks with this block
-   as their only predecessor. [b] is a block number of [g]. *)
-let shape_ok (g : Cfg.t) b =
-  match g.Cfg.blocks.(b).Block.term with
-  | Term.Branch { taken; not_taken; _ } ->
-    let t = g.Cfg.succs.(b).(0) and nt = g.Cfg.succs.(b).(1) in
-    t <> nt && t <> b && nt <> b
-    && (not (Label.equal taken g.Cfg.proc.Proc.entry))
-    && (not (Label.equal not_taken g.Cfg.proc.Proc.entry))
-    && Array.length g.Cfg.preds.(t) = 1
-    && Array.length g.Cfg.preds.(nt) = 1
-  | _ -> false
-
 let select ?(threshold = 0.05) ?(min_executed = 100) ~profile program =
   let candidates = ref [] in
   let forward = ref 0 in
@@ -53,7 +39,8 @@ let select ?(threshold = 0.05) ?(min_executed = 100) ~profile program =
             incr forward;
             match block.Block.term with
             | Term.Branch { id; _ } ->
-              if not (shape_ok g b) then incr rejected_shape
+              if Bv_analysis.Hammock.shape_reason g b <> None then
+                incr rejected_shape
               else begin
                 match Profile.find profile id with
                 | None -> incr rejected_heuristic

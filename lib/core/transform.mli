@@ -53,31 +53,9 @@ type result =
   }
 
 val default_temp_pool : Reg.t list
-(** r48–r63: the DBT-context scratch registers (paper §2.2's "additional
-    registers to hold speculative values"). Programs eligible for the
-    transformation must not use them. *)
-
-val split_condition_slice :
-  ?may_alias:(Instr.t -> Instr.t -> bool) ->
-  src:Bv_isa.Reg.t ->
-  Instr.t list ->
-  (Instr.t list * Instr.t list, string) Stdlib.result
-(** [(slice, remainder)] of a block body: the backward dependence closure
-    of [src] and what stays above the predict point. [Error reason] when
-    sinking the slice would be unsafe (a remainder instruction reads or
-    redefines slice registers, or a store follows a slice load).
-    [may_alias] (summary mode only) relaxes the store rule to stores that
-    may alias a preceding slice load. Exposed for the assert-conversion
-    pass, which sinks slices the same way. *)
-
-val split_hoistable_prefix :
-  max_hoist:int ->
-  temp_pool:Reg.t list ->
-  must_rename:(Reg.t -> bool) ->
-  Instr.t list ->
-  Instr.t list * Instr.t list * Instr.t list * Instr.t list
-(** [(original prefix, speculative renamed prefix, commit moves, rest)] of
-    a successor body (loads in the speculative copy are non-faulting). *)
+(** {!Bv_analysis.Hammock.scratch}, r48–r63: the scratch registers that
+    hold renamed hoisted values. Programs eligible for the transformation
+    must not use them. *)
 
 val phi : site_report -> float
 (** Percent of the successor blocks' instructions that were hoistable for
@@ -93,38 +71,88 @@ val alias_oracle :
 
 val apply :
   ?max_hoist:int ->
-  ?temp_pool:Reg.t list ->
   ?schedule:bool ->
-  ?verify:bool ->
   ?prove:bool ->
   ?exit_live:Reg.t list ->
-  ?select:(Select.candidate -> bool) ->
   ?summaries:Bv_analysis.Summary.env ->
   candidates:Select.candidate list ->
   Program.t ->
   result
-(** [max_hoist] caps the hoisted prefix per successor (default 16).
-    [select] (default: keep everything) filters the candidate list —
-    typically {!Bv_analysis.Advisor}'s recommendation set; a candidate it
-    drops lands in [skipped] with reason ["deselected"] and the program
-    is not touched at that site.
-    [schedule] (default true) re-runs the list scheduler — alias-aware,
-    via {!alias_oracle} — on the program afterwards. [verify] (default
-    true) runs the speculation-safety verifier
-    ({!Bv_analysis.Speculation}) as a debug post-pass and raises
+(** {!rewrite} with the decomposition above at each site. Raises
+    [Invalid_argument] when the program already uses
+    {!default_temp_pool}. *)
+
+(** {2 The shared rewrite}
+
+    {!apply} and {!Assertconv.apply} run through {!rewrite}. *)
+
+type site =
+  { proc : Proc.t;
+    block : Block.t;  (** [A], still ending in its branch *)
+    on : bool;  (** the branch's fields *)
+    src : Reg.t;
+    taken : Label.t;
+    not_taken : Label.t;
+    id : int;
+    slice : Instr.t list;  (** the condition slice, safe to sink *)
+    rest : Instr.t list;  (** what stays in [A] *)
+    live : Liveness.t;  (** of the procedure as it stands *)
+    max_hoist : int
+  }
+(** A branch site that passed the set-up: its condition slice may sink
+    below the predict ({!Bv_analysis.Hammock.slice_hazard}). *)
+
+val hoist :
+  site ->
+  alternate:Label.t ->
+  Instr.t list ->
+  Instr.t list * Instr.t list * Instr.t list * Instr.t list
+(** [(original prefix, speculative copy, commit moves, rest)] of a
+    successor body, built from {!Bv_analysis.Hammock.hoistable_prefix}'s
+    decisions: renamed destinations and the reads after them go to
+    their scratch registers, loads become non-faulting, a seed move
+    precedes each seeded conditional move, and one commit move per
+    scratch register copies it back. [alternate] is the other successor,
+    the one a wrong prediction reaches. *)
+
+val rewrite :
+  caller:string ->
+  ?max_hoist:int ->
+  ?schedule:bool ->
+  ?prove:bool ->
+  ?exit_live:Reg.t list ->
+  ?summaries:Bv_analysis.Summary.env ->
+  candidate:('c -> Select.candidate) ->
+  (site -> 'c -> 'r) ->
+  'c list ->
+  Program.t ->
+  Program.t * 'r list * (int * string) list
+(** [rewrite ~caller ~candidate convert candidates program] refuses a
+    program that already uses the scratch registers
+    ({!Bv_analysis.Hammock.check_scratch_unused}, naming [caller]), then
+    rewrites a deep copy. Each candidate's site is set up on the
+    procedure as it stands and handed to [convert], which rewrites it in
+    place; a site that fails the set-up (its terminator is not a
+    conditional branch, or its slice cannot sink) is skipped with the
+    reason. Returns the rewritten program, [convert]'s reports and the
+    skips, in candidate order.
+
+    [max_hoist] (default 16) caps the hoisted prefix per successor.
+    [schedule] (default true) re-runs the list scheduler afterwards,
+    alias-aware via {!alias_oracle}. The speculation-safety verifier
+    ({!Bv_analysis.Speculation}) always runs as a post-pass and raises
     [Invalid_argument] on any error-severity diagnostic. [prove]
     (default false: it symbolically executes every cutpoint region) runs
     the translation validator ({!Bv_analysis.Equiv}) against the input
     program and raises [Invalid_argument] on any counterexample.
-    [exit_live] is the calling convention: registers assumed
-    live at procedure exits for the renaming analysis (default: every
-    register — safe, but renames more than a compiler with knowledge of
-    the convention would). [summaries] (default absent — the historical
+    [exit_live] is the calling convention: registers assumed live at
+    procedure exits for the renaming analysis (default: every register —
+    safe, but renames more than a compiler with knowledge of the
+    convention would). [summaries] (default absent — the historical
     intra-procedural behaviour, byte-for-byte) applies the same two
     relaxations as {!Bv_analysis.Costmodel.analyze}'s summary mode —
     call-aware alias facts and the alias-checked slice store rule — and
-    threads summaries into scheduling and the {!Bv_analysis.Speculation}
-    post-pass, recomputing them on the transformed program first (a
-    transformed callee writes the scratch pool, which the input program's
-    summaries cannot know). Sites violating a safety precondition at
-    rewrite time are skipped and reported. *)
+    threads summaries into scheduling and the speculation post-pass,
+    recomputing them on the rewritten program first (a rewritten callee
+    writes the scratch registers, which the input program's summaries
+    cannot know). *)

@@ -179,6 +179,18 @@ module Release = struct
       t.cursor <- t.cursor + 1
     done;
     if t.cursor <= now then t.cursor <- now + 1
+
+  (* The earliest release cycle of an occupied entry, [max_int] if none.
+     Scans from the cursor, so call it only after a [drain]. *)
+  let next_release t =
+    if t.occupancy = 0 then max_int
+    else begin
+      let c = ref t.cursor in
+      while t.slots.(!c land t.mask) = 0 do
+        incr c
+      done;
+      !c
+    end
 end
 
 type t =

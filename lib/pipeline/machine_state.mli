@@ -162,6 +162,10 @@ module Release : sig
   val occupancy : t -> int
   val schedule : t -> at:int -> unit
   val drain : t -> now:int -> unit
+
+  val next_release : t -> int
+  (** The earliest cycle at which an occupied entry releases ([max_int]
+      when none is occupied). Valid after [drain]. *)
 end
 
 type t =

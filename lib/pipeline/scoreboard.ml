@@ -184,11 +184,14 @@ let issue st =
   done;
   (* Runahead-style prefetch under a full stall: walk younger loads and
      stores whose addresses are known (captured at fetch) and start
-     their fills. While [now] < [sweep_bound] every unprefetched memory
+     their fills. An entry whose line is in L1 needs none; one refused
+     for want of a free MSHR stays unprefetched, and a later sweep
+     retries it. While [now] < [sweep_bound] every unprefetched memory
      entry is known operand-blocked ([ready] cycles only rise outside
-     {!Machine_state.rebuild_scoreboard}, which resets the bound), so
-     the walk is a no-op and is skipped; a completed walk recomputes the
-     bound from the entries it leaves unprefetched. *)
+     {!Machine_state.rebuild_scoreboard}, which resets the bound) or
+     waiting for an MSHR to release, so the walk is a no-op and is
+     skipped; a completed walk recomputes the bound from the entries it
+     leaves unprefetched. *)
   if
     cfg.Config.runahead && !issued_now = 0
     && Ring.length st.fbuf > 0
@@ -207,9 +210,9 @@ let issue st =
             (* real runahead can only compute addresses whose inputs are
                available; chases behind pending loads stay opaque *)
             let addr = st.i_addr.(h) in
-            if
-              (not (Sa_cache.probe (Hierarchy.l1d st.hier) ~addr))
-              && Release.occupancy st.mshr_release < cfg.Config.mshrs
+            if Sa_cache.probe (Hierarchy.l1d st.hier) ~addr then
+              st.i_prefetch.(h) <- st.now
+            else if Release.occupancy st.mshr_release < cfg.Config.mshrs
             then begin
               let lat =
                 Hierarchy.data_access_latency st.hier ~addr ~write:false
@@ -220,7 +223,10 @@ let issue st =
                 st.stats.Stats.runahead_prefetches + 1;
               decr budget
             end
-            else st.i_prefetch.(h) <- st.now
+            else begin
+              let r = Release.next_release st.mshr_release in
+              if r < !bound then bound := r
+            end
           end
           else begin
             let r = readiness st si.s_uses in

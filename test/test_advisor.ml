@@ -193,46 +193,10 @@ let test_validate_golden_configs () =
   check_bench "golden-int" (Lazy.force bench_int) ~width:4 ~min_joined:5;
   check_bench "golden-mem" (Lazy.force bench_mem) ~width:8 ~min_joined:2
 
-let test_transform_select () =
-  (* ~select filters candidates; deselected sites are reported, the rest
-     transform normally, and goldens rely on the default keeping all. *)
-  let b = Lazy.force bench_int in
-  let advice = Runner.advise b in
-  let keep =
-    List.map
-      (fun r -> r.Advisor.cost.Costmodel.site)
-      advice.Advisor.recommended
-  in
-  let train = Gen.generate ~input:0 (Runner.spec b) in
-  let candidates = (Runner.selection b).Vanguard.Select.candidates in
-  let result =
-    Vanguard.Transform.apply ~exit_live:Gen.live_at_exit
-      ~select:(fun c -> List.mem c.Vanguard.Select.site keep)
-      ~candidates train
-  in
-  let deselected =
-    List.filter (fun (_, reason) -> reason = "deselected")
-      result.Vanguard.Transform.skipped
-  in
-  List.iter
-    (fun (site, _) ->
-      Alcotest.(check bool) "deselected site was not recommended" false
-        (List.mem site keep))
-    deselected;
-  List.iter
-    (fun (r : Vanguard.Transform.site_report) ->
-      Alcotest.(check bool) "transformed site was selected" true
-        (List.mem r.Vanguard.Transform.site keep
-        || not
-             (List.exists
-                (fun c -> c.Vanguard.Select.site = r.Vanguard.Transform.site)
-                candidates)))
-    result.Vanguard.Transform.reports
-
 (* A recommended site never trips the speculation verifier: transform
-   with the advisor's selection, verify on (the default) — any rejected
-   site would raise. Fuzz programs get a permissive profile so the
-   advisor sees many candidates. *)
+   only the advisor's selection (the verifier always runs, and any
+   rejected site would raise). Fuzz programs get a permissive profile so
+   the advisor sees many candidates. *)
 let prop_recommended_sites_verify =
   QCheck2.Test.make ~count:25 ~name:"advised selection passes the verifier"
     QCheck2.Gen.(int_range 0 500)
@@ -261,18 +225,17 @@ let prop_recommended_sites_verify =
           (fun r -> r.Advisor.cost.Costmodel.site)
           advice.Advisor.recommended
       in
-      let result =
-        Vanguard.Transform.apply
-          ~select:(fun c -> List.mem c.Vanguard.Select.site keep)
-          ~candidates:selection.Vanguard.Select.candidates prog
+      let advised =
+        List.filter
+          (fun c -> List.mem c.Vanguard.Select.site keep)
+          selection.Vanguard.Select.candidates
       in
-      (* A recommended candidate must transform cleanly: the cost model's
-         eligibility mirrors the transform's safety checks, so the only
-         skips are deselections. *)
-      List.for_all
-        (fun (site, reason) ->
-          reason = "deselected" || not (List.mem site keep))
-        result.Vanguard.Transform.skipped)
+      (* A recommended candidate must transform cleanly: the cost model
+         and the transform apply the same eligibility rules, so nothing
+         is skipped. *)
+      (Vanguard.Transform.apply ~candidates:advised prog)
+        .Vanguard.Transform.skipped
+      = [])
 
 let () =
   Alcotest.run "advisor"
@@ -284,8 +247,7 @@ let () =
         ] );
       ( "advise",
         [ Alcotest.test_case "golden-int ranking" `Quick
-            test_advise_golden_int;
-          Alcotest.test_case "transform select" `Quick test_transform_select
+            test_advise_golden_int
         ] );
       ( "validate",
         [ Alcotest.test_case "golden configs" `Slow

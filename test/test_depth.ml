@@ -174,9 +174,8 @@ let test_memory_latency_knob () =
   Alcotest.(check bool) "memory latency dominates" true
     (slow.Machine.stats.Stats.cycles > fast.Machine.stats.Stats.cycles * 2)
 
-let test_runahead_prefetch () =
-  (* strided misses over 16 MB with a serial compute chain: prefetching
-     under the stall must keep semantics and save cycles *)
+(* strided misses over 16 MB with a serial compute chain *)
+let strided_miss_image () =
   let body =
     [ Instr.Alu { op = Instr.Shl; dst = r 2; src1 = r 1; src2 = Instr.Imm 10 };
       ld 4 2 0;
@@ -184,7 +183,11 @@ let test_runahead_prefetch () =
       Instr.Alu { op = Instr.Mul; dst = r 7; src1 = r 7; src2 = Instr.Imm 3 }
     ]
   in
-  let img = loop_image ~mem_words:(1 lsl 21) ~n:400 body in
+  loop_image ~mem_words:(1 lsl 21) ~n:400 body
+
+let test_runahead_prefetch () =
+  (* prefetching under the stall must keep semantics and save cycles *)
+  let img = strided_miss_image () in
   let want = interp_digest img in
   let off = Machine.run ~config:Config.four_wide img in
   let on_cfg = { Config.four_wide with Config.runahead = true } in
@@ -200,6 +203,32 @@ let test_runahead_prefetch () =
     (on_res.Machine.stats.Stats.cycles < off.Machine.stats.Stats.cycles);
   Alcotest.(check int) "no prefetches when off" 0
     off.Machine.stats.Stats.runahead_prefetches
+
+let test_runahead_mshr_bound () =
+  (* The strided loop is a chain of misses to memory, so without
+     runahead the run costs their summed latency whatever the MSHR
+     count. A fill holds its MSHR for its whole latency: with [m] MSHRs
+     at most [m] fills overlap, so runahead can divide that cost by [m]
+     at most (10% slack for the overlapped compute). A prefetch refused
+     for want of an MSHR must not be charged as an L1 hit. *)
+  let img = strided_miss_image () in
+  let want = interp_digest img in
+  let cycles config =
+    let res = Machine.run ~config img in
+    Alcotest.(check int) "digest" want res.Machine.arch_digest;
+    res.Machine.stats.Stats.cycles
+  in
+  List.iter
+    (fun mshrs ->
+      let config = { Config.four_wide with Config.mshrs } in
+      let off = cycles config in
+      let on = cycles { config with Config.runahead = true } in
+      Alcotest.(check bool)
+        (Printf.sprintf "mshrs %d: runahead %d cycles, without %d" mshrs on
+           off)
+        true
+        (on * mshrs * 10 >= off * 9))
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------ predictors *)
 
@@ -417,7 +446,9 @@ let () =
           Alcotest.test_case "front depth" `Quick
             test_front_depth_raises_mispredict_cost;
           Alcotest.test_case "memory latency" `Quick test_memory_latency_knob;
-          Alcotest.test_case "runahead prefetch" `Quick test_runahead_prefetch
+          Alcotest.test_case "runahead prefetch" `Quick test_runahead_prefetch;
+          Alcotest.test_case "runahead under few MSHRs" `Quick
+            test_runahead_mshr_bound
         ] );
       ( "predictors",
         [ Alcotest.test_case "gshare aliasing" `Slow

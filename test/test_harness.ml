@@ -277,9 +277,10 @@ let contains ~sub text =
   at 0
 
 (* A width the machine does not come in, an input it has not got, an
-   unknown benchmark or a negative fuzz count is a usage error (exit
-   124) that names the value before any work, not an uncaught exception
-   or a run on made-up input. *)
+   unknown benchmark, a negative fuzz count, top count or row count, or
+   a DBB size or path budget below 1 is a usage error (exit 124) that
+   names the value before any work, not an uncaught exception, a run on
+   made-up input or a verdict on a machine that cannot exist. *)
 let test_numeric_options_rejected () =
   List.iter
     (fun (args, names) ->
@@ -304,7 +305,15 @@ let test_numeric_options_rejected () =
       ([ "run"; "-b"; "nosuch" ], "unknown benchmark nosuch");
       ([ "lint"; "-b"; "nosuch" ], "unknown benchmark nosuch");
       ([ "prove"; "-b"; "nosuch"; "-b"; "mcf" ], "unknown benchmark nosuch");
-      ([ "summaries"; "-b"; "gcc"; "-b"; "nosuch" ], "unknown benchmark nosuch")
+      ([ "summaries"; "-b"; "gcc"; "-b"; "nosuch" ], "unknown benchmark nosuch");
+      ( [ "lint"; "-b"; "gcc"; "--dbb=0" ],
+        "'--dbb': expected a positive integer, got 0" );
+      ( [ "prove"; "-b"; "mcf"; "--max-paths=0" ],
+        "'--max-paths': expected a positive integer, got 0" );
+      ( [ "report"; "-b"; "mcf"; "--top=-3" ],
+        "'--top': expected an integer >= 0, got -3" );
+      ( [ "trace"; "-b"; "perlbench"; "--rows=-5" ],
+        "'--rows': expected a positive integer, got -5" )
     ];
   let code, _, stderr =
     Cli.run ~env:[ "BV_SCALE=0.05" ]

@@ -179,15 +179,30 @@ let test_skip_slice_hazards () =
       && String.sub reason 0 9 = "non-slice"
     | _ -> false)
 
+(* A program that already writes a scratch register: every pass that
+   renames into the pool must refuse it, or the rewrite clobbers r48. *)
 let test_temp_pool_clash_rejected () =
   let prog =
     hammock_program
       ~b_body:(Some [ movi 48 1 ])
       ~n:8 (stream 8)
   in
-  (match Transform.apply ~candidates:[ candidate ~site:1 ] prog with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected temp-pool clash rejection")
+  let cand = candidate ~site:1 in
+  List.iter
+    (fun (what, apply) ->
+      match apply () with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: expected temp-pool clash rejection" what)
+    [ ( "Transform.apply",
+        fun () -> ignore (Transform.apply ~candidates:[ cand ] prog) );
+      ( "Assertconv.apply",
+        fun () -> ignore (Assertconv.apply ~candidates:[ (cand, false) ] prog)
+      );
+      ( "Predicate.apply",
+        fun () ->
+          ignore
+            (Predicate.apply ~null_sink:(255 * 8) ~candidates:[ cand ] prog) )
+    ]
 
 let test_phi_metric () =
   let report =
