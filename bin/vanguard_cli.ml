@@ -14,16 +14,23 @@ module Diagnostic = Bv_analysis.Diagnostic
 
 (* Converters that reject a value before any work, so it is a usage
    error (exit 124) naming the value rather than a failure mid-run. *)
-let int_conv ~expected accept =
+let checked_conv ~expected of_string print accept =
   let parse s =
-    match int_of_string_opt s with
+    match of_string s with
     | Some n when accept n -> Ok n
     | _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, print)
+
+let int_conv ~expected =
+  checked_conv ~expected int_of_string_opt Format.pp_print_int
 
 let positive = int_conv ~expected:"a positive integer" (fun n -> n > 0)
 let non_negative = int_conv ~expected:"an integer >= 0" (fun n -> n >= 0)
+
+let finite_non_negative =
+  checked_conv ~expected:"a finite number >= 0" Float.of_string_opt
+    Format.pp_print_float (fun f -> Float.is_finite f && f >= 0.0)
 
 let spec_conv =
   let parse name =
@@ -206,23 +213,21 @@ let transformed_program spec =
 let summaries_if interproc prog =
   if interproc then Some (Bv_analysis.Summary.compute prog) else None
 
-(* The --fuzz N corpus: N seeded programs (none without --fuzz), each a
-   [kind] DAG node keyed by its seed and [params], which must hold
-   everything [f] reads. [f] gets the seed, the params, the program and
-   its profile under an always-not-taken predictor, which makes every
-   branch a candidate. *)
-let fuzz_corpus ~kind fuzz params f =
-  Sim.dag_map (Sim.the ()) ~kind
-    ~label:(fun (seed, _) -> Printf.sprintf "seed%d" seed)
-    (fun (seed, params) ->
+(* [f] over the --fuzz N corpus (empty without --fuzz), fanned out
+   across the session's workers: each seed, its program and the
+   program's profile under an always-not-taken predictor, which makes
+   every branch a candidate. *)
+let fuzz_corpus fuzz f =
+  Sim.map (Sim.the ())
+    (fun seed ->
       let prog = Fuzzgen.generate ~seed in
       let profile =
         Bv_profile.Profile.collect
           ~predictor:(Kind.create Kind.Always_not_taken)
           (Layout.program (Program.copy prog))
       in
-      f seed params prog profile)
-    (List.init (Option.value fuzz ~default:0) (fun seed -> (seed, params)))
+      f seed prog profile)
+    (List.init (Option.value fuzz ~default:0) Fun.id)
 
 (* ---------------------------------------------------------- diagnostics *)
 
@@ -249,28 +254,8 @@ let diagnostics_status ~failed ~werror (errors, warnings, _) =
 
 (* ------------------------------------------------------- interprocedural *)
 
-(* Summaries are content-hash cached in the session's DAG store under
-   the "summary" kind, keyed by the whole program: the summaries
-   subcommand and the summary-stats field of the --json emitters all
-   route through this node, so a re-run on an unchanged program is a
-   warm hit. *)
-let summary_node name prog =
-  match
-    Sim.dag_map (Sim.the ()) ~kind:"summary"
-      ~label:(fun (n, _) -> n)
-      (fun ((_ : string), prog) ->
-        let env = Bv_analysis.Summary.compute prog in
-        ( Bv_analysis.Summary.procs env,
-          Bv_analysis.Summary.stats_json env,
-          Bv_analysis.Summary.to_json env ))
-      [ (name, prog) ]
-  with
-  | [ node ] -> node
-  | _ -> assert false
-
-let summary_stats name prog =
-  let _, stats, _ = summary_node name prog in
-  stats
+let summary_stats prog =
+  Bv_analysis.Summary.stats_json (Bv_analysis.Summary.compute prog)
 
 (* ["summary_stats"] of each benchmark's TRAIN program, by name. *)
 let bench_summary_stats specs =
@@ -278,8 +263,7 @@ let bench_summary_stats specs =
     Json.Obj
       (List.map
          (fun spec ->
-           let name = spec.Spec.name in
-           (name, summary_stats name (Gen.generate ~input:0 spec)))
+           (spec.Spec.name, summary_stats (Gen.generate ~input:0 spec)))
          specs) )
 
 (* ----------------------------------------------------------------- list *)
@@ -367,8 +351,7 @@ let run_cmd =
       in
       write_report path
         (bench_fields spec ~width predictor ("input", Json.Int input)
-        @ [ ( "summary_stats",
-              summary_stats spec.Spec.name (Gen.generate ~input spec) );
+        @ [ ("summary_stats", summary_stats (Gen.generate ~input spec));
             ("speedup_pct", Json.float speedup);
             ("baseline", side base bo);
             ("experimental", side exp eo)
@@ -522,8 +505,7 @@ let report_cmd =
             ("vanguard", Acct.to_json exp);
             ("sites", List (List.map site_json ranked));
             ( "summary_stats",
-              summary_stats spec.Spec.name
-                (Gen.generate ~input:(List.hd inputs) spec) )
+              summary_stats (Gen.generate ~input:(List.hd inputs) spec) )
           ]));
     0
   in
@@ -755,7 +737,7 @@ let lint_cmd =
               (List.map
                  (fun ((name, prog), diags) ->
                    target_json name
-                     [ ("summary_stats", summary_stats name prog) ]
+                     [ ("summary_stats", summary_stats prog) ]
                      diags)
                  results) )
         ]
@@ -802,14 +784,11 @@ let prove_cmd =
         (fun (path, prog) -> (path, Equiv.verify_self ~scratch ~max_paths prog))
         (load_files failed files)
     in
-    (* Each bench proof and each fuzz seed is a DAG node: proofs fan out
-       across the session's workers, persist in the store, and re-prove
-       nothing on an unchanged re-run. The verdict diagnostics are plain
-       data, so the store holds them whole. *)
+    (* Bench proofs and fuzz seeds fan out across the session's workers;
+       the verdict diagnostics are plain data. *)
     let bench_results =
-      Sim.dag_map (Sim.the ()) ~kind:"prove"
-        ~label:(fun (spec, _, _) -> spec.Spec.name)
-        (fun (spec, max_paths, interproc) ->
+      Sim.map (Sim.the ())
+        (fun spec ->
           (* the harness transforms the TRAIN program of the bench
              record's (BV_SCALE-scaled) spec; regenerate it from that
              spec as the reference and validate the transform output
@@ -834,11 +813,10 @@ let prove_cmd =
               Equiv.verify_self ~scratch ~exit_live:Gen.live_at_exit
                 ~max_paths transformed )
           ])
-        (List.map (fun spec -> (spec, max_paths, interproc)) specs)
+        specs
     in
     let fuzz_results =
-      fuzz_corpus ~kind:"prove-fuzz" fuzz (max_paths, interproc)
-        (fun _ (max_paths, interproc) prog profile ->
+      fuzz_corpus fuzz (fun _ prog profile ->
           let candidates =
             (Vanguard.Select.select ~threshold:(-2.0) ~min_executed:0
                ~profile prog)
@@ -1027,14 +1005,12 @@ let advise_cmd =
     let config = { Advisor.default_config with Advisor.dbb_entries = dbb } in
     let sim = Sim.the () in
     let inputs = if all then Runner.input_indices () else [ 1 ] in
-    (* Prepare, advise and (optionally) validate are DAG nodes — one per
-       target, keyed by everything the verdict depends on — fanned out
-       across the session's workers. Everything a worker returns is
-       plain marshal-safe data. *)
+    (* Prepare, advise and (optionally) validate, one target per item,
+       fanned out across the session's workers. Everything a worker
+       returns is plain marshal-safe data. *)
     let results =
-      Sim.dag_map sim ~kind:"advise"
-        ~label:(fun (spec, _) -> spec.Spec.name)
-        (fun (spec, (predictor, config, inputs, width, validate, interproc)) ->
+      Sim.map sim
+        (fun spec ->
           let b = Sim.prepare ~predictor sim spec in
           let checked =
             if validate then
@@ -1056,10 +1032,7 @@ let advise_cmd =
             else []
           in
           (spec.Spec.name, advice, checked, gains))
-        (List.map
-           (fun spec ->
-             (spec, (predictor, config, inputs, width, validate, interproc)))
-           specs)
+        specs
     in
     (* Fuzz targets: the seeded corpus is where cross-call gains actually
        live — the benchmark generators only call from main's latch loop,
@@ -1074,14 +1047,15 @@ let advise_cmd =
       }
     in
     let fuzz_results =
-      fuzz_corpus ~kind:"advise-fuzz" fuzz (fuzz_config, interproc)
-        (fun seed (config, interproc) prog profile ->
+      fuzz_corpus fuzz (fun seed prog profile ->
           let advice =
-            Advisor.advise ~config ~profile
+            Advisor.advise ~config:fuzz_config ~profile
               (Costmodel.analyze ?summaries:(summaries_if interproc prog) prog)
           in
           let gains =
-            if interproc then interproc_gains ~config ~profile prog else []
+            if interproc then
+              interproc_gains ~config:fuzz_config ~profile prog
+            else []
           in
           (Printf.sprintf "fuzz:%d" seed, advice, None, gains))
     in
@@ -1260,7 +1234,9 @@ let summaries_cmd =
     if targets = [] then
       no_targets failed "nothing to summarize: pass FILE arguments or -b BENCH";
     let results =
-      List.map (fun (name, prog) -> (name, summary_node name prog)) targets
+      List.map
+        (fun (name, prog) -> (name, Bv_analysis.Summary.compute prog))
+        targets
     in
     (match json with
     | Some path ->
@@ -1268,17 +1244,18 @@ let summaries_cmd =
         [ ( "targets",
             Json.List
               (List.map
-                 (fun (name, (_, stats, full)) ->
+                 (fun (name, env) ->
                    Json.Obj
                      [ ("target", Json.String name);
-                       ("summary_stats", stats);
-                       ("summaries", full)
+                       ("summary_stats", Bv_analysis.Summary.stats_json env);
+                       ("summaries", Bv_analysis.Summary.to_json env)
                      ])
                  results) )
         ]
     | None ->
       List.iter
-        (fun (name, (procs, _, _)) ->
+        (fun (name, env) ->
+          let procs = Bv_analysis.Summary.procs env in
           Format.printf "%s: %d procedure(s)@." name (List.length procs);
           List.iter
             (fun s -> Format.printf "  %a@." Bv_analysis.Summary.pp s)
@@ -1290,8 +1267,7 @@ let summaries_cmd =
     (Cmd.info "summaries"
        ~doc:
          "Compute and print interprocedural per-procedure summaries \
-          (register mod/use sets, memory footprints, purity), cached as \
-          \"summary\" nodes in the DAG store.")
+          (register mod/use sets, memory footprints, purity).")
     Term.(
       const run
       $ files_arg "Hidden-ISA source files (see `vanguard_cli assemble`)."
@@ -1393,7 +1369,9 @@ let dag_gc_cmd =
       Dag.gc
         ?max_age:(Option.map (fun d -> d *. 86400.0) max_age_days)
         ?max_bytes:
-          (Option.map (fun mb -> Float.to_int (mb *. 1024.0 *. 1024.0))
+          (Option.map
+             (* past 1e18 bytes the int would overflow; no store is that big *)
+             (fun mb -> Float.to_int (Float.min (mb *. 1024.0 *. 1024.0) 1e18))
              max_size_mb)
         ~dry_run dir
     in
@@ -1421,14 +1399,14 @@ let dag_gc_cmd =
   let max_age_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_non_negative) None
       & info [ "max-age-days" ] ~docv:"DAYS"
           ~doc:"Prune nodes whose last use is older than $(docv).")
   in
   let max_size_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_non_negative) None
       & info [ "max-size-mb" ] ~docv:"MB"
           ~doc:
             "After age pruning, evict least-recently-used nodes until the \
@@ -1459,7 +1437,6 @@ let dag_explain_cmd =
         Printf.printf "  kind %s, label %s\n" x.Dag.x_kind x.Dag.x_label;
         Printf.printf "  hash inputs: format %d, ocaml %s, inputs %s\n"
           x.Dag.x_format x.Dag.x_ocaml x.Dag.x_inputs;
-        List.iter (fun d -> Printf.printf "  dep %s\n" d) x.Dag.x_deps;
         Printf.printf "  created %s by pid %d in %.3fs\n" x.Dag.x_created_at
           x.Dag.x_pid x.Dag.x_compute_seconds;
         Printf.printf "  %d bytes, last used %.0fs ago\n" x.Dag.x_bytes
@@ -1479,8 +1456,7 @@ let dag_explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Show one stored node's hash inputs, dependencies and hit/miss \
-          provenance.")
+         "Show one stored node's hash inputs and hit/miss provenance.")
     Term.(const run $ dag_dir_arg $ key_arg $ json_arg)
 
 let dag_cmd =
@@ -1514,13 +1490,10 @@ let main =
       prove_cmd; advise_cmd; summaries_cmd; assemble_cmd; trace_cmd; dag_cmd
     ]
 
-(* A malformed BV_SCALE, BV_JOBS, BV_DAG_WAIT or BV_DAG_CLAIM_TTL stops
-   every command before it does any work, with an error naming the
-   variable. *)
+(* A malformed BV_SCALE, BV_JOBS or BV_DAG_WAIT stops every command
+   before it does any work, with an error naming the variable. *)
 let () =
-  match
-    (Runner.scale (), Pool.jobs_env (), Dag.wait_budget (), Dag.claim_ttl ())
-  with
+  match (Runner.scale (), Pool.jobs_env (), Dag.wait_budget ()) with
   | exception Invalid_argument msg ->
     prerr_endline ("vanguard_cli: " ^ msg);
     exit Cmd.Exit.cli_error

@@ -1,15 +1,7 @@
-(* Bump whenever any cached stage changes meaning — pipeline semantics,
-   node payload types, experiment row formulas: cached values from older
-   formats then miss instead of lying. (Format 1 was the pre-DAG
-   [.bench] artifact cache; format 3 added the block-compiled fast path
-   and the sample/compiled node kinds; format 4 changed [Stats.t]'s
-   per-site tables, which [sim] nodes marshal, from growable arrays
-   indexed by site id to sorted ids plus one fixed slot per id; format 5
-   put a length-and-digest header in front of every node's payload;
-   format 6 changed the register sets of [Summary.t], which [summary]
-   nodes marshal, from balanced trees to two-word bitsets; format 7 made
-   [sim] one accounted run of one image keyed by its content and config,
-   and retired the paired [sim], [account] and [sample] payloads.) *)
+(* Bump whenever what a stored node means changes with no change to its
+   key's inputs: the compile pipeline ([prepare]), the timing model
+   ([sim]), or the [Runner.artifact] / [Runner.run] payload types.
+   Everything else is recomputed on every run and never stored. *)
 let code_format = 7
 
 type counters =
@@ -35,17 +27,15 @@ type 'a node =
   { n_kind : string;
     n_label : string;
     n_inputs : string;  (* fingerprint of the inputs value *)
-    n_deps : string list;
     n_compute : unit -> 'a
   }
 
 let fingerprint v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
-let node ~kind ?label ?(deps = []) ~inputs compute =
+let node ~kind ?label ~inputs compute =
   { n_kind = kind;
     n_label = (match label with Some l -> l | None -> kind);
     n_inputs = fingerprint inputs;
-    n_deps = deps;
     n_compute = compute
   }
 
@@ -56,15 +46,13 @@ let create ?(format = code_format) ?dir () =
     memo = Hashtbl.create 64
   }
 
-(* The key chains dependency keys, so invalidation propagates: change one
-   node's inputs and exactly its downstream cone gets new keys. The
-   compiler version rides along because marshalled payloads are not
+(* The compiler version rides along because marshalled payloads are not
    stable across it. *)
 let key t n =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          (t.format, Sys.ocaml_version, n.n_kind, n.n_inputs, n.n_deps)
+          (t.format, Sys.ocaml_version, n.n_kind, n.n_inputs)
           []))
 
 type provenance = Hit | Miss | Stolen
@@ -75,6 +63,11 @@ let count t = function
   | Stolen -> t.c.m_stolen <- t.c.m_stolen + 1
 
 let counters t = { hits = t.c.m_hits; misses = t.c.m_misses; stolen = t.c.m_stolen }
+
+let add_counters t c =
+  t.c.m_hits <- t.c.m_hits + c.hits;
+  t.c.m_misses <- t.c.m_misses + c.misses;
+  t.c.m_stolen <- t.c.m_stolen + c.stolen
 
 let counters_json t =
   let open Bv_obs.Json in
@@ -118,10 +111,6 @@ let env_seconds name default =
 (* How long an awaiting process waits for a claimed node before giving up
    (the owner may legitimately be simulating for a long time). *)
 let wait_budget = env_seconds "BV_DAG_WAIT" 3600.0
-
-(* Age past which a claim from another host is presumed abandoned (pid
-   liveness is only checkable on this host). *)
-let claim_ttl = env_seconds "BV_DAG_CLAIM_TTL" 900.0
 
 let poll_interval = 0.05
 
@@ -233,7 +222,6 @@ let store_value t dir n k v ~seconds =
           ("format", Int t.format);
           ("ocaml", String Sys.ocaml_version);
           ("inputs", String n.n_inputs);
-          ("deps", List (List.map (fun d -> String d) n.n_deps));
           ("created_at", String (iso8601 (Unix.time ())));
           ("pid", Int (Unix.getpid ()));
           ("compute_seconds", float seconds)
@@ -284,17 +272,21 @@ let claim_info dir k =
       Some (pid, host, age)
     | _ -> Some (0, "", infinity))
 
+(* A store serves one host. A claim is stale exactly when its owner is
+   not a live process of this host: no such pid, or another host's name.
+   Values are deterministic and every publish is an atomic rename, so
+   taking over a claim whose owner is in fact alive costs at most one
+   recomputation. A pid we may not signal (EPERM) is alive. *)
 let claim_stale dir k =
   match claim_info dir k with
   | None -> false
-  | Some (pid, host, age) ->
-    if host = Unix.gethostname () && pid > 0 then (
-      (* same host: the pid tells the truth, no TTL guessing *)
-      match Unix.kill pid 0 with
-      | () -> false
-      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-      | exception Unix.Unix_error _ -> age > claim_ttl ())
-    else age > claim_ttl ()
+  | Some (pid, host, _) -> (
+    host <> Unix.gethostname () || pid <= 0
+    ||
+    match Unix.kill pid 0 with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+    | exception Unix.Unix_error _ -> false)
 
 (* ------------------------------------------------------------ evaluation *)
 
@@ -332,9 +324,9 @@ let attempt_exclusive t n k =
 
 (* Somebody else claimed [k]: poll for their published value, take over
    if their claim disappears without a value (crash before store) or
-   goes stale (dead pid / cross-host TTL). The deadline bounds every
-   retry, so no state of the store can make this spin forever. The
-   caller has already logged a corrupt node; polls stay quiet. *)
+   goes stale. The deadline bounds every retry, so no state of the store
+   can make this spin forever. The caller has already logged a corrupt
+   node; polls stay quiet. *)
 let await t n k =
   let dir = match t.dir with Some d -> d | None -> assert false in
   let deadline = Unix.gettimeofday () +. wait_budget () in
@@ -397,98 +389,6 @@ let eval t n =
           count t p;
           v)))
 
-(* Cooperative sweep. Pass 1 resolves memo and store hits in the parent;
-   the rest fan out over {!Pool.scatter} workers whose plans all cover
-   every pending node from different offsets — the claim files arbitrate
-   who computes what (work stealing both between our workers and against
-   other processes on the same store). Workers send back only values
-   they computed; anything still missing afterwards was computed by a
-   foreign process and is awaited in the parent. Results reassemble by
-   index, so [jobs:n] output is byte-identical to [jobs:1]. *)
-let eval_list ?(jobs = 1) t ns =
-  let ns = Array.of_list ns in
-  let n = Array.length ns in
-  if n = 0 then []
-  else begin
-    let keys = Array.map (key t) ns in
-    let results = Array.make n None in
-    Array.iteri
-      (fun i k ->
-        match Hashtbl.find_opt t.memo k with
-        | Some v ->
-          results.(i) <- Some (Obj.obj v);
-          count t Hit
-        | None -> (
-          match t.dir with
-          | None -> ()
-          | Some dir -> (
-            match load_value dir ns.(i) k with
-            | Some v ->
-              memoize t k v;
-              log_event dir "hit" k ~kind:ns.(i).n_kind ~label:ns.(i).n_label;
-              results.(i) <- Some v;
-              count t Hit
-            | None -> ())))
-      keys;
-    let pend =
-      Array.of_list
-        (List.filter
-           (fun i -> Option.is_none results.(i))
-           (List.init n Fun.id))
-    in
-    let m = Array.length pend in
-    if m > 0 then begin
-      let plan =
-        match t.dir with
-        | Some _ ->
-          (* circular scan from a per-worker offset: full coverage, so a
-             worker that drains its own region steals the tail *)
-          fun jobs w ->
-            let off = w * m / jobs in
-            Seq.init m (fun j -> (off + j) mod m)
-        | None ->
-          (* no claims to arbitrate: disjoint strides, as Pool.map *)
-          fun jobs w ->
-            Seq.unfold (fun j -> if j < m then Some (j, j + jobs) else None) w
-      in
-      let step j = attempt_exclusive t ns.(pend.(j)) keys.(pend.(j)) in
-      let gathered = Hashtbl.create 8 in
-      let gather j =
-        Hashtbl.replace gathered j ();
-        let i = pend.(j) in
-        match t.dir with
-        | None ->
-          raise
-            (Pool.Worker_failure
-               { index = i;
-                 message = "worker died before finishing item";
-                 backtrace = ""
-               })
-        | Some dir -> (
-          match load_value dir ns.(i) keys.(i) with
-          | Some v ->
-            memoize t keys.(i) v;
-            log_event dir "stolen" keys.(i) ~kind:ns.(i).n_kind
-              ~label:ns.(i).n_label;
-            count t Stolen;
-            v
-          | None ->
-            let p, v = await t ns.(i) keys.(i) in
-            count t p;
-            v)
-      in
-      let vs = Pool.scatter ~jobs ~plan ~step ~gather m in
-      List.iteri
-        (fun j v ->
-          let i = pend.(j) in
-          results.(i) <- Some v;
-          memoize t keys.(i) v;
-          if not (Hashtbl.mem gathered j) then count t Miss)
-        vs
-    end;
-    Array.to_list (Array.map Option.get results)
-  end
-
 (* ------------------------------------------------------------ maintenance *)
 
 type entry =
@@ -512,17 +412,15 @@ let read_meta dir k =
     | Error _ -> None
     | Ok json -> Some (json, str "kind" json "?", str "label" json "?"))
 
-let entry_of dir suffix file =
-  let k = Filename.chop_suffix file suffix in
+let entry_of dir file =
+  let k = Filename.chop_suffix file ".node" in
   match Unix.stat (Filename.concat dir file) with
   | exception Unix.Unix_error _ -> None
   | st ->
     let kind, label =
-      if suffix = ".bench" then ("legacy", "pre-dag artifact")
-      else
-        match read_meta dir k with
-        | Some (_, kind, label) -> (kind, label)
-        | None -> ("?", "?")
+      match read_meta dir k with
+      | Some (_, kind, label) -> (kind, label)
+      | None -> ("?", "?")
     in
     Some
       { e_key = k;
@@ -538,15 +436,12 @@ let entries dir =
     | files -> Array.to_list files
     | exception Sys_error _ -> []
   in
-  let of_suffix suffix =
-    List.filter_map
-      (fun f ->
-        if Filename.check_suffix f suffix then entry_of dir suffix f else None)
-      files
-  in
   List.sort
     (fun a b -> Float.compare b.e_age a.e_age)
-    (of_suffix ".node" @ of_suffix ".bench")
+    (List.filter_map
+       (fun f ->
+         if Filename.check_suffix f ".node" then entry_of dir f else None)
+       files)
 
 type claim =
   { c_key : string;
@@ -656,7 +551,7 @@ let gc ?max_age ?max_bytes ~dry_run dir =
           try Sys.remove (Filename.concat dir (e.e_key ^ suffix))
           with Sys_error _ -> ()
         in
-        if e.e_kind = "legacy" then rm ".bench" else rm ".node";
+        rm ".node";
         rm ".meta")
       removed;
     List.iter (fun c -> release_claim dir c.c_key) stale;
@@ -716,7 +611,6 @@ type explanation =
     x_format : int;
     x_ocaml : string;
     x_inputs : string;
-    x_deps : string list;
     x_created_at : string;
     x_pid : int;
     x_compute_seconds : float;
@@ -775,13 +669,6 @@ let explain dir prefix =
         x_format = json_int "format" json 0;
         x_ocaml = json_str "ocaml" json "?";
         x_inputs = json_str "inputs" json "?";
-        x_deps =
-          (match Bv_obs.Json.member "deps" json with
-          | Some (Bv_obs.Json.List ds) ->
-            List.filter_map
-              (function Bv_obs.Json.String s -> Some s | _ -> None)
-              ds
-          | _ -> []);
         x_created_at = json_str "created_at" json "?";
         x_pid = json_int "pid" json 0;
         x_compute_seconds =
@@ -804,7 +691,6 @@ let explanation_to_json x =
       ("format", Int x.x_format);
       ("ocaml", String x.x_ocaml);
       ("inputs", String x.x_inputs);
-      ("deps", List (List.map (fun d -> String d) x.x_deps));
       ("created_at", String x.x_created_at);
       ("pid", Int x.x_pid);
       ("compute_seconds", float x.x_compute_seconds);

@@ -1,39 +1,32 @@
-(** The memoized experiment DAG: every stage of every run path —
-    prepare (profile/select/transform), simulate, prove, advise,
-    experiment rows — is a {!node} whose key content-hashes its inputs,
-    its dependencies' keys and the engine's code-format stamp. A node is
-    evaluated at most once per store: results persist atomically into the
-    [BV_CACHE] directory, so re-runs after a code or config change
-    recompute only the invalidated cone and interrupted sweeps resume
-    from what already landed.
+(** The memoized experiment DAG: the costly stages of every run path —
+    prepare (profile/select/transform) and simulate — are {!node}s whose
+    key content-hashes their inputs and the engine's code-format stamp.
+    A node is evaluated at most once per store: results persist
+    atomically into the [BV_CACHE] directory, so re-runs after a code or
+    config change recompute only what changed and interrupted sweeps
+    resume from what already landed.
 
     Cooperation is arbitrated by claim files ([<key>.claim], created
     [O_CREAT|O_EXCL]): the winner computes and publishes, everyone else
     awaits the published value — across forked workers of one process
-    ({!eval_list}) and across independent [vanguard_cli] processes
-    pointed at one cache directory alike. A claim whose owner died is
-    broken and the node taken over, so a killed sweep never wedges the
-    next one.
-
-    Determinism: node values are pure functions of their inputs and
-    results are reassembled by index, so a [jobs:n] evaluation is
-    byte-identical to [jobs:1]. *)
+    and across independent [vanguard_cli] processes pointed at one cache
+    directory alike. A store serves one host: a claim whose owner is not
+    a live process of this host is broken and the node taken over, so a
+    killed sweep never wedges the next one. Node values are pure
+    functions of their inputs, so which evaluator computes one never
+    changes it. *)
 
 val code_format : int
-(** Format stamp mixed into every key. Bump it whenever the meaning of
-    any cached stage changes — pipeline semantics, node payload types,
-    experiment row formulas — so stale entries miss instead of lying. *)
+(** Format stamp mixed into every key. Bump it in three cases only, so
+    stale entries miss instead of lying: the compile pipeline's output
+    changes, the timing model's output changes, or the {!Runner.artifact}
+    / {!Runner.run} payload types change. *)
 
 val wait_budget : unit -> float
 (** Seconds an evaluator waits for a node another live process has
     claimed before failing: [BV_DAG_WAIT], default 3600. Read once.
     @raise Invalid_argument naming the variable unless it is a finite
     number >= 0. *)
-
-val claim_ttl : unit -> float
-(** Age in seconds past which a claim whose owner cannot be probed (it
-    is on another host) is broken: [BV_DAG_CLAIM_TTL], default 900. Read
-    and checked like {!wait_budget}. *)
 
 type t
 (** An engine: store directory, in-process memo and hit/miss counters. *)
@@ -44,22 +37,16 @@ val create : ?format:int -> ?dir:string -> unit -> t
 
 type 'a node
 
-val node :
-  kind:string ->
-  ?label:string ->
-  ?deps:string list ->
-  inputs:'i ->
-  (unit -> 'a) ->
-  'a node
-(** A computation keyed by [kind], the marshalled fingerprint of
-    [inputs] and the [deps] key list (dependency keys chain, so a
-    changed input invalidates exactly its downstream cone). [inputs]
-    must be marshal-safe plain data, [compute]'s result marshal-safe and
-    deterministic. [label] is display-only (default [kind]). *)
+val node : kind:string -> ?label:string -> inputs:'i -> (unit -> 'a) -> 'a node
+(** A computation keyed by [kind] and the marshalled fingerprint of
+    [inputs], which must hold everything [compute] reads that
+    {!code_format} does not cover. [inputs] must be marshal-safe plain
+    data, [compute]'s result marshal-safe and deterministic. [label] is
+    display-only (default [kind]). *)
 
 val key : t -> 'a node -> string
 (** The node's content hash under this engine's format stamp. Stable
-    across processes; pass it as a dependency to downstream nodes. *)
+    across processes. *)
 
 val eval : t -> 'a node -> 'a
 (** Memo hit, store hit, locally computed (claim won) or awaited from a
@@ -71,14 +58,6 @@ val eval : t -> 'a node -> 'a
     that cannot be written (a full disk) is logged and returned
     uncached. *)
 
-val eval_list : ?jobs:int -> t -> 'a node list -> 'a list
-(** Evaluate ready nodes cooperatively, results in input order. With
-    [jobs > 1] the pending nodes fan out over forked workers that
-    work-steal: every worker scans all pending nodes from a different
-    offset and the claim files arbitrate, so an imbalanced tail never
-    idles a worker and concurrent processes on the same store share the
-    sweep. Equivalent to [List.map (eval t)] observationally. *)
-
 type counters =
   { hits : int;  (** memo or store hits *)
     misses : int;  (** evaluated here (claim won) *)
@@ -86,7 +65,12 @@ type counters =
   }
 
 val counters : t -> counters
-(** Totals since [create] (the parent process's view of a sweep). *)
+(** Totals since [create]: this process's evaluations plus whatever
+    {!add_counters} folded in. *)
+
+val add_counters : t -> counters -> unit
+(** Fold in the evaluations a forked worker made on this engine's
+    behalf. *)
 
 val counters_json : t -> Bv_obs.Json.t
 (** [{"hits": h, "misses": m, "stolen": s, "nodes": h+m+s}] — attached
@@ -103,15 +87,17 @@ type entry =
   }
 
 val entries : string -> entry list
-(** Every persisted node in the directory, including legacy
-    [*.bench] artifacts (kind ["legacy"]), oldest first. *)
+(** Every [<key>.node] in the directory, oldest first. A [.meta]
+    sidecar without its node is not an entry. *)
 
 type claim =
   { c_key : string;
     c_pid : int;
     c_host : string;
     c_age : float;
-    c_stale : bool  (** owner known dead, or cross-host claim past TTL *)
+    c_stale : bool
+        (** its owner is not a live process of this host: no such pid,
+            or another host *)
   }
 
 val claims : string -> claim list
@@ -144,7 +130,6 @@ type explanation =
     x_format : int;
     x_ocaml : string;
     x_inputs : string;  (** fingerprint of the node's inputs *)
-    x_deps : string list;
     x_created_at : string;
     x_pid : int;  (** evaluating process *)
     x_compute_seconds : float;

@@ -12,14 +12,14 @@ let progress fmt =
 (* ------------------------------------------------------------------ lab *)
 
 (* All prepare/simulate traffic goes through the shared default session:
-   every stage is a node of its memoized experiment DAG, persisted in
-   the content-hashed BV_CACHE store, and [rows] fans row-level work out
-   across the session's workers (BV_JOBS / --jobs) with claim-file work
-   stealing. Every timing run is one [sim] node keyed by its image and
-   machine config, so experiments that time the same side share it.
-   Worker results are reassembled by index, so a parallel run emits
-   byte-identical tables to a serial one — and a re-run with unchanged
-   inputs recomputes nothing. *)
+   both are nodes of its memoized experiment DAG, persisted in the
+   content-hashed BV_CACHE store, and [rows] fans row-level work out
+   across the session's workers (BV_JOBS / --jobs). Every timing run is
+   one [sim] node keyed by its image and machine config, so experiments
+   that time the same side share it, and a re-run with unchanged inputs
+   simulates nothing. Rows themselves are cheap and recomputed every
+   run. Worker results are reassembled by index, so a parallel run
+   emits byte-identical tables to a serial one. *)
 let sim = lazy (Sim.the ())
 
 let prepare ?threshold ?max_hoist spec =
@@ -37,11 +37,7 @@ let cycles (r : Runner.run) = r.Runner.stats.Stats.cycles
 
 let speedup ~base ~exp = Runner.speedup_pct ~base:(cycles base) ~exp:(cycles exp)
 
-(* One DAG node per table row: kind ["row:<experiment>"], keyed by the
-   item and the workload scale. The worker body must be a pure function
-   of its item (plus code frozen under {!Dag.code_format}). *)
-let rows ~id ?label f items =
-  Sim.dag_map (Lazy.force sim) ~kind:("row:" ^ id) ?label f items
+let rows f items = Sim.map (Lazy.force sim) f items
 
 (* Collapse whitespace runs so multi-line string literals render cleanly. *)
 let normalize text =
@@ -125,8 +121,7 @@ let table1 ppf =
 let bias_predictability_curve suite =
   let points = 40 in
   let curves =
-    rows ~id:"curve"
-      ~label:(fun spec -> spec.Spec.name)
+    rows
       (fun spec ->
         let profile = Runner.profile (bench spec) in
         let sites =
@@ -190,8 +185,7 @@ let fig3 ppf =
 let table2 ppf =
   heading ppf "Table 2: SPEC 2006 Int and FP metrics (4-wide), sorted by SPD";
   let data =
-    rows ~id:"table2"
-      ~label:(fun spec -> spec.Spec.name)
+    rows
       (fun spec ->
         progress "table2 %s" spec.Spec.name;
         (* the speedup figures' sim nodes: table2 and fig8/fig12 reuse
@@ -233,8 +227,6 @@ let speedup_figure ?csv ppf ~title ~suite ~pick =
      workers carry only (name, floats) back and the parent renders. *)
   let data =
     rows
-      ~id:(Option.value csv ~default:"fig")
-      ~label:(fun spec -> spec.Spec.name)
       (fun spec ->
         progress "%s %s" title spec.Spec.name;
         (spec.Spec.name, List.map (fun w -> pick spec ~width:w) widths))
@@ -309,8 +301,7 @@ let fig14 ppf =
     "Figure 14: % increase in instructions issued, 4-wide experimental vs \
      baseline, SPEC 2006";
   let data =
-    rows ~id:"fig14"
-      ~label:(fun spec -> spec.Spec.name)
+    rows
       (fun spec ->
         progress "fig14 %s" spec.Spec.name;
         let v = issued_increase spec in
@@ -328,7 +319,7 @@ let sensitivity ppf =
   let names = [ "astar"; "sjeng"; "gobmk"; "mcf" ] in
   let data =
     List.concat
-      (rows ~id:"sens" ~label:Fun.id
+      (rows
          (fun name ->
            let spec = Option.get (Suites.find name) in
            List.map
@@ -366,8 +357,7 @@ let icache ppf =
   in
   let specs = Suites.int_2006 @ Suites.fp_2006 in
   let data =
-    rows ~id:"icache"
-      ~label:(fun spec -> spec.Spec.name)
+    rows
       (fun spec ->
         progress "icache %s" spec.Spec.name;
         let _, big = pair spec ~input:1 ~width:4 in
@@ -411,7 +401,7 @@ let dbb ppf =
       Format.fprintf ppf
         "%-10s avg occupancy %.2f, max %d, full-stall cycles %d@." name
         avg_occ max_occ full)
-    (rows ~id:"dbb-occ" ~label:Fun.id
+    (rows
        (fun name ->
          let spec = Option.get (Suites.find name) in
          let s = (snd (pair spec ~input:1 ~width:4)).Runner.stats in
@@ -426,8 +416,7 @@ let dbb ppf =
       Format.fprintf ppf
         "  %2d entries: speedup %+6.2f%%, full-stall cycles %d@." entries spd
         full)
-    (rows ~id:"dbb-sweep"
-       ~label:(Printf.sprintf "h264ref.e%d")
+    (rows
        (fun entries ->
          progress "dbb sweep %d entries" entries;
          let b = bench (Option.get (Suites.find "h264ref")) in
@@ -448,8 +437,7 @@ let ablation_hoist ppf =
   (* Every (benchmark, cap) cell is an independent prepare+simulate: fan
      them all out, then fold back into one row per benchmark. *)
   let cells =
-    rows ~id:"abl-hoist"
-      ~label:(fun (name, cap) -> Printf.sprintf "%s.cap%d" name cap)
+    rows
       (fun (name, cap) ->
         progress "abl-hoist %s cap=%d" name cap;
         let spec = Option.get (Suites.find name) in
@@ -475,8 +463,7 @@ let ablation_select ppf =
      2006 Int geomean";
   let thresholds = [ 0.0; 0.02; 0.05; 0.10; 0.20 ] in
   let data =
-    rows ~id:"abl-select"
-      ~label:(Printf.sprintf "threshold%.2f")
+    rows
       (fun th ->
         progress "abl-select threshold=%.2f" th;
         let speedups, pbcs =
@@ -582,9 +569,7 @@ let ablation_predication ppf =
       [ 0.55; 0.70; 0.95 ]
   in
   let data =
-    rows ~id:"abl-pred"
-      ~label:(fun (rate, pred) ->
-        Printf.sprintf "bias%.2f.pred%.2f" rate pred)
+    rows
       (fun (rate, pred) ->
         progress "abl-pred bias=%.2f pred=%.2f" rate pred;
         let (p, pi), (v, vi), (a, _) = cell ~rate ~pred in
@@ -630,7 +615,7 @@ let runahead ppf =
     "Extension: runahead-style prefetch-under-stall x decomposition      (4-wide, memory-bound benchmarks)";
   let names = [ "mcf"; "omnetpp"; "soplex"; "milc" ] in
   let data =
-    rows ~id:"runahead" ~label:Fun.id
+    rows
       (fun name ->
         progress "runahead %s" name;
         let b = bench (Option.get (Suites.find name)) in

@@ -3,9 +3,13 @@
     experiment prints its rows to the given formatter (progress lines go to
     stderr, so output can be captured cleanly).
 
-    Benchmarks are prepared and simulated lazily and memoised, so
-    experiments that share runs (e.g. Table 2 and Figure 8 both need the
-    4-wide REF runs) do not repeat work. *)
+    Benchmarks are prepared and simulated through the default {!Sim}
+    session's DAG nodes, so experiments that share runs (e.g. Table 2
+    and Figure 8 both need the 4-wide REF runs) do not repeat work, and
+    a re-run on a warm store simulates nothing. The rows themselves are
+    recomputed every run, fanned out over the session's workers
+    ([BV_JOBS] / [--jobs]) with {!Sim.map}: a table is byte-identical
+    at any worker count. *)
 
 val bench : Bv_workloads.Spec.t -> Runner.bench
 (** The lab's memoised prepared benchmark (tournament TRAIN profile,

@@ -19,106 +19,186 @@ let jobs_env () =
     | _ ->
       invalid_arg (Printf.sprintf "BV_JOBS must be an integer >= 1, got %S" s))
 
-(* Deterministic fork/join scatter: worker [w] walks [plan jobs w] and
-   streams [(index, result)] pairs back over its own pipe, so reassembly
-   is by index and the output order never depends on scheduling. Plans
-   may overlap (work stealing — [step] itself arbitrates by returning
-   [None] for items another worker owns); whatever nobody produced is
-   [gather]ed in the parent. With [jobs <= 1] (or a single item) the
-   plan runs in the current process — same semantics, and in-process
-   memo tables keep accumulating. *)
-let scatter ~jobs ~plan ~step ~gather n =
-  let results = Array.make (max n 0) None in
-  if jobs <= 1 || n <= 1 then
-    (* step exceptions propagate raw here — no fork, nothing to carry *)
-    Seq.iter
-      (fun i ->
-        if Option.is_none results.(i) then
-          match step i with
-          | Some v -> results.(i) <- Some (Ok v)
-          | None -> ())
-      (plan 1 0)
-  else begin
-    let jobs = min jobs n in
-    (* Anything buffered before the fork would be flushed once per child. *)
-    flush stdout;
-    flush stderr;
-    let spawn w =
-      let rd, wr = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-        Unix.close rd;
-        Printexc.record_backtrace true;
-        let oc = Unix.out_channel_of_descr wr in
-        (try
-           Seq.iter
-             (fun i ->
-               let r =
-                 try Option.map (fun v -> Ok v) (step i)
-                 with e ->
-                   let bt = Printexc.get_backtrace () in
-                   Some (Error (Printexc.to_string e, bt))
-               in
-               match r with
-               | None -> ()
-               | Some r -> Marshal.to_channel oc (i, r) [])
-             (plan jobs w);
-           flush oc
-         with _ -> ());
-        Unix._exit 0
-      | pid ->
-        Unix.close wr;
-        (pid, rd)
-    in
-    let workers = List.init jobs spawn in
-    (* Read each pipe to EOF before reaping its worker: a still-writing
-       child must never block on a full pipe while we wait on it. *)
-    List.iter
-      (fun (pid, rd) ->
-        let ic = Unix.in_channel_of_descr rd in
-        (try
-           while true do
-             let idx, r =
-               (Marshal.from_channel ic
-                 : int * (_, string * string) result)
-             in
-             (* first producer wins; a racing duplicate is identical *)
-             if Option.is_none results.(idx) then results.(idx) <- Some r
-           done
-         with End_of_file | Failure _ -> ());
-        close_in ic;
-        ignore (Unix.waitpid [] pid))
-      workers;
-    (* Fail on the lowest-index error so reruns reproduce the report. *)
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Some (Error (message, backtrace)) ->
-          raise (Worker_failure { index = i; message; backtrace })
-        | _ -> ())
-      results
-  end;
-  List.init n (fun i ->
-      match results.(i) with
-      | Some (Ok v) -> v
-      | Some (Error (message, backtrace)) ->
-        raise (Worker_failure { index = i; message; backtrace })
-      | None -> gather i)
+(* A forked worker: the pipe it takes item indices from, the pipe it
+   answers on, and the item it holds (each holds one at a time). *)
+type worker =
+  { pid : int;
+    req : out_channel;
+    res : in_channel;
+    mutable item : int
+  }
 
+let signal_name s =
+  match
+    List.assoc_opt s
+      Sys.
+        [ (sigkill, "SIGKILL"); (sigterm, "SIGTERM"); (sigsegv, "SIGSEGV");
+          (sigabrt, "SIGABRT"); (sigbus, "SIGBUS"); (sigint, "SIGINT")
+        ]
+  with
+  | Some name -> name
+  | None -> Printf.sprintf "signal %d" s
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+
+(* A reply: the item's result, or the text and backtrace of the
+   exception that stopped it. *)
+let marshalled (r : ('b, string * string) result) = Marshal.to_string r []
+
+let failed e =
+  marshalled (Error (Printexc.to_string e, Printexc.get_backtrace ()))
+
+(* The worker's loop: answer each index with its item's result, or with
+   why there is none — [f] raised, or its result cannot be marshalled
+   (a closure). Either way the worker lives on for the next index; the
+   parent closing the request pipe ends it. *)
+let serve f items req res =
+  Printexc.record_backtrace true;
+  let rec loop () =
+    match input_binary_int req with
+    | exception End_of_file -> ()
+    | i ->
+      let reply =
+        match f items.(i) with
+        | v -> ( try marshalled (Ok v) with e -> failed e)
+        | exception e -> failed e
+      in
+      output_string res reply;
+      flush res;
+      loop ()
+  in
+  loop ()
+
+(* Items go out one at a time, each to whichever worker answered last,
+   so a slow item never holds up the ones behind it. The parent knows
+   which item each worker holds: a worker that dies mid-item fails
+   exactly that item, and a fresh worker takes its place while items
+   remain. *)
 let map ?(jobs = 1) f items =
   let items = Array.of_list items in
   let n = Array.length items in
-  let strided jobs w =
-    Seq.unfold (fun i -> if i < n then Some (i, i + jobs) else None) w
-  in
-  scatter ~jobs
-    ~plan:strided
-    ~step:(fun i -> Some (f items.(i)))
-    ~gather:(fun i ->
-      raise
-        (Worker_failure
-           { index = i;
-             message = "worker died before finishing item";
-             backtrace = ""
-           }))
-    n
+  if jobs <= 1 || n <= 1 then Array.to_list (Array.map f items)
+  else begin
+    let results = Array.make n None in
+    let next = ref 0 in
+    let live = ref [] in
+    let spawn () =
+      let req_r, req_w = Unix.pipe () and res_r, res_w = Unix.pipe () in
+      (* Anything buffered before the fork would be flushed once per
+         child. *)
+      flush stdout;
+      flush stderr;
+      match Unix.fork () with
+      | 0 ->
+        (* A sibling holding our request pipe's write end would keep
+           it from closing when the parent closes its own. *)
+        List.iter
+          (fun w ->
+            Unix.close (Unix.descr_of_out_channel w.req);
+            Unix.close (Unix.descr_of_in_channel w.res))
+          !live;
+        Unix.close req_w;
+        Unix.close res_r;
+        let code =
+          try
+            serve f items
+              (Unix.in_channel_of_descr req_r)
+              (Unix.out_channel_of_descr res_w);
+            0
+          with _ -> 2
+        in
+        Unix._exit code
+      | pid ->
+        Unix.close req_r;
+        Unix.close res_w;
+        let w =
+          { pid;
+            req = Unix.out_channel_of_descr req_w;
+            res = Unix.in_channel_of_descr res_r;
+            item = -1
+          }
+        in
+        live := w :: !live;
+        w
+    in
+    let retire w =
+      live := List.filter (fun x -> x != w) !live;
+      close_out_noerr w.req;
+      close_in_noerr w.res;
+      reap w.pid
+    in
+    (* the next index, or the end of the worker's work *)
+    let dispatch w =
+      if !next < n then begin
+        w.item <- !next;
+        incr next;
+        (* a worker that died since its reply shows as EOF below *)
+        try
+          output_binary_int w.req w.item;
+          flush w.req
+        with Sys_error _ -> ()
+      end
+      else ignore (retire w : Unix.process_status)
+    in
+    let died w =
+      let message =
+        match retire w with
+        | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+          "worker killed by " ^ signal_name s
+        | Unix.WEXITED c -> Printf.sprintf "worker exited with code %d" c
+      in
+      results.(w.item) <- Some (Error (message, ""));
+      if !next < n then dispatch (spawn ())
+    in
+    let receive w =
+      match (Marshal.from_channel w.res : (_, string * string) result) with
+      | r ->
+        results.(w.item) <- Some r;
+        dispatch w
+      | exception (End_of_file | Failure _) -> died w
+    in
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect
+      ~finally:(fun () ->
+        (* only when the parent itself failed, e.g. interrupted *)
+        List.iter
+          (fun w ->
+            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (retire w : Unix.process_status))
+          !live;
+        Sys.set_signal Sys.sigpipe sigpipe)
+      (fun () ->
+        for _ = 1 to min jobs n do
+          dispatch (spawn ())
+        done;
+        while !live <> [] do
+          let ready =
+            match
+              Unix.select
+                (List.map (fun w -> Unix.descr_of_in_channel w.res) !live)
+                [] [] (-1.0)
+            with
+            | ready, _, _ -> ready
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+          in
+          List.iter
+            (fun w ->
+              if List.mem (Unix.descr_of_in_channel w.res) ready then
+                receive w)
+            !live
+        done);
+    (* Fail on the lowest-index error so reruns reproduce the report. *)
+    Array.iteri
+      (fun index -> function
+        | Some (Error (message, backtrace)) ->
+          raise (Worker_failure { index; message; backtrace })
+        | _ -> ())
+      results;
+    Array.to_list
+      (Array.map
+         (function Some (Ok v) -> v | _ -> assert false)
+         results)
+  end

@@ -1,30 +1,24 @@
 (** Fork-based worker pool for embarrassingly parallel harness work.
 
     {!map} behaves exactly like [List.map f items] — same results, same
-    order — but with [jobs > 1] the work is spread over forked worker
-    processes and the results come back marshalled over pipes. Because
-    assignment and reassembly are both by index, output is
-    deterministic: a [jobs:4] run produces byte-identical results to a
-    [jobs:1] run of the same deterministic [f].
+    order — but with [jobs > 1] the items are handed out one at a time
+    to forked worker processes, each to whichever worker is free, and
+    the results come back marshalled over pipes. Reassembly is by index,
+    so output is deterministic: a [jobs:4] run produces byte-identical
+    results to a [jobs:1] run of the same deterministic [f].
 
-    {!scatter} is the general engine underneath: each worker walks a
-    caller-supplied {i plan} (a sequence of item indices) and sends back
-    only the items its [step] actually produced, so several workers may
-    cover overlapping index ranges and race benignly — the substrate for
-    the claim-arbitrated work stealing in {!Dag.eval_list}. Indices a
-    step declined everywhere are resolved by [gather] in the parent.
-
-    Constraints: step results must be marshallable (no closures — plain
-    strings, numbers, records); side effects of a step (memo-table
-    fills, prints to buffered channels) stay in the child, except writes
-    to stderr/files which interleave. Exceptions in a worker are carried
-    back as {!Worker_failure} with the child's backtrace preserved
-    verbatim. *)
+    Constraints: results must be marshallable (no closures — plain
+    strings, numbers, records); side effects of [f] (memo-table fills,
+    prints to buffered channels) stay in the worker, except writes to
+    stderr/files which interleave. *)
 
 exception
   Worker_failure of
-    { index : int;  (** index of the item whose step failed *)
-      message : string;  (** child's exception text, verbatim *)
+    { index : int;  (** index of the item that failed *)
+      message : string;
+          (** the worker's exception text, verbatim — [f] raised or its
+              result could not be marshalled — or how the worker died
+              holding the item, naming the signal that killed it *)
       backtrace : string  (** child's backtrace, verbatim (may be empty) *)
     }
 
@@ -33,23 +27,10 @@ val jobs_env : unit -> int
     @raise Invalid_argument naming [BV_JOBS] unless it is an integer
     >= 1. *)
 
-val scatter :
-  jobs:int ->
-  plan:(int -> int -> int Seq.t) ->
-  step:(int -> 'b option) ->
-  gather:(int -> 'b) ->
-  int ->
-  'b list
-(** [scatter ~jobs ~plan ~step ~gather n] produces one ['b] per index
-    [0..n-1], in index order. Worker [w] of [jobs] walks [plan jobs w]
-    calling [step]; [Some v] is sent to the parent, [None] means the
-    item was declined (e.g. another worker holds its claim). After all
-    workers drain, any index nobody produced is resolved in the parent
-    by [gather]. With [jobs <= 1] or [n <= 1] everything runs in the
-    current process ([plan 1 0], then [gather] for the declined) and
-    step exceptions propagate raw. The union of all plans must cover
-    [0..n-1] — an index no plan visits is only saved by [gather]. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [jobs] defaults to 1 (plain in-process [List.map]). Built on
-    {!scatter} with disjoint strided plans. *)
+(** [jobs] defaults to 1. With [jobs <= 1] or one item, [f] runs in the
+    current process and its exceptions propagate raw. Otherwise
+    [min jobs n] workers are forked; an item that fails does not stop
+    the others, a worker that dies is replaced while items remain, and
+    once every item is settled the lowest failing index is raised as
+    {!Worker_failure}. *)

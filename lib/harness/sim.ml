@@ -41,7 +41,10 @@ let counters_json t = Dag.counters_json t.dag
    by everything [Runner.prepare] depends on. The node's value is the
    pure {!Runner.artifact}; live benches (with their images) are
    interned in [lab] under the node key, so every caller of an equally
-   parameterised prepare shares one bench and builds each image once. *)
+   parameterised prepare shares one bench and builds each image once.
+   Every call evaluates the node (a memo hit after the first), so the
+   session's counters do not depend on how [map] spreads items over
+   workers. *)
 let prepare_node ?(predictor = Kind.Tournament) ?(threshold = 0.05) ?max_hoist
     spec =
   Dag.node ~kind:"prepare" ~label:spec.Spec.name
@@ -52,11 +55,12 @@ let prepare_node ?(predictor = Kind.Tournament) ?(threshold = 0.05) ?max_hoist
 
 let prepare ?predictor ?threshold ?max_hoist t spec =
   let n = prepare_node ?predictor ?threshold ?max_hoist spec in
+  let artifact = Dag.eval t.dag n in
   let k = Dag.key t.dag n in
   match Hashtbl.find_opt t.lab k with
   | Some b -> b
   | None ->
-    let b = Runner.import (Dag.eval t.dag n) in
+    let b = Runner.import artifact in
     Hashtbl.replace t.lab k b;
     b
 
@@ -187,14 +191,25 @@ let advise_validate ?predictor ?cache ?config ?interproc ?(inputs = [ 1 ]) t
 
 (* ---- fan-out ---------------------------------------------------------- *)
 
-let dag_map t ~kind ?label f items =
-  let nodes =
-    List.map
-      (fun item ->
-        Dag.node ~kind
-          ?label:(Option.map (fun l -> l item) label)
-          ~inputs:(kind, item, Runner.scale ())
-          (fun () -> f item))
-      items
+let map t f items =
+  let parent = Unix.getpid () in
+  (* the nodes [f item] evaluated, sent back only from a forked worker:
+     in-process they are counted already *)
+  let counted item =
+    let c0 = Dag.counters t.dag in
+    let v = f item in
+    let c = Dag.counters t.dag in
+    ( v,
+      if Unix.getpid () = parent then None
+      else
+        Some
+          { Dag.hits = c.Dag.hits - c0.Dag.hits;
+            misses = c.Dag.misses - c0.Dag.misses;
+            stolen = c.Dag.stolen - c0.Dag.stolen
+          } )
   in
-  Dag.eval_list ~jobs:t.jobs t.dag nodes
+  List.map
+    (fun (v, c) ->
+      Option.iter (Dag.add_counters t.dag) c;
+      v)
+    (Pool.map ~jobs:t.jobs counted items)

@@ -3,13 +3,15 @@
     {!Dag} — that {!Experiments} and the CLI share instead of each
     re-implementing prepare/memoise/simulate plumbing.
 
-    Every stage is a DAG node content-hashed into the session's
-    [BV_CACHE] store: prepare (profile → select → transform, kind
-    ["prepare"]), one timing run per side ({!simulate}, kind ["sim"])
-    and arbitrary fanned-out row work ({!dag_map}). A node is evaluated
-    at most once per store — re-runs hit, concurrent processes on one
-    store cooperate via claim files, and {!counters_json} reports the
-    hit/miss/stolen split for every [--json] emitter.
+    The two costly stages are DAG nodes content-hashed into the
+    session's [BV_CACHE] store: prepare (profile → select → transform,
+    kind ["prepare"]) and one timing run per side ({!simulate}, kind
+    ["sim"]). A node is evaluated at most once per store — re-runs hit,
+    concurrent processes on one store cooperate via claim files, and
+    {!counters_json} reports the hit/miss/stolen split for every
+    [--json] emitter. Everything built on them — experiment rows,
+    proofs, advice — is recomputed on every run and fanned out by
+    {!map}.
 
     A [jobs:n] session produces byte-identical results to a [jobs:1]
     session: work reassembles by index and every computation is
@@ -37,8 +39,8 @@ val set_jobs : t -> int -> unit
 val cache_dir : t -> string option
 
 val counters : t -> Dag.counters
-(** DAG hit/miss/stolen totals for this session (the parent process's
-    view — nodes resolved inside forked workers count once, here). *)
+(** DAG hit/miss/stolen totals for this session, the nodes that {!map}'s
+    forked workers evaluated included. *)
 
 val counters_json : t -> Bv_obs.Json.t
 
@@ -49,8 +51,11 @@ val prepare :
     predictor, threshold, hoist cap, workload scale and
     {!Dag.code_format}, so any input change misses cleanly. Live
     benches are interned per node key for the life of the session —
-    equally parameterised prepares share one bench and its images. Bump
-    {!Dag.code_format} when the compile pipeline's semantics change. *)
+    equally parameterised prepares share one bench and its images. Each
+    call counts as one node (a memo hit after the first), so the
+    counters do not depend on how {!map} spreads items over workers.
+    Bump {!Dag.code_format} when the compile pipeline's semantics
+    change. *)
 
 val bench : t -> Spec.t -> Runner.bench
 (** Default-parameter {!prepare}. *)
@@ -91,7 +96,7 @@ type advice_checked =
             window-pressure estimate must cover it *)
   }
 (** Plain data throughout: an advise-and-validate result can come back
-    from a {!dag_map} fork-pool worker. *)
+    from a {!map} worker. *)
 
 val advise_validate :
   ?predictor:Kind.t ->
@@ -109,13 +114,8 @@ val advise_validate :
     them, merged) at [width]. The validation reports the Spearman rank
     correlation and the sites whose static and measured ranks diverge. *)
 
-val dag_map :
-  t -> kind:string -> ?label:('a -> string) -> ('a -> 'b) -> 'a list ->
-  'b list
-(** [dag_map t ~kind f items]: one DAG node per item (keyed by [kind],
-    the item and the workload scale), evaluated cooperatively across
-    the session's workers with claim-file work stealing
-    ({!Dag.eval_list}). Each item must fully determine [f item] —
-    anything else [f] reads must be captured in the item or frozen in
-    {!Dag.code_format}. Results are in input order; byte-identical for
-    any [jobs]. *)
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [List.map f items] over the session's workers ({!Pool.map}), in
+    input order and byte-identical for any [jobs]. With [jobs > 1], [f]
+    runs in forked workers, so its results must be marshal-safe, and the
+    DAG nodes they evaluate are added to this session's {!counters}. *)

@@ -1,6 +1,7 @@
-(* The memoized experiment DAG: key derivation, invalidation cones,
-   crash-resume, cross-process cooperation on one store, gc and explain.
-   Tier-1 semantics for the engine under every run path. *)
+(* The memoized experiment DAG: key derivation, crash-resume,
+   cross-process cooperation on one store, claims, gc and explain, and
+   the worker pool that fans work out over it. Tier-1 semantics for the
+   engine under every run path. *)
 
 open Bv_harness
 
@@ -68,49 +69,13 @@ let test_hit_miss_counters () =
 
 let test_key_sensitivity () =
   let d = Dag.create () in
-  let mk ?deps inputs = Dag.node ~kind:"k" ?deps ~inputs (fun () -> 0) in
+  let mk inputs = Dag.node ~kind:"k" ~inputs (fun () -> 0) in
   let a1 = mk 1 and a2 = mk 2 in
   Alcotest.(check bool) "inputs change the key" false
     (Dag.key d a1 = Dag.key d a2);
-  let b1 = mk ~deps:[ Dag.key d a1 ] 9 in
-  let b2 = mk ~deps:[ Dag.key d a2 ] 9 in
-  Alcotest.(check bool) "dep keys chain" false (Dag.key d b1 = Dag.key d b2);
   let fmt = Dag.create ~format:(Dag.code_format + 1) () in
   Alcotest.(check bool) "format stamp mixes in" false
     (Dag.key d a1 = Dag.key fmt a1)
-
-(* Changing one upstream input recomputes exactly its downstream cone;
-   unrelated nodes keep their cached values. *)
-let test_invalidation_cone () =
-  with_dir (fun dir ->
-      let computes = ref [] in
-      let mark tag v =
-        computes := tag :: !computes;
-        v
-      in
-      let graph d x =
-        let a =
-          Dag.node ~kind:"a" ~inputs:x (fun () -> mark "a" (x * 10))
-        in
-        let ka = Dag.key d a in
-        let b =
-          Dag.node ~kind:"b" ~deps:[ ka ] ~inputs:"fold" (fun () ->
-              mark "b" (Dag.eval d a + 1))
-        in
-        let u =
-          Dag.node ~kind:"u" ~inputs:"constant" (fun () -> mark "u" 7)
-        in
-        (Dag.eval d b, Dag.eval d u)
-      in
-      let d1 = Dag.create ~dir () in
-      Alcotest.(check (pair int int)) "cold graph" (11, 7) (graph d1 1);
-      Alcotest.(check (list string)) "cold computes all"
-        [ "u"; "a"; "b" ] (List.rev !computes);
-      computes := [];
-      let d2 = Dag.create ~dir () in
-      Alcotest.(check (pair int int)) "changed input" (21, 7) (graph d2 2);
-      Alcotest.(check (list string)) "only the cone recomputes"
-        [ "a"; "b" ] (List.rev !computes))
 
 (* ---- crash-resume ----------------------------------------------------- *)
 
@@ -132,7 +97,7 @@ let test_crash_resume () =
       Alcotest.(check int) "partial sweep" 5 !computes;
       (* the resumed sweep recomputes only the missing tail *)
       let d2 = Dag.create ~dir () in
-      let vs = Dag.eval_list d2 (nodes ()) in
+      let vs = Pool.map (Dag.eval d2) (nodes ()) in
       Alcotest.(check (list int)) "values in order"
         [ 0; 1; 4; 9; 16; 25; 36; 49 ] vs;
       Alcotest.(check int) "zero clean nodes recomputed" 8 !computes;
@@ -150,13 +115,15 @@ let test_jobs_deterministic () =
   in
   with_dir (fun dir1 ->
       with_dir (fun dir2 ->
-          let serial = Dag.eval_list ~jobs:1 (Dag.create ~dir:dir1 ()) (nodes ()) in
+          let serial =
+            Pool.map ~jobs:1 (Dag.eval (Dag.create ~dir:dir1 ())) (nodes ())
+          in
           let parallel =
-            Dag.eval_list ~jobs:4 (Dag.create ~dir:dir2 ()) (nodes ())
+            Pool.map ~jobs:4 (Dag.eval (Dag.create ~dir:dir2 ())) (nodes ())
           in
           Alcotest.(check (list string)) "jobs:4 == jobs:1" serial parallel));
-  (* no store: strided fork/join, still order-preserving *)
-  let bare = Dag.eval_list ~jobs:3 (Dag.create ()) (nodes ()) in
+  (* no store: still order-preserving *)
+  let bare = Pool.map ~jobs:3 (Dag.eval (Dag.create ())) (nodes ()) in
   Alcotest.(check (list string)) "uncached jobs:3 == jobs:1"
     (List.init 17 (fun i -> Printf.sprintf "v%d" (i * 3)))
     bare
@@ -197,7 +164,7 @@ let test_two_processes_one_store () =
           let ok =
             try
               let d = Dag.create ~dir () in
-              Dag.eval_list ~jobs:1 d (nodes ())
+              Pool.map ~jobs:1 (Dag.eval d) (nodes ())
               = List.init 8 (fun i -> i + 100)
             with _ -> false
           in
@@ -240,13 +207,60 @@ let test_worker_failure_lowest_index () =
   | exception Pool.Worker_failure { index; _ } ->
     Alcotest.(check int) "lowest failing index wins" 3 index
 
+(* A result that cannot be marshalled fails its own item with the
+   marshaller's error, and its worker goes on serving the items after
+   it. *)
+let test_unmarshallable_result () =
+  with_dir (fun dir ->
+      let marks = Filename.concat dir "items.marks" in
+      match
+        Pool.map ~jobs:2
+          (fun x ->
+            append_mark marks (string_of_int x);
+            if x = 1 then Some (fun y -> y + x) else None)
+          [ 0; 1; 2; 3 ]
+      with
+      | _ -> Alcotest.fail "expected Worker_failure"
+      | exception Pool.Worker_failure { index; message; backtrace = _ } ->
+        Alcotest.(check int) "the closure's item" 1 index;
+        Alcotest.(check bool)
+          (Printf.sprintf "the marshaller's error (%s)" message)
+          true
+          (contains message "functional value");
+        Alcotest.(check int) "every item served" 4 (count_marks marks))
+
+let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
+
+(* A worker killed mid-item fails exactly that item, naming the signal,
+   and the other items are still served. *)
+let test_worker_killed () =
+  with_dir (fun dir ->
+      let marks = Filename.concat dir "items.marks" in
+      let parent = Unix.getpid () in
+      match
+        Pool.map ~jobs:2
+          (fun i ->
+            if i = 2 && Unix.getpid () <> parent then kill_self ();
+            append_mark marks (string_of_int i);
+            i)
+          (List.init 6 Fun.id)
+      with
+      | _ -> Alcotest.fail "expected Worker_failure"
+      | exception Pool.Worker_failure { index; message; backtrace = _ } ->
+        Alcotest.(check int) "the killed item" 2 index;
+        Alcotest.(check bool)
+          (Printf.sprintf "names the signal (%s)" message)
+          true
+          (contains message "SIGKILL");
+        Alcotest.(check int) "the other items served" 5 (count_marks marks))
+
 (* ---- store integrity -------------------------------------------------- *)
 
 exception Timed_out
 
-(* [Dag.eval] under a 5 s alarm, so that an evaluation spinning on a bad
+(* [f ()] under a 5 s alarm, so that an evaluation spinning on a bad
    node fails its test instead of hanging the suite. *)
-let eval_within what d n =
+let within what f =
   let old =
     Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
   in
@@ -256,11 +270,12 @@ let eval_within what d n =
       ~finally:(fun () ->
         ignore (Unix.alarm 0 : int);
         Sys.set_signal Sys.sigalrm old)
-      (fun () -> Dag.eval d n)
+      f
   with
   | v -> v
-  | exception Timed_out ->
-    Alcotest.failf "%s: Dag.eval still running after 5 s" what
+  | exception Timed_out -> Alcotest.failf "%s: still running after 5 s" what
+
+let eval_within what d n = within what (fun () -> Dag.eval d n)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -349,6 +364,124 @@ let test_full_disk () =
       Alcotest.(check int) "next evaluation misses" 1
         (Dag.counters d2).Dag.misses)
 
+(* ---- store faults ----------------------------------------------------- *)
+
+(* A .meta sidecar whose node is gone is no entry: [dag status] does not
+   count it, and the node is a miss that recomputes. *)
+let test_meta_without_node () =
+  with_dir (fun dir ->
+      let computes = ref 0 in
+      let n =
+        Dag.node ~kind:"orphan" ~inputs:"meta" (fun () ->
+            incr computes;
+            thousands ())
+      in
+      let d = Dag.create ~dir () in
+      ignore (Dag.eval d n : int array);
+      Sys.remove (Filename.concat dir (Dag.key d n ^ ".node"));
+      Alcotest.(check int) "no entry" 0 (List.length (Dag.entries dir));
+      Alcotest.(check bool) "status counts none" true
+        (Bv_obs.Json.member "entries" (Dag.status_json dir)
+        = Some (Bv_obs.Json.Int 0));
+      let d2 = Dag.create ~dir () in
+      Alcotest.(check (array int)) "right value" (thousands ())
+        (eval_within "meta without node" d2 n);
+      Alcotest.(check (pair int int)) "a miss that recomputes" (1, 2)
+        ((Dag.counters d2).Dag.misses, !computes);
+      Alcotest.(check int) "an entry again" 1 (List.length (Dag.entries dir)))
+
+let write_claim dir d n ~pid ~host =
+  let path = Filename.concat dir (Dag.key d n ^ ".claim") in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "%d %s %.0f\n" pid host (Unix.time ()));
+  path
+
+(* [check ()] in a forked child under a 5 s alarm, with [env] set there
+   first: BV_DAG_WAIT is read once per process, so this process keeps
+   its default. *)
+let in_child ?(env = []) what check =
+  match Unix.fork () with
+  | 0 ->
+    List.iter (fun (k, v) -> Unix.putenv k v) env;
+    ignore (Unix.alarm 5 : int);
+    let ok =
+      try check ()
+      with e ->
+        prerr_endline (what ^ ": " ^ Printexc.to_string e);
+        false
+    in
+    Unix._exit (if ok then 0 else 1)
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED c -> Alcotest.failf "%s: check failed (exit %d)" what c
+    | _ -> Alcotest.failf "%s: still running after 5 s" what)
+
+(* A store serves one host: a fresh claim naming another host is stale
+   at once, and the node is computed here. *)
+let test_foreign_claim () =
+  with_dir (fun dir ->
+      let n = Dag.node ~kind:"claim" ~inputs:"foreign" thousands in
+      let d = Dag.create ~dir () in
+      ignore
+        (write_claim dir d n ~pid:(Unix.getpid ())
+           ~host:("not-" ^ Unix.gethostname ())
+          : string);
+      in_child "foreign claim" (fun () ->
+          Dag.eval d n = thousands () && (Dag.counters d).Dag.misses = 1))
+
+(* A claim held by a live process is awaited until BV_DAG_WAIT runs out,
+   then fails naming the claim to remove. *)
+let test_live_claim_times_out () =
+  with_dir (fun dir ->
+      let n = Dag.node ~kind:"claim" ~inputs:"live" thousands in
+      let d = Dag.create ~dir () in
+      let sleeper =
+        Unix.create_process "sleep" [| "sleep"; "30" |] Unix.stdin Unix.stdout
+          Unix.stderr
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill sleeper Sys.sigkill;
+          ignore (Unix.waitpid [] sleeper))
+        (fun () ->
+          let claim =
+            write_claim dir d n ~pid:sleeper ~host:(Unix.gethostname ())
+          in
+          in_child ~env:[ ("BV_DAG_WAIT", "0.3") ] "live claim" (fun () ->
+              match Dag.eval d n with
+              | _ -> false
+              | exception Failure msg ->
+                contains msg "Dag: timed out"
+                && contains msg ("remove " ^ claim))))
+
+(* A sweep whose worker is killed mid-node leaves that node's claim
+   behind; a rerun on the same store takes the dead claim over and
+   recomputes that node alone. *)
+let test_killed_worker_rerun () =
+  with_dir (fun dir ->
+      let marks = Filename.concat dir "computes.marks" in
+      let parent = Unix.getpid () in
+      let kill = ref true in
+      let nodes =
+        List.init 6 (fun i ->
+            Dag.node ~kind:"sweep" ~inputs:i (fun () ->
+                if !kill && i = 3 && Unix.getpid () <> parent then kill_self ();
+                append_mark marks (string_of_int i);
+                i * 7))
+      in
+      (match Pool.map ~jobs:2 (Dag.eval (Dag.create ~dir ())) nodes with
+      | _ -> Alcotest.fail "expected Worker_failure"
+      | exception Pool.Worker_failure { index; _ } ->
+        Alcotest.(check int) "the killed node's item" 3 index);
+      Alcotest.(check int) "the other nodes landed" 5 (count_marks marks);
+      kill := false;
+      let d = Dag.create ~dir () in
+      Alcotest.(check (list int)) "rerun values" [ 0; 7; 14; 21; 28; 35 ]
+        (within "rerun" (fun () -> Pool.map ~jobs:2 (Dag.eval d) nodes));
+      Alcotest.(check int) "only the killed node recomputed" 6
+        (count_marks marks))
+
 (* ---- gc and explain --------------------------------------------------- *)
 
 let test_gc () =
@@ -422,7 +555,6 @@ let () =
     [ ( "engine",
         [ Alcotest.test_case "hit-miss-counters" `Quick test_hit_miss_counters;
           Alcotest.test_case "key-sensitivity" `Quick test_key_sensitivity;
-          Alcotest.test_case "invalidation-cone" `Quick test_invalidation_cone;
           Alcotest.test_case "crash-resume" `Quick test_crash_resume;
           Alcotest.test_case "jobs-deterministic" `Quick
             test_jobs_deterministic
@@ -435,11 +567,20 @@ let () =
         [ Alcotest.test_case "worker-failure-payload" `Quick
             test_worker_failure;
           Alcotest.test_case "worker-failure-lowest-index" `Quick
-            test_worker_failure_lowest_index
+            test_worker_failure_lowest_index;
+          Alcotest.test_case "unmarshallable-result" `Quick
+            test_unmarshallable_result;
+          Alcotest.test_case "worker-killed-mid-item" `Quick test_worker_killed
         ] );
       ( "store",
         [ Alcotest.test_case "gc" `Quick test_gc;
-          Alcotest.test_case "explain" `Quick test_explain
+          Alcotest.test_case "explain" `Quick test_explain;
+          Alcotest.test_case "meta-without-node" `Quick test_meta_without_node;
+          Alcotest.test_case "foreign-claim" `Quick test_foreign_claim;
+          Alcotest.test_case "live-claim-times-out" `Quick
+            test_live_claim_times_out;
+          Alcotest.test_case "killed-worker-rerun" `Quick
+            test_killed_worker_rerun
         ] );
       ( "integrity",
         [ Alcotest.test_case "flipped bit" `Quick test_flipped_bit;

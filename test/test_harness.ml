@@ -162,20 +162,15 @@ let test_jobs_rejected () =
   Alcotest.(check int) "BV_JOBS=2 accepted" 0 code;
   Alcotest.(check bool) "table1 printed" true (stdout <> "")
 
-let test_dag_seconds_rejected () =
+let test_dag_wait_rejected () =
   List.iter
-    (fun var ->
-      List.iter
-        (fun v ->
-          check_rejected (var ^ "=" ^ v)
-            (Cli.run ~env:[ var ^ "=" ^ v ] [ "experiment"; "table1" ])
-            ~error:
-              (Printf.sprintf "vanguard_cli: %s must be a finite number >= 0"
-                 var))
-        [ "5m"; "nan"; "inf"; "-1"; "" ];
-      let code, _, _ = Cli.run ~env:[ var ^ "=0" ] [ "list" ] in
-      Alcotest.(check int) (var ^ "=0 accepted") 0 code)
-    [ "BV_DAG_WAIT"; "BV_DAG_CLAIM_TTL" ]
+    (fun v ->
+      check_rejected ("BV_DAG_WAIT=" ^ v)
+        (Cli.run ~env:[ "BV_DAG_WAIT=" ^ v ] [ "experiment"; "table1" ])
+        ~error:"vanguard_cli: BV_DAG_WAIT must be a finite number >= 0")
+    [ "5m"; "nan"; "inf"; "-1"; "" ];
+  let code, _, _ = Cli.run ~env:[ "BV_DAG_WAIT=0" ] [ "list" ] in
+  Alcotest.(check int) "BV_DAG_WAIT=0 accepted" 0 code
 
 (* A report the disk cannot take is an error, not a silent success. *)
 let test_full_disk () =
@@ -277,10 +272,11 @@ let contains ~sub text =
   at 0
 
 (* A width the machine does not come in, an input it has not got, an
-   unknown benchmark, a negative fuzz count, top count or row count, or
-   a DBB size or path budget below 1 is a usage error (exit 124) that
-   names the value before any work, not an uncaught exception, a run on
-   made-up input or a verdict on a machine that cannot exist. *)
+   unknown benchmark, a negative fuzz count, top count or row count, a
+   DBB size or path budget below 1, or a store bound that is negative
+   or not a number is a usage error (exit 124) that names the value
+   before any work, not an uncaught exception, a run on made-up input,
+   a verdict on a machine that cannot exist or an emptied store. *)
 let test_numeric_options_rejected () =
   List.iter
     (fun (args, names) ->
@@ -313,7 +309,15 @@ let test_numeric_options_rejected () =
       ( [ "report"; "-b"; "mcf"; "--top=-3" ],
         "'--top': expected an integer >= 0, got -3" );
       ( [ "trace"; "-b"; "perlbench"; "--rows=-5" ],
-        "'--rows': expected a positive integer, got -5" )
+        "'--rows': expected a positive integer, got -5" );
+      ( [ "dag"; "gc"; "--dry-run"; "--max-age-days=-1" ],
+        "'--max-age-days': expected a finite number >= 0, got -1" );
+      ( [ "dag"; "gc"; "--dry-run"; "--max-age-days=nan" ],
+        "'--max-age-days': expected a finite number >= 0, got nan" );
+      ( [ "dag"; "gc"; "--dry-run"; "--max-size-mb=-1" ],
+        "'--max-size-mb': expected a finite number >= 0, got -1" );
+      ( [ "dag"; "gc"; "--dry-run"; "--max-size-mb=nan" ],
+        "'--max-size-mb': expected a finite number >= 0, got nan" )
     ];
   let code, _, stderr =
     Cli.run ~env:[ "BV_SCALE=0.05" ]
@@ -469,10 +473,30 @@ let rec remove_tree path =
   end
   else Sys.remove path
 
+(* A size bound past what an int holds in bytes bounds nothing: it must
+   not wrap around into a negative budget that empties the store. *)
+let test_gc_huge_bound () =
+  let store = Filename.temp_dir "bv_gc" "" in
+  let code, stdout, stderr =
+    Fun.protect
+      ~finally:(fun () -> remove_tree store)
+      (fun () ->
+        ignore
+          (Dag.eval (Dag.create ~dir:store ())
+             (Dag.node ~kind:"gc" ~inputs:0 (fun () -> 0))
+            : int);
+        Cli.run ~env:[]
+          [ "dag"; "gc"; "--dir"; store; "--dry-run"; "--max-size-mb=1e300" ])
+  in
+  Alcotest.(check int) (Printf.sprintf "exits 0 (%S)" stderr) 0 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "keeps the node (%S)" stdout)
+    true
+    (contains ~sub:"would remove 0 node(s)" stdout)
+
 (* A report's [dag] object comes last and counts every node the command
-   evaluated: on a fresh store, run --json misses gobmk's prepare and
-   summary nodes, and report mcf's prepare node, one sim node per side
-   and its summary node. *)
+   evaluated: on a fresh store, run --json misses gobmk's prepare node,
+   and report mcf's prepare node and one sim node per side. *)
 let test_dag_counts_every_node () =
   List.iter
     (fun (args, nodes) ->
@@ -502,7 +526,7 @@ let test_dag_counts_every_node () =
               | _ -> None))
           [ "nodes"; "misses" ]
       | _ -> Alcotest.failf "%s: not a JSON object: %s" what out)
-    [ ([ "run"; "-b"; "gobmk" ], 2); ([ "report"; "-b"; "mcf" ], 4) ]
+    [ ([ "run"; "-b"; "gobmk" ], 1); ([ "report"; "-b"; "mcf" ], 3) ]
 
 let prop_geomean_between_min_max =
   QCheck2.Test.make ~name:"geomean between min and max" ~count:200
@@ -548,8 +572,10 @@ let () =
       ( "run inputs",
         [ Alcotest.test_case "malformed BV_SCALE" `Quick test_scale_rejected;
           Alcotest.test_case "malformed BV_JOBS" `Quick test_jobs_rejected;
-          Alcotest.test_case "malformed BV_DAG_WAIT/CLAIM_TTL" `Quick
-            test_dag_seconds_rejected;
+          Alcotest.test_case "malformed BV_DAG_WAIT" `Quick
+            test_dag_wait_rejected;
+          Alcotest.test_case "dag gc size bound past an int" `Quick
+            test_gc_huge_bound;
           Alcotest.test_case "--json to a full disk" `Quick test_full_disk;
           Alcotest.test_case "--json - to a full stdout" `Quick
             test_full_stdout;
