@@ -28,9 +28,14 @@ let int_conv ~expected =
 let positive = int_conv ~expected:"a positive integer" (fun n -> n > 0)
 let non_negative = int_conv ~expected:"an integer >= 0" (fun n -> n >= 0)
 
+let float_conv ~expected =
+  checked_conv ~expected Float.of_string_opt Format.pp_print_float
+
+let finite = float_conv ~expected:"a finite number" Float.is_finite
+
 let finite_non_negative =
-  checked_conv ~expected:"a finite number >= 0" Float.of_string_opt
-    Format.pp_print_float (fun f -> Float.is_finite f && f >= 0.0)
+  float_conv ~expected:"a finite number >= 0" (fun f ->
+      Float.is_finite f && f >= 0.0)
 
 let spec_conv =
   let parse name =
@@ -1185,11 +1190,12 @@ let advise_cmd =
   in
   let corr_floor_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt finite 0.0
       & info [ "corr-floor" ] ~docv:"RHO"
           ~doc:
             "Fail validation when the rank correlation falls below $(docv) \
-             (with at least 5 joined sites).")
+             (with at least 5 joined sites). $(docv) must be finite; it may \
+             be negative, as the correlation lies in [-1, 1].")
   in
   Cmd.v
     (Cmd.info "advise"

@@ -20,7 +20,7 @@ let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
   in
   let sc_bits = 10 in
   let sc_mask = (1 lsl sc_bits) - 1 in
-  let sc = Array.make (1 lsl sc_bits) 16 in
+  let sc = Bytes.make (1 lsl sc_bits) '\016' in
   (* 5-bit counters centred at 16 *)
   let loop_index pc = Predictor.hash_pc pc land loop_mask in
   let loop_tag pc = (Predictor.hash_pc (pc * 17) lsr 8) land 0x3fff in
@@ -68,7 +68,7 @@ let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
       if loop >= 0 then loop = 1
       else
         (* Statistical corrector: revert TAGE when strongly contradicted. *)
-        let s = sc.(sc_index pc tage_pred) in
+        let s = Bytes.get_uint8 sc (sc_index pc tage_pred) in
         if s <= 2 then not tage_pred else tage_pred
     in
     if pred <> tage_pred then
@@ -84,8 +84,7 @@ let create ?(num_tables = 8) ?(table_bits = 12) ?(loop_entries = 64) () =
     tage.Predictor.update_at m o ~pc ~taken;
     loop_update pc ~taken;
     let tage_pred = m.(o + tw + 2) = 1 in
-    let si = m.(o + tw + 3) in
-    sc.(si) <- Predictor.counter_update sc.(si) ~taken:(tage_pred = taken) ~max:31
+    Predictor.train sc m.(o + tw + 3) ~taken:(tage_pred = taken) ~max:31
   in
   Predictor.make
     ~name:(Printf.sprintf "isl-tage-%dx%db" num_tables table_bits)

@@ -1,4 +1,6 @@
 let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
+  if weight_bits < 1 || weight_bits > 8 then
+    invalid_arg "Perceptron.create: weight_bits must be in 1..8";
   let size = 1 lsl table_bits in
   let mask = size - 1 in
   let hmask = (1 lsl history_bits) - 1 in
@@ -7,20 +9,25 @@ let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
   let clamp (v : int) =
     if v > wmax then wmax else if v < wmin then wmin else v
   in
-  (* weights.(p) = bias weight :: one weight per history bit *)
-  let weights = Array.make_matrix size (history_bits + 1) 0 in
+  (* Perceptron [p]'s weights are the signed bytes from [p * stride]: the
+     bias weight, then one weight per history bit. *)
+  let stride = history_bits + 1 in
+  let weights = Bytes.make (size * stride) '\000' in
   let history = ref 0 in
   let threshold =
     Float.to_int (Float.round ((1.93 *. Float.of_int history_bits) +. 14.0))
   in
-  let index pc = Predictor.hash_pc pc land mask in
+  let row pc = (Predictor.hash_pc pc land mask) * stride in
   let dot w h =
-    let sum = ref w.(0) in
+    let sum = ref (Bytes.get_int8 weights w) in
     for b = 0 to history_bits - 1 do
       let x = if (h lsr b) land 1 = 1 then 1 else -1 in
-      sum := !sum + (x * w.(b + 1))
+      sum := !sum + (x * Bytes.get_int8 weights (w + b + 1))
     done;
     !sum
+  in
+  let bump i t =
+    Bytes.set_int8 weights i (clamp (Bytes.get_int8 weights i + t))
   in
   let shift h taken = ((h lsl 1) lor Bool.to_int taken) land hmask in
   (* meta row: [| h; dot product |] *)
@@ -30,7 +37,7 @@ let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
     ~meta_words:2
     ~predict_at:(fun m o ~pc ~outcome:_ ->
       let h = !history in
-      let sum = dot weights.(index pc) h in
+      let sum = dot (row pc) h in
       let pred = sum >= 0 in
       history := shift h pred;
       m.(o) <- h;
@@ -40,12 +47,12 @@ let create ?(table_bits = 9) ?(history_bits = 28) ?(weight_bits = 8) () =
       let h = m.(o) and sum = m.(o + 1) in
       let pred = sum >= 0 in
       if pred <> taken || abs sum <= threshold then begin
-        let w = weights.(index pc) in
+        let w = row pc in
         let t = if taken then 1 else -1 in
-        w.(0) <- clamp (w.(0) + t);
+        bump w t;
         for b = 0 to history_bits - 1 do
           let x = if (h lsr b) land 1 = 1 then 1 else -1 in
-          w.(b + 1) <- clamp (w.(b + 1) + (t * x))
+          bump (w + b + 1) (t * x)
         done
       end)
     ~recover_at:(fun m o ~taken -> history := shift m.(o) taken)

@@ -10,4 +10,5 @@ val create :
   Predictor.t
 (** Defaults: [2^9] perceptrons over 28 bits of history with 8-bit
     weights (≈16 KB). The training threshold uses the standard
-    [1.93 * h + 14]. *)
+    [1.93 * h + 14]. Each weight is one signed byte, so [weight_bits]
+    must lie in 1..8 ([Invalid_argument] otherwise). *)

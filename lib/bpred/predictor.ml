@@ -35,6 +35,11 @@ let counter_update c ~taken ~max =
 
 let counter_taken c ~max = 2 * c > max
 
+let counters size = Bytes.make size '\001'
+
+let[@inline] train table i ~taken ~max =
+  Bytes.set_uint8 table i (counter_update (Bytes.get_uint8 table i) ~taken ~max)
+
 (* Multiplicative mixing; instruction addresses are pc*4, so fold the low
    bits in before multiplying. *)
 let hash_pc pc =

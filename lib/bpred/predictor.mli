@@ -77,6 +77,16 @@ val counter_taken : int -> max:int -> bool
 (** Does a saturating counter currently predict taken (counter in the upper
     half of its range)? *)
 
+val counters : int -> Bytes.t
+(** A table of [n] saturating counters of up to 8 bits, one byte each,
+    every one at 1 (weakly not-taken for a 2-bit counter). Counter tables
+    are [Bytes], not [int array]: the major GC never scans them, and a
+    2-bit counter costs one byte, not eight. *)
+
+val train : Bytes.t -> int -> taken:bool -> max:int -> unit
+(** [train table i ~taken ~max] steps the counter at index [i] with
+    {!counter_update}. *)
+
 val hash_pc : int -> int
 (** Cheap PC mixing used by all table indexing. *)
 

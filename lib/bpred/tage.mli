@@ -16,4 +16,6 @@ val create :
   unit ->
   Predictor.t
 (** Defaults: 6 tagged tables of [2^11] entries, 9-bit tags, histories
-    geometric from 4 to [max_history] (default 62). *)
+    geometric from 4 to [max_history] (default 62). An entry packs its
+    tag, counter and useful bits into 16 bits, so [tag_bits] above 10 (or
+    [table_bits] below 2) raises [Invalid_argument]. *)

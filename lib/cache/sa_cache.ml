@@ -5,15 +5,21 @@ type stats =
     writebacks : int
   }
 
+(* Per-line columns live outside the OCaml heap ([Bigarray]) or in
+   [Bytes], where the major GC never scans them: as [int array]s, a 4 MB
+   L3's tags, stamps and flags were 196,608 words that every major
+   collection marked, built again for every simulation. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t =
   { name : string;
     line_bits : int;
     set_bits : int;
     set_count : int;
     ways : int;
-    tags : int array;  (* set * ways, -1 = invalid *)
-    lru : int array;  (* last-use stamp *)
-    dirty : bool array;
+    tags : ints;  (* set * ways, -1 = invalid *)
+    lru : ints;  (* last-use stamp *)
+    dirty : Bytes.t;  (* '\001' = dirty *)
     mutable clock : int;
     mutable accesses : int;
     mutable misses : int;
@@ -26,6 +32,11 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
+
+let ints n init =
+  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  Bigarray.Array1.fill a init;
+  a
 
 let create ~name ~size_bytes ~ways ~line_bytes =
   if not (is_pow2 line_bytes) then
@@ -40,9 +51,9 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     set_bits = log2 set_count;
     set_count;
     ways;
-    tags = Array.make (set_count * ways) (-1);
-    lru = Array.make (set_count * ways) 0;
-    dirty = Array.make (set_count * ways) false;
+    tags = ints (set_count * ways) (-1);
+    lru = ints (set_count * ways) 0;
+    dirty = Bytes.make (set_count * ways) '\000';
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -66,10 +77,10 @@ let lookup t set tag =
   let victim = ref base and victim_rank = ref max_int in
   while !found < 0 && !w < stop do
     let i = !w in
-    let tg = t.tags.(i) in
+    let tg = t.tags.{i} in
     if tg = tag then found := i
     else begin
-      let rank = if tg = -1 then -1 else t.lru.(i) in
+      let rank = if tg = -1 then -1 else t.lru.{i} in
       if rank < !victim_rank then begin
         victim := i;
         victim_rank := rank
@@ -87,20 +98,20 @@ let access t ~addr ~write =
   let tag = line lsr t.set_bits in
   let i = lookup t set tag in
   if i >= 0 then begin
-    t.lru.(i) <- t.clock;
-    if write then t.dirty.(i) <- true;
+    t.lru.{i} <- t.clock;
+    if write then Bytes.set_uint8 t.dirty i 1;
     `Hit
   end
   else begin
     t.misses <- t.misses + 1;
     let i = -1 - i in
-    if t.tags.(i) <> -1 then begin
+    if t.tags.{i} <> -1 then begin
       t.evictions <- t.evictions + 1;
-      if t.dirty.(i) then t.writebacks <- t.writebacks + 1
+      if Bytes.get_uint8 t.dirty i = 1 then t.writebacks <- t.writebacks + 1
     end;
-    t.tags.(i) <- tag;
-    t.lru.(i) <- t.clock;
-    t.dirty.(i) <- write;
+    t.tags.{i} <- tag;
+    t.lru.{i} <- t.clock;
+    Bytes.set_uint8 t.dirty i (Bool.to_int write);
     `Miss
   end
 
@@ -111,8 +122,8 @@ let probe t ~addr =
   lookup t set tag >= 0
 
 let invalidate_all t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false
+  Bigarray.Array1.fill t.tags (-1);
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 
 let stats t =
   { accesses = t.accesses;

@@ -13,6 +13,10 @@ exception Fault of string
     speculative memory access, return with empty call stack, PC out of
     code bounds. Speculative loads never fault — they return 0 instead. *)
 
+type decoded
+(** An image decoded for execution: one flat [int array] of four words
+    per instruction, built once by {!init} (see docs/INTERNALS.md). *)
+
 type state =
   { regs : int array;
     mem : int array;
@@ -21,11 +25,13 @@ type state =
     mutable instr_count : int;
     mutable load_count : int;
     mutable store_count : int;
-    call_stack : int Stack.t
+    call_stack : int Stack.t;
+    decoded : decoded  (** the image this state runs *)
   }
 
 val init : Layout.image -> state
-(** Fresh state at the image entry with segment-initialised memory. *)
+(** Fresh state at the image entry with segment-initialised memory, and
+    the image decoded once for {!step} and {!run}. *)
 
 type hooks =
   { on_branch : id:int -> pc:int -> taken:bool -> unit;
@@ -43,7 +49,11 @@ val step :
   Layout.image ->
   state ->
   unit
-(** Execute one instruction. No-op when halted. *)
+(** Execute one instruction. No-op when halted. [image] must be the one
+    the state was made from by {!init}: [Invalid_argument] otherwise. A
+    {!Fault} leaves the state as the faulting instruction found it, but
+    with that instruction counted (and, for a load or store, its
+    load or store). *)
 
 val run :
   ?hooks:hooks ->

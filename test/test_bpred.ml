@@ -121,6 +121,22 @@ let test_history_recovery () =
   let a1 = accuracy p1 stream and a2 = accuracy p2 stream in
   Alcotest.(check (float 0.0001)) "deterministic" a1 a2
 
+(* Tables hold their fields in bytes: a TAGE entry in 16 bits, a
+   perceptron weight in one signed byte. A geometry that does not fit is
+   refused when the predictor is made, not truncated in use. *)
+let test_table_widths () =
+  let refused what f =
+    match f () with
+    | (_ : Predictor.t) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "11-bit TAGE tags" (fun () -> Tage.create ~tag_bits:11 ());
+  refused "9-bit perceptron weights" (fun () ->
+      Perceptron.create ~weight_bits:9 ());
+  refused "1-bit TAGE index" (fun () -> Tage.create ~table_bits:1 ());
+  ignore (Tage.create ~tag_bits:10 ());
+  ignore (Perceptron.create ~weight_bits:8 ())
+
 let test_storage_bits () =
   Alcotest.(check int) "tournament 24KB" (3 * 2 * 32768)
     (Tournament.create ()).Predictor.storage_bits;
@@ -555,6 +571,7 @@ let () =
         ] );
       ( "metadata",
         [ Alcotest.test_case "storage bits" `Quick test_storage_bits;
+          Alcotest.test_case "table widths" `Quick test_table_widths;
           Alcotest.test_case "kind names" `Quick test_kind_roundtrip
         ] );
       ( "btb/ras",

@@ -273,10 +273,11 @@ let contains ~sub text =
 
 (* A width the machine does not come in, an input it has not got, an
    unknown benchmark, a negative fuzz count, top count or row count, a
-   DBB size or path budget below 1, or a store bound that is negative
-   or not a number is a usage error (exit 124) that names the value
-   before any work, not an uncaught exception, a run on made-up input,
-   a verdict on a machine that cannot exist or an emptied store. *)
+   DBB size or path budget below 1, a store bound that is negative or
+   not a number, or a correlation floor that is not finite is a usage
+   error (exit 124) that names the value before any work, not an
+   uncaught exception, a run on made-up input, a verdict on a machine
+   that cannot exist, an emptied store or a gate that never fails. *)
 let test_numeric_options_rejected () =
   List.iter
     (fun (args, names) ->
@@ -317,7 +318,11 @@ let test_numeric_options_rejected () =
       ( [ "dag"; "gc"; "--dry-run"; "--max-size-mb=-1" ],
         "'--max-size-mb': expected a finite number >= 0, got -1" );
       ( [ "dag"; "gc"; "--dry-run"; "--max-size-mb=nan" ],
-        "'--max-size-mb': expected a finite number >= 0, got nan" )
+        "'--max-size-mb': expected a finite number >= 0, got nan" );
+      ( [ "advise"; "-b"; "gcc"; "--validate"; "--corr-floor=nan" ],
+        "'--corr-floor': expected a finite number, got nan" );
+      ( [ "advise"; "-b"; "gcc"; "--validate"; "--corr-floor=inf" ],
+        "'--corr-floor': expected a finite number, got inf" )
     ];
   let code, _, stderr =
     Cli.run ~env:[ "BV_SCALE=0.05" ]

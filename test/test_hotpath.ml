@@ -261,6 +261,64 @@ let test_cycle_allocation () =
   in
   Alcotest.(check (list string)) "runs at >= 0.05 minor words/cycle" [] over
 
+(* ------------------------------------------------- per-run tables *)
+
+(* Words [f] allocates in the major heap. The minor heap is emptied
+   first, so [f]'s small blocks stay young and only what goes to the
+   major heap directly is counted: the large tables. For a fixed binary
+   the count is deterministic. *)
+let major_words f =
+  Gc.minor ();
+  let _, _, w0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, _, w1 = Gc.counters () in
+  w1 -. w0
+
+(* Every profile and every simulation builds a predictor and a cache
+   hierarchy afresh, and every major collection marks each word of an
+   [int array]: so bulk tables live in [Bytes] or a [Bigarray], and
+   these ceilings, just above each reading when the gate was set, keep
+   them there. With [int array] tables the readings were 16,385 words
+   (bimodal), 32,769 (gshare), 98,317 (tournament), 20,482 (TAGE),
+   41,987 (ISL-TAGE) and 211,990 (the hierarchy). *)
+let major_words_when_set =
+  [ ("always-not-taken", 0);
+    ("always-taken", 0);
+    ("bimodal-small", 0);
+    ("bimodal", 2_100);
+    ("gshare-small", 1_100);
+    ("gshare", 4_200);
+    ("tournament", 12_300);
+    ("perceptron", 1_900);
+    ("tage", 4_200);
+    ("isl-tage", 9_300);
+    ("perfect", 0);
+    ("Hierarchy.create ()", 9_000)
+  ]
+
+let test_table_allocation () =
+  let readings =
+    List.map
+      (fun k ->
+        (Bv_bpred.Kind.name k, major_words (fun () -> Bv_bpred.Kind.create k)))
+      Bv_bpred.Kind.all
+    @ [ ( "Hierarchy.create ()",
+          major_words (fun () -> Bv_cache.Hierarchy.create ()) )
+      ]
+  in
+  let over =
+    List.filter_map
+      (fun (what, words) ->
+        let ceiling = List.assoc what major_words_when_set in
+        let reading =
+          Printf.sprintf "%s: %.0f major words (ceiling %d)" what words ceiling
+        in
+        print_endline reading;
+        if words <= Float.of_int ceiling then None else Some reading)
+      readings
+  in
+  Alcotest.(check (list string)) "tables over their major-heap ceiling" [] over
+
 (* ------------------------------------------------ analysis allocation *)
 
 (* The 55 TRAIN programs at a quarter of their repetitions (as the
@@ -467,7 +525,9 @@ let () =
         [ Alcotest.test_case "no allocation per simulated cycle" `Quick
             test_cycle_allocation;
           Alcotest.test_case "analysis allocation" `Quick
-            test_analysis_allocation
+            test_analysis_allocation;
+          Alcotest.test_case "per-run tables off the scanned heap" `Quick
+            test_table_allocation
         ] );
       ( "stall skipping",
         [ Alcotest.test_case "stepped share of cycles" `Quick
