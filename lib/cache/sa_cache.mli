@@ -1,6 +1,11 @@
 (** Set-associative cache with true-LRU replacement and write-back,
     write-allocate policy. Only tags are tracked (data values live in the
-    functional memory); the model answers hit/miss and counts traffic. *)
+    functional memory); the model answers hit/miss and counts traffic.
+
+    Each set keeps its ways in recency order, most recently used first,
+    with the valid ways as a prefix: a lookup scans that prefix, a hit
+    moves its way to the front, a fill lands at the front and a full set
+    evicts its last way. No per-way stamp is kept. *)
 
 type t
 
@@ -20,12 +25,15 @@ val line_bytes : t -> int
 val sets : t -> int
 
 val access : t -> addr:int -> write:bool -> [ `Hit | `Miss ]
-(** Look up the line containing byte address [addr]; on a miss the line is
-    filled (allocated) and the LRU victim evicted. [write] marks the line
-    dirty; evicting a dirty line counts a writeback. *)
+(** Look up the line containing byte address [addr] and make it the most
+    recently used of its set; on a miss the line is filled (allocated)
+    and, when the set is full, the least recently used line evicted.
+    [write] marks the line dirty; evicting a dirty line counts a
+    writeback. *)
 
 val probe : t -> addr:int -> bool
-(** Non-allocating lookup: would [addr] hit right now? No stats change. *)
+(** Non-allocating lookup: would [addr] hit right now? Neither the stats
+    nor the set's recency order change. *)
 
 val invalidate_all : t -> unit
 val stats : t -> stats

@@ -129,6 +129,10 @@ let flush st ~from_seq ~checkpoint ~new_pc =
     recycle_inflight st h
   done;
   Ring.drop_tail st.fbuf (len - cut);
+  if st.cfg.Config.runahead then begin
+    let len = Ring.length st.fbuf_mem in
+    Ring.drop_tail st.fbuf_mem (len - squash_start st st.fbuf_mem ~from_seq)
+  end;
   (* A squashed entry whose complete_cycle has arrived is also sitting in
      the completion scratch (collected before this flush ran) and will be
      recycled there; one still in flight is reachable from nowhere else

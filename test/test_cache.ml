@@ -201,6 +201,51 @@ let prop_single_pass_lookup =
                   List.init ways (fun w -> (set * ways) + w)))
         ops)
 
+(* [Sa_cache]'s recency-ordered sets against [Cache_ref], the stamp-LRU
+   cache they replaced: random geometries of 1 to 32 ways, and random
+   streams of reads, writes, probes and invalidations over about one and
+   a half times the cache's lines. After every operation the answer and
+   the stats must be the reference's. *)
+type ref_op = Read_write of int * bool | Probe of int | Invalidate_all
+
+let prop_recency_order =
+  let gen =
+    QCheck2.Gen.(
+      let* ways = int_range 1 32 in
+      let* sets = oneofl [ 1; 2; 4; 16 ] in
+      let* line = oneofl [ 8; 64 ] in
+      let lines = sets * ((3 * ways / 2) + 1) in
+      let addr = int_bound ((lines * line) - 1) in
+      let op =
+        frequency
+          [ (30, map2 (fun a w -> Read_write (a, w)) addr bool);
+            (10, map (fun a -> Probe a) addr);
+            (1, pure Invalidate_all)
+          ]
+      in
+      let+ ops = list_size (int_range 1 600) op in
+      (ways, sets, line, ops))
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"recency-ordered sets = stamp-LRU reference (access, probe, stats)"
+    gen
+    (fun (ways, sets, line, ops) ->
+      let size_bytes = ways * sets * line in
+      let c = Sa_cache.create ~name:"t" ~size_bytes ~ways ~line_bytes:line in
+      let r = Cache_ref.create ~name:"t" ~size_bytes ~ways ~line_bytes:line in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Read_write (addr, write) ->
+            Sa_cache.access c ~addr ~write = Cache_ref.access r ~addr ~write
+          | Probe addr -> Sa_cache.probe c ~addr = Cache_ref.probe r ~addr
+          | Invalidate_all ->
+            Sa_cache.invalidate_all c;
+            Cache_ref.invalidate_all r;
+            true)
+          && Sa_cache.stats c = Cache_ref.stats r)
+        ops)
+
 let test_hierarchy_latencies () =
   let h = Hierarchy.create () in
   let lat, level = Hierarchy.data_access h ~addr:0 ~write:false in
@@ -253,6 +298,7 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_inclusive_second_access_hits;
-          QCheck_alcotest.to_alcotest prop_single_pass_lookup
+          QCheck_alcotest.to_alcotest prop_single_pass_lookup;
+          QCheck_alcotest.to_alcotest prop_recency_order
         ] )
     ]

@@ -454,8 +454,8 @@ let test_analysis_allocation () =
 let stepped_pct_when_set =
   [ ("plain_w4", 68.67);
     ("decomposed_w4", 70.70);
-    ("runahead_w8", 82.29);
-    ("decomposed_runahead_w8", 25.85)
+    ("runahead_w8", 82.24);
+    ("decomposed_runahead_w8", 25.60)
   ]
 
 (* Unobserved, accounted and evented runs skip the same cycles (no event

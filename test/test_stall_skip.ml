@@ -16,8 +16,9 @@
      shows a mode that stopped skipping).
 
    Both are checked on random structured programs across widths and
-   under runahead, and on four suite configurations, both sides of the
-   transform, at a tenth of their calibrated repetitions. *)
+   under runahead (with 8, 32 and 64 fetch-buffer entries), and on four
+   suite configurations, both sides of the transform, at a tenth of
+   their calibrated repetitions. *)
 
 open Bv_bpred
 open Bv_ir
@@ -104,13 +105,26 @@ let observed_divergence config image =
              a.Machine.skipped_cycles unobserved.Machine.skipped_cycles)
       else None
 
+(* The runahead sweep walks an index of the fetch buffer's memory
+   entries that fetch, issue and flushes maintain: the small buffer with
+   two MSHRs makes flushes and refused prefetches frequent, the 64-entry
+   one makes the index long. *)
 let configs =
   Config.
     [ two_wide;
       four_wide;
       eight_wide;
       { (make ~predictor:Kind.Tage ~width:4 ()) with runahead = true };
-      { (make ~predictor:Kind.Tage ~width:8 ()) with runahead = true }
+      { (make ~predictor:Kind.Tage ~width:8 ()) with runahead = true };
+      { (make ~predictor:Kind.Tage ~width:4 ()) with
+        runahead = true;
+        fetch_buffer = 8;
+        mshrs = 2
+      };
+      { (make ~predictor:Kind.Tage ~width:8 ()) with
+        runahead = true;
+        fetch_buffer = 64
+      }
     ]
 
 let prop_stall_skip =
