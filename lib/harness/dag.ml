@@ -2,7 +2,7 @@
    key's inputs: the compile pipeline ([prepare]), the timing model
    ([sim]), or the [Runner.artifact] / [Runner.run] payload types.
    Everything else is recomputed on every run and never stored. *)
-let code_format = 7
+let code_format = 8
 
 type counters =
   { hits : int;
