@@ -6,8 +6,10 @@
     memory structural resources (MSHRs, store buffer). Stall causes are
     classified into the [Stats] head-stall counters, and per-site
     condition-wait (ASPCB) is measured at issue. When runahead is
-    enabled, a fully-stalled cycle walks the fetch buffer and prefetches
-    ready addresses. *)
+    enabled, a fully-stalled cycle walks the fetch buffer's memory
+    entries ([fbuf_mem]) and starts fills for up to two ready addresses
+    that miss in L1; only a started fill caps its load's latency at
+    issue. *)
 
 val issue : Machine_state.t -> unit
 
