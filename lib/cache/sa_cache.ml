@@ -5,10 +5,10 @@ type stats =
     writebacks : int
   }
 
-(* Per-line columns live outside the OCaml heap ([Bigarray]) or in
-   [Bytes], where the major GC never scans them: as [int array]s, a 4 MB
-   L3's tags, stamps and flags were 196,608 words that every major
-   collection marked, built again for every simulation. *)
+(* Per-line columns live outside the OCaml heap ([Bigarray]), where the
+   major GC never scans them: as [int array]s, a 4 MB L3's tags, stamps
+   and flags were 196,608 words that every major collection marked,
+   built again for every simulation. *)
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* Each set keeps its ways in recency order, the most recently used
@@ -16,15 +16,19 @@ type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
    hit moves its way to the front, a miss fills at the front, and a full
    set evicts its last way, the least recently used one. That is the
    victim stamp-LRU picks, since its stamps are unique per access; which
-   physical way an invalid fill lands in is not observable. *)
+   physical way an invalid fill lands in is not observable.
+
+   A way is one word, [tag lsl 1 lor dirty]. The shift is exact while
+   every tag fits in 62 bits: a tag is the address shifted right
+   ([lsr]) by the line and set bits, so that holds unless both are 0,
+   which [create] rejects. *)
 type t =
   { name : string;
     line_bits : int;
     set_bits : int;
     set_count : int;
     ways : int;
-    tags : ints;  (* set * ways, each set most recently used first *)
-    dirty : Bytes.t;  (* '\001' = dirty, the way at the same index *)
+    lines : ints;  (* set * ways, each set most recently used first *)
     valid : ints;  (* per set: the length of its valid prefix *)
     mutable accesses : int;
     mutable misses : int;
@@ -51,13 +55,14 @@ let create ~name ~size_bytes ~ways ~line_bytes =
   let set_count = size_bytes / (ways * line_bytes) in
   if not (is_pow2 set_count) then
     invalid_arg (name ^ ": set count must be a power of two");
+  if line_bytes = 1 && set_count = 1 then
+    invalid_arg (name ^ ": 1-byte lines need more than one set");
   { name;
     line_bits = log2 line_bytes;
     set_bits = log2 set_count;
     set_count;
     ways;
-    tags = ints (set_count * ways) 0;
-    dirty = Bytes.make (set_count * ways) '\000';
+    lines = ints (set_count * ways) 0;
     valid = ints set_count 0;
     accesses = 0;
     misses = 0;
@@ -69,38 +74,35 @@ let name t = t.name
 let line_bytes t = 1 lsl t.line_bits
 let sets t = t.set_count
 
-(* The index of the way of [set] holding [tag], or -1: a scan of the
-   valid prefix that stops at the hit. No closure, no option: [access]
-   and [probe] allocate nothing. *)
-let find t set tag =
+(* The index of the way of [set] holding [key], a tag shifted left by
+   one, or -1: a scan of the valid prefix that stops at the hit. No
+   closure, no option: [access] and [probe] allocate nothing. *)
+let find t set key =
   let base = set * t.ways in
   let stop = base + t.valid.{set} in
   let i = ref base in
-  while !i < stop && t.tags.{!i} <> tag do
+  while !i < stop && t.lines.{!i} land -2 <> key do
     incr i
   done;
   if !i < stop then !i else -1
 
-(* Move ways [base] .. [i - 1] one way back, over way [i], and put [tag]
-   and [dirty] in way [base], the front of the set. *)
-let move_to_front t ~base i ~tag ~dirty =
+(* Move ways [base] .. [i - 1] one way back, over way [i], and put [w]
+   in way [base], the front of the set. *)
+let move_to_front t ~base i w =
   for j = i downto base + 1 do
-    t.tags.{j} <- t.tags.{j - 1};
-    Bytes.set_uint8 t.dirty j (Bytes.get_uint8 t.dirty (j - 1))
+    t.lines.{j} <- t.lines.{j - 1}
   done;
-  t.tags.{base} <- tag;
-  Bytes.set_uint8 t.dirty base dirty
+  t.lines.{base} <- w
 
 let access t ~addr ~write =
   t.accesses <- t.accesses + 1;
   let line = addr lsr t.line_bits in
   let set = line land (t.set_count - 1) in
-  let tag = line lsr t.set_bits in
+  let key = (line lsr t.set_bits) lsl 1 in
   let base = set * t.ways in
-  let i = find t set tag in
+  let i = find t set key in
   if i >= 0 then begin
-    move_to_front t ~base i ~tag
-      ~dirty:(Bytes.get_uint8 t.dirty i lor Bool.to_int write);
+    move_to_front t ~base i (t.lines.{i} lor Bool.to_int write);
     `Hit
   end
   else begin
@@ -112,8 +114,7 @@ let access t ~addr ~write =
       if n = t.ways then begin
         let last = base + n - 1 in
         t.evictions <- t.evictions + 1;
-        if Bytes.get_uint8 t.dirty last = 1 then
-          t.writebacks <- t.writebacks + 1;
+        if t.lines.{last} land 1 = 1 then t.writebacks <- t.writebacks + 1;
         last
       end
       else begin
@@ -121,15 +122,14 @@ let access t ~addr ~write =
         base + n
       end
     in
-    move_to_front t ~base over ~tag ~dirty:(Bool.to_int write);
+    move_to_front t ~base over (key lor Bool.to_int write);
     `Miss
   end
 
 let probe t ~addr =
   let line = addr lsr t.line_bits in
   let set = line land (t.set_count - 1) in
-  let tag = line lsr t.set_bits in
-  find t set tag >= 0
+  find t set ((line lsr t.set_bits) lsl 1) >= 0
 
 let invalidate_all t = Bigarray.Array1.fill t.valid 0
 

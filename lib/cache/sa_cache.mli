@@ -5,7 +5,9 @@
     Each set keeps its ways in recency order, most recently used first,
     with the valid ways as a prefix: a lookup scans that prefix, a hit
     moves its way to the front, a fill lands at the front and a full set
-    evicts its last way. No per-way stamp is kept. *)
+    evicts its last way. No per-way stamp is kept, and a way is one word
+    out of the scanned heap: its tag shifted left by one, or'd with its
+    dirty bit. *)
 
 type t
 
@@ -18,7 +20,9 @@ type stats =
 
 val create :
   name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
-(** Raises [Invalid_argument] unless sizes are powers of two and consistent. *)
+(** Raises [Invalid_argument] unless sizes are powers of two and
+    consistent, and for 1-byte lines in a single set: there a tag is a
+    whole 63-bit address, one bit too wide for the packed way. *)
 
 val name : t -> string
 val line_bytes : t -> int

@@ -65,7 +65,9 @@ val run :
     instructions. [predict_policy] defaults to always-false. *)
 
 val mem_digest : state -> int
-(** Order-independent FNV-style digest of the memory image. *)
+(** FNV-1a-style fold over the memory image's words, lowest address
+    first. It depends on the order: the same words at other addresses
+    give another digest. *)
 
 val reg_digest : state -> int
 

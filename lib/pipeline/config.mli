@@ -24,10 +24,16 @@ type t =
     btb_miss_penalty : int;
         (** extra bubble when a taken prediction lacks a BTB target *)
     runahead : bool;
-        (** runahead-style prefetch-under-stall (off in the paper's
-            machine, §5.1): while issue is blocked on a missing load, the
-            addresses of younger not-yet-issued loads in the fetch buffer
-            are prefetched into the hierarchy *)
+        (** runahead-style prefetch (off in the paper's machine, §5.1).
+            On every cycle in which nothing issues and the fetch buffer
+            is not empty, whatever blocked issue (a front-end stall
+            too), a sweep walks the buffer's loads and stores in order,
+            the issue head among them, and starts a fill for up to two
+            whose address operands are ready, whose line is not in L1
+            and for which an MSHR is free (a store's line is fetched as
+            a read). A load whose fill was started pays at issue the
+            fill's remaining time, if that is below its own access
+            latency, but at least the L1 latency. *)
     dbb_entries : int;  (** 16 *)
     mshrs : int;  (** 64-entry miss buffer *)
     store_buffer : int;

@@ -80,7 +80,7 @@ let run st ~max_instrs =
       let addr = regs.(Reg.index base) + offset in
       ignore (Hierarchy.data_access_latency st.hier ~addr ~write:true);
       if addr land 7 = 0 && addr >= 0 && addr / 8 < st.mem_words then
-        st.mem.(addr / 8) <- regs.(Reg.index src);
+        st.mem.{addr / 8} <- regs.(Reg.index src);
       st.stores_retired <- st.stores_retired + 1;
       pc := next
     | Instr.Branch { on; src; target = _; id = _ } ->

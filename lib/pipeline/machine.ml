@@ -155,7 +155,13 @@ let run_to st ~max_cycles ~max_retired ~on_cycle =
       Stats.retired stats < max_retired)
 
 let result_of st =
-  let mem_digest = Array.fold_left fnv_fold 0xcbf29ce4 st.Machine_state.mem in
+  (* [Interp.mem_digest]'s fold, over the machine's memory *)
+  let mem = st.Machine_state.mem in
+  let acc = ref 0xcbf29ce4 in
+  for w = 0 to Bigarray.Array1.dim mem - 1 do
+    acc := fnv_fold !acc mem.{w}
+  done;
+  let mem_digest = !acc in
   { stats = st.Machine_state.stats;
     hierarchy = st.Machine_state.hier;
     config = st.Machine_state.cfg;

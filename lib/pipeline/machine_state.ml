@@ -149,57 +149,78 @@ module Ring = struct
     t.len <- t.len - n
 end
 
-(* Release-time calendar for MSHR / store-buffer occupancy: O(1) schedule,
-   O(1) amortised drain, O(1) occupancy query — replaces the lists that
-   were List.filter-compacted every cycle and List.length-counted on
-   every issue attempt. [slots.(c land mask)] counts entries released at
-   cycle [c]; [horizon] must bound the largest schedulable latency. *)
+(* MSHR and store-buffer occupancy: a binary min-heap of release
+   cycles, [heap.(0 .. size - 1)] with each entry no later than its
+   children. [schedule] pushes, [drain ~now] pops while the top is at or
+   before [now], and [next_release] reads the top, so an entry costs one
+   push and one pop however many cycles a stall skip jumps over. The
+   backing array doubles when full, so it grows only to the run's peak
+   occupancy. *)
 module Release = struct
   type t =
-    { slots : int array;
-      mask : int;
-      mutable occupancy : int;
-      mutable cursor : int  (* next cycle to drain *)
+    { mutable heap : int array;
+      mutable size : int
     }
 
-  let create ~horizon =
-    let cap = pow2_at_least (horizon + 2) 1 in
-    { slots = Array.make cap 0; mask = cap - 1; occupancy = 0; cursor = 0 }
+  let create () = { heap = Array.make 16 0; size = 0 }
 
-  let[@inline] occupancy t = t.occupancy
+  let[@inline] occupancy t = t.size
 
-  let[@inline] schedule t ~at =
-    assert (at >= t.cursor && at - t.cursor <= t.mask);
-    t.slots.(at land t.mask) <- t.slots.(at land t.mask) + 1;
-    t.occupancy <- t.occupancy + 1
+  let schedule t ~at =
+    if t.size = Array.length t.heap then begin
+      let heap = Array.make (2 * t.size) 0 in
+      Array.blit t.heap 0 heap 0 t.size;
+      t.heap <- heap
+    end;
+    let heap = t.heap in
+    (* sift up: later parents move down into the hole until [at] fits *)
+    let i = ref t.size in
+    t.size <- t.size + 1;
+    while !i > 0 && heap.((!i - 1) / 2) > at do
+      let parent = (!i - 1) / 2 in
+      heap.(!i) <- heap.(parent);
+      i := parent
+    done;
+    heap.(!i) <- at
+
+  (* Remove the top: the last entry fills the root's hole and sifts
+     down, earlier children moving up, until both children are no
+     earlier than it. *)
+  let pop t =
+    let heap = t.heap in
+    let n = t.size - 1 in
+    t.size <- n;
+    let last = heap.(n) in
+    let i = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    heap.(!i) <- last
 
   (* After [drain t ~now], [occupancy] counts exactly the entries with
-     release cycle > now (the old [List.filter (fun c -> c > now)]).
-     [occupancy] is the sum of all slots, so once it reaches 0 every slot
-     left is already 0 and the cursor jumps to [now + 1]: catching up
-     after a stall skip costs the occupied slots, not the skipped
-     cycles. *)
+     release cycle > now. *)
   let[@inline] drain t ~now =
-    while t.occupancy > 0 && t.cursor <= now do
-      let i = t.cursor land t.mask in
-      t.occupancy <- t.occupancy - t.slots.(i);
-      t.slots.(i) <- 0;
-      t.cursor <- t.cursor + 1
-    done;
-    if t.cursor <= now then t.cursor <- now + 1
+    while t.size > 0 && t.heap.(0) <= now do
+      pop t
+    done
 
-  (* The earliest release cycle of an occupied entry, [max_int] if none.
-     Scans from the cursor, so call it only after a [drain]. *)
-  let next_release t =
-    if t.occupancy = 0 then max_int
-    else begin
-      let c = ref t.cursor in
-      while t.slots.(!c land t.mask) = 0 do
-        incr c
-      done;
-      !c
-    end
+  let[@inline] next_release t = if t.size = 0 then max_int else t.heap.(0)
 end
+
+(* The data memory: out of the OCaml heap, where the major GC never
+   marks it word by word as it would an [int array] (mcf's images hold
+   527,427 words). *)
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t =
   { cfg : Config.t;
@@ -215,7 +236,7 @@ type t =
     dbb : Dbb.t;
     (* --- speculative architectural state ------------------------------ *)
     regs : int array;
-    mem : int array;
+    mem : words;
     mem_words : int;
     mutable call_stack : int list;
     mutable spec_halted : bool;
@@ -383,6 +404,21 @@ let static_of (cfg : Config.t) image stats pc instr =
     s_slot = Stats.slot stats (site_of instr)
   }
 
+(* A fresh data memory: the program's segments, zero elsewhere. *)
+let memory_of (p : Program.t) : words =
+  let mem =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout p.Program.mem_words
+  in
+  Bigarray.Array1.fill mem 0;
+  List.iter
+    (fun (s : Program.segment) ->
+      let base = s.Program.base / 8 in
+      for k = 0 to Array.length s.Program.contents - 1 do
+        mem.{base + k} <- s.Program.contents.(k)
+      done)
+    p.Program.segments;
+  mem
+
 let create ~config ?on_event ?acct image =
   let cfg : Config.t = config in
   let code = image.Layout.code in
@@ -390,12 +426,8 @@ let create ~config ?on_event ?acct image =
   | Some a when Acct.length a <> Array.length code ->
     invalid_arg "Machine_state.create: acct tables sized for different code"
   | _ -> ());
-  let mem = Program.initial_memory image.Layout.program in
+  let mem = memory_of image.Layout.program in
   let c = cfg.Config.cache in
-  let horizon =
-    c.Hierarchy.l1_latency + c.Hierarchy.l2_latency + c.Hierarchy.l3_latency
-    + c.Hierarchy.mem_latency
-  in
   let stats =
     Stats.create
       ~sites:
@@ -419,7 +451,7 @@ let create ~config ?on_event ?acct image =
     dbb = Dbb.create ~entries:cfg.Config.dbb_entries ~meta_words;
     regs = Array.make Reg.count 0;
     mem;
-    mem_words = Array.length mem;
+    mem_words = Bigarray.Array1.dim mem;
     call_stack = [];
     spec_halted = false;
     log_addr = Array.make 1024 0;
@@ -445,8 +477,8 @@ let create ~config ?on_event ?acct image =
     line_shift =
       (let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
        log2 c.Hierarchy.line_bytes 0 - 2);
-    mshr_release = Release.create ~horizon;
-    store_release = Release.create ~horizon;
+    mshr_release = Release.create ();
+    store_release = Release.create ();
     fu_left = Array.make 5 0;
     seq = 0;
     finished = false;

@@ -16,9 +16,9 @@
     are recycled through a free list, each with its own preallocated
     predictor meta row; mispredict checkpoints are recycled through a
     pool and refilled in place; event values are only built when a
-    subscriber is attached ([events_enabled]); and the
-    structural-resource trackers ({!Release}) and queues ({!Ring}) are
-    flat arrays with mask indexing. The one remaining allocation is the
+    subscriber is attached ([events_enabled]); the queues ({!Ring}) are
+    flat arrays with mask indexing and the structural-resource trackers
+    ({!Release}) flat heaps. The one remaining allocation is the
     speculative [call_stack]'s cons per call. *)
 
 open Bv_isa
@@ -158,24 +158,32 @@ module Ring : sig
   (** Shorten by [n] entries at the tail. *)
 end
 
-(** Release-time calendar giving O(1) structural-resource occupancy
-    (MSHRs, store buffer): [schedule] an entry's release cycle, [drain]
-    once per cycle, read [occupancy]. After [drain ~now], [occupancy]
-    counts exactly the entries with release cycle > [now]. *)
+(** MSHR and store-buffer occupancy: a binary min-heap of release
+    cycles. [schedule] pushes an entry's release cycle, [drain ~now]
+    pops every entry released at or before [now], [occupancy] is the
+    heap's size and [next_release] its top. After [drain ~now],
+    [occupancy] counts exactly the entries with release cycle > [now].
+    Each entry costs one push and one pop, O(log n) each, so a drain
+    after a stall skip of any length costs only the entries it
+    releases. *)
 module Release : sig
   type t
 
-  val create : horizon:int -> t
-  (** [horizon] must bound the largest latency ever scheduled. *)
+  val create : unit -> t
+  (** An empty heap; its array grows to the peak occupancy. *)
 
   val occupancy : t -> int
   val schedule : t -> at:int -> unit
   val drain : t -> now:int -> unit
 
   val next_release : t -> int
-  (** The earliest cycle at which an occupied entry releases ([max_int]
-      when none is occupied). Valid after [drain]. *)
+  (** The earliest release cycle of an occupied entry ([max_int] when
+      none is occupied). After [drain ~now] it is above [now]. *)
 end
+
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** The data memory, one OCaml [int] per 8-byte word, out of the heap
+    the major GC marks. *)
 
 type t =
   { cfg : Config.t;
@@ -190,7 +198,9 @@ type t =
     ras : Ras.t;
     dbb : Dbb.t;
     regs : int array;
-    mem : int array;
+    mem : words;
+        (** filled from the program's segments at {!create}, zero
+            elsewhere ({!Bv_ir.Program.initial_memory}'s image) *)
     mem_words : int;
     mutable call_stack : int list;
     mutable spec_halted : bool;

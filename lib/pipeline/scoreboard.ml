@@ -6,8 +6,8 @@ open Machine_state
 
    Hot path: operand checks walk the pre-decoded [uses] index arrays out
    of the static table, memory-op classification is a pre-decoded int,
-   and MSHR / store-buffer occupancy is an O(1) counter read against the
-   release calendars drained once at the top of the cycle. *)
+   and MSHR / store-buffer occupancy is an O(1) size read of the release
+   heaps drained once at the top of the cycle. *)
 
 let operands_ready st (uses : int array) =
   let n = Array.length uses in

@@ -16,7 +16,7 @@ let log_push st w old =
 let log_undo_to st abs_pos =
   while st.log_base + st.log_len > abs_pos do
     st.log_len <- st.log_len - 1;
-    st.mem.(st.log_addr.(st.log_len)) <- st.log_val.(st.log_len)
+    st.mem.{st.log_addr.(st.log_len)} <- st.log_val.(st.log_len)
   done
 
 let log_trim st =
@@ -29,13 +29,13 @@ let log_depth st = st.log_len
 
 let spec_load st ~addr =
   if addr land 7 <> 0 || addr < 0 || addr / 8 >= st.mem_words then 0
-  else st.mem.(addr / 8)
+  else st.mem.{addr / 8}
 
 let spec_store st ~addr v =
   if addr land 7 = 0 && addr >= 0 && addr / 8 < st.mem_words then begin
     let w = addr / 8 in
-    log_push st w st.mem.(w);
-    st.mem.(w) <- v
+    log_push st w st.mem.{w};
+    st.mem.{w} <- v
   end
 
 (* ---- checkpoints ------------------------------------------------------ *)

@@ -11,7 +11,14 @@ let test_construction () =
       ignore (mk ~line:48 ()));
   let c = mk () in
   Alcotest.(check int) "sets" 8 (Sa_cache.sets c);
-  Alcotest.(check int) "line" 64 (Sa_cache.line_bytes c)
+  Alcotest.(check int) "line" 64 (Sa_cache.line_bytes c);
+  (* a way packs its tag above a dirty bit, so a tag must fit in 62
+     bits: 1-byte lines need at least one set bit *)
+  Alcotest.check_raises "1-byte lines in one set"
+    (Invalid_argument "t: 1-byte lines need more than one set") (fun () ->
+      ignore (mk ~size:4 ~ways:4 ~line:1 ()));
+  Alcotest.(check int) "1-byte lines in two sets" 2
+    (Sa_cache.sets (mk ~size:8 ~ways:4 ~line:1 ()))
 
 let test_hit_after_fill () =
   let c = mk () in
@@ -205,17 +212,31 @@ let prop_single_pass_lookup =
    cache they replaced: random geometries of 1 to 32 ways, and random
    streams of reads, writes, probes and invalidations over about one and
    a half times the cache's lines. After every operation the answer and
-   the stats must be the reference's. *)
+   the stats must be the reference's.
+
+   Each way packs its tag into one word, so the addresses reach the
+   whole int range: besides the low ones, the same lines at or above
+   2^61, below 0, and with bit 62 flipped, so that pairs of addresses
+   differ only in their top bit. 1-byte lines over two or more sets
+   give the widest tag a cache accepts, 62 bits. *)
 type ref_op = Read_write of int * bool | Probe of int | Invalidate_all
 
 let prop_recency_order =
   let gen =
     QCheck2.Gen.(
       let* ways = int_range 1 32 in
-      let* sets = oneofl [ 1; 2; 4; 16 ] in
-      let* line = oneofl [ 8; 64 ] in
+      let* line = oneofl [ 1; 8; 64 ] in
+      let* sets = oneofl (if line = 1 then [ 2; 4; 16 ] else [ 1; 2; 4; 16 ]) in
       let lines = sets * ((3 * ways / 2) + 1) in
-      let addr = int_bound ((lines * line) - 1) in
+      let low = int_bound ((lines * line) - 1) in
+      let addr =
+        frequency
+          [ (4, low);
+            (1, map (fun a -> (1 lsl 61) + a) low);
+            (1, map (fun a -> -1 - a) low);
+            (1, map (fun a -> a lxor (1 lsl 62)) low)
+          ]
+      in
       let op =
         frequency
           [ (30, map2 (fun a w -> Read_write (a, w)) addr bool);
