@@ -234,25 +234,28 @@ let store_value t dir n k v ~seconds =
 
 (* ----------------------------------------------------------- claim files *)
 
+(* A claim appears whole: its line goes to a private tmp file that is
+   then hard-linked into place, and the link fails with EEXIST when the
+   claim is taken. A claim file created empty and written after would
+   read as stale (pid 0) to a process polling in between, which would
+   delete it and compute the node a second time. *)
 let try_claim dir k =
   ensure_dir dir;
+  let path = claim_path dir k in
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   match
-    Unix.openfile (claim_path dir k)
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ]
-      0o644
+    Out_channel.with_open_bin tmp (fun oc ->
+        Printf.fprintf oc "%d %s %.0f\n" (Unix.getpid ()) (Unix.gethostname ())
+          (Unix.time ()));
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+      (fun () -> Unix.link tmp path)
   with
-  | fd ->
-    let line =
-      Printf.sprintf "%d %s %.0f\n" (Unix.getpid ()) (Unix.gethostname ())
-        (Unix.time ())
-    in
-    ignore (Unix.write_substring fd line 0 (String.length line));
-    Unix.close fd;
-    true
+  | () -> true
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false
   (* A store that cannot take claims (permissions, read-only mount)
      degrades to uncoordinated-but-correct: compute locally. *)
-  | exception Unix.Unix_error _ -> true
+  | exception (Unix.Unix_error _ | Sys_error _) -> true
 
 let release_claim dir k =
   try Sys.remove (claim_path dir k) with Sys_error _ -> ()
@@ -305,11 +308,18 @@ let attempt_exclusive t n k =
   | Some dir ->
     (* published meanwhile; a node that fails its check does not count,
        it is recomputed and overwritten *)
-    let published =
+    let published () =
       match read_node dir k with Some (Ok _) -> true | _ -> false
     in
-    if published then None
-    else if try_claim dir k then
+    if published () then None
+    else if not (try_claim dir k) then None
+    else if published () then begin
+      (* another process stored it and released its claim between the
+         first look and our claim: load it, do not compute it again *)
+      release_claim dir k;
+      None
+    end
+    else
       Some
         (Fun.protect
            ~finally:(fun () -> release_claim dir k)
@@ -320,7 +330,6 @@ let attempt_exclusive t n k =
              log_event dir "miss" k ~kind:n.n_kind ~label:n.n_label;
              memoize t k v;
              v))
-    else None
 
 (* Somebody else claimed [k]: poll for their published value, take over
    if their claim disappears without a value (crash before store) or

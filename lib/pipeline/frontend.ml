@@ -71,7 +71,7 @@ let enqueue_h st ~addr pc instr =
     let si = st.static.(pc) in
     if si.s_mem_kind <> 0 then begin
       Ring.push st.fbuf_mem h;
-      let r = Scoreboard.readiness st si.s_uses in
+      let r = Scoreboard.readiness st si in
       if r < st.sweep_bound then st.sweep_bound <- r
     end
   end;

@@ -46,6 +46,12 @@ type static_info =
   { s_fu : int;  (* [fu_int] .. [fu_none] *)
     s_dst : int;  (* register index, -1 if none *)
     s_uses : int array;  (* register indices, in Instr.uses order *)
+    s_use0 : int;
+    s_use1 : int;
+    s_use2 : int;
+        (* [s_uses] padded to three slots with [Reg.count], whose [ready]
+           entry is never written: the issue check reads three fixed
+           fields instead of looping over [s_uses] *)
     s_latency : int;  (* base issue latency under the run's config *)
     s_mem_kind : int;  (* 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
@@ -263,6 +269,9 @@ type t =
        stale low after a flush, never high): the backend skips the
        completion scan entirely while [now] is below it. *)
     mutable next_complete : int;
+    (* Per register, the cycle its latest producer completes; one entry
+       more than [Reg.count] for the padded use slots' sentinel, which
+       stays 0. *)
     ready : int array;
     (* Operand-stall parking: while the issue head is blocked on operands,
        nothing younger can issue (in-order, head-of-line), so the head's
@@ -388,6 +397,12 @@ let static_of (cfg : Config.t) image stats pc instr =
   let mem_kind =
     match instr with Instr.Load _ -> 1 | Instr.Store _ -> 2 | _ -> 0
   in
+  let uses = Array.of_list (List.map Reg.index (Instr.uses instr)) in
+  (* the sentinel pads to three slots: a [cmov] reads three registers,
+     and nothing reads more ([Array.make] would raise) *)
+  let padded =
+    Array.append uses (Array.make (3 - Array.length uses) Reg.count)
+  in
   { s_fu =
       (match Instr.fu_class instr with
       | Instr.Fu_int -> fu_int
@@ -396,7 +411,10 @@ let static_of (cfg : Config.t) image stats pc instr =
       | Instr.Fu_branch -> fu_branch
       | Instr.Fu_none -> fu_none);
     s_dst = dst;
-    s_uses = Array.of_list (List.map Reg.index (Instr.uses instr));
+    s_uses = uses;
+    s_use0 = padded.(0);
+    s_use1 = padded.(1);
+    s_use2 = padded.(2);
     s_latency = latency;
     s_mem_kind = mem_kind;
     s_is_halt = instr = Instr.Halt;
@@ -466,7 +484,7 @@ let create ~config ?on_event ?acct image =
       Ring.create ~limit:cfg.Config.fetch_buffer cfg.Config.fetch_buffer;
     pending = Ring.create 64;
     next_complete = max_int;
-    ready = Array.make Reg.count 0;
+    ready = Array.make (Reg.count + 1) 0;
     park_h = -1;
     park_seq = -1;
     park_until = 0;

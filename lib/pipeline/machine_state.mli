@@ -99,6 +99,12 @@ type static_info =
   { s_fu : int;  (** {!fu_int} .. {!fu_none} *)
     s_dst : int;  (** register index, -1 if none *)
     s_uses : int array;  (** register indices, in [Instr.uses] order *)
+    s_use0 : int;
+    s_use1 : int;
+    s_use2 : int;
+        (** [s_uses] padded to three slots with the sentinel [Reg.count]
+            (no instruction reads more than three registers), so the
+            issue check compares three fields with no loop *)
     s_latency : int;  (** base issue latency under the run's config *)
     s_mem_kind : int;  (** 0 = not memory, 1 = load, 2 = store *)
     s_is_halt : bool;
@@ -224,6 +230,9 @@ type t =
         (** lower bound on the earliest [complete_cycle] in [pending]
             (stale low is fine; the backend skips scans below it) *)
     ready : int array;
+        (** per register, the cycle its latest producer completes; entry
+            [Reg.count] is the padded use slots' sentinel, never written
+            and so always 0 *)
     mutable park_h : handle;
         (** operand-stall parking: the issue head known to be blocked on
             operands until [park_until] (-1 when nothing is parked).

@@ -4,26 +4,21 @@ open Machine_state
 (* In-order issue from the fetch-buffer head: head-of-line blocking on
    operands, FU slots and memory structures (MSHRs / store buffer).
 
-   Hot path: operand checks walk the pre-decoded [uses] index arrays out
-   of the static table, memory-op classification is a pre-decoded int,
-   and MSHR / store-buffer occupancy is an O(1) size read of the release
-   heaps drained once at the top of the cycle. *)
+   Hot path: operand checks read the three padded use slots out of the
+   static table (no loop, so [ocamlopt] inlines them), memory-op
+   classification is a pre-decoded int, and MSHR / store-buffer
+   occupancy is an O(1) size read of the release heaps drained once at
+   the top of the cycle. *)
 
-let operands_ready st (uses : int array) =
-  let n = Array.length uses in
-  let k = ref 0 in
-  while !k < n && st.ready.(uses.(!k)) <= st.now do
-    incr k
-  done;
-  !k = n
+let operands_ready st si =
+  let ready = st.ready and now = st.now in
+  ready.(si.s_use0) <= now
+  && ready.(si.s_use1) <= now
+  && ready.(si.s_use2) <= now
 
-let readiness st (uses : int array) =
-  let acc = ref 0 in
-  for k = 0 to Array.length uses - 1 do
-    let r = st.ready.(uses.(k)) in
-    if r > !acc then acc := r
-  done;
-  !acc
+let readiness st si =
+  let ready = st.ready in
+  imax ready.(si.s_use0) (imax ready.(si.s_use1) ready.(si.s_use2))
 
 let issue st =
   let cfg = st.cfg in
@@ -79,7 +74,7 @@ let issue st =
       else begin
         let si = st.static.(st.i_pc.(h)) in
         let addr = st.i_addr.(h) in
-        let operands_ready = operands_ready st si.s_uses in
+        let operands_ready = operands_ready st si in
         let fu_ok = fu_left.(si.s_fu) > 0 in
         let mem_ok =
           if si.s_mem_kind = 1 then
@@ -103,7 +98,7 @@ let issue st =
             (* how long the condition kept this control instruction from
                resolving, past the front-end minimum: the measured
                per-site ASPCB (operand readiness, not queueing delay) *)
-            let readiness = readiness st si.s_uses in
+            let readiness = readiness st si in
             Stats.add_site_wait st.stats ~slot
               ~cycles:
                 (imax 0
@@ -180,7 +175,7 @@ let issue st =
                younger can issue past it, so this bound is stable. *)
             st.park_h <- h;
             st.park_seq <- st.i_seq.(h);
-            st.park_until <- readiness st si.s_uses
+            st.park_until <- readiness st si
           end;
           blocked := true
         end
@@ -213,7 +208,7 @@ let issue st =
       let h = Ring.get mem !k in
       if st.i_prefetch.(h) = pf_none then begin
         let si = st.static.(st.i_pc.(h)) in
-        if operands_ready st si.s_uses then begin
+        if operands_ready st si then begin
           (* real runahead can only compute addresses whose inputs are
              available; chases behind pending loads stay opaque *)
           let addr = st.i_addr.(h) in
@@ -236,7 +231,7 @@ let issue st =
           end
         end
         else begin
-          let r = readiness st si.s_uses in
+          let r = readiness st si in
           if r < !bound then bound := r
         end
       end;

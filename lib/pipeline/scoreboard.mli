@@ -13,8 +13,8 @@
 
 val issue : Machine_state.t -> unit
 
-val readiness : Machine_state.t -> int array -> int
-(** Max [ready] cycle over a pre-decoded operand index array (0 when
-    none) — the earliest cycle every operand can be available. Used by
-    the fetch paths to fold newly enqueued memory entries into
-    [sweep_bound]. *)
+val readiness : Machine_state.t -> Machine_state.static_info -> int
+(** Max [ready] cycle over an instruction's padded use slots (0 when it
+    reads no register) — the earliest cycle every operand can be
+    available. Used by the fetch paths to fold newly enqueued memory
+    entries into [sweep_bound]. *)

@@ -1,17 +1,18 @@
 open Bv_bpred
 
 (* Drive a predictor through an outcome sequence in program order (predict,
-   repair history on a miss, train) and return its accuracy. *)
-let accuracy ?(pc = 0x400) (p : Predictor.t) outcomes =
+   repair history on a miss, train) and return its accuracy over the
+   outcomes from index [skip] on (the earlier ones only warm it up). *)
+let accuracy ?(pc = 0x400) ?(skip = 0) (p : Predictor.t) outcomes =
   let correct = ref 0 in
-  Array.iter
-    (fun taken ->
+  Array.iteri
+    (fun i taken ->
       let pred, meta = p.Predictor.predict ~pc ~outcome:taken in
-      if pred = taken then incr correct
+      if pred = taken then (if i >= skip then incr correct)
       else p.Predictor.recover meta ~taken;
       p.Predictor.update meta ~pc ~taken)
     outcomes;
-  Float.of_int !correct /. Float.of_int (Array.length outcomes)
+  Float.of_int !correct /. Float.of_int (Array.length outcomes - skip)
 
 let periodic n pattern = Array.init n (fun i -> pattern.(i mod Array.length pattern))
 
@@ -120,6 +121,57 @@ let test_history_recovery () =
   let stream = Array.init 500 (fun i -> i mod 3 = 0) in
   let a1 = accuracy p1 stream and a2 = accuracy p2 stream in
   Alcotest.(check (float 0.0001)) "deterministic" a1 a2
+
+(* History reach, after Chen et al., "Dissecting Conditional Branch
+   Predictors of Apple Firestorm and Qualcomm Oryon" (arXiv 2411.13900):
+   one branch runs a loop pattern of period [p], taken [p - 1] times and
+   then not taken once. A history predictor predicts the exit only when
+   its history spans the whole period, so the longest period it predicts
+   perfectly after warm-up reads how far back it sees. *)
+let steady_loop_accuracy kind p =
+  let warmup = 64 and measure = 32 in
+  let stream = periodic ((warmup + measure) * p) (Array.init p (fun i -> i < p - 1)) in
+  accuracy ~skip:(warmup * p) (Kind.create kind) stream
+
+(* The longest period from 2 up to [cap] that is learnt perfectly with
+   every shorter one (1 when period 2 is not). *)
+let history_reach kind =
+  let cap = 256 in
+  let rec scan p =
+    if p > cap || steady_loop_accuracy kind p < 1.0 then p - 1
+    else scan (p + 1)
+  in
+  scan 2
+
+(* Pinned per kind of the ladder: a change to a predictor's geometry or
+   history folding shows here as a number. A gshare with h history bits
+   reaches h + 1 (gshare-small 8, gshare 15, the tournament's global
+   side 15), TAGE its longest history plus one (62), the perceptron one
+   short of its 28 bits; ISL-TAGE's loop predictor and the oracle reach
+   the scan's cap. *)
+let test_history_reach () =
+  let pinned =
+    Kind.
+      [ (Always_taken, 1);
+        (Always_not_taken, 1);
+        (Bimodal_small, 1);
+        (Bimodal, 1);
+        (Gshare_small, 9);
+        (Gshare, 16);
+        (Tournament, 16);
+        (Perceptron, 28);
+        (Tage, 63);
+        (Isl_tage, 256);
+        (Perfect, 256)
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "longest period learnt perfectly"
+    (List.map (fun (kind, reach) -> (Kind.name kind, reach)) pinned)
+    (List.map (fun (kind, _) -> (Kind.name kind, history_reach kind)) pinned);
+  (* past its reach TAGE misses only the exit: 63 of 64 *)
+  Alcotest.(check (float 1e-9)) "tage at period 64" (63. /. 64.)
+    (steady_loop_accuracy Kind.Tage 64)
 
 (* Tables hold their fields in bytes: a TAGE entry in 16 bits, a
    perceptron weight in one signed byte. A geometry that does not fit is
@@ -564,6 +616,7 @@ let () =
           Alcotest.test_case "tage long history" `Slow test_tage_long_history;
           Alcotest.test_case "isl-tage loop" `Slow test_isl_loop_predictor;
           Alcotest.test_case "history recovery" `Quick test_history_recovery;
+          Alcotest.test_case "history reach" `Quick test_history_reach;
           Alcotest.test_case "perceptron correlation" `Slow
             test_perceptron_correlation;
           Alcotest.test_case "perceptron saturation" `Slow

@@ -146,42 +146,50 @@ let count_marks path =
 
 (* Two independent processes sweep the same 8 nodes against one store:
    the claim files must arbitrate so each node is computed exactly once
-   between them, and both come back with the full result list. *)
+   between them, and both come back with the full result list. A process
+   that wins a claim just after the other stored the node must load it,
+   not compute it again; that window is narrow, so the round runs 15
+   times, each on a fresh store. *)
+let two_processes_round round dir =
+  let marks = Filename.concat dir "computes.marks" in
+  let nodes () =
+    List.init 8 (fun i ->
+        Dag.node ~kind:"shared" ~inputs:i (fun () ->
+            append_mark marks (string_of_int i);
+            (* widen the overlap window so both processes race *)
+            Unix.sleepf 0.02;
+            i + 100))
+  in
+  let child () =
+    match Unix.fork () with
+    | 0 ->
+      let ok =
+        try
+          let d = Dag.create ~dir () in
+          Pool.map ~jobs:1 (Dag.eval d) (nodes ())
+          = List.init 8 (fun i -> i + 100)
+        with _ -> false
+      in
+      Unix._exit (if ok then 0 else 1)
+    | pid -> pid
+  in
+  let p1 = child () in
+  let p2 = child () in
+  let status pid =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _ -> 255
+  in
+  let what = Printf.sprintf "round %d: %s" round in
+  Alcotest.(check int) (what "first process succeeds") 0 (status p1);
+  Alcotest.(check int) (what "second process succeeds") 0 (status p2);
+  Alcotest.(check int) (what "each node computed exactly once") 8
+    (count_marks marks)
+
 let test_two_processes_one_store () =
-  with_dir (fun dir ->
-      let marks = Filename.concat dir "computes.marks" in
-      let nodes () =
-        List.init 8 (fun i ->
-            Dag.node ~kind:"shared" ~inputs:i (fun () ->
-                append_mark marks (string_of_int i);
-                (* widen the overlap window so both processes race *)
-                Unix.sleepf 0.02;
-                i + 100))
-      in
-      let child () =
-        match Unix.fork () with
-        | 0 ->
-          let ok =
-            try
-              let d = Dag.create ~dir () in
-              Pool.map ~jobs:1 (Dag.eval d) (nodes ())
-              = List.init 8 (fun i -> i + 100)
-            with _ -> false
-          in
-          Unix._exit (if ok then 0 else 1)
-        | pid -> pid
-      in
-      let p1 = child () in
-      let p2 = child () in
-      let status pid =
-        match Unix.waitpid [] pid with
-        | _, Unix.WEXITED c -> c
-        | _ -> 255
-      in
-      Alcotest.(check int) "first process succeeds" 0 (status p1);
-      Alcotest.(check int) "second process succeeds" 0 (status p2);
-      Alcotest.(check int) "each node computed exactly once" 8
-        (count_marks marks))
+  for round = 1 to 15 do
+    with_dir (two_processes_round round)
+  done
 
 (* ---- worker failure --------------------------------------------------- *)
 

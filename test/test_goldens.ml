@@ -67,6 +67,67 @@ let test_ladder kind () =
     got;
   Golden.check ~file:(name ^ ".json") ~what:(name ^ " stats bit-for-bit") got
 
+(* ---- metamorphic relations over the four golden configs ------------- *)
+
+let outcome (config : Config.t) image =
+  let r = Machine.run ~config image in
+  (r.Machine.stats, r.Machine.arch_digest)
+
+(* A plain image holds no predict, so nothing enters the DBB: every DBB
+   size gives the same run. *)
+let test_dbb_size_plain () =
+  List.iter
+    (fun (name, (config : Config.t), image) ->
+      let image = Lazy.force image in
+      let base = outcome config image in
+      List.iter
+        (fun entries ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, dbb_entries %d: same stats and digest" name
+               entries)
+            true
+            (outcome { config with Config.dbb_entries = entries } image = base))
+        [ 1; 2; 16; 64 ])
+    (List.filter
+       (fun (name, _, _) -> name = "plain_w4" || name = "runahead_w8")
+       cases)
+
+(* The oracle predictor never mispredicts a branch or a resolve, so no
+   cycle is charged to recovery. *)
+let test_perfect_predictor () =
+  List.iter
+    (fun (name, (config : Config.t), image) ->
+      let image = Lazy.force image in
+      let acct = Acct.create image.Layout.code in
+      let r =
+        Machine.run ~acct
+          ~config:{ config with Config.predictor = Kind.Perfect }
+          image
+      in
+      let stats = r.Machine.stats in
+      Alcotest.(check (list int))
+        (name ^ ", perfect: branch and resolve mispredicts, recovery cycles")
+        [ 0; 0; 0 ]
+        [ stats.Stats.branch_mispredicts;
+          stats.Stats.resolve_mispredicts;
+          acct.Acct.components.(Acct.c_recovery)
+        ])
+    cases
+
+(* Without runahead nothing issues a runahead prefetch. *)
+let test_runahead_off () =
+  List.iter
+    (fun (name, (config : Config.t), image) ->
+      let r =
+        Machine.run
+          ~config:{ config with Config.runahead = false }
+          (Lazy.force image)
+      in
+      Alcotest.(check int)
+        (name ^ ", runahead off: prefetches")
+        0 r.Machine.stats.Stats.runahead_prefetches)
+    cases
+
 let () =
   Alcotest.run "bv_goldens"
     [ ( "cycle-equivalence",
@@ -77,5 +138,11 @@ let () =
       ( "predictor ladder",
         List.map
           (fun kind -> Alcotest.test_case (Kind.name kind) `Quick (test_ladder kind))
-          Kind.all )
+          Kind.all );
+      ( "metamorphic",
+        [ Alcotest.test_case "dbb size on plain images" `Quick
+            test_dbb_size_plain;
+          Alcotest.test_case "perfect predictor" `Quick test_perfect_predictor;
+          Alcotest.test_case "runahead off" `Quick test_runahead_off
+        ] )
     ]

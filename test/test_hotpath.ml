@@ -162,10 +162,27 @@ let static_image =
 let fresh_state () =
   Machine_state.create ~config:Config.four_wide (Lazy.force static_image)
 
+(* A [cmov], the one instruction that reads three registers (its
+   condition, its destination and its source): no generated image holds
+   one. *)
+let cmov_image =
+  lazy
+    (Bv_ir.Layout.program
+       (Bv_ir.Asm.program
+          {|
+proc main
+entry:
+  mov    r1, #1
+  mov    r2, #5
+  cmp.eq r3, r1, #1
+  cmov.nz r3, r2, r1
+  halt
+|}))
+
 (* The pre-decoded table must agree with the instruction-level decode
-   helpers it replaced, for every pc in the image. *)
+   helpers it replaced, for every pc of the test image, the [cmov] image
+   and the four golden images. *)
 let test_static_table_agrees () =
-  let st = fresh_state () in
   let fu_idx fu =
     match fu with
     | Bv_isa.Instr.Fu_int -> fu_int
@@ -174,48 +191,100 @@ let test_static_table_agrees () =
     | Bv_isa.Instr.Fu_branch -> fu_branch
     | Bv_isa.Instr.Fu_none -> fu_none
   in
-  Array.iteri
-    (fun pc instr ->
-      let si = st.static.(pc) in
+  let three_uses = ref 0 in
+  let check_table st =
+    Array.iteri
+      (fun pc instr ->
+        let si = st.static.(pc) in
+        if Array.length si.s_uses = 3 then incr three_uses;
+        Alcotest.(check int)
+          (Printf.sprintf "fu class @%d" pc)
+          (fu_idx (Bv_isa.Instr.fu_class instr))
+          si.s_fu;
+        let dst =
+          match Bv_isa.Instr.defs instr with
+          | r :: _ -> Bv_isa.Reg.index r
+          | [] -> -1
+        in
+        Alcotest.(check int) (Printf.sprintf "dst @%d" pc) dst si.s_dst;
+        let uses = List.map Bv_isa.Reg.index (Bv_isa.Instr.uses instr) in
+        Alcotest.(check (list int)) (Printf.sprintf "uses @%d" pc) uses
+          (Array.to_list si.s_uses);
+        (* the issue check's three slots: the uses padded with the
+           sentinel register index [Reg.count] *)
+        let padded =
+          List.filteri
+            (fun k _ -> k < 3)
+            (uses @ List.init 3 (fun _ -> Bv_isa.Reg.count))
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "padded uses @%d" pc)
+          padded
+          [ si.s_use0; si.s_use1; si.s_use2 ];
+        let mem_kind =
+          match instr with
+          | Bv_isa.Instr.Load _ -> 1
+          | Bv_isa.Instr.Store _ -> 2
+          | _ -> 0
+        in
+        Alcotest.(check int) (Printf.sprintf "mem kind @%d" pc) mem_kind
+          si.s_mem_kind;
+        Alcotest.(check bool)
+          (Printf.sprintf "halt @%d" pc)
+          (instr = Bv_isa.Instr.Halt)
+          si.s_is_halt;
+        (* a branch/resolve's slot names its own site id in the stats *)
+        let site =
+          match instr with
+          | Bv_isa.Instr.Branch { id; _ } | Bv_isa.Instr.Resolve { id; _ } ->
+            Some id
+          | _ -> None
+        in
+        Alcotest.(check (option int))
+          (Printf.sprintf "site slot @%d" pc)
+          site
+          (if si.s_slot < 0 then None
+           else Some st.stats.Stats.sites.(si.s_slot)))
+      st.code
+  in
+  check_table (fresh_state ());
+  check_table
+    (Machine_state.create ~config:Config.four_wide (Lazy.force cmov_image));
+  List.iter
+    (fun (_, config, image) ->
+      check_table (Machine_state.create ~config (Lazy.force image)))
+    Golden_configs.cases;
+  Alcotest.(check bool) "some instruction fills all three slots" true
+    (!three_uses > 0)
+
+(* The padded use slots' sentinel, [ready.(Reg.count)], is never
+   written: it reads 0 after every cycle of full runs of the four golden
+   configs, whose flushes rebuild the scoreboard. The loop steps
+   [Machine.run]'s cycle, so it ends on the same cycle count. *)
+let test_sentinel_ready () =
+  List.iter
+    (fun (name, config, image) ->
+      let image = Lazy.force image in
+      let st = Machine_state.create ~config image in
+      let written = ref 0 in
+      while not st.finished do
+        Backend.process_completions st;
+        if not st.finished then begin
+          Scoreboard.issue st;
+          Frontend.fetch_group st;
+          Spec_state.log_trim st;
+          st.now <- st.now + 1;
+          st.stats.Stats.cycles <- st.now
+        end;
+        if st.ready.(Bv_isa.Reg.count) <> 0 then incr written
+      done;
       Alcotest.(check int)
-        (Printf.sprintf "fu class @%d" pc)
-        (fu_idx (Bv_isa.Instr.fu_class instr))
-        si.s_fu;
-      let dst =
-        match Bv_isa.Instr.defs instr with
-        | r :: _ -> Bv_isa.Reg.index r
-        | [] -> -1
-      in
-      Alcotest.(check int) (Printf.sprintf "dst @%d" pc) dst si.s_dst;
-      Alcotest.(check (list int))
-        (Printf.sprintf "uses @%d" pc)
-        (List.map Bv_isa.Reg.index (Bv_isa.Instr.uses instr))
-        (Array.to_list si.s_uses);
-      let mem_kind =
-        match instr with
-        | Bv_isa.Instr.Load _ -> 1
-        | Bv_isa.Instr.Store _ -> 2
-        | _ -> 0
-      in
-      Alcotest.(check int) (Printf.sprintf "mem kind @%d" pc) mem_kind
-        si.s_mem_kind;
-      Alcotest.(check bool)
-        (Printf.sprintf "halt @%d" pc)
-        (instr = Bv_isa.Instr.Halt)
-        si.s_is_halt;
-      (* a branch/resolve's slot names its own site id in the stats *)
-      let site =
-        match instr with
-        | Bv_isa.Instr.Branch { id; _ } | Bv_isa.Instr.Resolve { id; _ } ->
-          Some id
-        | _ -> None
-      in
-      Alcotest.(check (option int))
-        (Printf.sprintf "site slot @%d" pc)
-        site
-        (if si.s_slot < 0 then None
-         else Some st.stats.Stats.sites.(si.s_slot)))
-    st.code
+        (name ^ ": cycles with the sentinel written")
+        0 !written;
+      Alcotest.(check int) (name ^ ": a full run")
+        (Machine.run ~config image).Machine.stats.Stats.cycles
+        st.stats.Stats.cycles)
+    Golden_configs.cases
 
 (* ----------------------------------------------------------- handle pool *)
 
@@ -609,7 +678,9 @@ let () =
         ] );
       ( "static table",
         [ Alcotest.test_case "agrees with instruction decode" `Quick
-            test_static_table_agrees
+            test_static_table_agrees;
+          Alcotest.test_case "sentinel ready entry stays 0" `Quick
+            test_sentinel_ready
         ] );
       ( "pool",
         [ Alcotest.test_case "recycle clears control columns" `Quick
